@@ -36,8 +36,8 @@ def main():
 
     # The state and action-pair conditions above are cheap and interpretable,
     # but from three belief dimensions up they can all hold while the pair is
-    # still unreachable. This four-state game is such a case: the checker
-    # settles it with the vertex decomposition and hands back a separating
+    # still unreachable. This four-state game is such a case: the oracle LP
+    # rejects it, and the certificate search hands back a separating
     # direction outside both named families.
     game = make_game(
         ["t1", "t2", "t3", "t4"],

@@ -231,7 +231,6 @@ def check_public_bce(
     fo: FirstOrderGame,
     marginal: ActionMarginal,
     max_profiles: int | None = None,
-    debug: bool = False,
 ) -> ConsistencyVerdict:
     """Can public signals alone steer play to this profile distribution?
 
@@ -241,7 +240,7 @@ def check_public_bce(
     """
     aux = auxiliary_single_agent(fo, max_profiles)
     validate_marginal(marginal, aux.n_actions)
-    return check_bce_consistent(aux, marginal, debug=debug)
+    return check_bce_consistent(aux, marginal)
 
 
 def ring_stage_game(ring: RingGame, profile: MarginalProfile, i: int) -> BaseGame:
@@ -280,9 +279,7 @@ def _embed_witness(witness: Outcome, support: Sequence[int], width: int) -> Outc
     return Outcome(tuple(rows))
 
 
-def check_ring(
-    ring: RingGame, profile: MarginalProfile, debug: bool = False
-) -> RingVerdict:
+def check_ring(ring: RingGame, profile: MarginalProfile) -> RingVerdict:
     """Run every stage check in order; stop at the first failure.
 
     A consistent verdict carries one witness per stage, re-embedded over the
@@ -297,7 +294,7 @@ def check_ring(
     for i in range(ring.n_players):
         stage = ring_stage_game(ring, profile, i)
         validate_marginal(profile.marginals[i], stage.n_actions)
-        verdict = check_bce_consistent(stage, profile.marginals[i], debug=debug)
+        verdict = check_bce_consistent(stage, profile.marginals[i])
         if not verdict.consistent:
             return RingVerdict(False, failing_stage=i, violation=verdict.violation)
         width = len(ring.states) if i == 0 else len(ring.actions[i - 1])

@@ -2,7 +2,8 @@
 
 Exit codes: 0 the check passed (consistent / implemented / verify agreed),
 2 a well-posed instance got a negative verdict, 3 the input was unusable,
-4 the two independent decision routes disagreed (a bug, by construction).
+4 an internal disagreement: two routes that agree on paper did not, or a
+solver invariant broke (a bug, by construction).
 Reports are byte-identical for identical inputs and seeds; timings go to
 stderr so they never perturb the report document.
 """
@@ -15,25 +16,27 @@ import time
 
 from .applications import (
     auxiliary_single_agent,
-    check_public_bce,
     check_ring,
     check_ring_obedience,
     construct_ring_outcome,
     ring_player_marginal,
 )
-from .consistency import check_bce_consistent, oracle_feasibility
-from .errors import ImplementationInfeasible, MbceError, ValidationError
+from .consistency import belief_decomposition, check_bce_consistent, oracle_feasibility
+from .errors import (
+    ImplementationInfeasible,
+    InternalDisagreement,
+    MbceError,
+    ValidationError,
+)
 from .game import ActionMarginal, make_marginal, validate_marginal
 from .generators import XorShift64, random_game, random_marginal
 from .implementation import (
-    build_gale_network,
     choice_rule_from_tau,
-    decision_rule_from_flow,
-    implement_marginal,
+    implementing_rule,
     menu_measure,
     menu_rule_from_core,
+    outcome_from_tau,
 )
-from .flows import max_flow_feasible
 from .io import (
     Report,
     canonical_json,
@@ -53,35 +56,23 @@ from .io import (
 )
 
 
-def cmd_check(game, marginal) -> tuple[Report, int]:
+def cmd_check(game, marginal, command="check") -> tuple[Report, int]:
+    """The ``check`` and ``oracle`` commands: one decision, one report shape,
+    labelled with the command that asked for it."""
     inputs = game_json(game)
     inputs["marginal"] = vector_json(marginal.probs)
     verdict = check_bce_consistent(game, marginal)
     if verdict.consistent:
         report = Report(
-            "check", inputs, "consistent",
+            command, inputs, "consistent",
             witnesses={"outcome": rows_json(verdict.witness.probs)},
         )
         return report, 0
     report = Report(
-        "check", inputs, "inconsistent",
+        command, inputs, "inconsistent",
         certificate=certificate_json(verdict.violation),
     )
     return report, 2
-
-
-def cmd_oracle(game, marginal) -> tuple[Report, int]:
-    inputs = game_json(game)
-    inputs["marginal"] = vector_json(marginal.probs)
-    feasible, outcome = oracle_feasibility(game, marginal)
-    if feasible:
-        report = Report(
-            "oracle", inputs, "consistent",
-            witnesses={"outcome": rows_json(outcome.probs)},
-        )
-        return report, 0
-    # The transport program is infeasible; directions are the checker's job.
-    return Report("oracle", inputs, "inconsistent"), 2
 
 
 def cmd_implement(game, marginal, tau) -> tuple[Report, int]:
@@ -89,7 +80,7 @@ def cmd_implement(game, marginal, tau) -> tuple[Report, int]:
     inputs["marginal"] = vector_json(marginal.probs)
     inputs["tau"] = tau_json(tau)
     try:
-        outcome = implement_marginal(game, marginal, tau)
+        rule = implementing_rule(game, marginal, tau)
     except ImplementationInfeasible as err:
         certificate = {
             "kind": "implementation-infeasible",
@@ -97,8 +88,7 @@ def cmd_implement(game, marginal, tau) -> tuple[Report, int]:
             "deficit": vector_json([err.deficit])[0],
         }
         return Report("implement", inputs, "infeasible", certificate=certificate), 2
-    _, flow = max_flow_feasible(build_gale_network(tau, marginal, game))
-    rule = decision_rule_from_flow(flow, tau, game.n_actions)
+    outcome = outcome_from_tau(tau, rule, game.prior)
     witnesses = {
         "tau": tau_json(tau),
         "decision_rule": rows_json(rule.rows),
@@ -125,7 +115,8 @@ def cmd_ring(ring, profile) -> tuple[Report, int]:
         )
         return report, 2
     joint = construct_ring_outcome(verdict.stage_witnesses)
-    assert check_ring_obedience(joint, ring), "stage-built joint outcome disobeys"
+    if not check_ring_obedience(joint, ring):
+        raise InternalDisagreement("stage-built joint outcome disobeys")
     witnesses = {
         "stage_witnesses": [rows_json(w.probs) for w in verdict.stage_witnesses],
         "joint": {"shape": list(joint.shape), "probs": rows_json(joint.probs)},
@@ -141,11 +132,12 @@ def cmd_ring(ring, profile) -> tuple[Report, int]:
     return report, 0
 
 
-def cmd_public(fo, marginal, max_profiles=None) -> tuple[Report, int]:
-    aux = auxiliary_single_agent(fo, max_profiles)
+def cmd_public(fo, marginal) -> tuple[Report, int]:
+    aux = auxiliary_single_agent(fo)
     inputs = {"first_order": first_order_json(fo), "marginal": vector_json(marginal.probs)}
     details = {"profiles": list(aux.actions)}
-    verdict = check_public_bce(fo, marginal, max_profiles)
+    validate_marginal(marginal, aux.n_actions)
+    verdict = check_bce_consistent(aux, marginal)
     if verdict.consistent:
         report = Report(
             "public", inputs, "consistent",
@@ -162,7 +154,8 @@ def cmd_public(fo, marginal, max_profiles=None) -> tuple[Report, int]:
 
 
 def cmd_verify(n, seed, max_states, max_actions) -> tuple[Report, int]:
-    """Seeded head-to-head of the direction checker against the transport LP."""
+    """Seeded head-to-head of the belief-space decomposition against the
+    oracle LP, the two independent routes to the same decision."""
     rng = XorShift64(seed)
     disagreements = []
     consistent_count = 0
@@ -170,14 +163,14 @@ def cmd_verify(n, seed, max_states, max_actions) -> tuple[Report, int]:
         game = random_game(rng, max_states=max_states, max_actions=max_actions)
         nu = random_marginal(rng, game.n_actions)
         try:
-            fast = check_bce_consistent(game, nu).consistent
-        except AssertionError:
+            decomposed = belief_decomposition(game, nu) is not None
+            feasible, _ = oracle_feasibility(game, nu)
+        except InternalDisagreement:
             disagreements.append(index)
             continue
-        slow, _ = oracle_feasibility(game, nu)
-        if fast != slow:
+        if decomposed != feasible:
             disagreements.append(index)
-        elif fast:
+        elif feasible:
             consistent_count += 1
     inputs = {
         "n": n,
@@ -263,8 +256,7 @@ def _run(args) -> tuple[str, int]:
         doc = load_game(args.file, drop_null_states=args.drop_null_states)
         game = _require_section(doc, "game", "game section")
         marginal = _resolve_marginal(args, doc, game.n_actions)
-        runner = cmd_check if args.command == "check" else cmd_oracle
-        report, code = runner(game, marginal)
+        report, code = cmd_check(game, marginal, args.command)
     elif args.command == "implement":
         doc = load_game(args.file, drop_null_states=args.drop_null_states)
         game = _require_section(doc, "game", "game section")
@@ -319,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
-    instance_parser("check", "decide consistency by the direction conditions")
-    instance_parser("oracle", "decide consistency by the transport LP")
+    instance_parser("check", "decide consistency by the oracle LP; certify a rejection")
+    instance_parser("oracle", "the same decision and report as check, named oracle")
     instance_parser("implement", "build an outcome from posteriors", with_tau=True)
 
     ring_p = sub.add_parser("ring", help="stage-by-stage ring-network check")
@@ -332,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     public_p.add_argument("--marginal", help="profile marginal, indexed like the report's profiles list")
     public_p.add_argument("--out", help="write the report here instead of stdout")
 
-    verify_p = sub.add_parser("verify", help="random cross-check of both decision routes")
+    verify_p = sub.add_parser(
+        "verify", help="random cross-check of the belief-space route against the oracle LP"
+    )
     verify_p.add_argument("--n", type=int, default=500)
     verify_p.add_argument("--seed", type=int, default=7)
     verify_p.add_argument("--max-states", type=int, default=4)
@@ -356,7 +350,7 @@ def main(argv=None) -> int:
     except MbceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except AssertionError as err:
+    except InternalDisagreement as err:
         print(f"internal disagreement: {err}", file=sys.stderr)
         return 4
     _emit(text, args.out)

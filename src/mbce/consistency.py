@@ -1,20 +1,20 @@
 """Deciding whether a prior/action-marginal pair is reachable in equilibrium.
 
-Two independent routes answer the same question. The characterization route
-works in belief space: it screens the named direction families first (state
-conditions and action-pair conditions, both instances of a single family of
-support-function inequalities indexed by directions), then decides membership
-of the prior in the marginal-weighted mixture of the belief polytopes by an
-exact feasibility program over their vertices. The named families are
+One program decides: ``oracle_feasibility`` is the exact LP over joint
+outcomes (obedience plus both marginals), and its solution is the witness of
+a consistent verdict. A rejection is then explained in belief space, where
+every certificate is a direction with strictly negative ``strassen_residual``
+(the support-function slack of the marginal-weighted belief polytopes
+against the prior). The search tries the named families first, state
+conditions and then action-pair conditions, and falls back to a separating
+direction from the vertex-based minimization; the named families are
 necessary but not sufficient once beliefs have three or more degrees of
-freedom: a pair can satisfy every state and action-pair inequality yet fail
-along a direction outside both families, so the vertex program is what
-actually closes the decision. When it fails, a separating direction with
-strictly negative ``strassen_residual`` certifies the verdict.
+freedom.
 
-The oracle route feeds the full joint system (obedience plus both marginals)
-to the exact LP, never touching the polytope machinery. The two routes must
-agree exactly; the test suite holds them to that.
+``belief_decomposition`` decides the same question independently, through
+the vertices of the belief polytopes. It stays off the decision path and
+serves as the cross-check that ``mbce verify`` and the tests run against the
+oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyPolytope, UnsupportableAction
+from .errors import EmptyPolytope, InternalDisagreement, UnsupportableAction
 from .game import ActionMarginal, BaseGame, Outcome, validate_game, validate_marginal
 from .linprog import (
     EQUAL,
@@ -93,14 +93,11 @@ def _polytopes_for(
     return {a: opt_belief_polytope(game, a) for a in actions}
 
 
-def _max_over(poly: BeliefPolytope, c: Direction, action: int, debug: bool) -> Fraction:
+def _max_over(poly: BeliefPolytope, c: Direction, action: int) -> Fraction:
     try:
         value, _ = maximize_direction(poly, c)
     except EmptyPolytope:
         raise UnsupportableAction(action) from None
-    if debug:
-        vertex_value = max(dot(c, v) for v in enumerate_vertices(poly))
-        assert vertex_value == value, "LP and vertex scan disagree"
     return value
 
 
@@ -109,7 +106,6 @@ def strassen_residual(
     marginal: ActionMarginal,
     c: Direction,
     polytopes: dict[int, BeliefPolytope] | None = None,
-    debug: bool = False,
 ) -> Fraction:
     """Support-function slack along direction c.
 
@@ -122,7 +118,7 @@ def strassen_residual(
     polys = polytopes if polytopes is not None else _polytopes_for(game, supported)
     lhs = ZERO
     for a in supported:
-        lhs += marginal.probs[a] * _max_over(polys[a], c, a, debug)
+        lhs += marginal.probs[a] * _max_over(polys[a], c, a)
     return lhs - dot(c, game.prior)
 
 
@@ -131,7 +127,6 @@ def state_condition_residual(
     marginal: ActionMarginal,
     state: int,
     polytopes: dict[int, BeliefPolytope] | None = None,
-    debug: bool = False,
 ) -> Fraction:
     """Prior mass of the state minus the mass the marginal forces onto it.
 
@@ -140,7 +135,7 @@ def state_condition_residual(
     ``strassen_residual`` at minus the state's unit direction.
     """
     return strassen_residual(
-        game, marginal, negate(unit_direction(game.n_states, state)), polytopes, debug
+        game, marginal, negate(unit_direction(game.n_states, state)), polytopes
     )
 
 
@@ -150,7 +145,6 @@ def action_pair_residual(
     a_first: int,
     a_second: int,
     polytopes: dict[int, BeliefPolytope] | None = None,
-    debug: bool = False,
 ) -> Fraction:
     """Aggregated best payoff-difference spread minus the prior's spread.
 
@@ -158,11 +152,7 @@ def action_pair_residual(
     a_second; equals ``strassen_residual`` at that direction.
     """
     return strassen_residual(
-        game,
-        marginal,
-        utility_difference_direction(game, a_first, a_second),
-        polytopes,
-        debug,
+        game, marginal, utility_difference_direction(game, a_first, a_second), polytopes
     )
 
 
@@ -173,8 +163,8 @@ def oracle_feasibility(
 
     Variables are the |A| x |Theta| joint probabilities, constrained by every
     obedience inequality and by both marginal families (the total-mass row is
-    implied). Independent of the polytope machinery by design: the two routes
-    cross-validate each other.
+    implied). Independent of the polytope machinery by design, so it and
+    ``belief_decomposition`` cross-validate each other.
     """
     n_a, n_s = game.n_actions, game.n_states
     n_vars = n_a * n_s
@@ -304,25 +294,24 @@ def separating_direction(
 
     objective = [-p for p in game.prior] + [marginal.probs[a] for a in supported]
     result = lp_solve(n_vars, constraints, objective, nonneg=False)
-    assert result.status == OPTIMAL, "box-bounded program with zero feasible"
+    if result.status != OPTIMAL:
+        raise InternalDisagreement("box-bounded direction program is not optimal")
     if result.value >= 0:
         return None
     return tuple(result.x[t] for t in range(n_s))
 
 
-def check_bce_consistent(
-    game: BaseGame, marginal: ActionMarginal, debug: bool = False
-) -> ConsistencyVerdict:
+def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> ConsistencyVerdict:
     """Decide reachability of the marginal pair and certify the answer.
 
-    Search order is fixed for reproducibility: supported actions are first
-    screened for empty belief polytopes (in action order), then state
-    conditions in state order, then ordered action pairs lexicographically;
-    the first violation becomes the certificate. Pairs that survive every
-    named condition are settled by the vertex decomposition program; the rare
-    failures there (possible from three belief dimensions up) are certified
-    by a separating direction. On success the witness outcome comes from the
-    oracle LP, cross-checking the two routes on every accept.
+    Supported actions are first screened, in action order, for empty belief
+    polytopes; that tiny-LP screen settles many rejections on its own. The
+    oracle LP then decides, and a feasible solution is the witness. Only an
+    infeasible pair pays for a certificate, searched in a fixed order for
+    reproducibility: state conditions in state order, then ordered action
+    pairs lexicographically, then a separating direction. The oracle and the
+    belief-space search agree on paper; if the search finds nothing,
+    InternalDisagreement is raised.
     """
     validate_game(game)
     validate_marginal(marginal, game.n_actions)
@@ -336,8 +325,12 @@ def check_bce_consistent(
                 violation=ViolationCertificate(kind=UNSUPPORTABLE_ACTION, action=a),
             )
 
+    feasible, witness = oracle_feasibility(game, marginal)
+    if feasible:
+        return ConsistencyVerdict(consistent=True, witness=witness)
+
     for t in range(game.n_states):
-        residual = state_condition_residual(game, marginal, t, polys, debug)
+        residual = state_condition_residual(game, marginal, t, polys)
         if residual < 0:
             return ConsistencyVerdict(
                 consistent=False,
@@ -353,7 +346,7 @@ def check_bce_consistent(
         for a_second in range(game.n_actions):
             if a_first == a_second:
                 continue
-            residual = action_pair_residual(game, marginal, a_first, a_second, polys, debug)
+            residual = action_pair_residual(game, marginal, a_first, a_second, polys)
             if residual < 0:
                 return ConsistencyVerdict(
                     consistent=False,
@@ -365,26 +358,18 @@ def check_bce_consistent(
                     ),
                 )
 
-    if belief_decomposition(game, marginal, polys) is None:
-        direction = separating_direction(game, marginal, polys)
-        if direction is None:  # decomposition infeasible yet nothing separates
-            raise AssertionError(
-                "belief decomposition and direction search disagree; "
-                "this is a bug, not an input problem"
-            )
-        residual = strassen_residual(game, marginal, direction, polys, debug)
-        assert residual < 0, "separating direction must have negative residual"
-        return ConsistencyVerdict(
-            consistent=False,
-            violation=ViolationCertificate(
-                kind=STRASSEN_DIRECTION, residual=residual, direction=direction
-            ),
-        )
-
-    feasible, witness = oracle_feasibility(game, marginal)
-    if not feasible:  # the two routes are equivalent on paper
-        raise AssertionError(
-            "belief route accepted a marginal the oracle rejects; "
+    direction = separating_direction(game, marginal, polys)
+    if direction is None:
+        raise InternalDisagreement(
+            "the oracle rejects a marginal that no direction separates; "
             "this is a bug, not an input problem"
         )
-    return ConsistencyVerdict(consistent=True, witness=witness)
+    residual = strassen_residual(game, marginal, direction, polys)
+    if residual >= 0:
+        raise InternalDisagreement("separating direction has a nonnegative residual")
+    return ConsistencyVerdict(
+        consistent=False,
+        violation=ViolationCertificate(
+            kind=STRASSEN_DIRECTION, residual=residual, direction=direction
+        ),
+    )

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class MbceError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every input or verdict error raised by this package."""
+
+
+class InternalDisagreement(Exception):
+    """Two routes that agree on paper disagreed, or a solver invariant broke.
+
+    A bug, never an input problem, so deliberately not an MbceError: nothing
+    that relabels input errors may swallow it, and the CLI maps it to exit 4.
+    Raised explicitly (not by ``assert``) so ``python -O`` keeps the check.
+    """
 
 
 class EmptySpace(MbceError):

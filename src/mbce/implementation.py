@@ -3,11 +3,13 @@
 A posterior distribution tau says how often an experiment leaves the agent
 at each belief. Whether tau can be steered into a target action marginal is
 a matching question: each belief can only route its mass to actions optimal
-there. Three equivalent tests answer it — the core condition on menu masses
-(subset sums), the demand condition on posterior masses, and exact max-flow
-on the belief/action network — and the flow route is constructive: its flow
-ratios are the decision rule, which then unfolds into a stochastic choice
-rule and a full outcome.
+there. One exact max-flow on the belief/action network (Gale's supply and
+demand network) decides it, and the flow is constructive: its ratios are the
+decision rule, which then unfolds into a stochastic choice rule and a full
+outcome. When the flow falls short, the core condition on menu masses names
+the canonical overfull action subset. The demand condition on posterior
+masses is the third, equivalent test; it stays off the decision path as a
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     ImplementationInfeasible,
     InfeasibleFlow,
+    InternalDisagreement,
     NotADistribution,
     NotBayesPlausible,
     StateMarginalMismatch,
@@ -131,6 +134,16 @@ def _subsets_in_order(n_actions: int, caller: str):
             yield frozenset(combo)
 
 
+def core_slack(
+    marginal: ActionMarginal, menus: MenuMeasure, subset: frozenset[int]
+) -> Fraction:
+    """Marginal mass on the subset minus the mass of menus entirely inside
+    it; negative exactly when the subset is overfull."""
+    lhs = sum((marginal.probs[a] for a in subset), ZERO)
+    rhs = sum((w for menu, w in menus.items() if menu <= subset), ZERO)
+    return lhs - rhs
+
+
 def core_check(marginal: ActionMarginal, menus: MenuMeasure) -> SubsetCheck:
     """Menu masses must fit inside the action mass of every subset.
 
@@ -139,10 +152,9 @@ def core_check(marginal: ActionMarginal, menus: MenuMeasure) -> SubsetCheck:
     """
     n_actions = len(marginal.probs)
     for subset in _subsets_in_order(n_actions, "core_check"):
-        lhs = sum((marginal.probs[a] for a in subset), ZERO)
-        rhs = sum((w for menu, w in menus.items() if menu <= subset), ZERO)
-        if lhs < rhs:
-            return SubsetCheck(ok=False, subset=subset, slack=lhs - rhs)
+        slack = core_slack(marginal, menus, subset)
+        if slack < 0:
+            return SubsetCheck(ok=False, subset=subset, slack=slack)
     return SubsetCheck(ok=True)
 
 
@@ -309,30 +321,33 @@ def tau_from_outcome(
     return tau, DecisionRule(rows=rows)
 
 
-def implement_marginal(
+def implementing_rule(
     game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution
-) -> Outcome:
-    """Steer tau into the target marginal and return the full outcome.
+) -> DecisionRule:
+    """Decision rule that steers tau into the target marginal.
 
-    Checks the demand condition first so failures carry a violating subset;
-    on success the flow is guaranteed to exist, and the outcome inherits
-    obedience from routing mass only to optimal actions.
+    The Gale max-flow decides and its flow ratios are the rule; the rule
+    routes mass only to optimal actions, so the induced outcome is obedient.
+    Only on a shortfall does the subset scan run, and by the min-cut argument
+    it always finds an overfull action subset to report.
     """
     if len(marginal.probs) != game.n_actions:
         raise DimensionMismatch("marginal length does not match the game")
     if not is_bayes_plausible(tau, game.prior):
         raise NotBayesPlausible("posterior distribution does not average to the prior")
-    verdict = demand_check(marginal, tau, game)
-    if not verdict.ok:
-        # Report the violation in menu-mass form: it names the overfull
-        # action subset rather than the underfed one, which reads better.
+    feasible, flow = max_flow_feasible(build_gale_network(tau, marginal, game))
+    if not feasible:
         core = core_check(marginal, menu_measure(tau, game))
-        if core.ok:  # the two tests are equivalent; disagreement is a bug
-            raise AssertionError("demand check failed but core check passed")
+        if core.ok:
+            raise InternalDisagreement(
+                "the Gale flow fell short but no action subset is overfull"
+            )
         raise ImplementationInfeasible(core.subset, core.slack)
-    network = build_gale_network(tau, marginal, game)
-    feasible, flow = max_flow_feasible(network)
-    if not feasible:  # demand_check passing guarantees a flow; a miss is a bug
-        raise AssertionError("demand condition passed but the flow fell short")
-    rule = decision_rule_from_flow(flow, tau, game.n_actions)
-    return outcome_from_tau(tau, rule, game.prior)
+    return decision_rule_from_flow(flow, tau, game.n_actions)
+
+
+def implement_marginal(
+    game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution
+) -> Outcome:
+    """Steer tau into the target marginal and return the full outcome."""
+    return outcome_from_tau(tau, implementing_rule(game, marginal, tau), game.prior)

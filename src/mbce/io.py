@@ -27,6 +27,7 @@ from .applications import (
     make_profile,
     make_ring,
     ring_player_marginal,
+    ring_stage_game,
 )
 from .consistency import (
     ACTION_PAIR_CONDITION,
@@ -53,6 +54,7 @@ from .game import (
 from .implementation import (
     DecisionRule,
     PosteriorDistribution,
+    core_slack,
     make_posteriors,
     menu_measure,
     outcome_from_tau,
@@ -434,7 +436,11 @@ def _recheck_certificate(cert: dict, path: str, game: BaseGame, marginal) -> Non
             raise ValidationError(path, "action-pair residual does not re-derive")
     elif kind == UNSUPPORTABLE_ACTION:
         action = cert.get("action")
-        if not isinstance(action, int) or marginal.probs[action] == 0:
+        if (
+            not isinstance(action, int)
+            or not 0 <= action < game.n_actions
+            or marginal.probs[action] == 0
+        ):
             raise ValidationError(path, "unsupportable-action certificate names a zero-mass action")
         if not is_empty(opt_belief_polytope(game, action)):
             raise ValidationError(path, "named action is supportable after all")
@@ -456,9 +462,14 @@ def _revalidate_implement(doc: dict, path: str) -> None:
     marginal = ActionMarginal(
         _fraction_list(_require(inputs, "marginal", path, "inputs"), path, "marginal")
     )
+    _domain(path, validate_marginal, marginal, game.n_actions)
     tau = parse_tau(_require(inputs, "tau", path, "inputs"), path)
-    if doc.get("verdict") != "implemented":
+    verdict = doc.get("verdict")
+    if verdict == "infeasible":
+        _recheck_overfull_subset(doc.get("certificate"), path, game, marginal, tau)
         return
+    if verdict != "implemented":
+        raise ValidationError(path, f"unknown verdict {verdict!r}")
     witnesses = doc.get("witnesses") or {}
     rule = DecisionRule(
         _fraction_rows(
@@ -496,6 +507,23 @@ def _revalidate_implement(doc: dict, path: str) -> None:
             raise ValidationError(path, "menu rule row is not a tie-break over its menu")
 
 
+def _recheck_overfull_subset(
+    cert, path: str, game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution
+) -> None:
+    if not isinstance(cert, dict) or cert.get("kind") != "implementation-infeasible":
+        raise ValidationError(path, "infeasible verdict carries no overfull-subset certificate")
+    subset = cert.get("subset")
+    if (
+        not isinstance(subset, list)
+        or not subset
+        or not all(isinstance(a, int) and 0 <= a < game.n_actions for a in subset)
+    ):
+        raise ValidationError(path, "overfull-subset certificate names no valid action subset")
+    slack = core_slack(marginal, menu_measure(tau, game), frozenset(subset))
+    if slack >= 0 or fraction_to_json(slack) != cert.get("deficit"):
+        raise ValidationError(path, "overfull-subset deficit does not re-derive")
+
+
 def _revalidate_ring(doc: dict, path: str) -> None:
     inputs = doc["inputs"]
     ring = parse_ring(_require(inputs, "ring", path, "inputs"), path)
@@ -504,8 +532,19 @@ def _revalidate_ring(doc: dict, path: str) -> None:
         for i, vec in enumerate(_require(inputs, "marginals", path, "inputs"))
     ]
     profile = _domain(path, make_profile, ring, vectors)
-    if doc.get("verdict") != "consistent":
+    verdict = doc.get("verdict")
+    if verdict == "inconsistent":
+        stage = (doc.get("details") or {}).get("failing_stage")
+        if not isinstance(stage, int) or not 0 <= stage < ring.n_players:
+            raise ValidationError(path, "inconsistent ring report names no valid failing stage")
+        cert = doc.get("certificate")
+        if not isinstance(cert, dict):
+            raise ValidationError(path, "inconsistent verdict carries no certificate")
+        stage_game = ring_stage_game(ring, profile, stage)
+        _recheck_certificate(cert, path, stage_game, profile.marginals[stage])
         return
+    if verdict != "consistent":
+        raise ValidationError(path, f"unknown verdict {verdict!r}")
     witnesses = doc.get("witnesses") or {}
     stage_rows = [
         Outcome(_fraction_rows(rows, path, f"witnesses.stage_witnesses[{i}]"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalDisagreement
 from .rationals import exact_fraction, fraction_vector
 
 LESS_EQUAL = "<="
@@ -206,7 +207,8 @@ def _phase_one(tab: _Tableau) -> bool:
     for j in range(tab.art_start, tab.n_cols):
         cost[j] = ONE
     status, value = tab.minimize(cost, banned_from=tab.n_cols)
-    assert status == OPTIMAL  # phase-one objective is bounded below by zero
+    if status != OPTIMAL:  # the phase-one objective is bounded below by zero
+        raise InternalDisagreement("phase-one simplex reported an unbounded objective")
     if value != 0:
         return False
     tab.drive_out_artificials()

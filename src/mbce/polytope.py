@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DimensionMismatch, EmptyPolytope
+from .errors import DimensionMismatch, EmptyPolytope, InternalDisagreement
 from .game import BaseGame
 from .linprog import (
     EQUAL,
@@ -103,7 +103,8 @@ def maximize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, Be
     res = lp_solve(poly.dim, _polytope_constraints(poly), c, maximize=True, nonneg=True)
     if res.status == INFEASIBLE:
         raise EmptyPolytope("cannot optimize over an empty belief polytope")
-    assert res.status == OPTIMAL  # the simplex is compact, so never unbounded
+    if res.status != OPTIMAL:  # the simplex is compact, so never unbounded
+        raise InternalDisagreement("maximum over a compact belief polytope is unbounded")
     return res.value, res.x
 
 

@@ -24,6 +24,7 @@ from mbce.applications import (
 )
 from mbce.consistency import (
     action_pair_residual,
+    belief_decomposition,
     check_bce_consistent,
     oracle_feasibility,
 )
@@ -67,7 +68,7 @@ F = Fraction
 
 # Seed 7 matters: its 17th instance is the four-state pair that the named
 # direction families accept but the oracle rejects, so this sweep exercises
-# the vertex-decomposition completion, not just the easy conditions.
+# the separating-direction certificate, not just the easy conditions.
 SWEEP_SEED = 7
 SWEEP_SIZE = 500
 
@@ -94,6 +95,13 @@ def test_criterion_1_checker_matches_oracle_on_500_instances(sweep):
         if verdict.consistent != feasible
     ]
     assert disagreements == []
+    # The checker's accept is the oracle's own; the belief-space vertex
+    # program is the independent route that must agree with it.
+    belief_disagreements = [
+        i for i, (game, marginal, _, feasible) in enumerate(records)
+        if (belief_decomposition(game, marginal) is not None) != feasible
+    ]
+    assert belief_disagreements == []
     assert elapsed <= 60.0
     consistent = sum(1 for _, _, v, _ in records if v.consistent)
     print(

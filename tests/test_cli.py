@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mbce.consistency
 from mbce.cli import main
 from mbce.io import load_report
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MATCH34 = {
     "states": ["t1", "t2"],
@@ -145,12 +152,15 @@ class TestCheck:
 
 
 class TestOracle:
-    def test_agrees_with_check_and_omits_directions(self, tmp_path, capsys):
+    def test_agrees_with_check_and_carries_its_certificate(self, tmp_path, capsys):
         path = write(tmp_path, dict(MATCH34, marginal=["1/4", "3/4"]))
-        code, report, _ = run(capsys, ["oracle", path])
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, ["oracle", path, "--out", str(out)])
         assert code == 2
+        report = load_report(str(out))
         assert report["verdict"] == "inconsistent"
-        assert report["certificate"] is None
+        _, checked, _ = run(capsys, ["check", path])
+        assert report["certificate"] == checked["certificate"]
 
     def test_consistent_witness_loads(self, tmp_path, capsys):
         path = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
@@ -246,6 +256,33 @@ class TestPublic:
         code, report, _ = run(capsys, ["public", path, "--marginal", "1/2,0,0,1/2"])
         assert code == 0
         assert report["verdict"] == "consistent"
+
+
+class TestInternalDisagreement:
+    def test_oracle_rejecting_a_consistent_pair_exits_four(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            mbce.consistency, "oracle_feasibility", lambda game, marginal: (False, None)
+        )
+        path = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
+        code, report, err = run(capsys, ["check", path])
+        assert code == 4
+        assert report is None
+        assert "internal disagreement" in err
+
+    def test_verify_survives_optimized_mode(self):
+        """The exit-4 checks are explicit raises, so ``python -O`` (which
+        strips asserts) must give the same exit code and report bytes."""
+        argv = ["-m", "mbce.cli", "verify", "--n", "20", "--seed", "7"]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+        optimized = subprocess.run(
+            [sys.executable, "-O", *argv], capture_output=True, env=env
+        )
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
+        assert json.loads(plain.stdout)["details"]["disagreements"] == []
 
 
 class TestVerifyAndRandom:

@@ -98,12 +98,6 @@ class TestStrassenResidual:
             match_three_quarters, QUARTER_REST, (F(0), F(-1))
         ) == F(-1, 8)
 
-    def test_debug_mode_cross_checks_vertices(self, match_three_quarters):
-        value = strassen_residual(
-            match_three_quarters, HALF_HALF, (F(3), F(-2)), debug=True
-        )
-        assert value == strassen_residual(match_three_quarters, HALF_HALF, (F(3), F(-2)))
-
 
 class TestCheckConsistent:
     def test_balanced_marginal_consistent_with_unique_witness(self, match_three_quarters):
@@ -247,9 +241,10 @@ def test_characterization_agrees_with_oracle(utility_num, prior_num, marginal_nu
         [F(p, sum(prior_num)) for p in prior_num],
     )
     marginal = make_marginal([F(m, sum(marginal_num)) for m in marginal_num])
-    verdict = check_bce_consistent(game, marginal, debug=True)
+    verdict = check_bce_consistent(game, marginal)
     feasible, witness = oracle_feasibility(game, marginal)
     assert verdict.consistent == feasible
+    assert (belief_decomposition(game, marginal) is not None) == feasible
     if verdict.consistent:
         assert check_obedience(witness, game).obedient
         assert check_state_marginal(witness, game.prior)

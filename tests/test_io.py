@@ -284,6 +284,15 @@ class TestReportReload:
         with pytest.raises(ValidationError, match="supportable"):
             reload_report(tmp_path, report, mutate)
 
+    def test_inconsistent_oracle_report_reloads(self, tmp_path, match_three_quarters):
+        report, code = cmd_check(
+            match_three_quarters, make_marginal(["1/4", "3/4"]), "oracle"
+        )
+        assert code == 2
+        doc = reload_report(tmp_path, report)
+        assert doc["command"] == "oracle"
+        assert doc["certificate"]["kind"] == "state-condition"
+
     def test_unknown_verdict_rejected(self, tmp_path, match_three_quarters):
         report, _ = cmd_check(match_three_quarters, make_marginal(["1/2", "1/2"]))
 
@@ -334,6 +343,27 @@ class TestReportReload:
         with pytest.raises(ValidationError, match="menu"):
             reload_report(tmp_path, report, phantom_menu)
 
+    def test_infeasible_implement_report_rechecked(self, tmp_path, match_half):
+        tau = make_posteriors([[1, 0], [0, 1]], ["1/2", "1/2"])
+        report, code = cmd_implement(match_half, make_marginal(["1/4", "3/4"]), tau)
+        assert code == 2
+        doc = reload_report(tmp_path, report)
+        assert doc["certificate"]["subset"] == [0]
+        assert doc["certificate"]["deficit"] == "-1/4"
+
+        def other_subset(d):
+            d["certificate"]["subset"] = [1]
+
+        def wrong_deficit(d):
+            d["certificate"]["deficit"] = 7
+
+        def no_actions(d):
+            d["certificate"]["subset"] = []
+
+        for mutate in (other_subset, wrong_deficit, no_actions):
+            with pytest.raises(ValidationError, match="subset"):
+                reload_report(tmp_path, report, mutate)
+
     def test_ring_report_rechecked(self, tmp_path):
         ring = make_ring(
             ["t1", "t2"],
@@ -354,6 +384,38 @@ class TestReportReload:
 
         with pytest.raises(ValidationError, match="re-derive"):
             reload_report(tmp_path, report, mutate)
+
+    def test_inconsistent_ring_report_rechecked(self, tmp_path):
+        ring = make_ring(
+            ["t1", "t2"],
+            ["3/4", "1/4"],
+            [
+                (["a1", "a2"], [[1, 0], [0, 1]]),
+                (["b1", "b2"], [[1, 0], [0, 1]]),
+            ],
+        )
+        profile = make_profile(ring, [["3/4", "1/4"], ["1/4", "3/4"]])
+        report, code = cmd_ring(ring, profile)
+        assert code == 2
+        doc = reload_report(tmp_path, report)
+        assert doc["details"]["failing_stage"] == 1
+
+        def wrong_residual(d):
+            d["certificate"]["residual"] = "-1/9"
+
+        def earlier_stage(d):
+            d["details"]["failing_stage"] = 0
+
+        def missing_stage(d):
+            d["details"]["failing_stage"] = 2
+
+        for mutate, message in (
+            (wrong_residual, "re-derive"),
+            (earlier_stage, "re-derive"),
+            (missing_stage, "failing stage"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                reload_report(tmp_path, report, mutate)
 
     def test_public_report_rechecked(self, tmp_path):
         fo = make_first_order(
