@@ -21,7 +21,7 @@ from .applications import (
     construct_ring_outcome,
     ring_player_marginal,
 )
-from .consistency import belief_decomposition, check_bce_consistent, oracle_feasibility
+from .consistency import check_bce_consistent
 from .errors import (
     ImplementationInfeasible,
     InternalDisagreement,
@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .game import ActionMarginal, make_marginal, validate_marginal
-from .generators import XorShift64, random_game, random_marginal
+from .generators import XorShift64, compare_routes, random_game, random_marginal
 from .implementation import (
     choice_rule_from_tau,
     implementing_rule,
@@ -156,36 +156,15 @@ def cmd_public(fo, marginal) -> tuple[Report, int]:
 def cmd_verify(n, seed, max_states, max_actions) -> tuple[Report, int]:
     """Seeded head-to-head of the belief-space decomposition against the
     oracle LP, the two independent routes to the same decision."""
-    rng = XorShift64(seed)
-    disagreements = []
-    consistent_count = 0
-    for index in range(n):
-        game = random_game(rng, max_states=max_states, max_actions=max_actions)
-        nu = random_marginal(rng, game.n_actions)
-        try:
-            decomposed = belief_decomposition(game, nu) is not None
-            feasible, _ = oracle_feasibility(game, nu)
-        except InternalDisagreement:
-            disagreements.append(index)
-            continue
-        if decomposed != feasible:
-            disagreements.append(index)
-        elif feasible:
-            consistent_count += 1
     inputs = {
         "n": n,
         "seed": seed,
         "max_states": max_states,
         "max_actions": max_actions,
     }
-    details = {
-        "disagreements": disagreements,
-        "consistent": consistent_count,
-        "inconsistent": n - consistent_count - len(disagreements),
-    }
-    if disagreements:
-        return Report("verify", inputs, "disagreement", details=details), 4
-    return Report("verify", inputs, "ok", details=details), 0
+    verdict, details = compare_routes(n, seed, max_states, max_actions)
+    code = 4 if details["disagreements"] else 0
+    return Report("verify", inputs, verdict, details=details), code
 
 
 def cmd_random(seed, max_states, max_actions) -> dict:

@@ -18,7 +18,8 @@ from .applications import (
     make_ring,
     ring_stage_game,
 )
-from .consistency import check_bce_consistent
+from .consistency import belief_decomposition, check_bce_consistent, oracle_feasibility
+from .errors import InternalDisagreement
 from .game import ActionMarginal, BaseGame, best_response_set, make_game
 from .implementation import PosteriorDistribution, make_posteriors
 
@@ -187,6 +188,39 @@ def inconsistent_marginal(
             if not check_bce_consistent(game, nu).consistent:
                 return nu
     return None
+
+
+def compare_routes(
+    n: int, seed: int, max_states: int, max_actions: int
+) -> tuple[str, dict]:
+    """Seeded head-to-head of the belief-space decomposition against the
+    oracle LP, the two independent routes to the same decision, over ``n``
+    random instances. Returns the verdict and ``details`` of a verify report:
+    ``"ok"`` or ``"disagreement"``, the indices where the routes disagree (an
+    internal disagreement counts as one), and how many of the other
+    instances are consistent and inconsistent."""
+    rng = XorShift64(seed)
+    disagreements = []
+    consistent_count = 0
+    for index in range(n):
+        game = random_game(rng, max_states=max_states, max_actions=max_actions)
+        nu = random_marginal(rng, game.n_actions)
+        try:
+            decomposed = belief_decomposition(game, nu) is not None
+            feasible, _ = oracle_feasibility(game, nu)
+        except InternalDisagreement:
+            disagreements.append(index)
+            continue
+        if decomposed != feasible:
+            disagreements.append(index)
+        elif feasible:
+            consistent_count += 1
+    details = {
+        "disagreements": disagreements,
+        "consistent": consistent_count,
+        "inconsistent": n - consistent_count - len(disagreements),
+    }
+    return ("disagreement" if disagreements else "ok"), details
 
 
 def random_first_order(

@@ -51,6 +51,7 @@ from .game import (
     validate_marginal,
     validate_outcome,
 )
+from .generators import compare_routes
 from .implementation import (
     DecisionRule,
     PosteriorDistribution,
@@ -63,6 +64,9 @@ from .polytope import is_empty, opt_belief_polytope
 from .rationals import exact_fraction, fraction_to_json
 
 SCHEMA_VERSION = 1
+
+# Parameters of ``compare_routes``, in order, as a verify report embeds them.
+VERIFY_INPUTS = ("n", "seed", "max_states", "max_actions")
 
 
 @dataclass(frozen=True)
@@ -565,6 +569,23 @@ def _revalidate_ring(doc: dict, path: str) -> None:
             raise ValidationError(path, f"player {i + 1} marginal is not reproduced")
 
 
+def _revalidate_verify(doc: dict, path: str) -> None:
+    """Re-run the seeded comparison from the embedded inputs; the report's
+    verdict and details must be exactly what it gives."""
+    inputs = doc["inputs"]
+    args = [_require(inputs, key, path, "inputs") for key in VERIFY_INPUTS]
+    n, _, max_states, max_actions = args
+    if any(type(value) is not int for value in args) or n < 0 or min(max_states, max_actions) < 2:
+        raise ValidationError(
+            path, "inputs: n >= 0, seed, max_states >= 2 and max_actions >= 2 must be integers"
+        )
+    verdict, details = compare_routes(*args)
+    if doc.get("details") != details:
+        raise ValidationError(path, "details do not re-derive from the seeded comparison")
+    if doc["verdict"] != verdict:
+        raise ValidationError(path, "verdict does not match the seeded comparison")
+
+
 def load_report(path: str) -> dict:
     """Load a report and re-derive every check its witnesses claim to pass."""
     doc = load_document(path)
@@ -595,6 +616,8 @@ def load_report(path: str) -> dict:
         _revalidate_implement(doc, path)
     elif command == "ring":
         _revalidate_ring(doc, path)
-    elif command not in ("verify",):
+    elif command == "verify":
+        _revalidate_verify(doc, path)
+    else:
         raise ValidationError(path, f"unknown report command {command!r}")
     return doc

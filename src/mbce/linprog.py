@@ -1,11 +1,22 @@
 """Exact linear programming over rationals.
 
-Dense two-phase primal simplex on ``fractions.Fraction``. Pivoting follows
-Bland's rule (smallest eligible index enters; ties in the ratio test resolved
-by smallest basic variable index), which precludes cycling: belief polytopes
-are routinely degenerate at tie beliefs, so anti-cycling is not optional
-here. Sized for small systems; everything stays exact, so feasibility and
-optimality answers are never tolerance-based.
+Two-phase primal simplex on ``fractions.Fraction``. Pivoting follows Bland's
+rule (smallest eligible index enters; ties in the ratio test resolved by
+smallest basic variable index), which precludes cycling: belief polytopes are
+routinely degenerate at tie beliefs, so anti-cycling is not optional here.
+Everything stays exact, so feasibility and optimality answers are never
+tolerance-based.
+
+The tableau is stored as dense rows but updated sparsely: a pivot divides
+only the nonzero entries of the pivot row and changes each other row in
+place on that row's support alone, since ``x - f * 0 == x`` exactly. The
+reduced-cost row and the objective value are priced out of the starting
+basis once per phase and then carried through each pivot as one more row.
+Neither alters a single value: every tableau entry and reduced cost is a
+function of the basis alone, and the arithmetic is exact, so Bland's rule
+sees the same numbers, and makes the same entering and leaving choices pivot
+for pivot, as on a dense tableau whose reduced costs are recomputed from the
+basis at each iteration.
 """
 
 from __future__ import annotations
@@ -115,35 +126,42 @@ class _Tableau:
                 art_at += 1
         self.n_cols = total
 
-    def pivot(self, r: int, c: int) -> None:
-        piv = self.A[r][c]
-        row = [x / piv for x in self.A[r]]
-        self.A[r] = row
-        self.b[r] = self.b[r] / piv
-        for i in range(len(self.A)):
-            if i == r:
-                continue
-            f = self.A[i][c]
-            if f:
-                other = self.A[i]
-                self.A[i] = [other[j] - f * row[j] for j in range(self.n_cols)]
-                self.b[i] -= f * self.b[r]
+    def pivot(self, r: int, c: int) -> list[tuple[int, Fraction]]:
+        """Make column ``c`` basic in row ``r``, in place. Only the nonzero
+        entries of the pivot row are normalized, and each other row changes
+        only on that row's support (elsewhere ``x - f * 0 == x`` exactly).
+        Returns the normalized support, so a caller can eliminate ``c`` from
+        a row it keeps outside the tableau in the same way."""
+        row = self.A[r]
+        piv = row[c]
+        support = [(j, x / piv) for j, x in enumerate(row) if x]
+        for j, x in support:
+            row[j] = x
+        b_r = self.b[r] = self.b[r] / piv
+        for i, other in enumerate(self.A):
+            f = other[c]
+            if f and i != r:
+                for j, x in support:
+                    other[j] -= f * x
+                self.b[i] -= f * b_r
         self.basis[r] = c
+        return support
 
     def minimize(self, cost: list[Fraction], banned_from: int) -> tuple[str, Fraction]:
         """Run Bland-rule simplex iterations for min cost'x; columns at or
-        beyond ``banned_from`` may not enter the basis."""
+        beyond ``banned_from`` may not enter the basis. The reduced costs
+        and the objective value are priced out once, then carried through
+        each pivot."""
+        red = list(cost)
+        value = ZERO
+        for r, col in enumerate(self.basis):
+            cb = cost[col]
+            if cb:
+                value += cb * self.b[r]
+                for j, x in enumerate(self.A[r]):
+                    if x:
+                        red[j] -= cb * x
         while True:
-            red = list(cost)
-            value = ZERO
-            for r, col in enumerate(self.basis):
-                cb = cost[col]
-                if cb:
-                    value += cb * self.b[r]
-                    row = self.A[r]
-                    for j in range(banned_from):
-                        if row[j]:
-                            red[j] -= cb * row[j]
             enter = None
             for j in range(banned_from):
                 if red[j] < 0:
@@ -166,7 +184,10 @@ class _Tableau:
                         leave = r
             if leave is None:
                 return UNBOUNDED, value
-            self.pivot(leave, enter)
+            d = red[enter]
+            for j, x in self.pivot(leave, enter):
+                red[j] -= d * x
+            value += d * self.b[leave]
 
     def drive_out_artificials(self) -> None:
         """After a zero-value phase one, pivot artificial variables out of the

@@ -434,6 +434,52 @@ class TestReportReload:
         doc = reload_report(tmp_path, report)
         assert doc["details"]["disagreements"] == []
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("consistent", 99), ("inconsistent", 0), ("disagreements", [2])],
+    )
+    def test_tampered_verify_details_rejected(self, tmp_path, field, value):
+        report, _ = cmd_verify(5, 1, 3, 3)
+        assert report.details[field] != value
+
+        def mutate(doc):
+            doc["details"][field] = value
+
+        with pytest.raises(ValidationError, match="details do not re-derive"):
+            reload_report(tmp_path, report, mutate)
+
+    def test_tampered_verify_verdict_rejected(self, tmp_path):
+        report, _ = cmd_verify(5, 1, 3, 3)
+
+        def mutate(doc):
+            doc["verdict"] = "disagreement"
+
+        with pytest.raises(ValidationError, match="verdict does not match"):
+            reload_report(tmp_path, report, mutate)
+
+    def test_verify_inputs_rederive_with_a_fresh_digest(self, tmp_path):
+        report, _ = cmd_verify(5, 1, 3, 3)
+
+        def mutate(doc):
+            doc["inputs"]["seed"] = 2
+            doc["inputs_sha256"] = inputs_digest(doc["inputs"])
+
+        with pytest.raises(ValidationError, match="details do not re-derive"):
+            reload_report(tmp_path, report, mutate)
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", -1), ("seed", "1"), ("max_states", 1), ("max_actions", True)]
+    )
+    def test_malformed_verify_inputs_rejected(self, tmp_path, key, value):
+        report, _ = cmd_verify(5, 1, 3, 3)
+
+        def mutate(doc):
+            doc["inputs"][key] = value
+            doc["inputs_sha256"] = inputs_digest(doc["inputs"])
+
+        with pytest.raises(ValidationError, match="must be integers"):
+            reload_report(tmp_path, report, mutate)
+
     def test_save_report_writes_canonical_bytes(self, tmp_path, match_three_quarters):
         report, _ = cmd_check(match_three_quarters, make_marginal(["1/2", "1/2"]))
         path = tmp_path / "report.json"

@@ -1,11 +1,18 @@
-"""Exact simplex: feasibility, optima, free variables, degeneracy."""
+"""Exact simplex: feasibility, optima, free variables, degeneracy, and the
+Bland pivot sequence itself."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mbce import linprog
+from mbce.consistency import oracle_feasibility
+from mbce.game import make_marginal, matching_game
+from mbce.generators import XorShift64, random_game, random_marginal
 from mbce.linprog import (
     EQUAL,
     GREATER_EQUAL,
@@ -106,34 +113,136 @@ def test_redundant_equalities_are_dropped_not_fatal():
     assert x[0] + x[1] == F(1)
 
 
-def test_beale_cycling_instance_terminates():
-    # Beale (1955): cycles under naive Dantzig pivoting; Bland's rule must
-    # terminate at the optimum value 1/20... objective here is the classic
-    # min -3/4 x1 + 150 x2 - 1/50 x3 + 6 x4, optimum -1/20.
+def beale_lp():
+    # Beale (1955): cycles under naive Dantzig pivoting. The classic
+    # min -3/4 x1 + 150 x2 - 1/50 x3 + 6 x4 has optimum -1/20.
     cons = [
         make_constraint([F(1, 4), -60, F(-1, 25), 9], LESS_EQUAL, 0),
         make_constraint([F(1, 2), -90, F(-1, 50), 3], LESS_EQUAL, 0),
         make_constraint([0, 0, 1, 0], LESS_EQUAL, 1),
     ]
-    res = lp_solve(
+    return lp_solve(
         4, cons, [F(-3, 4), 150, F(-1, 50), 6], maximize=False, nonneg=True
     )
-    assert res.status == OPTIMAL
-    assert res.value == F(-1, 20)
 
 
-def test_degenerate_tie_ratio_test():
+def degenerate_tie_lp():
     # Multiple rows tie at ratio zero; Bland's tie-break must still succeed.
     cons = [
         make_constraint([1, -1], LESS_EQUAL, 0),
         make_constraint([1, -2], LESS_EQUAL, 0),
         make_constraint([0, 1], LESS_EQUAL, 1),
     ]
-    res = lp_solve(2, cons, [1, 0], maximize=True, nonneg=True)
+    return lp_solve(2, cons, [1, 0], maximize=True, nonneg=True)
+
+
+def test_beale_cycling_instance_terminates():
+    res = beale_lp()
+    assert res.status == OPTIMAL
+    assert res.value == F(-1, 20)
+
+
+def test_degenerate_tie_ratio_test():
+    res = degenerate_tie_lp()
     assert res.status == OPTIMAL
     assert res.value == F(1)
+
+
+def matching_oracle():
+    return oracle_feasibility(matching_game(F(3, 4)), make_marginal(["1/2", "1/2"]))
+
+
+def seeded_oracle():
+    rng = XorShift64(2)
+    game = random_game(rng, max_states=4, max_actions=4, min_states=4, min_actions=4)
+    return oracle_feasibility(game, random_marginal(rng, game.n_actions))
+
+
+# The (row, column) of every pivot, phase one, artificial drive-out and phase
+# two alike. Bland's rule fixes each choice from the basis, so these are spec:
+# a faster tableau must reproduce them exactly.
+PIVOT_SEQUENCES = [
+    (beale_lp, [(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (1, 4)]),
+    (degenerate_tie_lp, [(0, 0), (2, 1)]),
+    (matching_oracle, [(4, 0), (1, 2), (2, 3), (3, 1)]),
+    (
+        seeded_oracle,
+        [
+            (2, 0), (13, 1), (16, 2), (3, 4), (12, 5), (16, 3), (3, 6), (17, 7),
+            (6, 8), (7, 9), (4, 11), (6, 10), (9, 14), (9, 15), (15, 18), (13, 2),
+            (19, 12), (16, 23), (14, 4),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, expected", PIVOT_SEQUENCES, ids=[s.__name__ for s, _ in PIVOT_SEQUENCES]
+)
+def test_bland_pivot_sequence_is_pinned(monkeypatch, solve, expected):
+    seen = []
+    original = linprog._Tableau.pivot
+
+    def recording(self, r, c):
+        seen.append((r, c))
+        return original(self, r, c)
+
+    monkeypatch.setattr(linprog._Tableau, "pivot", recording)
+    solve()
+    assert seen == expected
 
 
 def test_mismatched_arity_rejected():
     with pytest.raises(ValueError):
         lp_feasible(2, [make_constraint([1], LESS_EQUAL, 1)])
+
+
+SENSES = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(small, min_size=n, max_size=n), st.sampled_from(SENSES), small),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    objective = draw(st.lists(small, min_size=n, max_size=n))
+    return n, [make_constraint(*row) for row in rows], objective, draw(st.booleans())
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps())
+def test_carried_objective_matches_the_solution(lp):
+    """The objective value and reduced costs are carried through the pivots,
+    not rebuilt; an optimum must still price out exactly at its own point,
+    satisfy every row exactly, and maximizing the negated objective must
+    give the same point with the value's sign flipped."""
+    n, cons, objective, nonneg = lp
+    low = lp_solve(n, cons, objective, nonneg=nonneg)
+    high = lp_solve(n, cons, [-c for c in objective], maximize=True, nonneg=nonneg)
+    assert high.status == low.status
+    assert (low.status != INFEASIBLE) == lp_feasible(n, cons, nonneg=nonneg)[0]
+    if low.status != OPTIMAL:
+        return
+    assert low.value == dot(objective, low.x)
+    assert high.x == low.x
+    assert high.value == -low.value
+    for con in cons:
+        lhs = dot(con.coeffs, low.x)
+        if con.sense == LESS_EQUAL:
+            assert lhs <= con.rhs
+        elif con.sense == GREATER_EQUAL:
+            assert lhs >= con.rhs
+        else:
+            assert lhs == con.rhs
+    if nonneg:
+        assert all(v >= 0 for v in low.x)
