@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 the check passed (consistent / implemented / verify agreed),
-2 a well-posed instance got a negative verdict, 3 the input was unusable,
-4 an internal disagreement: two routes that agree on paper did not, or a
-solver invariant broke (a bug, by construction).
+2 a well-posed instance got a negative verdict, 3 the input was unusable
+(command-line usage errors included), 4 an internal disagreement: two routes
+that agree on paper did not, or a solver invariant broke (a bug, by
+construction).
 Reports are byte-identical for identical inputs and seeds; timings go to
 stderr so they never perturb the report document.
 """
@@ -11,6 +12,7 @@ stderr so they never perturb the report document.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -29,7 +31,13 @@ from .errors import (
     ValidationError,
 )
 from .game import ActionMarginal, make_marginal, validate_marginal
-from .generators import XorShift64, compare_routes, random_game, random_marginal
+from .generators import (
+    XorShift64,
+    check_generator_inputs,
+    compare_routes,
+    random_game,
+    random_marginal,
+)
 from .implementation import (
     choice_rule_from_tau,
     implementing_rule,
@@ -169,6 +177,7 @@ def cmd_verify(n, seed, max_states, max_actions) -> tuple[Report, int]:
 
 def cmd_random(seed, max_states, max_actions) -> dict:
     """Reproducible instance file: a game plus a target marginal."""
+    check_generator_inputs(seed=seed, max_states=max_states, max_actions=max_actions)
     rng = XorShift64(seed)
     game = random_game(rng, max_states=max_states, max_actions=max_actions)
     nu = random_marginal(rng, game.n_actions)
@@ -268,8 +277,21 @@ def _run(args) -> tuple[str, int]:
     return report_string(report), code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 3, the code for unusable input: argparse's own 2 is
+    this CLI's negative verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's parser, built once per process and shared by every caller,
+    which must not modify it: building it costs some thirty times as much
+    as parsing one command line."""
+    parser = _ArgumentParser(
         prog="mbce",
         description="Exact checks for which action distributions information design can reach.",
     )

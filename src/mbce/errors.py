@@ -91,6 +91,10 @@ class StageMarginalMismatch(MbceError):
     """Adjacent stage outcomes disagree on the marginal they must share."""
 
 
+class InvalidGeneratorInput(MbceError):
+    """A seeded generator was given a count or size it cannot draw from."""
+
+
 class ParseError(MbceError):
     """An input document could not be parsed; carries the document path."""
 

@@ -19,7 +19,7 @@ from .applications import (
     ring_stage_game,
 )
 from .consistency import belief_decomposition, check_bce_consistent, oracle_feasibility
-from .errors import InternalDisagreement
+from .errors import InternalDisagreement, InvalidGeneratorInput
 from .game import ActionMarginal, BaseGame, best_response_set, make_game
 from .implementation import PosteriorDistribution, make_posteriors
 
@@ -57,6 +57,8 @@ class XorShift64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends included."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
@@ -66,6 +68,26 @@ class XorShift64:
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
+
+
+# Least value of each integer input of the seeded instance generators (``None``
+# for any integer): a count of instances, and the sizes of the smallest game.
+GENERATOR_INPUT_BOUNDS = {"n": 0, "seed": None, "max_states": 2, "max_actions": 2}
+
+
+def check_generator_inputs(**inputs) -> None:
+    """Refuse inputs the seeded instance generators cannot draw from, named
+    as in ``GENERATOR_INPUT_BOUNDS``: each must be an integer (``bool`` is
+    not) at or above its bound, so no draw is from an empty range."""
+    bounds = [(key, GENERATOR_INPUT_BOUNDS[key]) for key in inputs]
+    bad = [
+        f"{key}={inputs[key]!r}"
+        for key, low in bounds
+        if type(inputs[key]) is not int or (low is not None and inputs[key] < low)
+    ]
+    if bad:
+        rule = ", ".join(key if low is None else f"{key} >= {low}" for key, low in bounds)
+        raise InvalidGeneratorInput(f"{rule} must be integers; got {', '.join(bad)}")
 
 
 def random_fraction(rng: XorShift64) -> Fraction:
@@ -199,6 +221,7 @@ def compare_routes(
     ``"ok"`` or ``"disagreement"``, the indices where the routes disagree (an
     internal disagreement counts as one), and how many of the other
     instances are consistent and inconsistent."""
+    check_generator_inputs(n=n, seed=seed, max_states=max_states, max_actions=max_actions)
     rng = XorShift64(seed)
     disagreements = []
     consistent_count = 0

@@ -574,12 +574,7 @@ def _revalidate_verify(doc: dict, path: str) -> None:
     verdict and details must be exactly what it gives."""
     inputs = doc["inputs"]
     args = [_require(inputs, key, path, "inputs") for key in VERIFY_INPUTS]
-    n, _, max_states, max_actions = args
-    if any(type(value) is not int for value in args) or n < 0 or min(max_states, max_actions) < 2:
-        raise ValidationError(
-            path, "inputs: n >= 0, seed, max_states >= 2 and max_actions >= 2 must be integers"
-        )
-    verdict, details = compare_routes(*args)
+    verdict, details = _domain(path, compare_routes, *args)
     if doc.get("details") != details:
         raise ValidationError(path, "details do not re-derive from the seeded comparison")
     if doc["verdict"] != verdict:

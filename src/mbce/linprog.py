@@ -1,28 +1,40 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex on ``fractions.Fraction``. Pivoting follows Bland's
-rule (smallest eligible index enters; ties in the ratio test resolved by
-smallest basic variable index), which precludes cycling: belief polytopes are
-routinely degenerate at tie beliefs, so anti-cycling is not optional here.
-Everything stays exact, so feasibility and optimality answers are never
+Two-phase primal simplex with exact answers: constraints, objectives,
+witnesses and optimal values are ``fractions.Fraction``s, while the tableau
+itself holds only Python ints. Pivoting follows Bland's rule (smallest
+eligible index enters; ties in the ratio test resolved by smallest basic
+variable index), which precludes cycling: belief polytopes are routinely
+degenerate at tie beliefs, so anti-cycling is not optional here. Nothing is
 tolerance-based.
 
-The tableau is stored as dense rows but updated sparsely: a pivot divides
-only the nonzero entries of the pivot row and changes each other row in
-place on that row's support alone, since ``x - f * 0 == x`` exactly. The
-reduced-cost row and the objective value are priced out of the starting
-basis once per phase and then carried through each pivot as one more row.
-Neither alters a single value: every tableau entry and reduced cost is a
-function of the basis alone, and the arithmetic is exact, so Bland's rule
-sees the same numbers, and makes the same entering and leaving choices pivot
-for pivot, as on a dense tableau whose reduced costs are recomputed from the
-basis at each iteration.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968), with one
+denominator per row. Each constraint row starts scaled by the lcm of its
+denominators, so it is integral and its slack or artificial entry is that
+lcm. A row stands for itself divided by its basic entry, which is kept
+positive. A pivot eliminates its column from every other row with a nonzero
+there, as ``row * (p/h) - (f/h) * pivot_row`` with ``p`` and ``f`` the two
+entries in that column and ``h = gcd(p, f)``; the subtraction runs over the
+pivot row's nonzeros only. The result is divided by the gcd of its entries,
+which keeps the integers as small as the rational row allows. The
+reduced costs and the objective value form one more such row, priced out of
+the starting basis once per phase and then carried through each pivot.
+
+Bland's choices are unchanged from a rational tableau: every represented
+value is a row over its positive basic entry, equal exactly to the rational
+value, and it is a function of the basis alone. Signs, and so the entering
+column, read off the integers directly; in the ratio test a row's
+right-hand side and its entry in the entering column share the row's
+denominator, so comparing cross products ``b[r] * A[s][e]`` against
+``b[s] * A[r][e]`` orders the ratios exactly. The same bases follow pivot for
+pivot, and ``Fraction``s are built only for the returned solution and value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalDisagreement
 from .rationals import exact_fraction, fraction_vector
@@ -60,10 +72,14 @@ def make_constraint(coeffs, sense: str, rhs) -> Constraint:
 
 
 class _Tableau:
-    """Equality-form tableau with an identity starting basis.
+    """Equality-form tableau with an identity starting basis, on integers.
 
     Columns: structural first, then slack/surplus, artificials last. Rows are
-    sign-normalized so the right-hand side is nonnegative.
+    sign-normalized so the right-hand side is nonnegative. Each row is a list
+    of Python ints: the column coefficients, a zero in the objective column
+    ``z`` (see ``minimize``) and the right-hand side last. Row ``r`` stands
+    for itself divided by its basic entry ``A[r][basis[r]]``, which is kept
+    positive.
     """
 
     def __init__(self, n_vars: int, constraints: list[Constraint], nonneg: bool):
@@ -81,12 +97,17 @@ class _Tableau:
         self.n_vars = n_vars
         self.n_struct = len(struct)
 
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+        rows: list[list[int]] = []
+        rhs: list[int] = []
+        scales: list[int] = []
         kinds: list[str] = []  # "slack" | "artificial" per row's basic column
         for con in constraints:
-            coeffs = [con.coeffs[j] * s for (j, s) in struct]
-            b = con.rhs
+            # Scaled by the lcm of its denominators the row is integral, and
+            # that positive lcm becomes its basic slack or artificial entry.
+            scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
+            ints = [c.numerator * (scale // c.denominator) for c in con.coeffs]
+            coeffs = [ints[j] * s for (j, s) in struct]
+            b = con.rhs.numerator * (scale // con.rhs.denominator)
             sense = con.sense
             if b < 0:
                 coeffs = [-c for c in coeffs]
@@ -98,6 +119,7 @@ class _Tableau:
                 sense = LESS_EQUAL
             rows.append(coeffs)
             rhs.append(b)
+            scales.append(scale)
             kinds.append("slack" if sense == LESS_EQUAL else sense)
 
         m = len(rows)
@@ -107,60 +129,56 @@ class _Tableau:
         total = self.n_struct + n_slack + n_extra + n_art
         self.art_start = self.n_struct + n_slack + n_extra
 
-        self.A = [row + [ZERO] * (total - self.n_struct) for row in rows]
-        self.b = rhs
+        # The zero after the columns is the objective column ``z``.
+        self.A = [row + [0] * (total - self.n_struct + 1) + [b] for row, b in zip(rows, rhs)]
         self.basis = [0] * m
         slack_at = self.n_struct
         art_at = self.art_start
         for r, kind in enumerate(kinds):
             if kind == "slack":
-                self.A[r][slack_at] = ONE
+                self.A[r][slack_at] = scales[r]
                 self.basis[r] = slack_at
                 slack_at += 1
             else:
                 if kind == GREATER_EQUAL:
-                    self.A[r][slack_at] = -ONE  # surplus
+                    self.A[r][slack_at] = -scales[r]  # surplus
                     slack_at += 1
-                self.A[r][art_at] = ONE
+                self.A[r][art_at] = scales[r]
                 self.basis[r] = art_at
                 art_at += 1
         self.n_cols = total
 
-    def pivot(self, r: int, c: int) -> list[tuple[int, Fraction]]:
-        """Make column ``c`` basic in row ``r``, in place. Only the nonzero
-        entries of the pivot row are normalized, and each other row changes
-        only on that row's support (elsewhere ``x - f * 0 == x`` exactly).
-        Returns the normalized support, so a caller can eliminate ``c`` from
-        a row it keeps outside the tableau in the same way."""
+    def pivot(self, r: int, c: int) -> list[tuple[int, int]]:
+        """Make column ``c`` basic in row ``r``, in place. The pivot row only
+        takes the sign that makes its entry in ``c`` positive; every other
+        row with a nonzero in ``c`` has that column eliminated. Returns the
+        pivot row's support, so a caller can eliminate ``c`` from a row it
+        keeps outside the tableau in the same way."""
         row = self.A[r]
-        piv = row[c]
-        support = [(j, x / piv) for j, x in enumerate(row) if x]
-        for j, x in support:
-            row[j] = x
-        b_r = self.b[r] = self.b[r] / piv
+        if row[c] < 0:
+            row = self.A[r] = [-x for x in row]
+        support = [(j, x) for j, x in enumerate(row) if x]
         for i, other in enumerate(self.A):
-            f = other[c]
-            if f and i != r:
-                for j, x in support:
-                    other[j] -= f * x
-                self.b[i] -= f * b_r
+            if other[c] and i != r:
+                self.A[i] = _eliminate(other, c, row[c], support)
         self.basis[r] = c
         return support
 
     def minimize(self, cost: list[Fraction], banned_from: int) -> tuple[str, Fraction]:
         """Run Bland-rule simplex iterations for min cost'x; columns at or
-        beyond ``banned_from`` may not enter the basis. The reduced costs
-        and the objective value are priced out once, then carried through
-        each pivot."""
-        red = list(cost)
-        value = ZERO
+        beyond ``banned_from`` may not enter the basis.
+
+        The reduced costs and the negated objective value are one more
+        integer row, whose basic column is the objective column ``z``: its
+        entry there is the row's positive denominator. It is priced out of
+        the starting basis once, then eliminated against each pivot row."""
+        z = self.n_cols
+        scale = lcm(*(c.denominator for c in cost))
+        red = [c.numerator * (scale // c.denominator) for c in cost] + [scale, 0]
         for r, col in enumerate(self.basis):
-            cb = cost[col]
-            if cb:
-                value += cb * self.b[r]
-                for j, x in enumerate(self.A[r]):
-                    if x:
-                        red[j] -= cb * x
+            if red[col]:
+                row = self.A[r]
+                red = _eliminate(red, col, row[col], [(j, x) for j, x in enumerate(row) if x])
         while True:
             enter = None
             for j in range(banned_from):
@@ -168,26 +186,25 @@ class _Tableau:
                     enter = j
                     break
             if enter is None:
-                return OPTIMAL, value
+                return OPTIMAL, Fraction(-red[-1], red[z])
+            # Row r's ratio is A[r][-1] / A[r][enter]; both are over the same
+            # positive denominator, so comparing cross products is exact.
             leave = None
-            best = None
-            for r in range(len(self.A)):
-                a_re = self.A[r][enter]
+            for r, row in enumerate(self.A):
+                a_re = row[enter]
                 if a_re > 0:
-                    ratio = self.b[r] / a_re
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
-                    ):
-                        best = ratio
+                    if leave is None:
+                        leave = r
+                        continue
+                    best = self.A[leave]
+                    lhs = row[-1] * best[enter]
+                    rhs = best[-1] * a_re
+                    if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leave]):
                         leave = r
             if leave is None:
-                return UNBOUNDED, value
-            d = red[enter]
-            for j, x in self.pivot(leave, enter):
-                red[j] -= d * x
-            value += d * self.b[leave]
+                return UNBOUNDED, Fraction(-red[-1], red[z])
+            support = self.pivot(leave, enter)
+            red = _eliminate(red, enter, self.A[leave][enter], support)
 
     def drive_out_artificials(self) -> None:
         """After a zero-value phase one, pivot artificial variables out of the
@@ -206,14 +223,13 @@ class _Tableau:
             self.pivot(r, col)
             keep_rows.append(r)
         self.A = [self.A[r] for r in keep_rows]
-        self.b = [self.b[r] for r in keep_rows]
         self.basis = [self.basis[r] for r in keep_rows]
 
     def solution(self) -> tuple[Fraction, ...]:
         struct_vals = [ZERO] * self.n_struct
-        for r, col in enumerate(self.basis):
+        for row, col in zip(self.A, self.basis):
             if col < self.n_struct:
-                struct_vals[col] = self.b[r]
+                struct_vals[col] = Fraction(row[-1], row[col])
         x = [ZERO] * self.n_vars
         at = 0
         for j, parts in enumerate(self.var_cols):
@@ -221,6 +237,26 @@ class _Tableau:
                 x[j] += sign * struct_vals[at]
                 at += 1
         return tuple(x)
+
+
+def _eliminate(row: list[int], c: int, p: int, support: list[tuple[int, int]]) -> list[int]:
+    """``row`` with column ``c`` eliminated by a pivot row whose positive
+    entry in ``c`` is ``p`` and whose nonzeros are ``support``: with ``f``
+    the row's entry in ``c`` and ``h = gcd(p, f)``, the row times ``p/h``
+    minus ``f/h`` times the pivot row, divided by its gcd. The pivot row is
+    zero in the row's basic column and ``p/h`` is positive, so the basic
+    entry stays positive, and the row over it is exactly the rational
+    elimination's row."""
+    f = row[c]
+    h = gcd(p, f)
+    f //= h
+    new = row[:] if p == h else [x * (p // h) for x in row]
+    for j, y in support:
+        new[j] -= f * y
+    g = gcd(*new)
+    if g > 1:
+        new = [x // g for x in new]
+    return new
 
 
 def _phase_one(tab: _Tableau) -> bool:

@@ -1,9 +1,11 @@
 """Exact rational helpers.
 
-All probability and utility arithmetic in this package runs on
+All probability and utility values in this package are
 ``fractions.Fraction``: lowest terms, positive denominator, arbitrary
-precision. Floats are refused at every boundary because verdicts hinge on
-exact boundary equalities that tolerances would misclassify.
+precision. (The simplex in ``linprog`` scales each row to integers and works
+on those, with no loss of exactness.) Floats are refused at every boundary
+because verdicts hinge on exact boundary equalities that tolerances would
+misclassify.
 """
 
 from __future__ import annotations

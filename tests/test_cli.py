@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mbce.consistency
-from mbce.cli import main
+from mbce.cli import build_parser, main
 from mbce.io import load_report
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -315,3 +315,50 @@ class TestVerifyAndRandom:
         run(capsys, ["check", path, "--out", str(out_a)])
         run(capsys, ["check", path, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestUsageErrors:
+    """Exit 2 means a negative verdict, so a malformed command line must not
+    exit 2: argparse's usage errors exit 3, with the usage on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["verify", "--n", "abc"], ["no-such-command"], []],
+        ids=["missing-file", "non-integer", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_three(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("usage: mbce")
+        assert "error:" in captured.err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: mbce verify" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+
+class TestGeneratorInputs:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "--max-states", "1"], "max_states=1"),
+            (["verify", "--max-actions", "1"], "max_actions=1"),
+            (["verify", "--n", "-2"], "n=-2"),
+            (["random", "--seed", "1", "--max-states", "1"], "max_states=1"),
+            (["random", "--seed", "1", "--max-actions", "0"], "max_actions=0"),
+        ],
+    )
+    def test_degenerate_sizes_exit_three(self, capsys, argv, named):
+        code, report, err = run(capsys, argv)
+        assert code == 3
+        assert report is None
+        assert "must be integers" in err
+        assert named in err

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from mbce.applications import check_ring
 from mbce.consistency import check_bce_consistent
 from mbce.game import validate_game, validate_marginal
+from mbce.errors import InvalidGeneratorInput
 from mbce.generators import (
     XorShift64,
+    check_generator_inputs,
+    compare_routes,
     consistent_marginal,
     corrupt_ring_profile,
     inconsistent_marginal,
@@ -51,10 +56,37 @@ class TestXorShift:
         draws = [rng.randint(2, 4) for _ in range(200)]
         assert set(draws) == {2, 3, 4}
 
+    def test_randint_refuses_an_empty_range(self):
+        with pytest.raises(ValueError, match="empty range"):
+            XorShift64(3).randint(2, 1)
+
     def test_choice_picks_members(self):
         rng = XorShift64(5)
         pool = ("x", "y", "z")
         assert set(rng.choice(pool) for _ in range(60)) == set(pool)
+
+
+class TestGeneratorInputs:
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            {"n": -1},
+            {"seed": "1"},
+            {"max_states": 1},
+            {"max_actions": 0},
+            {"max_actions": True},
+        ],
+    )
+    def test_out_of_range_or_non_integer_refused(self, inputs):
+        with pytest.raises(InvalidGeneratorInput, match="must be integers"):
+            check_generator_inputs(**inputs)
+
+    def test_smallest_sizes_accepted(self):
+        check_generator_inputs(n=0, seed=-5, max_states=2, max_actions=2)
+
+    def test_compare_routes_refuses_before_drawing(self):
+        with pytest.raises(InvalidGeneratorInput, match="max_states=1"):
+            compare_routes(3, 1, 1, 3)
 
 
 class TestInstances:

@@ -246,3 +246,78 @@ def test_carried_objective_matches_the_solution(lp):
             assert lhs == con.rhs
     if nonneg:
         assert all(v >= 0 for v in low.x)
+
+
+# Primes near 10**6: pairwise coprime denominators make every row's lcm, and
+# so the integer tableau's entries, large.
+BIG_PRIMES = (999_953, 999_959, 999_961, 999_979, 999_983, 1_000_003)
+coprime = st.one_of(
+    small,
+    st.builds(F, st.integers(-(10**6), 10**6), st.sampled_from(BIG_PRIMES)),
+)
+
+
+@st.composite
+def coprime_lps(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(coprime, min_size=n, max_size=n), st.sampled_from(SENSES), coprime),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    objective = draw(st.lists(coprime, min_size=n, max_size=n))
+    return n, [make_constraint(*row) for row in rows], objective, draw(st.booleans())
+
+
+def satisfies(con, point):
+    lhs = dot(con.coeffs, point)
+    if con.sense == LESS_EQUAL:
+        return lhs <= con.rhs
+    if con.sense == GREATER_EQUAL:
+        return lhs >= con.rhs
+    return lhs == con.rhs
+
+
+def dual_of(n, cons, objective, nonneg):
+    """The dual of min objective.x over ``cons``, built by hand: max b.y with
+    one multiplier per row, y_i >= 0 on >= rows, y_i <= 0 on <= rows and y_i
+    free on == rows, and A'y == c (free x) or A'y <= c (x >= 0)."""
+    m = len(cons)
+    rows = []
+    for j in range(n):
+        column = [con.coeffs[j] for con in cons]
+        rows.append(make_constraint(column, LESS_EQUAL if nonneg else EQUAL, objective[j]))
+    for i, con in enumerate(cons):
+        if con.sense != EQUAL:
+            unit = [F(int(k == i)) for k in range(m)]
+            rows.append(make_constraint(unit, con.sense, 0))
+    return m, rows, [con.rhs for con in cons]
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprime_lps())
+def test_strong_duality(lp):
+    """Optimality checked from outside the tableau: an optimal primal has a
+    dual optimum of exactly the same value, and both points satisfy their
+    own constraints, which by weak duality proves both optimal; an unbounded
+    primal has an infeasible dual, and an infeasible primal a dual that is
+    infeasible or unbounded."""
+    n, cons, objective, nonneg = lp
+    primal = lp_solve(n, cons, objective, nonneg=nonneg)
+    m, dual_cons, dual_objective = dual_of(n, cons, objective, nonneg)
+    dual = lp_solve(m, dual_cons, dual_objective, maximize=True)
+    if primal.status == OPTIMAL:
+        assert dual.status == OPTIMAL
+        assert dual.value == primal.value
+        assert all(satisfies(con, primal.x) for con in cons)
+        assert all(satisfies(con, dual.x) for con in dual_cons)
+        assert dual.value == dot(dual_objective, dual.x)
+        assert primal.value == dot(objective, primal.x)
+        if nonneg:
+            assert all(v >= 0 for v in primal.x)
+    elif primal.status == UNBOUNDED:
+        assert dual.status == INFEASIBLE
+    else:
+        assert dual.status in (INFEASIBLE, UNBOUNDED)
