@@ -12,7 +12,6 @@ prior is the upstream marginal.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -36,8 +35,9 @@ from .game import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-MAX_PROFILES_ENV = "MBCE_MAX_PROFILES"
-DEFAULT_MAX_PROFILES = 4096
+# The auxiliary game lists every action profile; larger products are refused
+# before any profile is built.
+MAX_PROFILES = 4096
 
 
 @dataclass(frozen=True)
@@ -188,15 +188,7 @@ def action_profiles(fo: FirstOrderGame) -> tuple[tuple[int, ...], ...]:
     return tuple(product(*(range(p.n_actions) for p in fo.players)))
 
 
-def _profile_cap(max_profiles: int | None) -> int:
-    if max_profiles is not None:
-        return max_profiles
-    return int(os.environ.get(MAX_PROFILES_ENV, DEFAULT_MAX_PROFILES))
-
-
-def auxiliary_single_agent(
-    fo: FirstOrderGame, max_profiles: int | None = None
-) -> BaseGame:
+def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
     """Collapse all players into one agent choosing a whole profile.
 
     The agent earns the sum of the individual payoffs, so a profile is optimal
@@ -206,12 +198,8 @@ def auxiliary_single_agent(
     count = 1
     for spec in fo.players:
         count *= spec.n_actions
-    cap = _profile_cap(max_profiles)
-    if count > cap:
-        raise ProductTooLarge(
-            f"{count} action profiles exceed the cap of {cap};"
-            f" raise {MAX_PROFILES_ENV} to override"
-        )
+    if count > MAX_PROFILES:
+        raise ProductTooLarge(f"{count} action profiles exceed the cap of {MAX_PROFILES}")
     labels = []
     utility = []
     for profile in action_profiles(fo):
@@ -227,18 +215,14 @@ def auxiliary_single_agent(
     return game
 
 
-def check_public_bce(
-    fo: FirstOrderGame,
-    marginal: ActionMarginal,
-    max_profiles: int | None = None,
-) -> ConsistencyVerdict:
+def check_public_bce(fo: FirstOrderGame, marginal: ActionMarginal) -> ConsistencyVerdict:
     """Can public signals alone steer play to this profile distribution?
 
     The marginal is indexed by profiles in action_profiles order.  The witness
     outcome lives on (profiles x states); decoding it back into per-player
     play is mechanical because optimal profiles factor coordinate-wise.
     """
-    aux = auxiliary_single_agent(fo, max_profiles)
+    aux = auxiliary_single_agent(fo)
     validate_marginal(marginal, aux.n_actions)
     return check_bce_consistent(aux, marginal)
 

@@ -21,158 +21,67 @@ from .applications import (
     check_ring,
     check_ring_obedience,
     construct_ring_outcome,
-    ring_player_marginal,
 )
 from .consistency import check_bce_consistent
-from .errors import (
-    ImplementationInfeasible,
-    InternalDisagreement,
-    MbceError,
-    ValidationError,
-)
+from .errors import ImplementationInfeasible, InternalDisagreement, MbceError, ValidationError
 from .game import ActionMarginal, make_marginal, validate_marginal
-from .generators import (
-    XorShift64,
-    check_generator_inputs,
-    compare_routes,
-    random_game,
-    random_marginal,
-)
-from .implementation import (
-    choice_rule_from_tau,
-    implementing_rule,
-    menu_measure,
-    menu_rule_from_core,
-    outcome_from_tau,
-)
+from .generators import XorShift64, check_generator_inputs, random_game, random_marginal
+from .implementation import implementing_rule, menu_measure, menu_rule_from_core, outcome_from_tau
 from .io import (
     Report,
     canonical_json,
-    certificate_json,
-    first_order_json,
+    consistency_report,
     game_json,
+    implement_report,
     load_document,
     load_game,
-    menu_rule_json,
     parse_tau,
     report_string,
-    ring_json,
-    rows_json,
-    save_report,
-    tau_json,
+    ring_report,
     vector_json,
+    verify_report,
 )
 
 
-def cmd_check(game, marginal, command="check") -> tuple[Report, int]:
-    """The ``check`` and ``oracle`` commands: one decision, one report shape,
-    labelled with the command that asked for it."""
-    inputs = game_json(game)
-    inputs["marginal"] = vector_json(marginal.probs)
+def cmd_check(game, marginal, command="check", first_order=None) -> tuple[Report, int]:
+    """The ``check``, ``oracle`` and ``public`` commands: one decision, one
+    report shape, labelled with the command that asked for it. For
+    ``public``, ``game`` is the auxiliary game of ``first_order``."""
     verdict = check_bce_consistent(game, marginal)
-    if verdict.consistent:
-        report = Report(
-            command, inputs, "consistent",
-            witnesses={"outcome": rows_json(verdict.witness.probs)},
-        )
-        return report, 0
-    report = Report(
-        command, inputs, "inconsistent",
-        certificate=certificate_json(verdict.violation),
-    )
-    return report, 2
+    report = consistency_report(command, game, marginal, verdict, first_order)
+    return report, 0 if verdict.consistent else 2
 
 
 def cmd_implement(game, marginal, tau) -> tuple[Report, int]:
-    inputs = game_json(game)
-    inputs["marginal"] = vector_json(marginal.probs)
-    inputs["tau"] = tau_json(tau)
     try:
         rule = implementing_rule(game, marginal, tau)
     except ImplementationInfeasible as err:
-        certificate = {
-            "kind": "implementation-infeasible",
-            "subset": sorted(err.subset),
-            "deficit": vector_json([err.deficit])[0],
-        }
-        return Report("implement", inputs, "infeasible", certificate=certificate), 2
+        return implement_report(game, marginal, tau, infeasible=err), 2
+    menu_rule = menu_rule_from_core(menu_measure(tau, game), marginal)
     outcome = outcome_from_tau(tau, rule, game.prior)
-    witnesses = {
-        "tau": tau_json(tau),
-        "decision_rule": rows_json(rule.rows),
-        "menu_rule": menu_rule_json(
-            menu_rule_from_core(menu_measure(tau, game), marginal)
-        ),
-        "choice_rule": rows_json(choice_rule_from_tau(tau, rule, game.prior).rows),
-        "outcome": rows_json(outcome.probs),
-    }
-    return Report("implement", inputs, "implemented", witnesses=witnesses), 0
+    return implement_report(game, marginal, tau, rule=rule, menu_rule=menu_rule, outcome=outcome), 0
 
 
 def cmd_ring(ring, profile) -> tuple[Report, int]:
-    inputs = {
-        "ring": ring_json(ring),
-        "marginals": [vector_json(m.probs) for m in profile.marginals],
-    }
     verdict = check_ring(ring, profile)
     if not verdict.consistent:
-        report = Report(
-            "ring", inputs, "inconsistent",
-            certificate=certificate_json(verdict.violation),
-            details={"failing_stage": verdict.failing_stage},
-        )
-        return report, 2
+        return ring_report(ring, profile, verdict), 2
     joint = construct_ring_outcome(verdict.stage_witnesses)
     if not check_ring_obedience(joint, ring):
         raise InternalDisagreement("stage-built joint outcome disobeys")
-    witnesses = {
-        "stage_witnesses": [rows_json(w.probs) for w in verdict.stage_witnesses],
-        "joint": {"shape": list(joint.shape), "probs": rows_json(joint.probs)},
-        "player_marginals": [
-            vector_json(ring_player_marginal(joint, i)) for i in range(ring.n_players)
-        ],
-    }
-    report = Report(
-        "ring", inputs, "consistent",
-        witnesses=witnesses,
-        details={"failing_stage": None},
-    )
-    return report, 0
+    return ring_report(ring, profile, verdict, joint), 0
 
 
 def cmd_public(fo, marginal) -> tuple[Report, int]:
-    aux = auxiliary_single_agent(fo)
-    inputs = {"first_order": first_order_json(fo), "marginal": vector_json(marginal.probs)}
-    details = {"profiles": list(aux.actions)}
-    validate_marginal(marginal, aux.n_actions)
-    verdict = check_bce_consistent(aux, marginal)
-    if verdict.consistent:
-        report = Report(
-            "public", inputs, "consistent",
-            witnesses={"outcome": rows_json(verdict.witness.probs)},
-            details=details,
-        )
-        return report, 0
-    report = Report(
-        "public", inputs, "inconsistent",
-        certificate=certificate_json(verdict.violation),
-        details=details,
-    )
-    return report, 2
+    """``check`` on the auxiliary game of a first-order game."""
+    return cmd_check(auxiliary_single_agent(fo), marginal, "public", fo)
 
 
 def cmd_verify(n, seed, max_states, max_actions) -> tuple[Report, int]:
     """Seeded head-to-head of the belief-space decomposition against the
     oracle LP, the two independent routes to the same decision."""
-    inputs = {
-        "n": n,
-        "seed": seed,
-        "max_states": max_states,
-        "max_actions": max_actions,
-    }
-    verdict, details = compare_routes(n, seed, max_states, max_actions)
-    code = 4 if details["disagreements"] else 0
-    return Report("verify", inputs, verdict, details=details), code
+    report = verify_report(n, seed, max_states, max_actions)
+    return report, 4 if report.details["disagreements"] else 0
 
 
 def cmd_random(seed, max_states, max_actions) -> dict:
@@ -240,11 +149,17 @@ def _require_section(doc, attr, description):
 
 
 def _run(args) -> tuple[str, int]:
-    if args.command == "check" or args.command == "oracle":
-        doc = load_game(args.file, drop_null_states=args.drop_null_states)
-        game = _require_section(doc, "game", "game section")
+    if args.command in ("check", "oracle", "public"):
+        if args.command == "public":
+            doc = load_game(args.file)
+            first_order = _require_section(doc, "first_order", "first_order section")
+            game = auxiliary_single_agent(first_order)
+        else:
+            doc = load_game(args.file, drop_null_states=args.drop_null_states)
+            first_order = None
+            game = _require_section(doc, "game", "game section")
         marginal = _resolve_marginal(args, doc, game.n_actions)
-        report, code = cmd_check(game, marginal, args.command)
+        report, code = cmd_check(game, marginal, args.command, first_order)
     elif args.command == "implement":
         doc = load_game(args.file, drop_null_states=args.drop_null_states)
         game = _require_section(doc, "game", "game section")
@@ -256,18 +171,6 @@ def _run(args) -> tuple[str, int]:
         ring = _require_section(doc, "ring", "ring section")
         profile = _require_section(doc, "profile", '"marginals" list')
         report, code = cmd_ring(ring, profile)
-    elif args.command == "public":
-        doc = load_game(args.file)
-        fo = _require_section(doc, "first_order", "first_order section")
-        if getattr(args, "marginal", None):
-            marginal = _parse_marginal_flag(args.marginal)
-        elif doc.marginal is not None:
-            marginal = doc.marginal
-        else:
-            raise ValidationError(
-                doc.path, 'no target marginal: add a "marginal" field or pass --marginal'
-            )
-        report, code = cmd_public(fo, marginal)
     elif args.command == "verify":
         report, code = cmd_verify(args.n, args.seed, args.max_states, args.max_actions)
     elif args.command == "random":

@@ -122,6 +122,35 @@ def strassen_residual(
     return lhs - dot(c, game.prior)
 
 
+def violation_certificate(
+    game: BaseGame,
+    marginal: ActionMarginal,
+    kind: str,
+    choice,
+    polytopes: dict[int, BeliefPolytope] | None = None,
+) -> ViolationCertificate:
+    """The certificate of ``kind`` at ``choice``: an action, a state, an
+    ordered action pair (a, b) or a direction. A state's direction is minus
+    its unit vector and a pair's is the payoff difference of a over b; the
+    residual is ``strassen_residual`` along the direction. The certificate
+    search and the report loader both map a named condition through here.
+    """
+    if kind == UNSUPPORTABLE_ACTION:
+        return ViolationCertificate(kind=kind, action=choice)
+    state = pair = None
+    if kind == STATE_CONDITION:
+        state, direction = choice, negate(unit_direction(game.n_states, choice))
+    elif kind == ACTION_PAIR_CONDITION:
+        pair = tuple(choice)
+        direction = utility_difference_direction(game, *pair)
+    elif kind == STRASSEN_DIRECTION:
+        direction = tuple(choice)
+    else:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    residual = strassen_residual(game, marginal, direction, polytopes)
+    return ViolationCertificate(kind, state, pair, residual=residual, direction=direction)
+
+
 def state_condition_residual(
     game: BaseGame,
     marginal: ActionMarginal,
@@ -134,9 +163,7 @@ def state_condition_residual(
     belief polytope; the total cannot exceed the prior. Equals
     ``strassen_residual`` at minus the state's unit direction.
     """
-    return strassen_residual(
-        game, marginal, negate(unit_direction(game.n_states, state)), polytopes
-    )
+    return violation_certificate(game, marginal, STATE_CONDITION, state, polytopes).residual
 
 
 def action_pair_residual(
@@ -151,9 +178,8 @@ def action_pair_residual(
     The direction is the per-state payoff difference of a_first over
     a_second; equals ``strassen_residual`` at that direction.
     """
-    return strassen_residual(
-        game, marginal, utility_difference_direction(game, a_first, a_second), polytopes
-    )
+    pair = (a_first, a_second)
+    return violation_certificate(game, marginal, ACTION_PAIR_CONDITION, pair, polytopes).residual
 
 
 def oracle_feasibility(
@@ -322,41 +348,20 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
         if is_empty(polys[a]):
             return ConsistencyVerdict(
                 consistent=False,
-                violation=ViolationCertificate(kind=UNSUPPORTABLE_ACTION, action=a),
+                violation=violation_certificate(game, marginal, UNSUPPORTABLE_ACTION, a),
             )
 
     feasible, witness = oracle_feasibility(game, marginal)
     if feasible:
         return ConsistencyVerdict(consistent=True, witness=witness)
 
-    for t in range(game.n_states):
-        residual = state_condition_residual(game, marginal, t, polys)
-        if residual < 0:
-            return ConsistencyVerdict(
-                consistent=False,
-                violation=ViolationCertificate(
-                    kind=STATE_CONDITION,
-                    state=t,
-                    residual=residual,
-                    direction=negate(unit_direction(game.n_states, t)),
-                ),
-            )
-
-    for a_first in range(game.n_actions):
-        for a_second in range(game.n_actions):
-            if a_first == a_second:
-                continue
-            residual = action_pair_residual(game, marginal, a_first, a_second, polys)
-            if residual < 0:
-                return ConsistencyVerdict(
-                    consistent=False,
-                    violation=ViolationCertificate(
-                        kind=ACTION_PAIR_CONDITION,
-                        pair=(a_first, a_second),
-                        residual=residual,
-                        direction=utility_difference_direction(game, a_first, a_second),
-                    ),
-                )
+    n_a = game.n_actions
+    named = [(STATE_CONDITION, t) for t in range(game.n_states)]
+    named += [(ACTION_PAIR_CONDITION, (a, b)) for a in range(n_a) for b in range(n_a) if a != b]
+    for kind, choice in named:
+        violation = violation_certificate(game, marginal, kind, choice, polys)
+        if violation.residual < 0:
+            return ConsistencyVerdict(consistent=False, violation=violation)
 
     direction = separating_direction(game, marginal, polys)
     if direction is None:
@@ -364,12 +369,7 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
             "the oracle rejects a marginal that no direction separates; "
             "this is a bug, not an input problem"
         )
-    residual = strassen_residual(game, marginal, direction, polys)
-    if residual >= 0:
+    violation = violation_certificate(game, marginal, STRASSEN_DIRECTION, direction, polys)
+    if violation.residual >= 0:
         raise InternalDisagreement("separating direction has a nonnegative residual")
-    return ConsistencyVerdict(
-        consistent=False,
-        violation=ViolationCertificate(
-            kind=STRASSEN_DIRECTION, residual=residual, direction=direction
-        ),
-    )
+    return ConsistencyVerdict(consistent=False, violation=violation)

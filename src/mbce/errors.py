@@ -84,7 +84,7 @@ class TooManyActionsForSubsetCheck(MbceError):
 
 
 class ProductTooLarge(MbceError):
-    """The product action space exceeds the configured profile cap."""
+    """The product action space exceeds the profile cap."""
 
 
 class StageMarginalMismatch(MbceError):

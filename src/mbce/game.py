@@ -211,20 +211,21 @@ def check_obedience(outcome: Outcome, game: BaseGame) -> ObedienceReport:
     """Check every deviation inequality exactly.
 
     Returns a report listing all ordered pairs (recommended, deviation) whose
-    slack is strictly negative.
+    slack is strictly negative. Each recommendation's row is priced once per
+    action, so a slack is the difference of two of those payoffs.
     """
     if outcome.n_actions != game.n_actions or any(
         len(row) != game.n_states for row in outcome.probs
     ):
         raise DimensionMismatch("outcome table does not match the game's shape")
     violations = []
-    for a in range(game.n_actions):
-        for alt in range(game.n_actions):
-            if alt == a:
-                continue
-            slack = obedience_slack(outcome, game, a, alt)
-            if slack < 0:
-                violations.append(ObedienceViolation(a, alt, slack))
+    for a, row in enumerate(outcome.probs):
+        payoffs = [
+            sum((q * u for q, u in zip(row, utility) if q), ZERO) for utility in game.utility
+        ]
+        for alt, payoff in enumerate(payoffs):
+            if payoff > payoffs[a]:
+                violations.append(ObedienceViolation(a, alt, payoffs[a] - payoff))
     return ObedienceReport(obedient=not violations, violations=tuple(violations))
 
 

@@ -2,11 +2,15 @@
 
 Rationals travel as integers or "p/q" strings; float literals are rejected
 outright so no verdict ever depends on rounding.  Reports embed their inputs,
-a digest of them, and every witness table, and load_report re-derives the
-checks a witness claims to pass, so a report that loads cleanly is evidence,
-not just prose.  Identical inputs produce byte-identical report files: keys
-are sorted, and the timing field is pinned to null (wall-clock timings go to
-stderr, never into the document).
+a digest of them, and every witness table.  One builder per report kind
+writes a report from what the solvers found, and load_report rebuilds the
+report with the same builder from its inputs plus the choices it made (the
+witness outcome, the decision and menu rules, the stage witnesses, the
+certificate's named condition), checking independently what those choices
+claim.  It refuses a document that does not equal that report, so a report
+that loads cleanly is evidence, not just prose.  Identical inputs produce
+byte-identical report files: keys are sorted, and the timing field is pinned
+to null (wall-clock timings go to stderr, never into the document).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .applications import (
     FirstOrderGame,
     MarginalProfile,
     RingGame,
+    RingVerdict,
     auxiliary_single_agent,
     check_ring_obedience,
     construct_ring_outcome,
@@ -34,18 +39,18 @@ from .consistency import (
     STATE_CONDITION,
     STRASSEN_DIRECTION,
     UNSUPPORTABLE_ACTION,
+    ConsistencyVerdict,
     ViolationCertificate,
-    action_pair_residual,
-    state_condition_residual,
-    strassen_residual,
+    violation_certificate,
 )
-from .errors import MbceError, ParseError, ValidationError
+from .errors import ImplementationInfeasible, MbceError, ParseError, ValidationError
 from .game import (
     ActionMarginal,
     BaseGame,
     Outcome,
     action_marginal_of,
     check_obedience,
+    choice_rule_from_outcome,
     state_marginal_of,
     validate_game,
     validate_marginal,
@@ -54,8 +59,10 @@ from .game import (
 from .generators import compare_routes
 from .implementation import (
     DecisionRule,
+    MenuRule,
     PosteriorDistribution,
     core_slack,
+    is_bayes_plausible,
     make_posteriors,
     menu_measure,
     outcome_from_tau,
@@ -64,6 +71,8 @@ from .polytope import is_empty, opt_belief_polytope
 from .rationals import exact_fraction, fraction_to_json
 
 SCHEMA_VERSION = 1
+IMPLEMENTATION_INFEASIBLE = "implementation-infeasible"
+ZERO = Fraction(0)
 
 # Parameters of ``compare_routes``, in order, as a verify report embeds them.
 VERIFY_INPUTS = ("n", "seed", "max_states", "max_actions")
@@ -95,11 +104,14 @@ class Report:
     details: dict | None = None
 
     def to_dict(self) -> dict:
+        return self._document(inputs_digest(self.inputs))
+
+    def _document(self, inputs_sha256: str) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "inputs": self.inputs,
-            "inputs_sha256": inputs_digest(self.inputs),
+            "inputs_sha256": inputs_sha256,
             "verdict": self.verdict,
             "certificate": self.certificate,
             "witnesses": self.witnesses,
@@ -244,6 +256,13 @@ def parse_ring(node, path: str) -> RingGame:
     return _domain(path, make_ring, states, prior, stages)
 
 
+def parse_profile(node, path: str, ring: RingGame) -> MarginalProfile:
+    if not isinstance(node, list):
+        raise ParseError(path, "marginals: expected an array of arrays")
+    vectors = [_fraction_list(vec, path, f"marginals[{i}]") for i, vec in enumerate(node)]
+    return _domain(path, make_profile, ring, vectors)
+
+
 def parse_first_order(node, path: str) -> FirstOrderGame:
     if not isinstance(node, dict):
         raise ParseError(path, "first_order: expected an object")
@@ -301,13 +320,7 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
     if "marginals" in doc:
         if ring is None:
             raise ValidationError(path, "marginals requires a ring section")
-        vectors = doc["marginals"]
-        if not isinstance(vectors, list):
-            raise ParseError(path, "marginals: expected an array of arrays")
-        parsed = [
-            _fraction_list(vec, path, f"marginals[{i}]") for i, vec in enumerate(vectors)
-        ]
-        profile = _domain(path, make_profile, ring, parsed)
+        profile = parse_profile(doc["marginals"], path, ring)
 
     first_order = (
         parse_first_order(doc["first_order"], path) if "first_order" in doc else None
@@ -389,230 +402,327 @@ def menu_rule_json(rule) -> list:
     ]
 
 
-# -- report re-validation ------------------------------------------------
+# -- report builders ----------------------------------------------------
 
 
-def _revalidate_consistency(doc: dict, path: str, game: BaseGame, marginal) -> None:
-    verdict = doc.get("verdict")
-    if verdict == "consistent":
-        witnesses = doc.get("witnesses") or {}
-        rows = _fraction_rows(
-            _require(witnesses, "outcome", path, "witnesses"), path, "witnesses.outcome"
-        )
-        outcome = Outcome(rows)
-        _domain(path, validate_outcome, outcome, game)
-        if state_marginal_of(outcome) != game.prior:
-            raise ValidationError(path, "witness state marginal differs from the prior")
-        if marginal is not None and action_marginal_of(outcome) != marginal.probs:
-            raise ValidationError(path, "witness action marginal differs from the target")
-        if not check_obedience(outcome, game).obedient:
-            raise ValidationError(path, "witness outcome is not obedient")
-    elif verdict == "inconsistent":
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ValidationError(path, "inconsistent verdict carries no certificate")
-        _recheck_certificate(cert, path, game, marginal)
+def consistency_report(command, game, marginal, verdict, first_order=None) -> Report:
+    """Report of ``check``, ``oracle`` or ``public``; for ``public``, ``game``
+    is the auxiliary game of ``first_order``, whose profiles go in details."""
+    if first_order is None:
+        inputs, details = game_json(game), None
     else:
-        raise ValidationError(path, f"unknown verdict {verdict!r}")
+        inputs = {"first_order": first_order_json(first_order)}
+        details = {"profiles": list(game.actions)}
+    inputs["marginal"] = vector_json(marginal.probs)
+    if verdict.consistent:
+        witnesses = {"outcome": rows_json(verdict.witness.probs)}
+        return Report(command, inputs, "consistent", witnesses=witnesses, details=details)
+    certificate = certificate_json(verdict.violation)
+    return Report(command, inputs, "inconsistent", certificate=certificate, details=details)
 
 
-def _recheck_certificate(cert: dict, path: str, game: BaseGame, marginal) -> None:
+def implement_report(
+    game, marginal, tau, *, infeasible=None, rule=None, menu_rule=None, outcome=None
+) -> Report:
+    """Report of ``implement``: the overfull subset of an ImplementationInfeasible,
+    or the decision rule, the menu rule and the outcome the rule induces."""
+    inputs = game_json(game)
+    inputs["marginal"] = vector_json(marginal.probs)
+    inputs["tau"] = tau_json(tau)
+    if infeasible is not None:
+        subset, deficit = sorted(infeasible.subset), fraction_to_json(infeasible.deficit)
+        certificate = {"kind": IMPLEMENTATION_INFEASIBLE, "subset": subset, "deficit": deficit}
+        return Report("implement", inputs, "infeasible", certificate=certificate)
+    witnesses = {
+        "tau": inputs["tau"],
+        "decision_rule": rows_json(rule.rows),
+        "menu_rule": menu_rule_json(menu_rule),
+        "choice_rule": rows_json(choice_rule_from_outcome(outcome, game.prior).rows),
+        "outcome": rows_json(outcome.probs),
+    }
+    return Report("implement", inputs, "implemented", witnesses=witnesses)
+
+
+def ring_report(ring, profile, verdict, joint=None) -> Report:
+    """Report of ``ring``: the first failing stage and its certificate, or the
+    stage witnesses and ``joint``, the outcome chained from them."""
+    marginals = [vector_json(m.probs) for m in profile.marginals]
+    inputs = {"ring": ring_json(ring), "marginals": marginals}
+    details = {"failing_stage": verdict.failing_stage}
+    if not verdict.consistent:
+        certificate = certificate_json(verdict.violation)
+        return Report("ring", inputs, "inconsistent", certificate=certificate, details=details)
+    witnesses = {
+        "stage_witnesses": [rows_json(w.probs) for w in verdict.stage_witnesses],
+        "joint": {"shape": list(joint.shape), "probs": rows_json(joint.probs)},
+        "player_marginals": [
+            vector_json(ring_player_marginal(joint, i)) for i in range(ring.n_players)
+        ],
+    }
+    return Report("ring", inputs, "consistent", witnesses=witnesses, details=details)
+
+
+def verify_report(n, seed, max_states, max_actions) -> Report:
+    """Report of ``verify``: the seeded comparison of the two routes."""
+    verdict, details = compare_routes(n, seed, max_states, max_actions)
+    inputs = dict(zip(VERIFY_INPUTS, (n, seed, max_states, max_actions)))
+    return Report("verify", inputs, verdict, details=details)
+
+
+# -- report loading: each _rebuild_* parses a report's inputs and choices,
+# checks what the choices claim, and hands them to the report's builder.
+
+
+def _is_index(value, size: int) -> bool:
+    return type(value) is int and 0 <= value < size  # a JSON true is no index
+
+
+def _section(doc: dict, key: str, path: str) -> dict:
+    node = doc.get(key)
+    if not isinstance(node, dict):
+        raise ValidationError(path, f"{doc['verdict']} verdict carries no {key} object")
+    return node
+
+
+def _parse_marginal(inputs: dict, path: str, n_actions: int) -> ActionMarginal:
+    node = _require(inputs, "marginal", path, "inputs")
+    marginal = ActionMarginal(_fraction_list(node, path, "marginal"))
+    _domain(path, validate_marginal, marginal, n_actions)
+    return marginal
+
+
+def _check_outcome(path: str, what: str, outcome: Outcome, game: BaseGame, marginal) -> None:
+    if state_marginal_of(outcome) != game.prior:
+        raise ValidationError(path, f"{what} misses the prior")
+    if action_marginal_of(outcome) != marginal.probs:
+        raise ValidationError(path, f"{what} misses the target marginal")
+    if not check_obedience(outcome, game).obedient:
+        raise ValidationError(path, f"{what} is not obedient")
+
+
+def _rederive_certificate(doc, path, game, marginal) -> ViolationCertificate:
+    """The certificate at the report's named choice, which must violate."""
+    cert = _section(doc, "certificate", path)
     kind = cert.get("kind")
-    if marginal is None:
-        raise ValidationError(path, "certificate without a target marginal")
-    if kind == STATE_CONDITION:
-        state = cert.get("state")
-        if not isinstance(state, int) or not 0 <= state < game.n_states:
-            raise ValidationError(path, "state-condition certificate names no valid state")
-        residual = state_condition_residual(game, marginal, state)
-        if residual >= 0 or fraction_to_json(residual) != cert.get("residual"):
-            raise ValidationError(path, "state-condition residual does not re-derive")
-    elif kind == ACTION_PAIR_CONDITION:
-        pair = cert.get("pair")
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(a, int) and 0 <= a < game.n_actions for a in pair)
-        ):
-            raise ValidationError(path, "action-pair certificate names no valid pair")
-        residual = action_pair_residual(game, marginal, pair[0], pair[1])
-        if residual >= 0 or fraction_to_json(residual) != cert.get("residual"):
-            raise ValidationError(path, "action-pair residual does not re-derive")
-    elif kind == UNSUPPORTABLE_ACTION:
-        action = cert.get("action")
-        if (
-            not isinstance(action, int)
-            or not 0 <= action < game.n_actions
-            or marginal.probs[action] == 0
-        ):
+    if kind == UNSUPPORTABLE_ACTION:
+        choice = cert.get("action")
+        if not _is_index(choice, game.n_actions) or marginal.probs[choice] == 0:
             raise ValidationError(path, "unsupportable-action certificate names a zero-mass action")
-        if not is_empty(opt_belief_polytope(game, action)):
+        if not is_empty(opt_belief_polytope(game, choice)):
             raise ValidationError(path, "named action is supportable after all")
+    elif kind == STATE_CONDITION:
+        choice = cert.get("state")
+        if not _is_index(choice, game.n_states):
+            raise ValidationError(path, "state-condition certificate names no valid state")
+    elif kind == ACTION_PAIR_CONDITION:
+        choice = cert.get("pair")
+        is_pair = isinstance(choice, list) and len(choice) == 2
+        if not is_pair or not all(_is_index(a, game.n_actions) for a in choice):
+            raise ValidationError(path, "action-pair certificate names no valid pair")
     elif kind == STRASSEN_DIRECTION:
-        direction = cert.get("direction")
-        if not isinstance(direction, list) or len(direction) != game.n_states:
+        choice = cert.get("direction")
+        if not isinstance(choice, list) or len(choice) != game.n_states:
             raise ValidationError(path, "direction certificate has no direction of state length")
-        c = _fraction_list(direction, path, "certificate.direction")
-        residual = _domain(path, strassen_residual, game, marginal, c)
-        if residual >= 0 or fraction_to_json(residual) != cert.get("residual"):
-            raise ValidationError(path, "direction residual does not re-derive")
+        choice = _fraction_list(choice, path, "certificate.direction")
     else:
         raise ValidationError(path, f"unknown certificate kind {kind!r}")
+    violation = _domain(path, violation_certificate, game, marginal, kind, choice)
+    if violation.residual is not None and violation.residual >= 0:
+        raise ValidationError(path, f"{kind} certificate does not re-derive a negative residual")
+    return violation
 
 
-def _revalidate_implement(doc: dict, path: str) -> None:
-    inputs = doc["inputs"]
-    game = parse_game(inputs, path)
-    marginal = ActionMarginal(
-        _fraction_list(_require(inputs, "marginal", path, "inputs"), path, "marginal")
-    )
-    _domain(path, validate_marginal, marginal, game.n_actions)
-    tau = parse_tau(_require(inputs, "tau", path, "inputs"), path)
-    verdict = doc.get("verdict")
-    if verdict == "infeasible":
-        _recheck_overfull_subset(doc.get("certificate"), path, game, marginal, tau)
-        return
-    if verdict != "implemented":
+def _rebuild_consistency(doc: dict, path: str) -> Report:
+    inputs, command, verdict = doc["inputs"], doc["command"], doc["verdict"]
+    first_order = None
+    if command == "public":
+        first_order = parse_first_order(_require(inputs, "first_order", path, "inputs"), path)
+        game = _domain(path, auxiliary_single_agent, first_order)
+    else:
+        game = parse_game(inputs, path)
+    marginal = _parse_marginal(inputs, path, game.n_actions)
+    if verdict == "consistent":
+        rows = _require(_section(doc, "witnesses", path), "outcome", path, "witnesses")
+        witness = Outcome(_fraction_rows(rows, path, "witnesses.outcome"))
+        _domain(path, validate_outcome, witness, game)
+        _check_outcome(path, "witness outcome", witness, game, marginal)
+        found = ConsistencyVerdict(consistent=True, witness=witness)
+    elif verdict == "inconsistent":
+        violation = _rederive_certificate(doc, path, game, marginal)
+        found = ConsistencyVerdict(consistent=False, violation=violation)
+    else:
         raise ValidationError(path, f"unknown verdict {verdict!r}")
-    witnesses = doc.get("witnesses") or {}
-    rule = DecisionRule(
-        _fraction_rows(
-            _require(witnesses, "decision_rule", path, "witnesses"),
-            path,
-            "witnesses.decision_rule",
-        )
-    )
-    outcome_rows = _fraction_rows(
-        _require(witnesses, "outcome", path, "witnesses"), path, "witnesses.outcome"
-    )
-    rebuilt = _domain(path, outcome_from_tau, tau, rule, game.prior)
-    if rebuilt.probs != outcome_rows:
-        raise ValidationError(path, "outcome does not re-derive from tau and the decision rule")
-    outcome = Outcome(outcome_rows)
-    if action_marginal_of(outcome) != marginal.probs:
-        raise ValidationError(path, "implemented outcome misses the target marginal")
-    if state_marginal_of(outcome) != game.prior:
-        raise ValidationError(path, "implemented outcome misses the prior")
-    if not check_obedience(outcome, game).obedient:
-        raise ValidationError(path, "implemented outcome is not obedient")
-    menus = menu_measure(tau, game)
-    for entry in witnesses.get("menu_rule", []):
-        if not isinstance(entry, dict) or "menu" not in entry or "probs" not in entry:
-            raise ValidationError(path, "menu rule entries need menu and probs fields")
-        m = frozenset(entry["menu"])
-        probs = _fraction_list(entry["probs"], path, "witnesses.menu_rule.probs")
-        if m not in menus:
-            raise ValidationError(path, "menu rule names a menu tau never produces")
-        if (
-            len(probs) != game.n_actions
-            or sum(probs) != 1
-            or any(probs[a] > 0 and a not in m for a in range(len(probs)))
-        ):
-            raise ValidationError(path, "menu rule row is not a tie-break over its menu")
+    return consistency_report(command, game, marginal, found, first_order)
 
 
-def _recheck_overfull_subset(
-    cert, path: str, game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution
-) -> None:
-    if not isinstance(cert, dict) or cert.get("kind") != "implementation-infeasible":
+def _rederive_overfull_subset(doc, path, game, marginal, menus) -> ImplementationInfeasible:
+    cert = _section(doc, "certificate", path)
+    if cert.get("kind") != IMPLEMENTATION_INFEASIBLE:
         raise ValidationError(path, "infeasible verdict carries no overfull-subset certificate")
-    subset = cert.get("subset")
-    if (
-        not isinstance(subset, list)
-        or not subset
-        or not all(isinstance(a, int) and 0 <= a < game.n_actions for a in subset)
-    ):
+    subset, n = cert.get("subset"), game.n_actions
+    if not (isinstance(subset, list) and subset and all(_is_index(a, n) for a in subset)):
         raise ValidationError(path, "overfull-subset certificate names no valid action subset")
-    slack = core_slack(marginal, menu_measure(tau, game), frozenset(subset))
+    slack = core_slack(marginal, menus, frozenset(subset))
     if slack >= 0 or fraction_to_json(slack) != cert.get("deficit"):
         raise ValidationError(path, "overfull-subset deficit does not re-derive")
+    return ImplementationInfeasible(frozenset(subset), slack)
 
 
-def _revalidate_ring(doc: dict, path: str) -> None:
-    inputs = doc["inputs"]
+def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
+    """One tie-break row for each menu of tau, with no negative entry and no
+    mass outside its menu; weighted by the menu masses, the rows add up to
+    the target marginal (the core split the menu rule claims)."""
+    entries = _require(witnesses, "menu_rule", path, "witnesses")
+    if not isinstance(entries, list):
+        raise ParseError(path, "witnesses.menu_rule: expected an array")
+    n_actions = len(marginal.probs)
+    rule: MenuRule = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "menu" not in entry or "probs" not in entry:
+            raise ValidationError(path, "menu rule entries need menu and probs fields")
+        items = entry["menu"]
+        if not isinstance(items, list) or not all(_is_index(a, n_actions) for a in items):
+            raise ValidationError(path, "menu rule names a menu of no valid actions")
+        menu = frozenset(items)
+        if menu not in menus:
+            raise ValidationError(path, "menu rule names a menu tau never produces")
+        if menu in rule:
+            raise ValidationError(path, "menu rule names a menu twice")
+        row = _fraction_list(entry["probs"], path, f"witnesses.menu_rule[{i}].probs")
+        if len(row) != n_actions or sum(row) != 1 or any(
+            q < 0 or (q > 0 and a not in menu) for a, q in enumerate(row)
+        ):
+            raise ValidationError(path, "menu rule row is not a tie-break over its menu")
+        rule[menu] = row
+    if len(rule) != len(menus):
+        raise ValidationError(path, "menu rule leaves out a menu tau produces")
+    for a, target in enumerate(marginal.probs):
+        if sum((menus[m] * row[a] for m, row in rule.items()), ZERO) != target:
+            raise ValidationError(path, "menu rule rows do not split the menus into the marginal")
+    return rule
+
+
+def _rebuild_implement(doc: dict, path: str) -> Report:
+    inputs, verdict = doc["inputs"], doc["verdict"]
+    game = parse_game(inputs, path)
+    marginal = _parse_marginal(inputs, path, game.n_actions)
+    tau = parse_tau(_require(inputs, "tau", path, "inputs"), path)
+    menus = menu_measure(tau, game)
+    if verdict == "infeasible":
+        if not _domain(path, is_bayes_plausible, tau, game.prior):
+            raise ValidationError(path, "tau does not average to the prior")
+        infeasible = _rederive_overfull_subset(doc, path, game, marginal, menus)
+        return implement_report(game, marginal, tau, infeasible=infeasible)
+    if verdict != "implemented":
+        raise ValidationError(path, f"unknown verdict {verdict!r}")
+    witnesses = _section(doc, "witnesses", path)
+    rows = _require(witnesses, "decision_rule", path, "witnesses")
+    rule = DecisionRule(_fraction_rows(rows, path, "witnesses.decision_rule"))
+    if len(rule.rows) != tau.size or any(
+        len(row) != game.n_actions or sum(row) != 1 or any(q < 0 for q in row)
+        for row in rule.rows
+    ):
+        raise ValidationError(path, "decision rule needs one distribution per posterior")
+    # With tau and every rule row a distribution, the induced outcome is one
+    # too; what remains to check is its marginals and obedience.
+    outcome = outcome_from_tau(tau, rule, game.prior)
+    _check_outcome(path, "implemented outcome", outcome, game, marginal)
+    menu_rule = _rederive_menu_rule(witnesses, path, marginal, menus)
+    return implement_report(game, marginal, tau, rule=rule, menu_rule=menu_rule, outcome=outcome)
+
+
+def _rebuild_ring(doc: dict, path: str) -> Report:
+    inputs, verdict = doc["inputs"], doc["verdict"]
     ring = parse_ring(_require(inputs, "ring", path, "inputs"), path)
-    vectors = [
-        _fraction_list(vec, path, f"marginals[{i}]")
-        for i, vec in enumerate(_require(inputs, "marginals", path, "inputs"))
-    ]
-    profile = _domain(path, make_profile, ring, vectors)
-    verdict = doc.get("verdict")
+    profile = parse_profile(_require(inputs, "marginals", path, "inputs"), path, ring)
     if verdict == "inconsistent":
-        stage = (doc.get("details") or {}).get("failing_stage")
-        if not isinstance(stage, int) or not 0 <= stage < ring.n_players:
+        stage = _section(doc, "details", path).get("failing_stage")
+        if not _is_index(stage, ring.n_players):
             raise ValidationError(path, "inconsistent ring report names no valid failing stage")
-        cert = doc.get("certificate")
-        if not isinstance(cert, dict):
-            raise ValidationError(path, "inconsistent verdict carries no certificate")
         stage_game = ring_stage_game(ring, profile, stage)
-        _recheck_certificate(cert, path, stage_game, profile.marginals[stage])
-        return
+        violation = _rederive_certificate(doc, path, stage_game, profile.marginals[stage])
+        found = RingVerdict(consistent=False, failing_stage=stage, violation=violation)
+        return ring_report(ring, profile, found)
     if verdict != "consistent":
         raise ValidationError(path, f"unknown verdict {verdict!r}")
-    witnesses = doc.get("witnesses") or {}
-    stage_rows = [
-        Outcome(_fraction_rows(rows, path, f"witnesses.stage_witnesses[{i}]"))
-        for i, rows in enumerate(
-            _require(witnesses, "stage_witnesses", path, "witnesses")
-        )
-    ]
-    joint_node = _require(witnesses, "joint", path, "witnesses")
-    joint = _domain(path, construct_ring_outcome, stage_rows)
-    if rows_json(joint.probs) != joint_node.get("probs"):
-        raise ValidationError(path, "joint outcome does not re-derive from the stage witnesses")
-    if list(joint.shape) != joint_node.get("shape"):
-        raise ValidationError(path, "joint outcome shape mismatch")
+    nodes = _require(_section(doc, "witnesses", path), "stage_witnesses", path, "witnesses")
+    if not isinstance(nodes, list) or len(nodes) != ring.n_players:
+        raise ValidationError(path, "ring report needs one stage witness per player")
+    stages = tuple(
+        Outcome(_fraction_rows(node, path, f"witnesses.stage_witnesses[{i}]"))
+        for i, node in enumerate(nodes)
+    )
+    widths = [len(ring.states), *map(len, ring.actions)]
+    for i, stage in enumerate(stages):
+        if stage.n_actions != widths[i + 1] or any(len(r) != widths[i] for r in stage.probs):
+            raise ValidationError(path, f"stage witness {i} does not fit the ring")
+    joint = _domain(path, construct_ring_outcome, stages)
+    if any(q < 0 for r in joint.probs for q in r) or state_marginal_of(joint) != ring.prior:
+        raise ValidationError(path, "joint outcome is no distribution with the ring's prior")
     if not check_ring_obedience(joint, ring):
         raise ValidationError(path, "joint outcome is not obedient for every player")
     for i, marginal in enumerate(profile.marginals):
         if ring_player_marginal(joint, i) != marginal.probs:
             raise ValidationError(path, f"player {i + 1} marginal is not reproduced")
+    found = RingVerdict(consistent=True, stage_witnesses=stages)
+    return ring_report(ring, profile, found, joint)
 
 
-def _revalidate_verify(doc: dict, path: str) -> None:
-    """Re-run the seeded comparison from the embedded inputs; the report's
-    verdict and details must be exactly what it gives."""
+def _rebuild_verify(doc: dict, path: str) -> Report:
+    """Re-run the seeded comparison from the embedded inputs."""
     inputs = doc["inputs"]
     args = [_require(inputs, key, path, "inputs") for key in VERIFY_INPUTS]
-    verdict, details = _domain(path, compare_routes, *args)
-    if doc.get("details") != details:
+    report = _domain(path, verify_report, *args)
+    if doc.get("details") != report.details:
         raise ValidationError(path, "details do not re-derive from the seeded comparison")
-    if doc["verdict"] != verdict:
+    if doc["verdict"] != report.verdict:
         raise ValidationError(path, "verdict does not match the seeded comparison")
+    return report
+
+
+_MISSING = object()
+
+
+def _first_difference(found, expected, where: str) -> str:
+    """Path of the first leaf where ``found`` departs from ``expected``."""
+    if isinstance(found, dict) and isinstance(expected, dict):
+        steps = [
+            (f"{where}.{key}", found.get(key, _MISSING), expected.get(key, _MISSING))
+            for key in {**expected, **found}
+        ]
+    elif isinstance(found, list) and isinstance(expected, list) and len(found) == len(expected):
+        steps = [(f"{where}[{i}]", f, e) for i, (f, e) in enumerate(zip(found, expected))]
+    else:
+        return where
+    return next(_first_difference(f, e, here) for here, f, e in steps if f != e)
 
 
 def load_report(path: str) -> dict:
-    """Load a report and re-derive every check its witnesses claim to pass."""
+    """Load a report and refuse it unless it equals the report that its
+    inputs and its own choices rebuild, with what the choices claim checked."""
     doc = load_document(path)
     for key in ("command", "inputs", "verdict"):
         _require(doc, key, path)
     inputs = doc["inputs"]
     if not isinstance(inputs, dict):
         raise ValidationError(path, "inputs must be an object")
-    if doc.get("inputs_sha256") != inputs_digest(inputs):
+    digest = inputs_digest(inputs)
+    if doc.get("inputs_sha256") != digest:
         raise ValidationError(path, "inputs digest mismatch")
     command = doc["command"]
-    if command in ("check", "oracle"):
-        game = parse_game(inputs, path)
-        marginal = ActionMarginal(
-            _fraction_list(_require(inputs, "marginal", path, "inputs"), path, "marginal")
-        )
-        _domain(path, validate_marginal, marginal, game.n_actions)
-        _revalidate_consistency(doc, path, game, marginal)
-    elif command == "public":
-        fo = parse_first_order(_require(inputs, "first_order", path, "inputs"), path)
-        marginal = ActionMarginal(
-            _fraction_list(_require(inputs, "marginal", path, "inputs"), path, "marginal")
-        )
-        aux = auxiliary_single_agent(fo)
-        _domain(path, validate_marginal, marginal, aux.n_actions)
-        _revalidate_consistency(doc, path, aux, marginal)
+    if command in ("check", "oracle", "public"):
+        report = _rebuild_consistency(doc, path)
     elif command == "implement":
-        _revalidate_implement(doc, path)
+        report = _rebuild_implement(doc, path)
     elif command == "ring":
-        _revalidate_ring(doc, path)
+        report = _rebuild_ring(doc, path)
     elif command == "verify":
-        _revalidate_verify(doc, path)
+        report = _rebuild_verify(doc, path)
     else:
         raise ValidationError(path, f"unknown report command {command!r}")
+    # Equal documents have equal inputs, so the digest is the one just checked.
+    expected = report._document(digest)
+    if doc != expected:
+        where = _first_difference(doc, expected, "report")
+        raise ValidationError(path, f"{where} does not re-derive from the inputs and choices")
     return doc

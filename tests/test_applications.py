@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from mbce import applications
 from mbce.applications import (
+    MAX_PROFILES,
     MarginalProfile,
     RingOutcome,
     action_profiles,
@@ -105,23 +107,20 @@ class TestAuxiliaryGame:
             assert poly.contains(uniform)
             assert poly.contains((F(1), F(0)))
 
-    def test_profile_cap(self):
+    def test_profile_cap(self, monkeypatch):
+        # 13 two-action players make 2^13 = 8192 profiles, twice MAX_PROFILES:
+        # refused from the count alone, before any profile is built.
         fo = make_first_order(
             ["t1", "t2"],
             ["1/2", "1/2"],
-            [([f"a{k}" for k in range(4)], [[0, 0]] * 4) for _ in range(3)],
+            [([f"p{i}a", f"p{i}b"], MATCH_ROWS) for i in range(13)],
         )
-        with pytest.raises(ProductTooLarge):
-            auxiliary_single_agent(fo, max_profiles=10)
-        assert auxiliary_single_agent(fo, max_profiles=64).n_actions == 64
-
-    def test_profile_cap_from_environment(self, monkeypatch):
-        fo = two_matching_players(["1/2", "1/2"])
-        monkeypatch.setenv("MBCE_MAX_PROFILES", "3")
-        with pytest.raises(ProductTooLarge):
+        monkeypatch.setattr(
+            applications, "action_profiles", lambda fo: pytest.fail("profiles built")
+        )
+        assert MAX_PROFILES == 4096
+        with pytest.raises(ProductTooLarge, match="8192 action profiles"):
             auxiliary_single_agent(fo)
-        monkeypatch.setenv("MBCE_MAX_PROFILES", "4")
-        assert auxiliary_single_agent(fo).n_actions == 4
 
     def test_profiles_enumerate_last_player_fastest(self):
         fo = two_matching_players(["1/2", "1/2"])

@@ -27,6 +27,7 @@ from mbce.game import (
     check_action_marginal,
     check_obedience,
     check_state_marginal,
+    obedience_slack,
     choice_rule_from_outcome,
     make_game,
     make_marginal,
@@ -93,6 +94,32 @@ class TestObedience:
     def test_shape_mismatch_raises(self, match_half):
         with pytest.raises(DimensionMismatch):
             check_obedience(make_outcome([[1]]), match_half)
+
+    @given(
+        utility=st.lists(
+            st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        cells=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
+    )
+    def test_violations_are_the_negative_pairwise_slacks(self, utility, cells):
+        """The report lists exactly the (recommended, deviation) pairs whose
+        deviation inequality, summed state by state, is negative, in order."""
+        game = make_game(["t1", "t2", "t3"], ["a1", "a2", "a3"], utility, ["1/3"] * 3)
+        total = sum(cells)
+        outcome = make_outcome([[F(c, total) for c in cells[3 * a : 3 * a + 3]] for a in range(3)])
+        expected = [
+            (a, alt, obedience_slack(outcome, game, a, alt))
+            for a in range(3)
+            for alt in range(3)
+            if alt != a and obedience_slack(outcome, game, a, alt) < 0
+        ]
+        report = check_obedience(outcome, game)
+        assert [(v.recommended, v.deviation, v.slack) for v in report.violations] == expected
+        assert report.obedient == (not expected)
 
 
 class TestMarginals:

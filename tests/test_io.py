@@ -8,16 +8,24 @@ instead of re-deriving the checks.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from mbce.applications import make_first_order, make_profile, make_ring
 from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_ring, cmd_verify
+from mbce.consistency import (
+    ACTION_PAIR_CONDITION,
+    STATE_CONDITION,
+    STRASSEN_DIRECTION,
+    UNSUPPORTABLE_ACTION,
+)
 from mbce.errors import ParseError, ValidationError
 from mbce.game import make_game, make_marginal, matching_game
 from mbce.implementation import make_posteriors
 from mbce.io import (
+    IMPLEMENTATION_INFEASIBLE,
     Report,
     canonical_json,
     inputs_digest,
@@ -29,6 +37,7 @@ from mbce.io import (
     save_report,
     vector_json,
 )
+from mbce.rationals import fraction_to_json
 
 F = Fraction
 
@@ -486,6 +495,214 @@ class TestReportReload:
         save_report(report, str(path))
         assert path.read_text(encoding="utf-8") == report_string(report)
         load_report(str(path))
+
+
+MATCH_RING_STAGES = [
+    (["a1", "a2"], [[1, 0], [0, 1]]),
+    (["b1", "b2"], [[1, 0], [0, 1]]),
+]
+
+# Posteriors at t1, at the tie and at t2 of the matching game with prior 1/2:
+# menus {0}, {0, 1} and {1} with masses 1/4, 1/2 and 1/4.
+TIE_TAU = (
+    [[1, 0], ["1/2", "1/2"], [0, 1]],
+    ["1/4", "1/2", "1/4"],
+)
+
+
+def two_matching_players(prior):
+    return make_first_order(
+        ["t1", "t2"],
+        prior,
+        [(["x1", "x2"], [[1, 0], [0, 1]]), (["y1", "y2"], [[1, 0], [0, 1]])],
+    )
+
+
+class TestMenuRuleClaims:
+    def implemented(self, match_half):
+        report, code = cmd_implement(
+            match_half, make_marginal(["1/2", "1/2"]), make_posteriors(*TIE_TAU)
+        )
+        assert code == 0
+        assert [e["menu"] for e in report.witnesses["menu_rule"]] == [[0], [1], [0, 1]]
+        return report
+
+    def test_cli_menu_rule_reloads(self, tmp_path, match_half):
+        doc = reload_report(tmp_path, self.implemented(match_half))
+        assert doc["witnesses"]["menu_rule"][2]["probs"] == ["1/2", "1/2"]
+
+    def test_negative_entry_rejected(self, tmp_path, match_half):
+        def mutate(doc):
+            doc["witnesses"]["menu_rule"][2]["probs"] = [2, -1]
+
+        with pytest.raises(ValidationError, match="menu rule row"):
+            reload_report(tmp_path, self.implemented(match_half), mutate)
+
+    def test_empty_menu_rule_rejected(self, tmp_path, match_half):
+        def mutate(doc):
+            doc["witnesses"]["menu_rule"] = []
+
+        with pytest.raises(ValidationError, match="leaves out a menu"):
+            reload_report(tmp_path, self.implemented(match_half), mutate)
+
+    def test_repeated_menu_rejected(self, tmp_path, match_half):
+        def mutate(doc):
+            doc["witnesses"]["menu_rule"][1] = dict(doc["witnesses"]["menu_rule"][0])
+
+        with pytest.raises(ValidationError, match="menu twice"):
+            reload_report(tmp_path, self.implemented(match_half), mutate)
+
+    def test_rows_must_split_into_the_marginal(self, tmp_path, match_half):
+        # a valid tie-break, but the menu masses then give 3/4 to a1
+        def mutate(doc):
+            doc["witnesses"]["menu_rule"][2]["probs"] = [1, 0]
+
+        with pytest.raises(ValidationError, match="split the menus"):
+            reload_report(tmp_path, self.implemented(match_half), mutate)
+
+
+def test_ring_joint_must_keep_the_prior(tmp_path):
+    """Moving stage-0 mass between states keeps obedience and both player
+    marginals, but the chained joint no longer averages to the prior."""
+    ring = make_ring(["t1", "t2"], ["3/4", "1/4"], MATCH_RING_STAGES)
+    profile = make_profile(ring, [["1/2", "1/2"], ["1/2", "1/2"]])
+    report, code = cmd_ring(ring, profile)
+    assert code == 0
+    assert report.witnesses["stage_witnesses"][0] == [["1/2", 0], ["1/4", "1/4"]]
+
+    def mutate(doc):
+        doc["witnesses"]["stage_witnesses"][0] = [["1/2", 0], [0, "1/2"]]
+
+    with pytest.raises(ValidationError, match="prior"):
+        reload_report(tmp_path, report, mutate)
+
+
+# -- every leaf of every report kind -------------------------------------
+
+_RATIONAL = re.compile(r"^-?\d+/\d+$")
+
+# Keys whose integers index states, actions, stages or players: a JSON true
+# must not pass for 1 there.
+INDEX_KEYS = {"state", "action", "pair", "subset", "menu", "failing_stage"}
+
+# Labels with a closed vocabulary are also relabelled to every other value.
+VOCABULARY = {
+    "command": ("check", "oracle", "implement", "ring", "public", "verify"),
+    "verdict": ("consistent", "inconsistent", "implemented", "infeasible", "ok", "disagreement"),
+    "kind": (
+        UNSUPPORTABLE_ACTION,
+        STATE_CONDITION,
+        ACTION_PAIR_CONDITION,
+        STRASSEN_DIRECTION,
+        IMPLEMENTATION_INFEASIBLE,
+    ),
+}
+
+# check and oracle write identical reports by design.
+SAME_REPORT = {frozenset({"check", "oracle"})}
+
+
+def cli_reports(blind_spot):
+    """One report the CLI writes for each command and verdict kind."""
+    match34, match_half = matching_game(F(3, 4)), matching_game(F(1, 2))
+    unsupportable = make_game(["t1", "t2"], ["a1", "a2"], [[0, 0], [1, 1]], ["1/2", "1/2"])
+    pair_failure = make_game(
+        ["t1", "t2", "t3"],
+        ["a1", "a2"],
+        [[-3, "7/3", "-5/4"], [-2, -1, "-7/3"]],
+        ["6/13", "5/13", "2/13"],
+    )
+    ring = make_ring(["t1", "t2"], ["3/4", "1/4"], MATCH_RING_STAGES)
+    half, skew = ["1/2", "1/2"], ["1/4", "3/4"]
+    two_players = two_matching_players(half)
+    runs = {
+        "check consistent": (cmd_check, match34, make_marginal(half)),
+        "check unsupportable": (cmd_check, unsupportable, make_marginal(half)),
+        "check state": (cmd_check, match34, make_marginal(skew)),
+        "check pair": (cmd_check, pair_failure, make_marginal(["3/11", "8/11"])),
+        "check direction": (cmd_check, *blind_spot),
+        "oracle inconsistent": (cmd_check, match34, make_marginal(skew), "oracle"),
+        "implement implemented": (
+            cmd_implement, match_half, make_marginal(half), make_posteriors(*TIE_TAU)
+        ),
+        "implement infeasible": (
+            cmd_implement,
+            match_half,
+            make_marginal(skew),
+            make_posteriors([[1, 0], [0, 1]], half),
+        ),
+        "ring consistent": (cmd_ring, ring, make_profile(ring, [half, half])),
+        "ring inconsistent": (cmd_ring, ring, make_profile(ring, [["3/4", "1/4"], skew])),
+        "public consistent": (cmd_public, two_players, make_marginal([0, "1/2", "1/2", 0])),
+        "public inconsistent": (
+            cmd_public, two_matching_players(["3/4", "1/4"]), make_marginal([0, "1/2", "1/2", 0])
+        ),
+        "verify": (cmd_verify, 3, 7, 4, 4),
+    }
+    return {name: run(*args)[0] for name, (run, *args) in runs.items()}
+
+
+def leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def edits(path, value):
+    """Single-leaf perturbations, each with the errors that count as refusal:
+    int +1, rational +1, label +"x", null -> 0 and an index int -> bool must
+    give a ValidationError; a vocabulary label relabelled to another word may
+    also find a field of the other kind missing (ParseError)."""
+    key = next((p for p in reversed(path) if isinstance(p, str)), None)
+    if value is None:
+        yield 0, ValidationError
+    elif isinstance(value, int):
+        yield value + 1, ValidationError
+        if key in INDEX_KEYS:
+            yield bool(value), ValidationError
+    elif _RATIONAL.match(value):
+        yield fraction_to_json(F(value) + 1), ValidationError
+    else:
+        yield value + "x", ValidationError
+        if len(path) == 1 or key == "kind":
+            for word in VOCABULARY.get(key, ()):
+                if word != value and frozenset({word, value}) not in SAME_REPORT:
+                    yield word, (ValidationError, ParseError)
+
+
+def with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+def test_every_single_leaf_edit_is_refused(tmp_path, direction_blind_spot):
+    """No report the CLI writes survives any one-leaf edit: the edit either
+    breaks a claim or leaves a report its inputs and choices do not rebuild."""
+    loaded = []
+    tried = 0
+    for name, report in cli_reports(direction_blind_spot).items():
+        doc = json.loads(report_string(report))
+        assert load_report(write(tmp_path, doc, "report.json")) == doc, name
+        for path, value in list(leaves(doc)):
+            for edit, refusal in edits(path, value):
+                tried += 1
+                target = write(tmp_path, with_leaf(doc, path, edit), "report.json")
+                try:
+                    load_report(target)
+                except refusal:
+                    continue
+                loaded.append((name, path, edit))
+    assert tried > 600
+    assert loaded == []
 
 
 def test_vector_json_mixes_ints_and_strings():
