@@ -26,7 +26,13 @@ from .consistency import check_bce_consistent
 from .errors import ImplementationInfeasible, InternalDisagreement, MbceError, ValidationError
 from .game import ActionMarginal, make_marginal, validate_marginal
 from .generators import XorShift64, check_generator_inputs, random_game, random_marginal
-from .implementation import implementing_rule, menu_measure, menu_rule_from_core, outcome_from_tau
+from .implementation import (
+    implementing_rule,
+    measure_of,
+    menu_rule_from_core,
+    outcome_from_tau,
+    posterior_menus,
+)
 from .io import (
     Report,
     canonical_json,
@@ -53,11 +59,14 @@ def cmd_check(game, marginal, command="check", first_order=None) -> tuple[Report
 
 
 def cmd_implement(game, marginal, tau) -> tuple[Report, int]:
+    """Steer tau into the marginal; the posteriors' menus are computed once
+    and feed both the Gale flow and the menu rule."""
+    menus = posterior_menus(tau, game)
     try:
-        rule = implementing_rule(game, marginal, tau)
+        rule = implementing_rule(game, marginal, tau, menus)
     except ImplementationInfeasible as err:
         return implement_report(game, marginal, tau, infeasible=err), 2
-    menu_rule = menu_rule_from_core(menu_measure(tau, game), marginal)
+    menu_rule = menu_rule_from_core(measure_of(tau, menus), marginal)
     outcome = outcome_from_tau(tau, rule, game.prior)
     return implement_report(game, marginal, tau, rule=rule, menu_rule=menu_rule, outcome=outcome), 0
 

@@ -6,12 +6,21 @@ distribution over actions and states; the elementary questions about an
 outcome are whether it is obedient (no action recommendation the agent would
 rather deviate from), and whether its marginals match a given prior and
 action distribution. Everything downstream composes these checks.
+
+Values are exact ``Fraction``s at every boundary. Inside, best responses and
+obedience work on integer rows, as the simplex does: each game keeps its
+utility table scaled by the lcm of its denominators, a belief or outcome row
+is scaled the same way, and a ``Fraction`` is built only for an answer that
+carries a value (an obedience slack).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -20,7 +29,7 @@ from .errors import (
     StateMarginalMismatch,
     ZeroPriorState,
 )
-from .rationals import exact_fraction, fraction_table, fraction_vector
+from .rationals import exact_fraction, fraction_table, fraction_vector, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,6 +55,17 @@ class BaseGame:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def integer_utility(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, table)`` with ``table[a][t] == scale * utility[a][t]``,
+        ``scale`` the lcm of the utility denominators. Derived once per game
+        and kept outside the fields, so equality and hashing ignore it."""
+        scale = lcm(*(u.denominator for row in self.utility for u in row))
+        table = tuple(
+            tuple(u.numerator * (scale // u.denominator) for u in row) for row in self.utility
+        )
+        return scale, table
 
 
 @dataclass(frozen=True)
@@ -211,21 +231,23 @@ def check_obedience(outcome: Outcome, game: BaseGame) -> ObedienceReport:
     """Check every deviation inequality exactly.
 
     Returns a report listing all ordered pairs (recommended, deviation) whose
-    slack is strictly negative. Each recommendation's row is priced once per
-    action, so a slack is the difference of two of those payoffs.
+    slack is strictly negative. Each recommendation's row, scaled to
+    integers, is priced once per action on the game's integer utility table,
+    so a slack is the difference of two of those payoffs over the two scales.
     """
     if outcome.n_actions != game.n_actions or any(
         len(row) != game.n_states for row in outcome.probs
     ):
         raise DimensionMismatch("outcome table does not match the game's shape")
+    utility_scale, table = game.integer_utility
     violations = []
     for a, row in enumerate(outcome.probs):
-        payoffs = [
-            sum((q * u for q, u in zip(row, utility) if q), ZERO) for utility in game.utility
-        ]
+        row_scale, weights = integer_row(row)
+        payoffs = [sum(map(mul, weights, utility)) for utility in table]
         for alt, payoff in enumerate(payoffs):
             if payoff > payoffs[a]:
-                violations.append(ObedienceViolation(a, alt, payoffs[a] - payoff))
+                slack = Fraction(payoffs[a] - payoff, row_scale * utility_scale)
+                violations.append(ObedienceViolation(a, alt, slack))
     return ObedienceReport(obedient=not violations, violations=tuple(violations))
 
 
@@ -242,6 +264,7 @@ def check_action_marginal(outcome: Outcome, marginal: ActionMarginal) -> bool:
 
 
 def expected_utility(game: BaseGame, belief, action: int) -> Fraction:
+    """Exact expected payoff of an action at a belief, in ``Fraction``s."""
     return sum(
         (belief[t] * game.utility[action][t] for t in range(game.n_states)), ZERO
     )
@@ -250,9 +273,12 @@ def expected_utility(game: BaseGame, belief, action: int) -> Fraction:
 def best_response_set(game: BaseGame, belief) -> frozenset[int]:
     """Actions attaining the exact maximum expected utility at the belief.
 
-    Ties are kept, never broken; the result is nonempty.
+    Ties are kept, never broken; the result is nonempty. The belief is scaled
+    to integers and priced on the game's integer utility table; both scales
+    are positive, so the argmax is the one ``expected_utility`` gives.
     """
-    values = [expected_utility(game, belief, a) for a in range(game.n_actions)]
+    _, weights = integer_row(belief)
+    values = [sum(map(mul, weights, utility)) for utility in game.integer_utility[1]]
     top = max(values)
     return frozenset(a for a, v in enumerate(values) if v == top)
 

@@ -48,6 +48,7 @@ ONE = Fraction(1)
 # Exhaustive subset checks walk 2^|A| sets; beyond this they are refused.
 MAX_ACTIONS_FOR_SUBSET_CHECK = 12
 
+Menus = tuple[frozenset[int], ...]  # the menu of each posterior, in support order
 MenuMeasure = dict[frozenset[int], Fraction]
 MenuRule = dict[frozenset[int], tuple[Fraction, ...]]
 
@@ -114,13 +115,22 @@ def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
     return True
 
 
+def posterior_menus(tau: PosteriorDistribution, game: BaseGame) -> Menus:
+    """The exact best-response set ("menu") at each support belief of tau."""
+    return tuple(best_response_set(game, mu) for mu in tau.support)
+
+
+def measure_of(tau: PosteriorDistribution, menus: Menus) -> MenuMeasure:
+    """Aggregate tau's weight by menu, given the menu of each posterior."""
+    measure: MenuMeasure = {}
+    for menu, w in zip(menus, tau.weights):
+        measure[menu] = measure.get(menu, ZERO) + w
+    return measure
+
+
 def menu_measure(tau: PosteriorDistribution, game: BaseGame) -> MenuMeasure:
     """Aggregate tau's weight by exact best-response set ("menu")."""
-    menus: MenuMeasure = {}
-    for mu, w in zip(tau.support, tau.weights):
-        menu = best_response_set(game, mu)
-        menus[menu] = menus.get(menu, ZERO) + w
-    return menus
+    return measure_of(tau, posterior_menus(tau, game))
 
 
 def _subsets_in_order(n_actions: int, caller: str):
@@ -167,7 +177,7 @@ def demand_check(
     """
     if len(marginal.probs) != game.n_actions:
         raise DimensionMismatch("marginal length does not match the game")
-    menus = [best_response_set(game, mu) for mu in tau.support]
+    menus = posterior_menus(tau, game)
     for subset in _subsets_in_order(game.n_actions, "demand_check"):
         supply = sum(
             (w for menu, w in zip(menus, tau.weights) if menu & subset),
@@ -185,6 +195,13 @@ def build_gale_network(
     """Posterior beliefs supply their tau weight; actions demand their
     marginal mass; an edge exists exactly where the action is optimal at the
     belief. Unbounded capacities are written as 1, the total mass in play."""
+    return gale_network(tau, marginal, posterior_menus(tau, game))
+
+
+def gale_network(
+    tau: PosteriorDistribution, marginal: ActionMarginal, menus: Menus
+) -> FlowNetwork:
+    """``build_gale_network`` given the menu of each posterior."""
     supplies = tuple(
         (("posterior", i), w) for i, w in enumerate(tau.weights)
     )
@@ -192,8 +209,8 @@ def build_gale_network(
         (("action", a), q) for a, q in enumerate(marginal.probs)
     )
     edges = []
-    for i, mu in enumerate(tau.support):
-        for a in sorted(best_response_set(game, mu)):
+    for i, menu in enumerate(menus):
+        for a in sorted(menu):
             edges.append((("posterior", i), ("action", a), ONE))
     return FlowNetwork(supplies=supplies, demands=demands, edges=tuple(edges))
 
@@ -322,22 +339,24 @@ def tau_from_outcome(
 
 
 def implementing_rule(
-    game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution
+    game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution, menus: Menus
 ) -> DecisionRule:
     """Decision rule that steers tau into the target marginal.
 
-    The Gale max-flow decides and its flow ratios are the rule; the rule
-    routes mass only to optimal actions, so the induced outcome is obedient.
-    Only on a shortfall does the subset scan run, and by the min-cut argument
-    it always finds an overfull action subset to report.
+    ``menus`` is ``posterior_menus(tau, game)``, computed once by the caller
+    so that the menu rule can reuse it. The Gale max-flow decides and its
+    flow ratios are the rule; the rule routes mass only to optimal actions,
+    so the induced outcome is obedient. Only on a shortfall does the subset
+    scan run, and by the min-cut argument it always finds an overfull action
+    subset to report.
     """
     if len(marginal.probs) != game.n_actions:
         raise DimensionMismatch("marginal length does not match the game")
     if not is_bayes_plausible(tau, game.prior):
         raise NotBayesPlausible("posterior distribution does not average to the prior")
-    feasible, flow = max_flow_feasible(build_gale_network(tau, marginal, game))
+    feasible, flow = max_flow_feasible(gale_network(tau, marginal, menus))
     if not feasible:
-        core = core_check(marginal, menu_measure(tau, game))
+        core = core_check(marginal, measure_of(tau, menus))
         if core.ok:
             raise InternalDisagreement(
                 "the Gale flow fell short but no action subset is overfull"
@@ -350,4 +369,5 @@ def implement_marginal(
     game: BaseGame, marginal: ActionMarginal, tau: PosteriorDistribution
 ) -> Outcome:
     """Steer tau into the target marginal and return the full outcome."""
-    return outcome_from_tau(tau, implementing_rule(game, marginal, tau), game.prior)
+    rule = implementing_rule(game, marginal, tau, posterior_menus(tau, game))
+    return outcome_from_tau(tau, rule, game.prior)

@@ -7,10 +7,11 @@ writes a report from what the solvers found, and load_report rebuilds the
 report with the same builder from its inputs plus the choices it made (the
 witness outcome, the decision and menu rules, the stage witnesses, the
 certificate's named condition), checking independently what those choices
-claim.  It refuses a document that does not equal that report, so a report
-that loads cleanly is evidence, not just prose.  Identical inputs produce
-byte-identical report files: keys are sorted, and the timing field is pinned
-to null (wall-clock timings go to stderr, never into the document).
+claim.  It refuses a document that does not equal that report, or that holds
+a JSON boolean (none is ever written, and true == 1 in a comparison), so a
+report that loads cleanly is evidence, not just prose.  Identical inputs
+produce byte-identical report files: keys are sorted, and the timing field is
+pinned to null (wall-clock timings go to stderr, never into the document).
 """
 
 from __future__ import annotations
@@ -697,9 +698,26 @@ def _first_difference(found, expected, where: str) -> str:
     return next(_first_difference(f, e, here) for here, f, e in steps if f != e)
 
 
+def _holds_boolean(doc) -> bool:
+    """Whether a JSON true or false sits anywhere in ``doc``. No builder
+    writes one, and dict equality lets true pass for 1 and false for 0."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is dict:
+            stack.extend(node.values())
+        elif kind is list:
+            stack.extend(node)
+        elif kind is bool:
+            return True
+    return False
+
+
 def load_report(path: str) -> dict:
     """Load a report and refuse it unless it equals the report that its
-    inputs and its own choices rebuild, with what the choices claim checked."""
+    inputs and its own choices rebuild, with what the choices claim checked,
+    and holds no JSON boolean."""
     doc = load_document(path)
     for key in ("command", "inputs", "verdict"):
         _require(doc, key, path)
@@ -725,4 +743,6 @@ def load_report(path: str) -> dict:
     if doc != expected:
         where = _first_difference(doc, expected, "report")
         raise ValidationError(path, f"{where} does not re-derive from the inputs and choices")
+    if _holds_boolean(doc):
+        raise ValidationError(path, "report holds a JSON boolean, which no builder writes")
     return doc

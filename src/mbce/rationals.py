@@ -2,18 +2,23 @@
 
 All probability and utility values in this package are
 ``fractions.Fraction``: lowest terms, positive denominator, arbitrary
-precision. (The simplex in ``linprog`` scales each row to integers and works
-on those, with no loss of exactness.) Floats are refused at every boundary
-because verdicts hinge on exact boundary equalities that tolerances would
-misclassify.
+precision. Inside, the hot arithmetic runs on integers with no loss of
+exactness: the simplex in ``linprog`` scales each row to integers, and the
+game layer (best responses, obedience) prices integer rows against an
+integer utility table; each builds ``Fraction``s only at the answer.
+Floats are refused at every boundary because verdicts hinge on exact
+boundary equalities that tolerances would misclassify.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# An optional minus sign, digits, and an optional "/q" with q > 0 written
+# without leading zeros; the groups are the numerator and the denominator.
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def exact_fraction(value: int | str | Fraction) -> Fraction:
@@ -30,10 +35,13 @@ def exact_fraction(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if match is None:
             raise ValueError(f"not an integer or p/q rational: {value!r}")
-        return Fraction(text)
+        numerator, denominator = match.groups()
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     raise TypeError(f"refusing to build an exact rational from {type(value).__name__}")
 
 
@@ -50,3 +58,11 @@ def fraction_vector(values) -> tuple[Fraction, ...]:
 
 def fraction_table(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(fraction_vector(row) for row in rows)
+
+
+def integer_row(values) -> tuple[int, tuple[int, ...]]:
+    """``(scale, ints)`` with ``ints[i] == scale * values[i]`` and ``scale``
+    the lcm of the denominators: a rational row as integers over one
+    positive denominator."""
+    scale = lcm(*(q.denominator for q in values))
+    return scale, tuple(q.numerator * (scale // q.denominator) for q in values)

@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import mbce.consistency
-from mbce.cli import build_parser, main
+import mbce.implementation
+from mbce.cli import build_parser, cmd_implement, main
+from mbce.game import best_response_set, make_marginal, matching_game
+from mbce.implementation import make_posteriors
 from mbce.io import load_report
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -210,6 +213,25 @@ class TestImplement:
         code, _, err = run(capsys, ["implement", write(tmp_path, doc)])
         assert code == 3
         assert "tau" in err
+
+    @pytest.mark.parametrize(
+        "marginal, verdict", [(["1/2", "1/2"], "implemented"), ([1, 0], "infeasible")]
+    )
+    def test_each_posterior_menu_is_computed_once(self, monkeypatch, marginal, verdict):
+        """The Gale flow and the menu rule (or, on a shortfall, the core scan)
+        share one best-response set per posterior."""
+        game = matching_game("1/2")
+        tau = make_posteriors([[1, 0], ["1/2", "1/2"], [0, 1]], ["1/4", "1/2", "1/4"])
+        calls = []
+
+        def counted(game, belief):
+            calls.append(belief)
+            return best_response_set(game, belief)
+
+        monkeypatch.setattr(mbce.implementation, "best_response_set", counted)
+        report, _ = cmd_implement(game, make_marginal(marginal), tau)
+        assert report.verdict == verdict
+        assert len(calls) == tau.size
 
 
 class TestRing:

@@ -29,6 +29,7 @@ from mbce.game import (
     check_state_marginal,
     obedience_slack,
     choice_rule_from_outcome,
+    expected_utility,
     make_game,
     make_marginal,
     make_outcome,
@@ -44,6 +45,55 @@ DIAG = make_outcome([["1/2", 0], [0, "1/2"]])
 
 def product_outcome(marginal, prior):
     return make_outcome([[m * p for p in prior] for m in marginal])
+
+
+# Distinct primes near 10^6: rationals over them have pairwise coprime
+# denominators, so any integer scale but the lcm of them all shows.
+LARGE_PRIMES = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931, 999_917, 999_907)
+
+
+def coprime_rationals(bound=5):
+    """Rationals in [-bound, bound] over 1 or one of the large primes."""
+    return st.sampled_from((1, *LARGE_PRIMES)).flatmap(
+        lambda q: st.integers(-bound * q, bound * q).map(lambda p: F(p, q))
+    )
+
+
+def square_tables(values):
+    return st.lists(st.lists(values, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+@st.composite
+def games_with_ties(draw):
+    """A game with negative and large-denominator utilities, some rows
+    duplicated so that ties are forced, and a belief with zero entries."""
+    n_states = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(coprime_rationals(), min_size=n_states, max_size=n_states),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = draw(st.permutations(rows))
+    # Entries over different primes, zeros among them, and the rest of the
+    # mass on one more entry, so that no two denominators need agree.
+    shares = draw(
+        st.lists(
+            st.one_of(st.just(F(0)), coprime_rationals(bound=1).map(lambda q: abs(q) / n_states)),
+            min_size=n_states - 1,
+            max_size=n_states - 1,
+        )
+    )
+    belief = tuple(draw(st.permutations([*shares, 1 - sum(shares)])))
+    game = make_game(
+        [f"t{t}" for t in range(n_states)],
+        [f"a{a}" for a in range(len(rows))],
+        rows,
+        [F(1, n_states)] * n_states,
+    )
+    return game, belief
 
 
 class TestValidateGame:
@@ -96,12 +146,9 @@ class TestObedience:
             check_obedience(make_outcome([[1]]), match_half)
 
     @given(
-        utility=st.lists(
-            st.lists(
-                st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3
-            ),
-            min_size=3,
-            max_size=3,
+        utility=st.one_of(
+            square_tables(st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            square_tables(coprime_rationals()),
         ),
         cells=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
     )
@@ -152,6 +199,21 @@ class TestBestResponse:
     def test_interior_belief(self, match_half):
         # expected utilities 2/3 vs 1/3
         assert best_response_set(match_half, (F(2, 3), F(1, 3))) == {0}
+
+    @given(games_with_ties())
+    def test_matches_the_exact_expected_utility_argmax(self, game_and_belief):
+        """The integer pricing keeps exactly the actions whose Fraction
+        expected utility is maximal, ties included."""
+        game, belief = game_and_belief
+        values = [expected_utility(game, belief, a) for a in range(game.n_actions)]
+        top = max(values)
+        assert best_response_set(game, belief) == {a for a, v in enumerate(values) if v == top}
+
+    def test_integer_table_is_no_field(self):
+        game = make_game(["t1", "t2"], ["a1", "a2"], [["1/2", "-1/3"], [0, "5/6"]], ["1/2", "1/2"])
+        twin = make_game(["t1", "t2"], ["a1", "a2"], [["1/2", "-1/3"], [0, "5/6"]], ["1/2", "1/2"])
+        assert game.integer_utility == (6, ((3, -2), (0, 5)))
+        assert game == twin and hash(game) == hash(twin)
 
     @given(
         shift=st.fractions(min_value=-5, max_value=5, max_denominator=6),

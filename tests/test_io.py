@@ -656,8 +656,9 @@ def leaves(node, path=()):
 def edits(path, value):
     """Single-leaf perturbations, each with the errors that count as refusal:
     int +1, rational +1, label +"x", null -> 0 and an index int -> bool must
-    give a ValidationError; a vocabulary label relabelled to another word may
-    also find a field of the other kind missing (ParseError)."""
+    give a ValidationError. Any other 0 or 1 turned into a bool may instead
+    meet a rational parser (ParseError), and a vocabulary label relabelled to
+    another word may find a field of the other kind missing (ParseError)."""
     key = next((p for p in reversed(path) if isinstance(p, str)), None)
     if value is None:
         yield 0, ValidationError
@@ -665,6 +666,8 @@ def edits(path, value):
         yield value + 1, ValidationError
         if key in INDEX_KEYS:
             yield bool(value), ValidationError
+        elif value in (0, 1):
+            yield bool(value), (ValidationError, ParseError)
     elif _RATIONAL.match(value):
         yield fraction_to_json(F(value) + 1), ValidationError
     else:
