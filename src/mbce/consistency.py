@@ -198,24 +198,29 @@ def oracle_feasibility(
     def var(a: int, t: int) -> int:
         return a * n_s + t
 
+    # The obedience rows are the integer utility table's differences: each
+    # is the rational row times the table's scale, and a >= 0 row takes only
+    # a slack, so the scale changes no pivot. The prior and marginal rows
+    # take artificials and stay the rational rows.
+    _, table = game.integer_utility
     constraints: list[Constraint] = []
     for a in range(n_a):
         for alt in range(n_a):
             if alt == a:
                 continue
-            coeffs = [ZERO] * n_vars
+            coeffs = [0] * n_vars
             for t in range(n_s):
-                coeffs[var(a, t)] = game.utility[a][t] - game.utility[alt][t]
-            constraints.append(Constraint(tuple(coeffs), GREATER_EQUAL, ZERO))
+                coeffs[var(a, t)] = table[a][t] - table[alt][t]
+            constraints.append(Constraint(tuple(coeffs), GREATER_EQUAL, 0))
     for t in range(n_s):
-        coeffs = [ZERO] * n_vars
+        coeffs = [0] * n_vars
         for a in range(n_a):
-            coeffs[var(a, t)] = Fraction(1)
+            coeffs[var(a, t)] = 1
         constraints.append(Constraint(tuple(coeffs), EQUAL, game.prior[t]))
     for a in range(n_a):
-        coeffs = [ZERO] * n_vars
+        coeffs = [0] * n_vars
         for t in range(n_s):
-            coeffs[var(a, t)] = Fraction(1)
+            coeffs[var(a, t)] = 1
         constraints.append(Constraint(tuple(coeffs), EQUAL, marginal.probs[a]))
 
     feasible, x = lp_feasible(n_vars, constraints, nonneg=True)

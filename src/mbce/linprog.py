@@ -1,43 +1,66 @@
 """Exact linear programming over rationals.
 
 Two-phase primal simplex with exact answers: constraints, objectives,
-witnesses and optimal values are ``fractions.Fraction``s, while the tableau
-itself holds only Python ints. Pivoting follows Bland's rule (smallest
-eligible index enters; ties in the ratio test resolved by smallest basic
-variable index), which precludes cycling: belief polytopes are routinely
-degenerate at tie beliefs, so anti-cycling is not optional here. Nothing is
-tolerance-based.
+witnesses and optimal values are exact rationals (``Fraction``s, or ints
+where a row is integral), while the tableau itself holds only Python ints.
+Pivoting follows Bland's rule (smallest eligible index enters; ties in the
+ratio test resolved by smallest basic variable index), which precludes
+cycling: belief polytopes are routinely degenerate at tie beliefs, so
+anti-cycling is not optional here. Nothing is tolerance-based.
 
-The tableau is fraction-free (Edmonds 1967; Bareiss 1968), with one
+The tableau is condensed (the dictionary, or Tucker, form): a row holds its
+entries in the nonbasic variables only, the structural and surplus ones,
+then its right-hand side, then its entry in its own basic variable. The
+identity block of the basic slack and artificial variables is never stored.
+A pivot swaps the entering and the leaving variable in one slot. Artificial
+variables that leave the basis keep a slot through phase one, because
+Bland's rule may choose one to enter again. Phase two may not let them
+enter, so ``lp_solve`` drops their slots before it, once phase one has
+driven every artificial out of the basis or dropped its redundant row.
+
+The rows are fraction-free (Edmonds 1967; Bareiss 1968), with one
 denominator per row. Each constraint row starts scaled by the lcm of its
 denominators, so it is integral and its slack or artificial entry is that
 lcm. A row stands for itself divided by its basic entry, which is kept
-positive. A pivot eliminates its column from every other row with a nonzero
-there, as ``row * (p/h) - (f/h) * pivot_row`` with ``p`` and ``f`` the two
-entries in that column and ``h = gcd(p, f)``; the subtraction runs over the
-pivot row's nonzeros only. The result is divided by the gcd of its entries,
-which keeps the integers as small as the rational row allows. The
-reduced costs and the objective value form one more such row, priced out of
-the starting basis once per phase and then carried through each pivot.
+positive. A pivot eliminates the entering variable from every other row
+with a nonzero in its slot, as ``row * (p/h) - (f/h) * pivot_row`` with ``p``
+the pivot row's basic entry, ``f`` the row's entry in that slot and
+``h = gcd(p, f)``; the subtraction runs over the pivot row's nonzeros only.
+The result, basic entry included, is divided by the gcd of its entries,
+which keeps the integers as small as the rational row allows. The reduced
+costs and the objective value form one more such row, priced out of the
+starting basis once per phase and then carried through each pivot.
 
-Bland's choices are unchanged from a rational tableau: every represented
-value is a row over its positive basic entry, equal exactly to the rational
-value, and it is a function of the basis alone. Signs, and so the entering
-column, read off the integers directly; in the ratio test a row's
-right-hand side and its entry in the entering column share the row's
-denominator, so comparing cross products ``b[r] * A[s][e]`` against
-``b[s] * A[r][e]`` orders the ratios exactly. The same bases follow pivot for
-pivot, and ``Fraction``s are built only for the returned solution and value.
+Bland's choices are those of a rational tableau: every represented value is
+a row over its positive basic entry, equal exactly to the rational value,
+and it is a function of the basis alone. Signs, and so the entering
+variable, read off the integers directly; in the ratio test a row's
+right-hand side and its entry in the entering slot share the row's
+denominator, so comparing cross products orders the ratios exactly. The
+same bases follow pivot for pivot, and ``Fraction``s are built only for the
+returned solution and value.
+
+How a caller writes a row can still matter. A row whose basic variable is a
+slack (``<=`` with a nonnegative right-hand side, or ``>=`` with a
+nonpositive one) may be passed as any positive multiple of itself: that only
+rescales its slack, which no objective prices, so the pivots and the answer
+are unchanged. A row that takes an artificial (``==``, ``<=`` with a
+negative right-hand side, or ``>=`` with a positive one) must be passed as
+the rational row the caller means, with no extra factor: the phase-one
+objective sums the artificial variables, and each is in units of its row,
+so scaling such a row reweighs its artificial and can change the pivots.
+``scaled_to_integers`` applies this rule to one row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InternalDisagreement
-from .rationals import exact_fraction, fraction_vector
+from .rationals import exact_fraction, fraction_vector, integer_row
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -53,9 +76,14 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """``coeffs . x`` ``sense`` ``rhs``. Coefficients and right-hand side are
+    exact rationals: ``Fraction``s, or plain ints, which an integral row can
+    use as they are (``make_constraint`` also parses ``"p/q"`` strings).
+    Scaling a row changes its LP only where the module docstring says."""
+
+    coeffs: tuple[Fraction | int, ...]
     sense: str
-    rhs: Fraction
+    rhs: Fraction | int
 
 
 @dataclass(frozen=True)
@@ -71,43 +99,60 @@ def make_constraint(coeffs, sense: str, rhs) -> Constraint:
     return Constraint(fraction_vector(coeffs), sense, exact_fraction(rhs))
 
 
-class _Tableau:
-    """Equality-form tableau with an identity starting basis, on integers.
+def scaled_to_integers(con: Constraint) -> Constraint:
+    """``con`` times the lcm of its denominators, in ints, where that
+    changes no pivot: when its basic variable is a slack. A row that takes
+    an artificial is returned as it is."""
+    if con.sense == LESS_EQUAL:
+        takes_a_slack = con.rhs >= 0
+    else:
+        takes_a_slack = con.sense == GREATER_EQUAL and con.rhs <= 0
+    if not takes_a_slack:
+        return con
+    _, ints = integer_row((*con.coeffs, con.rhs))
+    return Constraint(ints[:-1], con.sense, ints[-1])
 
-    Columns: structural first, then slack/surplus, artificials last. Rows are
-    sign-normalized so the right-hand side is nonnegative. Each row is a list
-    of Python ints: the column coefficients, a zero in the objective column
-    ``z`` (see ``minimize``) and the right-hand side last. Row ``r`` stands
-    for itself divided by its basic entry ``A[r][basis[r]]``, which is kept
-    positive.
+
+class _Tableau:
+    """Condensed (dictionary) tableau on integers, from an identity starting
+    basis.
+
+    Variables: structural first, then slack/surplus, artificials last. Rows
+    are sign-normalized so the right-hand side is nonnegative. ``nonbasic``
+    lists the variable held in each slot. Each row is a list of Python ints:
+    its entries in the slots, then its right-hand side, then its basic entry
+    (its entry in the variable ``basis[r]``), which is kept positive. Row
+    ``r`` stands for itself divided by that basic entry; its entries in the
+    other basic variables are zero and are not stored.
     """
 
-    def __init__(self, n_vars: int, constraints: list[Constraint], nonneg: bool):
+    def __init__(self, n_vars: int, constraints: Sequence[Constraint], nonneg: bool):
         for con in constraints:
             if len(con.coeffs) != n_vars:
                 raise ValueError(
                     f"constraint has {len(con.coeffs)} coefficients for {n_vars} variables"
                 )
-        # A free variable x is modelled as x = x+ - x- with both parts >= 0.
-        if nonneg:
-            self.var_cols = [((j, 1),) for j in range(n_vars)]
-        else:
-            self.var_cols = [((j, 1), (j, -1)) for j in range(n_vars)]
-        struct = [(j, s) for parts in self.var_cols for (j, s) in parts]
         self.n_vars = n_vars
-        self.n_struct = len(struct)
+        self.nonneg = nonneg
+        self.n_struct = n_struct = n_vars if nonneg else 2 * n_vars
 
         rows: list[list[int]] = []
         rhs: list[int] = []
         scales: list[int] = []
-        kinds: list[str] = []  # "slack" | "artificial" per row's basic column
+        kinds: list[str] = []  # "slack" | "artificial" per row's basic variable
         for con in constraints:
-            # Scaled by the lcm of its denominators the row is integral, and
-            # that positive lcm becomes its basic slack or artificial entry.
-            scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
-            ints = [c.numerator * (scale // c.denominator) for c in con.coeffs]
-            coeffs = [ints[j] * s for (j, s) in struct]
-            b = con.rhs.numerator * (scale // con.rhs.denominator)
+            # Scaled by the lcm of its denominators (for a row of ints, the
+            # right-hand side's alone) the row is integral, and that positive
+            # lcm becomes its basic slack or artificial entry.
+            b = con.rhs
+            if all(type(c) is int for c in con.coeffs):
+                scale = b.denominator
+                coeffs = [c * scale for c in con.coeffs] if scale > 1 else list(con.coeffs)
+            else:
+                scale = lcm(b.denominator, *(c.denominator for c in con.coeffs))
+                coeffs = [c.numerator * (scale // c.denominator) for c in con.coeffs]
+            b = b.numerator * (scale // b.denominator)
+            coeffs = _structural(coeffs, nonneg)
             sense = con.sense
             if b < 0:
                 coeffs = [-c for c in coeffs]
@@ -122,148 +167,173 @@ class _Tableau:
             scales.append(scale)
             kinds.append("slack" if sense == LESS_EQUAL else sense)
 
-        m = len(rows)
-        n_extra = sum(1 for k in kinds if k == GREATER_EQUAL)  # surplus columns
-        n_art = sum(1 for k in kinds if k in (GREATER_EQUAL, EQUAL))
-        n_slack = sum(1 for k in kinds if k == "slack")
-        total = self.n_struct + n_slack + n_extra + n_art
-        self.art_start = self.n_struct + n_slack + n_extra
+        n_extra = kinds.count(GREATER_EQUAL)  # surplus variables
+        n_slack = kinds.count("slack")
+        self.art_start = n_struct + n_slack + n_extra
+        self.n_cols = self.art_start + len(kinds) - n_slack
 
-        # The zero after the columns is the objective column ``z``.
-        self.A = [row + [0] * (total - self.n_struct + 1) + [b] for row, b in zip(rows, rhs)]
-        self.basis = [0] * m
-        slack_at = self.n_struct
+        # Structural and surplus variables start nonbasic, slack and
+        # artificial ones basic.
+        self.nonbasic = list(range(n_struct))
+        self.rows = []
+        self.basis = []
+        slack_at = n_struct
         art_at = self.art_start
-        for r, kind in enumerate(kinds):
+        for coeffs, b, scale, kind in zip(rows, rhs, scales, kinds):
+            surplus = [0] * n_extra
             if kind == "slack":
-                self.A[r][slack_at] = scales[r]
-                self.basis[r] = slack_at
-                slack_at += 1
+                self.basis.append(slack_at)
             else:
                 if kind == GREATER_EQUAL:
-                    self.A[r][slack_at] = -scales[r]  # surplus
-                    slack_at += 1
-                self.A[r][art_at] = scales[r]
-                self.basis[r] = art_at
+                    surplus[len(self.nonbasic) - n_struct] = -scale
+                    self.nonbasic.append(slack_at)
+                self.basis.append(art_at)
                 art_at += 1
-        self.n_cols = total
+            if kind != EQUAL:
+                slack_at += 1
+            self.rows.append(coeffs + surplus + [b, scale])
 
     def pivot(self, r: int, c: int) -> list[tuple[int, int]]:
-        """Make column ``c`` basic in row ``r``, in place. The pivot row only
-        takes the sign that makes its entry in ``c`` positive; every other
-        row with a nonzero in ``c`` has that column eliminated. Returns the
-        pivot row's support, so a caller can eliminate ``c`` from a row it
-        keeps outside the tableau in the same way."""
-        row = self.A[r]
-        if row[c] < 0:
-            row = self.A[r] = [-x for x in row]
-        support = [(j, x) for j, x in enumerate(row) if x]
-        for i, other in enumerate(self.A):
-            if other[c] and i != r:
-                self.A[i] = _eliminate(other, c, row[c], support)
+        """Make variable ``c`` basic in row ``r``, in place. The leaving
+        variable takes ``c``'s slot with its old basic entry, and the pivot
+        row only takes the sign that makes its new basic entry positive;
+        every other row with a nonzero in that slot has it eliminated.
+        Returns the pivot row's nonzeros before its basic entry, so a caller
+        can eliminate a row it keeps outside the tableau in the same way."""
+        k = self.nonbasic.index(c)
+        row = self.rows[r]
+        row[k], row[-1] = row[-1], row[k]
+        if row[-1] < 0:
+            row = self.rows[r] = [-x for x in row]
+        p = row[-1]
+        support = [(j, x) for j, x in enumerate(row[:-1]) if x]
+        for i, other in enumerate(self.rows):
+            if other[k] and i != r:
+                self.rows[i] = _eliminate(other, k, p, support)
+        self.nonbasic[k] = self.basis[r]
         self.basis[r] = c
         return support
 
-    def minimize(self, cost: list[Fraction], banned_from: int) -> tuple[str, Fraction]:
-        """Run Bland-rule simplex iterations for min cost'x; columns at or
-        beyond ``banned_from`` may not enter the basis.
+    def minimize(self, cost: list[int], scale: int) -> tuple[str, Fraction]:
+        """Run Bland-rule simplex iterations for min cost'x / scale, over the
+        variables in the slots.
 
         The reduced costs and the negated objective value are one more
-        integer row, whose basic column is the objective column ``z``: its
-        entry there is the row's positive denominator. It is priced out of
-        the starting basis once, then eliminated against each pivot row."""
-        z = self.n_cols
-        scale = lcm(*(c.denominator for c in cost))
-        red = [c.numerator * (scale // c.denominator) for c in cost] + [scale, 0]
-        for r, col in enumerate(self.basis):
-            if red[col]:
-                row = self.A[r]
-                red = _eliminate(red, col, row[col], [(j, x) for j, x in enumerate(row) if x])
+        integer row, whose basic variable is the objective itself: its last
+        entry is the row's positive denominator. It is priced out of the
+        starting basis once, then eliminated against each pivot row."""
+        red = self._price(cost, scale)
         while True:
-            enter = None
-            for j in range(banned_from):
-                if red[j] < 0:
-                    enter = j
-                    break
+            enter = min((v for v, x in zip(self.nonbasic, red) if x < 0), default=None)
             if enter is None:
-                return OPTIMAL, Fraction(-red[-1], red[z])
-            # Row r's ratio is A[r][-1] / A[r][enter]; both are over the same
-            # positive denominator, so comparing cross products is exact.
+                return OPTIMAL, Fraction(-red[-2], red[-1])
+            k = self.nonbasic.index(enter)
+            # Row r's ratio is rhs / entry; both are over the same positive
+            # denominator, so comparing cross products is exact.
             leave = None
-            for r, row in enumerate(self.A):
-                a_re = row[enter]
+            for r, row in enumerate(self.rows):
+                a_re = row[k]
                 if a_re > 0:
                     if leave is None:
                         leave = r
                         continue
-                    best = self.A[leave]
-                    lhs = row[-1] * best[enter]
-                    rhs = best[-1] * a_re
+                    best = self.rows[leave]
+                    lhs = row[-2] * best[k]
+                    rhs = best[-2] * a_re
                     if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leave]):
                         leave = r
             if leave is None:
-                return UNBOUNDED, Fraction(-red[-1], red[z])
+                return UNBOUNDED, Fraction(-red[-2], red[-1])
             support = self.pivot(leave, enter)
-            red = _eliminate(red, enter, self.A[leave][enter], support)
+            red = _eliminate(red, k, self.rows[leave][-1], support)
+
+    def _price(self, cost: list[int], scale: int) -> list[int]:
+        """The reduced-cost row of ``cost / scale`` in the current basis:
+        the cost of each slot minus, for each row, the cost of its basic
+        variable times the row over its basic entry, all over the lcm of
+        those basic entries."""
+        priced = [(row, cost[v]) for row, v in zip(self.rows, self.basis) if cost[v]]
+        m = lcm(*(row[-1] for row, _ in priced))
+        red = [m * cost[v] for v in self.nonbasic]
+        red.append(0)
+        for row, f in priced:
+            f *= m // row[-1]
+            red = [x - f * y for x, y in zip(red, row)]
+        red.append(scale * m)
+        return _reduce(red)
 
     def drive_out_artificials(self) -> None:
         """After a zero-value phase one, pivot artificial variables out of the
         basis; rows that cannot pivot are redundant and get dropped."""
         keep_rows = []
-        for r in range(len(self.A)):
+        for r in range(len(self.rows)):
             if self.basis[r] < self.art_start:
                 keep_rows.append(r)
                 continue
-            col = next(
-                (j for j in range(self.art_start) if self.A[r][j] != 0),
-                None,
+            col = min(
+                (v for v, x in zip(self.nonbasic, self.rows[r]) if x and v < self.art_start),
+                default=None,
             )
             if col is None:
                 continue  # all-zero row: redundant constraint
             self.pivot(r, col)
             keep_rows.append(r)
-        self.A = [self.A[r] for r in keep_rows]
-        self.basis = [self.basis[r] for r in keep_rows]
+        if len(keep_rows) < len(self.rows):
+            self.rows = [self.rows[r] for r in keep_rows]
+            self.basis = [self.basis[r] for r in keep_rows]
+
+    def drop_artificials(self) -> None:
+        """Remove the nonbasic artificial slots, once none is basic: phase
+        two may not let them enter."""
+        slots = [k for k, v in enumerate(self.nonbasic) if v < self.art_start]
+        if len(slots) < len(self.nonbasic):
+            self.nonbasic = [self.nonbasic[k] for k in slots]
+            self.rows = [[row[k] for k in slots] + row[-2:] for row in self.rows]
 
     def solution(self) -> tuple[Fraction, ...]:
         struct_vals = [ZERO] * self.n_struct
-        for row, col in zip(self.A, self.basis):
-            if col < self.n_struct:
-                struct_vals[col] = Fraction(row[-1], row[col])
-        x = [ZERO] * self.n_vars
-        at = 0
-        for j, parts in enumerate(self.var_cols):
-            for (_, sign) in parts:
-                x[j] += sign * struct_vals[at]
-                at += 1
-        return tuple(x)
+        for row, v in zip(self.rows, self.basis):
+            if v < self.n_struct:
+                struct_vals[v] = Fraction(row[-2], row[-1])
+        if self.nonneg:
+            return tuple(struct_vals)
+        return tuple(struct_vals[2 * j] - struct_vals[2 * j + 1] for j in range(self.n_vars))
 
 
-def _eliminate(row: list[int], c: int, p: int, support: list[tuple[int, int]]) -> list[int]:
-    """``row`` with column ``c`` eliminated by a pivot row whose positive
-    entry in ``c`` is ``p`` and whose nonzeros are ``support``: with ``f``
-    the row's entry in ``c`` and ``h = gcd(p, f)``, the row times ``p/h``
-    minus ``f/h`` times the pivot row, divided by its gcd. The pivot row is
-    zero in the row's basic column and ``p/h`` is positive, so the basic
-    entry stays positive, and the row over it is exactly the rational
-    elimination's row."""
-    f = row[c]
+def _structural(values: list, nonneg: bool) -> list:
+    """Values per variable laid out over the structural columns: a free
+    variable x is modelled as x = x+ - x- with both parts >= 0."""
+    return values if nonneg else [y for v in values for y in (v, -v)]
+
+
+def _eliminate(row: list[int], k: int, p: int, support: list[tuple[int, int]]) -> list[int]:
+    """``row`` with slot ``k``'s variable eliminated by a pivot that has just
+    made it basic in a pivot row with positive basic entry ``p`` and other
+    nonzeros ``support``: with ``f`` the row's entry in slot ``k`` and
+    ``h = gcd(p, f)``, the row times ``p/h`` minus ``f/h`` times the pivot
+    row, divided by its gcd. Slot ``k`` now holds the leaving variable, in
+    which the row was zero, and the pivot row is zero in the row's basic
+    variable, so the basic entry is only multiplied by ``p/h`` and stays
+    positive. The row over it is exactly the rational elimination's row."""
+    f = row[k]
     h = gcd(p, f)
     f //= h
     new = row[:] if p == h else [x * (p // h) for x in row]
+    new[k] = 0
     for j, y in support:
         new[j] -= f * y
-    g = gcd(*new)
-    if g > 1:
-        new = [x // g for x in new]
-    return new
+    return _reduce(new)
+
+
+def _reduce(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _phase_one(tab: _Tableau) -> bool:
-    cost = [ZERO] * tab.n_cols
-    for j in range(tab.art_start, tab.n_cols):
-        cost[j] = ONE
-    status, value = tab.minimize(cost, banned_from=tab.n_cols)
+    cost = [0] * tab.art_start + [1] * (tab.n_cols - tab.art_start)
+    status, value = tab.minimize(cost, 1)
     if status != OPTIMAL:  # the phase-one objective is bounded below by zero
         raise InternalDisagreement("phase-one simplex reported an unbounded objective")
     if value != 0:
@@ -273,7 +343,7 @@ def _phase_one(tab: _Tableau) -> bool:
 
 
 def lp_feasible(
-    n_vars: int, constraints: list[Constraint], nonneg: bool = False
+    n_vars: int, constraints: Sequence[Constraint], nonneg: bool = False
 ) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Exact feasibility of a linear system; witness satisfies every
     constraint exactly. Variables are free unless ``nonneg`` is set."""
@@ -285,7 +355,7 @@ def lp_feasible(
 
 def lp_solve(
     n_vars: int,
-    constraints: list[Constraint],
+    constraints: Sequence[Constraint],
     objective,
     maximize: bool = False,
     nonneg: bool = False,
@@ -297,14 +367,11 @@ def lp_solve(
     tab = _Tableau(n_vars, constraints, nonneg)
     if not _phase_one(tab):
         return LPResult(INFEASIBLE, None, None)
+    tab.drop_artificials()
     sign = -ONE if maximize else ONE
-    cost = [ZERO] * tab.n_cols
-    at = 0
-    for j, parts in enumerate(tab.var_cols):
-        for (_, s) in parts:
-            cost[at] = sign * s * obj[j]
-            at += 1
-    status, value = tab.minimize(cost, banned_from=tab.art_start)
+    scale, ints = integer_row(_structural([sign * q for q in obj], nonneg))
+    cost = list(ints) + [0] * (tab.n_cols - tab.n_struct)
+    status, value = tab.minimize(cost, scale)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     return LPResult(OPTIMAL, tab.solution(), sign * value)

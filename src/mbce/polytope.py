@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import DimensionMismatch, EmptyPolytope, InternalDisagreement
@@ -25,6 +26,7 @@ from .linprog import (
     Constraint,
     lp_feasible,
     lp_solve,
+    scaled_to_integers,
 )
 
 Belief = tuple[Fraction, ...]
@@ -71,6 +73,17 @@ class BeliefPolytope:
             return False
         return all(dot(normal, point) <= offset for normal, offset in self.halfspaces)
 
+    @cached_property
+    def lp_rows(self) -> tuple[Constraint, ...]:
+        """The LP rows ``is_empty`` and ``maximize_direction`` solve over:
+        sum(x) == 1, then one row per halfspace, in ints wherever that
+        changes no pivot. Derived once per polytope and kept outside the
+        fields, so equality and hashing ignore it."""
+        rows = [Constraint((1,) * self.dim, EQUAL, 1)]
+        for normal, offset in self.halfspaces:
+            rows.append(scaled_to_integers(Constraint(normal, LESS_EQUAL, offset)))
+        return tuple(rows)
+
 
 def opt_belief_polytope(game: BaseGame, action: int) -> BeliefPolytope:
     """Beliefs at which ``action`` is a best response: one halfspace per
@@ -84,15 +97,8 @@ def opt_belief_polytope(game: BaseGame, action: int) -> BeliefPolytope:
     return BeliefPolytope(dim=game.n_states, halfspaces=tuple(halfspaces))
 
 
-def _polytope_constraints(poly: BeliefPolytope) -> list[Constraint]:
-    cons = [Constraint(tuple([ONE] * poly.dim), EQUAL, ONE)]
-    for normal, offset in poly.halfspaces:
-        cons.append(Constraint(normal, LESS_EQUAL, offset))
-    return cons
-
-
 def is_empty(poly: BeliefPolytope) -> bool:
-    feasible, _ = lp_feasible(poly.dim, _polytope_constraints(poly), nonneg=True)
+    feasible, _ = lp_feasible(poly.dim, poly.lp_rows, nonneg=True)
     return not feasible
 
 
@@ -100,7 +106,7 @@ def maximize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, Be
     """Exact maximum of ``c . x`` over the polytope, with an attaining vertex."""
     if len(c) != poly.dim:
         raise DimensionMismatch(f"direction has {len(c)} coordinates for dim {poly.dim}")
-    res = lp_solve(poly.dim, _polytope_constraints(poly), c, maximize=True, nonneg=True)
+    res = lp_solve(poly.dim, poly.lp_rows, c, maximize=True, nonneg=True)
     if res.status == INFEASIBLE:
         raise EmptyPolytope("cannot optimize over an empty belief polytope")
     if res.status != OPTIMAL:  # the simplex is compact, so never unbounded

@@ -16,9 +16,11 @@ import re
 from fractions import Fraction
 from math import lcm
 
-# An optional minus sign, digits, and an optional "/q" with q > 0 written
-# without leading zeros; the groups are the numerator and the denominator.
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+# An optional minus sign, ASCII digits, and an optional "/q" with q > 0
+# written without leading zeros; the groups are the numerator and the
+# denominator. Without re.ASCII, \d would also match other scripts' decimal
+# digits, which int() reads.
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def exact_fraction(value: int | str | Fraction) -> Fraction:

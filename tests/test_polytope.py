@@ -6,15 +6,19 @@ worked out on paper first and frozen here.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbce import linprog, polytope
 from mbce.errors import EmptyPolytope
 from mbce.game import best_response_set, make_game, matching_game
+from mbce.linprog import EQUAL, LESS_EQUAL, Constraint
 from mbce.polytope import (
+    BeliefPolytope,
     dot,
     enumerate_vertices,
     is_empty,
@@ -171,3 +175,84 @@ class TestCrossChecks:
             corner = unit_direction(game.n_states, t)
             if poly.contains(corner):
                 assert corner in vertices
+
+
+def rational_rows(poly):
+    """The LP the polytope stood for before its rows were cached: the
+    simplex row, then each halfspace as its own rational row."""
+    rows = [Constraint(tuple([F(1)] * poly.dim), EQUAL, F(1))]
+    rows += [Constraint(normal, LESS_EQUAL, offset) for normal, offset in poly.halfspaces]
+    return rows
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def polytopes(draw):
+    """Halfspaces with offsets of either sign, so some rows take a slack and
+    some an artificial."""
+    dim = draw(st.integers(1, 4))
+    halfspace = st.tuples(st.lists(small, min_size=dim, max_size=dim).map(tuple), small)
+    return BeliefPolytope(dim, tuple(draw(st.lists(halfspace, max_size=4))))
+
+
+class TestLpRows:
+    def test_cached_rows_are_no_field(self, match_half):
+        poly = opt_belief_polytope(match_half, 0)
+        twin = opt_belief_polytope(match_half, 0)
+        before = (hash(poly), repr(poly))
+        rows = poly.lp_rows
+        assert poly.lp_rows is rows
+        assert [f.name for f in fields(BeliefPolytope)] == ["dim", "halfspaces"]
+        assert "lp_rows" in vars(poly) and "lp_rows" not in vars(twin)
+        assert poly == twin
+        assert (hash(poly), repr(poly)) == before == (hash(twin), repr(twin))
+
+    def test_is_empty_and_maximize_direction_solve_the_cached_rows(self, monkeypatch, match_half):
+        poly = opt_belief_polytope(match_half, 0)
+        seen = []
+
+        def spy(solve):
+            def wrapped(n_vars, constraints, *args, **kwargs):
+                seen.append(constraints)
+                return solve(n_vars, constraints, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(polytope, "lp_feasible", spy(linprog.lp_feasible))
+        monkeypatch.setattr(polytope, "lp_solve", spy(linprog.lp_solve))
+        is_empty(poly)
+        maximize_direction(poly, (F(1), F(0)))
+        assert len(seen) == 2 and all(rows is poly.lp_rows for rows in seen)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polytopes(), st.data())
+    def test_cached_rows_pivot_as_the_rational_rows(self, poly, data):
+        """Each cached row states its halfspace: a positive integer multiple
+        where the offset is nonnegative, the rational row itself where it is
+        negative. Either way the simplex makes the same pivots and returns
+        the same point and value as on the rational rows."""
+        for row, (normal, offset) in zip(poly.lp_rows[1:], poly.halfspaces):
+            if offset < 0:
+                assert row == Constraint(normal, LESS_EQUAL, offset)
+                continue
+            assert all(type(q) is int for q in (*row.coeffs, row.rhs))
+            pairs = zip((*row.coeffs, row.rhs), (*normal, offset))
+            k = next((F(q) / x for q, x in pairs if x), 1)
+            assert k > 0 and row.coeffs == tuple(k * x for x in normal) and row.rhs == k * offset
+        c = tuple(data.draw(st.lists(small, min_size=poly.dim, max_size=poly.dim)))
+        for solve, args in ((linprog.lp_feasible, ()), (linprog.lp_solve, (c, True))):
+            answers = []
+            for rows in (poly.lp_rows, rational_rows(poly)):
+                seen = []
+                original = linprog._Tableau.pivot
+
+                def recording(self, r, col):
+                    seen.append((r, col))
+                    return original(self, r, col)
+
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(linprog._Tableau, "pivot", recording)
+                    answers.append((solve(poly.dim, rows, *args, nonneg=True), seen))
+            assert answers[0] == answers[1]

@@ -59,7 +59,24 @@ def test_accepted_strings(text, value):
     assert result == value and type(result) is Fraction
 
 
-@pytest.mark.parametrize("text", ["", "+1", "1/0", "1/01", "1 / 2", "--1", "1/-2", "1/2/3", "1.5"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "+1",
+        "1/0",
+        "1/01",
+        "1 / 2",
+        "--1",
+        "1/-2",
+        "1/2/3",
+        "1.5",
+        # Decimal digits of other scripts: Arabic-Indic and fullwidth.
+        "\u0661\u0662/4",
+        "\uff11\uff12",
+        "1/1\u0661",
+    ],
+)
 def test_refused_strings(text):
     with pytest.raises(ValueError):
         exact_fraction(text)
