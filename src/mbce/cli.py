@@ -134,7 +134,7 @@ def _resolve_tau(args, doc):
     if getattr(args, "tau", None):
         tau_doc = load_document(args.tau)
         node = tau_doc.get("tau", tau_doc)
-        return parse_tau(node, args.tau)
+        return parse_tau(node, args.tau, keep=doc.keep)
     if doc.tau is not None:
         return doc.tau
     raise ValidationError(
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--drop-null-states",
             action="store_true",
-            help="remove zero-prior states (and matching utility columns) on load",
+            help="remove zero-prior states (and matching utility columns and tau coordinates)"
+            " on load",
         )
         p.add_argument("--out", help="write the report here instead of stdout")
         return p

@@ -5,8 +5,13 @@ Both networks in this package have the same shape: supply nodes on the left
 forward edges only. Feasibility means a flow meeting every demand; a
 synthetic source and sink turn that into a max-flow question. Augmenting
 paths are chosen shortest-first (BFS), so the number of augmentations is
-bounded combinatorially and rational capacities terminate without scaling
-tricks.
+bounded combinatorially.
+
+The solver runs on integers: every supply, demand and capacity is scaled by
+the lcm of their denominators. A positive scale changes no sign, no minimum
+and no equality, so the augmenting paths and the flow are the ones rational
+arithmetic finds; a ``Fraction`` is built only for each edge of the returned
+flow.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 NodeKey = tuple
 FlowMap = dict[tuple[NodeKey, NodeKey], Fraction]
@@ -45,34 +51,43 @@ def max_flow_feasible(network: FlowNetwork) -> tuple[bool, FlowMap | None]:
     insertion order drives BFS neighbor order, so identical networks always
     produce identical flows.
     """
-    residual: dict[NodeKey, dict[NodeKey, Fraction]] = {_SOURCE: {}, _SINK: {}}
+    scale = lcm(
+        *(q.denominator for _, q in network.supplies),
+        *(q.denominator for _, q in network.demands),
+        *(q.denominator for _, _, q in network.edges),
+    )
 
-    def ensure(node: NodeKey) -> dict[NodeKey, Fraction]:
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    residual: dict[NodeKey, dict[NodeKey, int]] = {_SOURCE: {}, _SINK: {}}
+
+    def ensure(node: NodeKey) -> dict[NodeKey, int]:
         if node not in residual:
             residual[node] = {}
         return residual[node]
 
-    def add_edge(u: NodeKey, v: NodeKey, cap: Fraction) -> None:
-        ensure(u)[v] = ensure(u).get(v, ZERO) + cap
-        ensure(v).setdefault(u, ZERO)
+    def add_edge(u: NodeKey, v: NodeKey, cap: int) -> None:
+        ensure(u)[v] = ensure(u).get(v, 0) + cap
+        ensure(v).setdefault(u, 0)
 
     for node, supply in network.supplies:
         if supply > 0:
-            add_edge(_SOURCE, node, supply)
+            add_edge(_SOURCE, node, scaled(supply))
         else:
             ensure(node)
-    total_demand = ZERO
+    total_demand = 0
     for node, demand in network.demands:
-        total_demand += demand
+        total_demand += scaled(demand)
         if demand > 0:
-            add_edge(node, _SINK, demand)
+            add_edge(node, _SINK, scaled(demand))
         else:
             ensure(node)
     for u, v, cap in network.edges:
         if cap > 0:
-            add_edge(u, v, cap)
+            add_edge(u, v, scaled(cap))
 
-    pushed = ZERO
+    pushed = 0
     while True:
         # BFS for the shortest augmenting path
         parent: dict[NodeKey, NodeKey] = {_SOURCE: _SOURCE}
@@ -104,6 +119,5 @@ def max_flow_feasible(network: FlowNetwork) -> tuple[bool, FlowMap | None]:
         return False, None
     flow: FlowMap = {}
     for u, v, cap in network.edges:
-        used = residual[v].get(u, ZERO) if cap > 0 else ZERO
-        flow[(u, v)] = used
+        flow[(u, v)] = Fraction(residual[v].get(u, 0), scale) if cap > 0 else ZERO
     return True, flow

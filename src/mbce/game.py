@@ -11,7 +11,9 @@ Values are exact ``Fraction``s at every boundary. Inside, best responses and
 obedience work on integer rows, as the simplex does: each game keeps its
 utility table scaled by the lcm of its denominators, a belief or outcome row
 is scaled the same way, and a ``Fraction`` is built only for an answer that
-carries a value (an obedience slack).
+carries a value (an obedience slack). Validation and marginals add their
+rationals with ``exact_sum``, and a choice rule divides each outcome cell by
+the prior on numerators and denominators, one ``Fraction`` per cell.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     StateMarginalMismatch,
     ZeroPriorState,
 )
-from .rationals import exact_fraction, fraction_table, fraction_vector, integer_row
+from .rationals import exact_fraction, exact_sum, fraction_table, fraction_vector, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -156,7 +158,7 @@ def validate_game(game: BaseGame) -> None:
         raise DimensionMismatch(
             f"prior has {len(game.prior)} entries for {game.n_states} states"
         )
-    if any(q < 0 for q in game.prior) or sum(game.prior) != ONE:
+    if any(q.numerator < 0 for q in game.prior) or exact_sum(game.prior) != ONE:
         raise NotADistribution(f"prior {game.prior} is not a probability vector")
     for t, q in enumerate(game.prior):
         if q == 0:
@@ -168,7 +170,7 @@ def validate_marginal(marginal: ActionMarginal, n_actions: int) -> None:
         raise DimensionMismatch(
             f"marginal has {len(marginal.probs)} entries for {n_actions} actions"
         )
-    if any(q < 0 for q in marginal.probs) or sum(marginal.probs) != ONE:
+    if any(q.numerator < 0 for q in marginal.probs) or exact_sum(marginal.probs) != ONE:
         raise NotADistribution(f"marginal {marginal.probs} is not a probability vector")
 
 
@@ -177,24 +179,21 @@ def validate_outcome(outcome: Outcome, game: BaseGame) -> None:
         len(row) != game.n_states for row in outcome.probs
     ):
         raise DimensionMismatch("outcome table does not match the game's shape")
-    total = ZERO
-    for row in outcome.probs:
-        for q in row:
-            if q < 0:
-                raise NotADistribution("outcome has a negative entry")
-            total += q
+    if any(q.numerator < 0 for row in outcome.probs for q in row):
+        raise NotADistribution("outcome has a negative entry")
+    total = exact_sum(q for row in outcome.probs for q in row)
     if total != ONE:
         raise NotADistribution(f"outcome mass is {total}, not 1")
 
 
 def action_marginal_of(outcome: Outcome) -> tuple[Fraction, ...]:
     """Row sums: the distribution over actions induced by the outcome."""
-    return tuple(sum(row, ZERO) for row in outcome.probs)
+    return tuple(exact_sum(row) for row in outcome.probs)
 
 
 def state_marginal_of(outcome: Outcome) -> tuple[Fraction, ...]:
     """Column sums: the distribution over states induced by the outcome."""
-    return tuple(sum(row[t] for row in outcome.probs) for t in range(outcome.n_states))
+    return tuple(exact_sum(row[t] for row in outcome.probs) for t in range(outcome.n_states))
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def belief_system_from_outcome(outcome: Outcome) -> BeliefSystem:
     """
     beliefs: dict[int, tuple[Fraction, ...]] = {}
     for a, row in enumerate(outcome.probs):
-        mass = sum(row, ZERO)
+        mass = exact_sum(row)
         if mass > 0:
             beliefs[a] = tuple(q / mass for q in row)
     return BeliefSystem(beliefs=beliefs)
@@ -300,14 +299,15 @@ def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> S
     """State-conditional choice probabilities: divide each column by the prior.
 
     The outcome's state marginal must equal the prior exactly, otherwise the
-    rows would not be distributions.
+    rows would not be distributions. Each cell ``q / p`` is built as one
+    ``Fraction`` from the numerators and denominators of ``q`` and ``p``.
     """
     if not check_state_marginal(outcome, prior):
         raise StateMarginalMismatch(
             f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
         )
     rows = tuple(
-        tuple(outcome.probs[a][t] / prior[t] for a in range(outcome.n_actions))
-        for t in range(outcome.n_states)
+        tuple(Fraction(q.numerator * p.denominator, q.denominator * p.numerator) for q in column)
+        for p, column in zip(prior, zip(*outcome.probs))
     )
     return StochasticChoiceRule(rows=rows)

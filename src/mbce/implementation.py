@@ -10,6 +10,13 @@ outcome. When the flow falls short, the core condition on menu masses names
 the canonical overfull action subset. The demand condition on posterior
 masses is the third, equivalent test; it stays off the decision path as a
 reference the tests compare against.
+
+The arithmetic runs on integers over common denominators, as in the game
+layer: Bayes plausibility is an integer dot product of the scaled weights
+with the scaled support, the outcome and the choice rule of a decision rule
+share one integer accumulation over a common denominator, and the Gale flow
+is solved on scaled capacities. A ``Fraction`` is built once for each value
+returned.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .errors import (
     CoreViolation,
@@ -40,7 +49,7 @@ from .game import (
     state_marginal_of,
 )
 from .polytope import Belief
-from .rationals import fraction_table, fraction_vector
+from .rationals import exact_sum, fraction_table, fraction_vector, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,9 +103,9 @@ def make_posteriors(support, weights) -> PosteriorDistribution:
     for belief in support:
         if len(belief) != dim:
             raise DimensionMismatch("support beliefs have mixed dimensions")
-        if any(q < 0 for q in belief) or sum(belief) != ONE:
+        if any(q.numerator < 0 for q in belief) or exact_sum(belief) != ONE:
             raise NotADistribution(f"support point {belief} is not a probability vector")
-    if any(w <= 0 for w in weights) or sum(weights) != ONE:
+    if any(w.numerator <= 0 for w in weights) or exact_sum(weights) != ONE:
         raise NotADistribution("weights must be positive and sum to 1")
     if len(set(support)) != len(support):
         raise NotADistribution("support points must be pairwise distinct")
@@ -104,15 +113,24 @@ def make_posteriors(support, weights) -> PosteriorDistribution:
 
 
 def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
-    """True iff the weighted posteriors average back to the prior exactly."""
+    """True iff the weighted posteriors average back to the prior exactly.
+
+    With the weights scaled to integers over ``w_scale`` and every support
+    point scaled to integers over one common ``mu_scale``, the mean at each
+    state is the integer dot product of the two over ``w_scale * mu_scale``.
+    """
     dim = len(tau.support[0])
     if len(prior) != dim:
         raise DimensionMismatch("prior and posteriors have different dimensions")
-    for t in range(dim):
-        mean = sum((w * mu[t] for w, mu in zip(tau.weights, tau.support)), ZERO)
-        if mean != prior[t]:
-            return False
-    return True
+    w_scale, w_ints = integer_row(tau.weights)
+    rows = [integer_row(mu) for mu in tau.support]
+    mu_scale = lcm(*(scale for scale, _ in rows))
+    columns = zip(*(tuple(q * (mu_scale // scale) for q in ints) for scale, ints in rows))
+    denominator = w_scale * mu_scale
+    return all(
+        sum(map(mul, w_ints, column)) * p.denominator == p.numerator * denominator
+        for p, column in zip(prior, columns)
+    )
 
 
 def posterior_menus(tau: PosteriorDistribution, game: BaseGame) -> Menus:
@@ -149,8 +167,8 @@ def core_slack(
 ) -> Fraction:
     """Marginal mass on the subset minus the mass of menus entirely inside
     it; negative exactly when the subset is overfull."""
-    lhs = sum((marginal.probs[a] for a in subset), ZERO)
-    rhs = sum((w for menu, w in menus.items() if menu <= subset), ZERO)
+    lhs = exact_sum(marginal.probs[a] for a in subset)
+    rhs = exact_sum(w for menu, w in menus.items() if menu <= subset)
     return lhs - rhs
 
 
@@ -264,36 +282,60 @@ def menu_rule_from_core(menus: MenuMeasure, marginal: ActionMarginal) -> MenuRul
     return rule
 
 
+def _joint_numerators(
+    tau: PosteriorDistribution, rule: DecisionRule, n_states: int
+) -> tuple[int, list[list[int]]]:
+    """``(D, num)`` with ``num[a][t] / D`` the joint mass
+    ``sum_i w_i * mu_i(t) * rule_i(a)`` of action a and state t.
+
+    ``D = scale(weights) * lcm_i(scale(mu_i) * scale(rule_i))``, so every
+    term is an integer over ``D``; zero factors are skipped.
+    """
+    n_actions = len(rule.rows[0]) if rule.rows else 0
+    w_scale, w_ints = integer_row(tau.weights)
+    terms = []
+    for w, mu, row in zip(w_ints, tau.support, rule.rows):
+        mu_scale, mu_ints = integer_row(mu)
+        row_scale, row_ints = integer_row(row)
+        terms.append((w, mu_ints, row_ints, mu_scale * row_scale))
+    common = lcm(*(scale for *_, scale in terms))
+    num = [[0] * n_states for _ in range(n_actions)]
+    for w, mu_ints, row_ints, scale in terms:
+        factor = w * (common // scale)
+        column = [(t, factor * m) for t, m in enumerate(mu_ints[:n_states]) if m]
+        for a, r in enumerate(row_ints):
+            if r:
+                cells = num[a]
+                for t, m in column:
+                    cells[t] += r * m
+    return w_scale * common, num
+
+
 def choice_rule_from_tau(
     tau: PosteriorDistribution, rule: DecisionRule, prior
 ) -> StochasticChoiceRule:
     """Mix the decision rule over posteriors, reweighted by how much each
-    posterior moves each state relative to the prior."""
-    n_actions = len(rule.rows[0]) if rule.rows else 0
-    rows = []
-    for t, p in enumerate(prior):
-        row = [ZERO] * n_actions
-        for i, (mu, w) in enumerate(zip(tau.support, tau.weights)):
-            if mu[t] == 0:
-                continue
-            factor = w * mu[t] / p
-            for a in range(n_actions):
-                if rule.rows[i][a]:
-                    row[a] += factor * rule.rows[i][a]
-        rows.append(tuple(row))
-    return StochasticChoiceRule(rows=tuple(rows))
+    posterior moves each state relative to the prior: each cell is the joint
+    mass of ``outcome_from_tau`` divided by ``prior(t)``, one ``Fraction``."""
+    denominator, num = _joint_numerators(tau, rule, len(prior))
+    rows = tuple(
+        tuple(
+            Fraction(cells[t] * p.denominator, denominator * p.numerator) if cells[t] else ZERO
+            for cells in num
+        )
+        for t, p in enumerate(prior)
+    )
+    return StochasticChoiceRule(rows=rows)
 
 
 def outcome_from_tau(
     tau: PosteriorDistribution, rule: DecisionRule, prior
 ) -> Outcome:
-    """Joint distribution ``prior(t) * sigma(a|t)`` induced by (tau, rule)."""
-    sigma = choice_rule_from_tau(tau, rule, prior)
-    n_actions = len(rule.rows[0]) if rule.rows else 0
-    probs = tuple(
-        tuple(prior[t] * sigma.rows[t][a] for t in range(len(prior)))
-        for a in range(n_actions)
-    )
+    """Joint distribution ``prior(t) * sigma(a|t)`` induced by (tau, rule),
+    that is ``sum_i w_i * mu_i(t) * rule_i(a)``: one ``Fraction`` per cell
+    over the common denominator of ``_joint_numerators``."""
+    denominator, num = _joint_numerators(tau, rule, len(prior))
+    probs = tuple(tuple(Fraction(n, denominator) for n in cells) for cells in num)
     return Outcome(probs=probs)
 
 

@@ -69,11 +69,10 @@ from .implementation import (
     outcome_from_tau,
 )
 from .polytope import is_empty, opt_belief_polytope
-from .rationals import exact_fraction, fraction_to_json
+from .rationals import exact_fraction, exact_sum, fraction_to_json
 
 SCHEMA_VERSION = 1
 IMPLEMENTATION_INFEASIBLE = "implementation-infeasible"
-ZERO = Fraction(0)
 
 # Parameters of ``compare_routes``, in order, as a verify report embeds them.
 VERIFY_INPUTS = ("n", "seed", "max_states", "max_actions")
@@ -81,10 +80,13 @@ VERIFY_INPUTS = ("n", "seed", "max_states", "max_actions")
 
 @dataclass(frozen=True)
 class LoadedDocument:
-    """Parsed instance file; sections that were absent stay None."""
+    """Parsed instance file; sections that were absent stay None. ``keep``
+    flags each state of the file's prior that was kept, when null states
+    were dropped; a tau read from another file drops the same coordinates."""
 
     path: str
     raw: dict
+    keep: tuple[bool, ...] | None = None
     game: BaseGame | None = None
     marginal: ActionMarginal | None = None
     tau: PosteriorDistribution | None = None
@@ -201,33 +203,38 @@ def _domain(path: str, build, *args, **kwargs):
         raise ValidationError(path, str(err))
 
 
+def _kept_states(rows, keep: tuple[bool, ...], path: str, what: str) -> tuple:
+    """Each row cut down to the states ``keep`` flags; every row must have
+    one entry per flag."""
+    if any(len(row) != len(keep) for row in rows):
+        raise ValidationError(path, f"cannot drop null states from a ragged {what}")
+    return tuple(tuple(x for x, kept in zip(row, keep) if kept) for row in rows)
+
+
 def parse_game(
-    doc: dict, path: str, keep: list[int] | None = None, crumb: str = ""
+    doc: dict, path: str, keep: tuple[bool, ...] | None = None, crumb: str = ""
 ) -> BaseGame:
     states = _string_list(_require(doc, "states", path, crumb), path, "states")
     actions = _string_list(_require(doc, "actions", path, crumb), path, "actions")
     utility = _fraction_rows(_require(doc, "utility", path, crumb), path, "utility")
     prior = _fraction_list(_require(doc, "prior", path, crumb), path, "prior")
     if keep is not None:
-        if len(states) != len(prior) or any(len(r) != len(prior) for r in utility):
-            raise ValidationError(path, "cannot drop null states from a ragged game")
-        states = tuple(states[t] for t in keep)
-        utility = tuple(tuple(row[t] for t in keep) for row in utility)
-        prior = tuple(prior[t] for t in keep)
+        states, prior = _kept_states((states, prior), keep, path, "game")
+        utility = _kept_states(utility, keep, path, "game")
     game = BaseGame(states, actions, utility, prior)
     _domain(path, validate_game, game)
     return game
 
 
 def parse_tau(
-    node, path: str, keep: list[int] | None = None
+    node, path: str, keep: tuple[bool, ...] | None = None
 ) -> PosteriorDistribution:
     if not isinstance(node, dict):
         raise ParseError(path, "tau: expected an object with support and weights")
     support = _fraction_rows(_require(node, "support", path, "tau"), path, "tau.support")
     weights = _fraction_list(_require(node, "weights", path, "tau"), path, "tau.weights")
     if keep is not None:
-        support = tuple(tuple(row[t] for t in keep) for row in support)
+        support = _kept_states(support, keep, path, "tau")
     return _domain(path, make_posteriors, support, weights)
 
 
@@ -303,8 +310,7 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
 
     keep = None
     if drop_null_states and "prior" in doc:
-        prior = _fraction_list(doc["prior"], path, "prior")
-        keep = [t for t, q in enumerate(prior) if q != 0]
+        keep = tuple(q != 0 for q in _fraction_list(doc["prior"], path, "prior"))
 
     game = None
     if any(k in doc for k in ("states", "actions", "utility")) or "prior" in doc:
@@ -330,6 +336,7 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
     return LoadedDocument(
         path=path,
         raw=doc,
+        keep=keep,
         game=game,
         marginal=marginal,
         tau=tau,
@@ -590,15 +597,15 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
         if menu in rule:
             raise ValidationError(path, "menu rule names a menu twice")
         row = _fraction_list(entry["probs"], path, f"witnesses.menu_rule[{i}].probs")
-        if len(row) != n_actions or sum(row) != 1 or any(
-            q < 0 or (q > 0 and a not in menu) for a, q in enumerate(row)
+        if len(row) != n_actions or exact_sum(row) != 1 or any(
+            q.numerator < 0 or (q.numerator > 0 and a not in menu) for a, q in enumerate(row)
         ):
             raise ValidationError(path, "menu rule row is not a tie-break over its menu")
         rule[menu] = row
     if len(rule) != len(menus):
         raise ValidationError(path, "menu rule leaves out a menu tau produces")
     for a, target in enumerate(marginal.probs):
-        if sum((menus[m] * row[a] for m, row in rule.items()), ZERO) != target:
+        if exact_sum(menus[m] * row[a] for m, row in rule.items() if row[a]) != target:
             raise ValidationError(path, "menu rule rows do not split the menus into the marginal")
     return rule
 
@@ -608,10 +615,12 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
     game = parse_game(inputs, path)
     marginal = _parse_marginal(inputs, path, game.n_actions)
     tau = parse_tau(_require(inputs, "tau", path, "inputs"), path)
+    # The dimension check inside is what the outcome check below cannot see:
+    # best responses and the outcome read only the prior's states of a belief.
+    if not _domain(path, is_bayes_plausible, tau, game.prior):
+        raise ValidationError(path, "tau does not average to the prior")
     menus = menu_measure(tau, game)
     if verdict == "infeasible":
-        if not _domain(path, is_bayes_plausible, tau, game.prior):
-            raise ValidationError(path, "tau does not average to the prior")
         infeasible = _rederive_overfull_subset(doc, path, game, marginal, menus)
         return implement_report(game, marginal, tau, infeasible=infeasible)
     if verdict != "implemented":
@@ -620,7 +629,7 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
     rows = _require(witnesses, "decision_rule", path, "witnesses")
     rule = DecisionRule(_fraction_rows(rows, path, "witnesses.decision_rule"))
     if len(rule.rows) != tau.size or any(
-        len(row) != game.n_actions or sum(row) != 1 or any(q < 0 for q in row)
+        len(row) != game.n_actions or exact_sum(row) != 1 or any(q.numerator < 0 for q in row)
         for row in rule.rows
     ):
         raise ValidationError(path, "decision rule needs one distribution per posterior")

@@ -3,9 +3,13 @@
 All probability and utility values in this package are
 ``fractions.Fraction``: lowest terms, positive denominator, arbitrary
 precision. Inside, the hot arithmetic runs on integers with no loss of
-exactness: the simplex in ``linprog`` scales each row to integers, and the
-game layer (best responses, obedience) prices integer rows against an
-integer utility table; each builds ``Fraction``s only at the answer.
+exactness: the simplex in ``linprog`` scales each row to integers, the game
+layer (best responses, obedience) prices integer rows against an integer
+utility table, and the implement path (Bayes plausibility, the outcome and
+choice rule of a decision rule, the Gale max-flow) works over one common
+denominator; each builds ``Fraction``s only at the answer. ``integer_row``
+is the common step, and ``exact_sum`` adds rationals with it: numerators
+over the lcm of the denominators, one ``Fraction`` for the total.
 Floats are refused at every boundary because verdicts hinge on exact
 boundary equalities that tolerances would misclassify.
 """
@@ -68,3 +72,11 @@ def integer_row(values) -> tuple[int, tuple[int, ...]]:
     positive denominator."""
     scale = lcm(*(q.denominator for q in values))
     return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
+def exact_sum(values) -> Fraction:
+    """The sum of rationals as one ``Fraction``: their numerators added over
+    the lcm of their denominators (``integer_row``), not one ``Fraction``
+    addition per term. The empty sum is 0."""
+    scale, ints = integer_row(tuple(values))
+    return Fraction(sum(ints), scale)

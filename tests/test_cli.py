@@ -208,6 +208,39 @@ class TestImplement:
         assert cert["kind"] == "implementation-infeasible"
         assert cert["subset"] == [0]
 
+    NULL_STATE_GAME = {
+        "states": ["t1", "tdead", "t2"],
+        "actions": ["a1", "a2"],
+        "utility": [[1, 5, 0], [0, 5, 1]],
+        "prior": ["3/4", 0, "1/4"],
+        "marginal": ["3/4", "1/4"],
+    }
+    NULL_STATE_TAU = {"support": [[1, 0, 0], [0, 0, 1]], "weights": ["3/4", "1/4"]}
+
+    def test_tau_file_drops_the_null_states_too(self, tmp_path, capsys):
+        in_file = write(tmp_path, dict(self.NULL_STATE_GAME, tau=self.NULL_STATE_TAU))
+        code, expected, _ = run(capsys, ["implement", in_file, "--drop-null-states"])
+        assert code == 0
+        game_path = write(tmp_path, self.NULL_STATE_GAME, "game.json")
+        tau_path = write(tmp_path, {"tau": self.NULL_STATE_TAU}, "tau.json")
+        argv = ["implement", game_path, "--drop-null-states", "--tau", tau_path]
+        code, report, _ = run(capsys, argv)
+        assert code == 0
+        assert report == expected
+
+    def test_ragged_tau_with_null_states_dropped_exits_three(self, tmp_path, capsys):
+        ragged = {"support": [[1, 0], [0, 0, 1]], "weights": ["3/4", "1/4"]}
+        in_file = write(tmp_path, dict(self.NULL_STATE_GAME, tau=ragged))
+        game_path = write(tmp_path, self.NULL_STATE_GAME, "game.json")
+        tau_path = write(tmp_path, {"tau": ragged}, "tau.json")
+        for argv in (
+            ["implement", in_file, "--drop-null-states"],
+            ["implement", game_path, "--drop-null-states", "--tau", tau_path],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 3
+            assert "ragged tau" in err
+
     def test_missing_tau_exits_three(self, tmp_path, capsys):
         doc = dict(MATCH34, marginal=["3/4", "1/4"])
         code, _, err = run(capsys, ["implement", write(tmp_path, doc)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -18,15 +19,20 @@ from mbce.errors import (
 )
 from mbce.flows import FlowNetwork, max_flow_feasible
 from mbce.game import (
+    Outcome,
+    StochasticChoiceRule,
     best_response_set,
     check_action_marginal,
     check_obedience,
     check_state_marginal,
+    choice_rule_from_outcome,
     make_game,
     make_marginal,
     make_outcome,
+    state_marginal_of,
 )
 from mbce.implementation import (
+    DecisionRule,
     build_gale_network,
     choice_rule_from_tau,
     core_check,
@@ -398,10 +404,249 @@ class TestProperties:
             tuple(F(1) if a == picks[i] else F(0) for a in range(game.n_actions))
             for i in range(tau.size)
         )
-        from mbce.implementation import DecisionRule
-
         pi = outcome_from_tau(tau, DecisionRule(rows_rule), game.prior)
         assert check_obedience(pi, game).obedient
         tau_back, rule_back = tau_from_outcome(pi, game.prior)
         assert outcome_from_tau(tau_back, rule_back, game.prior).probs == pi.probs
         assert sum(tau_back.weights) == F(1)
+
+
+# -- integer arithmetic against the Fraction code it replaced ---------------
+#
+# The implement path computes on integers over common denominators and builds
+# a Fraction once per returned value. The functions below are the earlier
+# Fraction versions, with their bodies kept as they were (only names,
+# annotations and docstrings dropped or changed), as the references: the
+# integer code must return exactly what they return.
+
+REF_ZERO = Fraction(0)
+_REF_SOURCE = ("__source__",)
+_REF_SINK = ("__sink__",)
+
+
+def reference_max_flow_feasible(network):
+    residual = {_REF_SOURCE: {}, _REF_SINK: {}}
+
+    def ensure(node):
+        if node not in residual:
+            residual[node] = {}
+        return residual[node]
+
+    def add_edge(u, v, cap):
+        ensure(u)[v] = ensure(u).get(v, REF_ZERO) + cap
+        ensure(v).setdefault(u, REF_ZERO)
+
+    for node, supply in network.supplies:
+        if supply > 0:
+            add_edge(_REF_SOURCE, node, supply)
+        else:
+            ensure(node)
+    total_demand = REF_ZERO
+    for node, demand in network.demands:
+        total_demand += demand
+        if demand > 0:
+            add_edge(node, _REF_SINK, demand)
+        else:
+            ensure(node)
+    for u, v, cap in network.edges:
+        if cap > 0:
+            add_edge(u, v, cap)
+
+    pushed = REF_ZERO
+    while True:
+        # BFS for the shortest augmenting path
+        parent = {_REF_SOURCE: _REF_SOURCE}
+        queue = deque([_REF_SOURCE])
+        while queue and _REF_SINK not in parent:
+            u = queue.popleft()
+            for v, cap in residual[u].items():
+                if cap > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if _REF_SINK not in parent:
+            break
+        bottleneck = None
+        v = _REF_SINK
+        while v != _REF_SOURCE:
+            u = parent[v]
+            cap = residual[u][v]
+            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
+            v = u
+        v = _REF_SINK
+        while v != _REF_SOURCE:
+            u = parent[v]
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+            v = u
+        pushed += bottleneck
+
+    if pushed != total_demand:
+        return False, None
+    flow = {}
+    for u, v, cap in network.edges:
+        used = residual[v].get(u, REF_ZERO) if cap > 0 else REF_ZERO
+        flow[(u, v)] = used
+    return True, flow
+
+
+def reference_choice_rule_from_tau(tau, rule, prior):
+    n_actions = len(rule.rows[0]) if rule.rows else 0
+    rows = []
+    for t, p in enumerate(prior):
+        row = [REF_ZERO] * n_actions
+        for i, (mu, w) in enumerate(zip(tau.support, tau.weights)):
+            if mu[t] == 0:
+                continue
+            factor = w * mu[t] / p
+            for a in range(n_actions):
+                if rule.rows[i][a]:
+                    row[a] += factor * rule.rows[i][a]
+        rows.append(tuple(row))
+    return StochasticChoiceRule(rows=tuple(rows))
+
+
+def reference_outcome_from_tau(tau, rule, prior):
+    sigma = reference_choice_rule_from_tau(tau, rule, prior)
+    n_actions = len(rule.rows[0]) if rule.rows else 0
+    probs = tuple(
+        tuple(prior[t] * sigma.rows[t][a] for t in range(len(prior)))
+        for a in range(n_actions)
+    )
+    return Outcome(probs=probs)
+
+
+def reference_choice_rule_from_outcome(outcome, prior):
+    if not check_state_marginal(outcome, prior):
+        raise StateMarginalMismatch(
+            f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
+        )
+    rows = tuple(
+        tuple(outcome.probs[a][t] / prior[t] for a in range(outcome.n_actions))
+        for t in range(outcome.n_states)
+    )
+    return StochasticChoiceRule(rows=rows)
+
+
+# Small denominators, and unlike, mostly coprime ones near 10^6 (999983 and
+# 1000003 are prime, 2^20 and 10^6 share only powers of two).
+DENOMINATORS = st.one_of(
+    st.integers(12, 60),
+    st.sampled_from([999_983, 1_000_003, 999_979, 1_000_000, 2**20]),
+    st.integers(10**6 - 30, 10**6 + 30),
+)
+
+
+@st.composite
+def distributions(draw, n, positive=False):
+    """A probability vector of length ``n`` <= 12 with unlike denominators:
+    n - 1 drawn entries of at most 1/n each (possibly 0 unless ``positive``)
+    and their complement, in a drawn order."""
+    entries = []
+    for _ in range(n - 1):
+        d = draw(DENOMINATORS)
+        entries.append(F(draw(st.integers(1 if positive else 0, d // n)), d))
+    entries.append(1 - sum(entries, F(0)))
+    return tuple(draw(st.permutations(entries)))
+
+
+@st.composite
+def experiments(draw):
+    """(tau, rule): 1-12 distinct posteriors over 1-4 states and a decision
+    rule over 1-4 actions, zero entries included."""
+    n_states = draw(st.integers(1, 4))
+    n_actions = draw(st.integers(1, 4))
+    beliefs = draw(st.lists(distributions(n_states), min_size=1, max_size=12))
+    support = list(dict.fromkeys(beliefs))
+    weights = draw(distributions(len(support), positive=True))
+    rows = [draw(distributions(n_actions)) for _ in support]
+    return make_posteriors(support, weights), DecisionRule(tuple(rows))
+
+
+@st.composite
+def networks(draw):
+    """Supply/demand networks shaped like the Gale network: unlike
+    denominators, zero supplies and demands, and edges of capacity 1, 0 or a
+    drawn rational, or no edge; many fall short of the demands."""
+    n_supplies, n_demands = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    supplies = draw(distributions(n_supplies))
+    demands = draw(distributions(n_demands))
+    capacities = st.one_of(
+        st.none(), st.just(F(1)), st.just(F(0)), DENOMINATORS.map(lambda d: F(d // 3, d))
+    )
+    edges = []
+    for i in range(n_supplies):
+        for a in range(n_demands):
+            cap = draw(capacities)
+            if cap is not None:
+                edges.append((("posterior", i), ("action", a), cap))
+    return FlowNetwork(
+        supplies=tuple((("posterior", i), w) for i, w in enumerate(supplies)),
+        demands=tuple((("action", a), q) for a, q in enumerate(demands)),
+        edges=tuple(edges),
+    )
+
+
+def mean_of(tau):
+    dim = len(tau.support[0])
+    return tuple(
+        sum((w * mu[t] for w, mu in zip(tau.weights, tau.support)), F(0)) for t in range(dim)
+    )
+
+
+def result_or_error(compute, *args):
+    try:
+        return compute(*args)
+    except Exception as err:  # the exception type is what is compared
+        return type(err)
+
+
+class TestIntegerArithmeticMatchesFractions:
+    @settings(max_examples=100, deadline=None)
+    @given(experiments(), st.data())
+    def test_outcome_and_choice_rule(self, experiment, data):
+        """At the Bayes mean of tau (zero states included) and at an
+        unrelated full-support prior, the same outcome and choice rule."""
+        tau, rule = experiment
+        mean = mean_of(tau)
+        other = data.draw(distributions(len(mean), positive=True))
+        assert is_bayes_plausible(tau, mean)
+        assert is_bayes_plausible(tau, other) == (other == mean)
+        for prior in (mean, other):
+            outcome = outcome_from_tau(tau, rule, prior)
+            assert outcome == reference_outcome_from_tau(tau, rule, prior)
+            assert all(type(q) is Fraction for row in outcome.probs for q in row)
+            sigma = choice_rule_from_tau(tau, rule, prior)
+            assert sigma == reference_choice_rule_from_tau(tau, rule, prior)
+
+    @settings(max_examples=100, deadline=None)
+    @given(experiments(), st.data())
+    def test_choice_rule_from_outcome(self, experiment, data):
+        """Also where the prior is not the outcome's state marginal, or has a
+        zero state: the same rule, or the same exception."""
+        tau, rule = experiment
+        outcome = reference_outcome_from_tau(tau, rule, mean_of(tau))
+        other = data.draw(distributions(outcome.n_states))
+        for prior in (state_marginal_of(outcome), other):
+            expected = result_or_error(reference_choice_rule_from_outcome, outcome, prior)
+            assert result_or_error(choice_rule_from_outcome, outcome, prior) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks())
+    def test_max_flow(self, network):
+        """The same verdict and the same flow on every declared edge."""
+        feasible, flow = max_flow_feasible(network)
+        assert (feasible, flow) == reference_max_flow_feasible(network)
+        if feasible:
+            assert all(type(f) is Fraction for f in flow.values())
+
+    def test_max_flow_properties_reach_both_verdicts(self):
+        """The network strategy draws feasible and infeasible networks."""
+        verdicts = set()
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(networks())
+        def collect(network):
+            verdicts.add(max_flow_feasible(network)[0])
+
+        collect()
+        assert verdicts == {True, False}

@@ -155,6 +155,12 @@ class TestDropNullStates:
         with pytest.raises(ValidationError, match="ragged"):
             load_game(write(tmp_path, doc), drop_null_states=True)
 
+    def test_ragged_tau_refused(self, tmp_path):
+        """A support row shorter than the prior has no coordinate to keep."""
+        doc = dict(self.DOC, tau={"support": [[1, 0], [0, 0, 1]], "weights": ["3/4", "1/4"]})
+        with pytest.raises(ValidationError, match="ragged tau"):
+            load_game(write(tmp_path, doc), drop_null_states=True)
+
 
 class TestOtherSections:
     def test_marginal_without_game(self, tmp_path):
@@ -351,6 +357,21 @@ class TestReportReload:
 
         with pytest.raises(ValidationError, match="menu"):
             reload_report(tmp_path, report, phantom_menu)
+
+    def test_implement_tau_must_have_the_games_states(self, tmp_path, match_half):
+        """A posterior with a coordinate beyond the game's states is refused,
+        though best responses and the outcome read only the game's states."""
+        tau = make_posteriors([["1/2", "1/2"]], [1])
+        report, code = cmd_implement(match_half, make_marginal(["1/2", "1/2"]), tau)
+        assert code == 0
+
+        def extra_state(d):
+            for node in (d["inputs"]["tau"], d["witnesses"]["tau"]):
+                node["support"] = [["1/2", "1/2", 0]]
+            d["inputs_sha256"] = inputs_digest(d["inputs"])
+
+        with pytest.raises(ValidationError, match="dimensions"):
+            reload_report(tmp_path, report, extra_state)
 
     def test_infeasible_implement_report_rechecked(self, tmp_path, match_half):
         tau = make_posteriors([[1, 0], [0, 1]], ["1/2", "1/2"])

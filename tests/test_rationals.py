@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbce.rationals import exact_fraction, integer_row
+from mbce.rationals import exact_fraction, exact_sum, integer_row
 
 F = Fraction
 
@@ -88,3 +88,13 @@ def test_integer_row_scales_by_the_lcm(values):
     assert scale > 0 and all(type(i) is int for i in ints)
     assert [F(i, scale) for i in ints] == values
     assert all(scale % q.denominator == 0 for q in values)
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=12))
+def test_exact_sum_is_the_fraction_sum(values):
+    """One Fraction over the lcm of the denominators, equal to adding the
+    values one at a time; the empty sum is 0."""
+    total = exact_sum(values)
+    assert type(total) is Fraction
+    assert total == sum(values, F(0))
+    assert exact_sum(iter(values)) == total  # a single-pass iterable works too
