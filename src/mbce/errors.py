@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class MbceError(Exception):
     """Base class for every input or verdict error raised by this package."""
+
+
+class NumberTooLong(MbceError):
+    """A value has more digits than Python converts between int and str, so
+    it can be printed into no report, and no report holding it could be read."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(
+            f"a value has more than {limit} digits, the limit of Python's int-string"
+            " conversion (sys.get_int_max_str_digits()); no report can hold it"
+        )
 
 
 class InternalDisagreement(Exception):

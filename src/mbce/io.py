@@ -12,14 +12,25 @@ a JSON boolean (none is ever written, and true == 1 in a comparison), so a
 report that loads cleanly is evidence, not just prose.  Identical inputs
 produce byte-identical report files: keys are sorted, and the timing field is
 pinned to null (wall-clock timings go to stderr, never into the document).
+
+One operation writes and reads the same rationals several times (the inputs'
+digest, the report, the reload, its digest), so this is a hot path:
+canonical_json writes the text itself rather than through json.dumps, and
+rational lists parse in one pass, naming the entry at fault only when one
+fails.  load_document refuses with a ParseError, never a traceback, a file
+that is not UTF-8, that json cannot read (too deep, or an integer literal
+past the int-string digit limit), or that holds a lone surrogate, which no
+UTF-8 report could carry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .applications import (
     FirstOrderGame,
@@ -44,7 +55,13 @@ from .consistency import (
     ViolationCertificate,
     violation_certificate,
 )
-from .errors import ImplementationInfeasible, MbceError, ParseError, ValidationError
+from .errors import (
+    ImplementationInfeasible,
+    MbceError,
+    NumberTooLong,
+    ParseError,
+    ValidationError,
+)
 from .game import (
     ActionMarginal,
     BaseGame,
@@ -69,7 +86,7 @@ from .implementation import (
     outcome_from_tau,
 )
 from .polytope import is_empty, opt_belief_polytope
-from .rationals import exact_fraction, exact_sum, fraction_to_json
+from .rationals import exact_fraction, exact_sum, fraction_to_json, vector_json
 
 SCHEMA_VERSION = 1
 IMPLEMENTATION_INFEASIBLE = "implementation-infeasible"
@@ -123,8 +140,80 @@ class Report:
         }
 
 
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _null_text(value: None) -> str:
+    return "null"
+
+
+# JSON text of each scalar type a report holds; bool is not int here.
+_SCALAR_TEXT = {str: encode_basestring, int: int.__repr__, bool: _bool_text, type(None): _null_text}
+
+
+def _text(value, indent: str):
+    """The text of ``value`` at nesting ``indent``, or ``(value, indent)``
+    for a container that holds containers, which the caller expands."""
+    kind = type(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        try:
+            texts = [
+                encode_basestring(v) if type(v) is str else _SCALAR_TEXT[type(v)](v)
+                for v in value
+            ]
+        except KeyError:
+            return value, indent
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    if kind is dict:
+        return (value, indent) if value else "{}"
+    if kind not in _SCALAR_TEXT:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _SCALAR_TEXT[kind](value)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of ``obj``: the bytes of ``json.dumps(obj,
+    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, written
+    directly (``json`` indents only in its pure-Python encoder). Only the
+    types reports hold are written, dicts with str keys, lists, str, int,
+    bool and None; any other raises TypeError. Containers wait on a stack
+    instead of the call stack, so no nesting that ``json.load`` reads can
+    raise RecursionError."""
+    parts = []
+    try:
+        pending = [_text(obj, "")]
+        while pending:
+            item = pending.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            # The container's pieces go on the stack in reverse: the closing
+            # bracket, then each value and the separator (and key) before it;
+            # the opening bracket replaces the first separator.
+            node, indent = item
+            inner = indent + "  "
+            sep = ",\n" + inner
+            if type(node) is list:
+                todo = ["\n" + indent + "]"]
+                for value in reversed(node):
+                    todo += (_text(value, inner), sep)
+                todo[-1] = "[\n" + inner
+            else:
+                todo = ["\n" + indent + "}"]
+                for key in sorted(node, reverse=True):
+                    if type(key) is not str:
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    todo += (_text(node[key], inner), sep + encode_basestring(key) + ": ")
+                todo[-1] = "{\n" + todo[-1][2:]
+            pending += todo
+    except ValueError:  # int.__repr__ past sys.get_int_max_str_digits()
+        raise NumberTooLong() from None
+    parts.append("\n")
+    return "".join(parts)
 
 
 def inputs_digest(inputs: dict) -> str:
@@ -151,14 +240,48 @@ def load_document(path: str) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=no_floats, parse_constant=no_floats)
+            text = fh.read()
+        doc = json.loads(text, parse_float=no_floats, parse_constant=no_floats)
     except OSError as err:
         raise ParseError(path, str(err))
+    except UnicodeDecodeError as err:
+        raise ParseError(path, f"not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise ParseError(path, f"invalid JSON: {err}")
+    except ValueError as err:  # an integer literal past sys.get_int_max_str_digits()
+        raise ParseError(path, f"unreadable number: {err}")
+    except RecursionError:
+        raise ParseError(path, "arrays or objects nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError(path, "top level must be a JSON object")
+    if _SURROGATE_ESCAPE.search(text) and _holds_lone_surrogate(doc):
+        raise ParseError(path, "a string holds a lone surrogate, which UTF-8 cannot encode")
     return doc
+
+
+# A \uXXXX escape of a UTF-16 surrogate. Strict UTF-8 decoding refuses
+# encoded surrogates, so only such an escape can put one in a parsed string.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _holds_lone_surrogate(doc) -> bool:
+    """Whether a key or string anywhere in ``doc`` holds a surrogate that no
+    escape pair joined into one character."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is dict:
+            stack.extend(node)
+            stack.extend(node.values())
+        elif kind is list:
+            stack.extend(node)
+        elif kind is str:
+            try:
+                node.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+    return False
 
 
 def _require(node: dict, key: str, path: str, crumb: str = "") -> object:
@@ -178,7 +301,12 @@ def _fraction_at(value, path: str, crumb: str) -> Fraction:
 def _fraction_list(node, path: str, crumb: str) -> tuple[Fraction, ...]:
     if not isinstance(node, list):
         raise ParseError(path, f"{crumb}: expected an array of rationals")
-    return tuple(_fraction_at(v, path, f"{crumb}[{i}]") for i, v in enumerate(node))
+    try:
+        return tuple(map(exact_fraction, node))
+    except (TypeError, ValueError):
+        for i, v in enumerate(node):  # the first entry that fails raises, located
+            _fraction_at(v, path, f"{crumb}[{i}]")
+        raise
 
 
 def _fraction_rows(node, path: str, crumb: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -347,10 +475,6 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
 
 
 # -- serialization ------------------------------------------------------
-
-
-def vector_json(values) -> list:
-    return [fraction_to_json(exact_fraction(v)) for v in values]
 
 
 def rows_json(rows) -> list:

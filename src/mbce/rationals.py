@@ -12,6 +12,15 @@ is the common step, and ``exact_sum`` adds rationals with it: numerators
 over the lcm of the denominators, one ``Fraction`` for the total.
 Floats are refused at every boundary because verdicts hinge on exact
 boundary equalities that tolerances would misclassify.
+
+Report files carry every input and witness, so parsing and printing
+rationals is a hot path too. ``exact_fraction`` tests the exact types the
+parsers and builders pass (``Fraction``, ``int``, ``str``) before any
+subclass, and ``vector_json`` prints a row of ``Fraction``s as they are,
+without converting them again. A numerator or denominator with more digits
+than Python converts between ``int`` and ``str``
+(``sys.get_int_max_str_digits()``) can be neither read nor printed:
+parsing one raises ValueError, printing one ``NumberTooLong``.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+
+from .errors import NumberTooLong
 
 # An optional minus sign, ASCII digits, and an optional "/q" with q > 0
 # written without leading zeros; the groups are the numerator and the
@@ -34,28 +45,47 @@ def exact_fraction(value: int | str | Fraction) -> Fraction:
     reached this point would silently launder binary rounding error into a
     verdict path.
     """
-    if isinstance(value, Fraction):
+    kind = type(value)
+    if kind is Fraction:
         return value
+    if kind is int:
+        return Fraction(value)
+    if kind is str:
+        return _parse_rational(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not rational numbers")
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL_RE.fullmatch(value.strip())
-        if match is None:
-            raise ValueError(f"not an integer or p/q rational: {value!r}")
-        numerator, denominator = match.groups()
-        if denominator is None:
-            return Fraction(int(numerator))
-        return Fraction(int(numerator), int(denominator))
+        return _parse_rational(value)
     raise TypeError(f"refusing to build an exact rational from {type(value).__name__}")
+
+
+def _parse_rational(text: str) -> Fraction:
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an integer or p/q rational: {text!r}")
+    numerator, denominator = match.groups()
+    if denominator is None:
+        return Fraction(int(numerator))
+    return Fraction(int(numerator), int(denominator))
+
+
+def vector_json(values) -> list[int | str]:
+    """Serialize each Fraction of ``values`` as an int when exact, else as a
+    "p/q" string. The domain types hold only Fractions; any other value
+    raises TypeError rather than being converted."""
+    try:
+        return [n if d == 1 else f"{n}/{d}" for n, d in map(Fraction.as_integer_ratio, values)]
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise NumberTooLong() from None
 
 
 def fraction_to_json(q: Fraction) -> int | str:
     """Serialize a Fraction as an int when exact, else as a "p/q" string."""
-    if q.denominator == 1:
-        return int(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return vector_json((q,))[0]
 
 
 def fraction_vector(values) -> tuple[Fraction, ...]:

@@ -7,21 +7,28 @@ instead of re-deriving the checks.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mbce.applications import make_first_order, make_profile, make_ring
-from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_ring, cmd_verify
+from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_ring, cmd_verify, main
 from mbce.consistency import (
     ACTION_PAIR_CONDITION,
     STATE_CONDITION,
     STRASSEN_DIRECTION,
     UNSUPPORTABLE_ACTION,
 )
-from mbce.errors import ParseError, ValidationError
+from mbce.errors import NumberTooLong, ParseError, ValidationError
 from mbce.game import make_game, make_marginal, matching_game
 from mbce.implementation import make_posteriors
 from mbce.io import (
@@ -40,6 +47,7 @@ from mbce.io import (
 from mbce.rationals import fraction_to_json
 
 F = Fraction
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 GAME_DOC = {
     "states": ["t1", "t2"],
@@ -88,6 +96,36 @@ class TestLoadDocument:
         with pytest.raises(ParseError, match="object"):
             load_document(path)
 
+    GAME_TAIL = b', "actions": ["a1", "a2"], "utility": [[1, 0], [0, 1]], "prior": [1, 0]}'
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"states": ["t\xff", "t2"]' + GAME_TAIL, "not UTF-8"),
+            (b'{"states": ["t1", "t2"], "marginal": [' + b"7" * 5000 + b"]}", "unreadable number"),
+            (b'{"states": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "nested too deeply"),
+            (b'{"states": ["\\ud800", "t2"]' + GAME_TAIL, "lone surrogate"),
+            (b'{"states": ["\\udc00t", "t2"]' + GAME_TAIL, "lone surrogate"),
+            (b'{"states": ["\\ude00\\ud83d", "t2"]' + GAME_TAIL, "lone surrogate"),
+        ],
+        ids=["invalid-utf8", "5000-digit-literal", "200000-deep", "high", "low", "reversed-pair"],
+    )
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, content, message):
+        """Each file is refused with a ParseError when loaded, and with exit
+        3 by the CLI, never with a traceback."""
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=message):
+            load_report(str(path))
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_surrogate_pairs_and_escaped_backslashes_still_load(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"states": ["\\ud83d\\ude00", "\\\\ud800"]}')
+        assert load_document(str(path))["states"] == ["\U0001f600", "\\ud800"]
+
 
 class TestGameSection:
     def test_rationals_parse_exactly(self, tmp_path):
@@ -104,6 +142,22 @@ class TestGameSection:
     def test_bad_cell_carries_a_crumb(self, tmp_path):
         doc = dict(GAME_DOC, utility=[[1, "x"], [0, 1]])
         with pytest.raises(ParseError, match=r"utility\[0\]\[1\]"):
+            load_game(write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "field, value, crumb, reason",
+        [
+            ("utility", [[1, 0], [0, "1/2", True]], r"utility\[1\]\[2\]", "booleans"),
+            ("prior", ["1/4", "1/2", "1/4", None], r"prior\[3\]", "NoneType"),
+            ("prior", ["3/4", "1/" + "9" * 5000], r"prior\[1\]", "value has 5000 digits"),
+        ],
+        ids=["bool", "null", "5000-digit-denominator"],
+    )
+    def test_bad_entry_after_good_ones_is_located(self, tmp_path, field, value, crumb, reason):
+        """A list is parsed whole; the first entry that fails, after good
+        ones, is named in the error with its reason."""
+        doc = dict(GAME_DOC, **{field: value})
+        with pytest.raises(ParseError, match=rf"{crumb}: .*{reason}"):
             load_game(write(tmp_path, doc))
 
     def test_zero_denominator_rejected(self, tmp_path):
@@ -235,6 +289,94 @@ class TestCanonicalReports:
         entries = menu_rule_json(rule)
         assert [e["menu"] for e in entries] == [[0], [1], [0, 1]]
         assert entries[2]["probs"] == ["1/2", "1/2"]
+
+
+# Strings with what JSON escapes (quotes, backslashes, control characters)
+# next to what it keeps as is (non-ASCII, non-BMP).
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\U0001f600'), st.characters()),
+    max_size=8,
+)
+_JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_JSON_TEXT, children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestCanonicalWriter:
+    @given(_JSON_TREES)
+    def test_writes_what_json_dumps_writes(self, tree):
+        """The reference is the encoder reports were first written with."""
+        reference = json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert canonical_json(tree) == reference
+
+    @pytest.mark.parametrize(
+        "value", [1.5, (1, 2), F(1, 2), {1: "a"}, {"a": [{"b": {0}}]}], ids=repr
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+    def test_deep_nesting_raises_no_recursion_error(self):
+        depth = 3 * sys.getrecursionlimit()
+        tree = []
+        for _ in range(depth):
+            tree = [tree]
+        opening = "".join("  " * i + "[\n" for i in range(depth))
+        closing = "".join("\n" + "  " * i + "]" for i in reversed(range(depth)))
+        assert canonical_json(tree) == opening + "  " * depth + "[]" + closing + "\n"
+
+    def test_report_with_990_deep_inputs_is_refused(self, tmp_path):
+        """json.load reads arrays 990 deep from a shallow stack, which a
+        fresh interpreter has and a test does not; the digest, written
+        without recursion, then refuses the report."""
+        deep = "[" * 990 + "]" * 990
+        path = write(
+            tmp_path,
+            '{"command": "check", "verdict": "consistent", "inputs_sha256": "0", '
+            f'"inputs": {{"states": {deep}}}}}',
+        )
+        loader = (
+            "import sys\n"
+            "from mbce.errors import ValidationError\n"
+            "from mbce.io import load_report\n"
+            "try:\n"
+            "    load_report(sys.argv[1])\n"
+            "except ValidationError as err:\n"
+            "    print(err)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", loader, path], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("inputs digest mismatch\n")
+
+    def test_an_int_too_long_to_print_names_the_limit(self):
+        limit = str(sys.get_int_max_str_digits())
+        with pytest.raises(NumberTooLong, match=limit):
+            canonical_json({"n": [1, 10**5000]})
+        with pytest.raises(NumberTooLong, match=limit):
+            fraction_to_json(F(1, 10**5000 + 1))
+
+    def test_check_refuses_a_report_value_too_long_to_print(self, tmp_path, capsys):
+        """Each input value is under the digit limit, but the witness is not:
+        exit 3 with the limit named, and no report."""
+        d, e = 10**3000 + 7, 10**3000 + 9
+        doc = dict(
+            GAME_DOC,
+            utility=[[f"1/{e}", 0], [0, f"1/{e + 2}"]],
+            prior=[f"1/{d}", f"{d - 1}/{d}"],
+            marginal=["1/2", "1/2"],
+        )
+        assert main(["check", write(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(sys.get_int_max_str_digits()) in captured.err
 
 
 class TestReportReload:
@@ -727,6 +869,39 @@ def test_every_single_leaf_edit_is_refused(tmp_path, direction_blind_spot):
                 loaded.append((name, path, edit))
     assert tried > 600
     assert loaded == []
+
+
+# SHA-256 of the report text of each kind as ``json.dumps`` wrote it, before
+# the canonical writer replaced it; spec, not tuning.
+PINNED_REPORTS = {
+    "check consistent": "44397a1c80ec28a10f635745578b723888d67e7d0c02b4e6d802161a55625e8f",
+    "check unsupportable": "3d3cb24725ab814cc84b022b80cfdb98dba070bd2f699c7299d2cf5168c36695",
+    "check state": "c9be9b18b1f614f1c3eeca5bff6eb46fa1b58436ba637264f75fe211f2db0953",
+    "check pair": "6a68442e7bbbca40c0fd2c77ccbd69c4db39bfae2cf10e61a8dc98ae90fd4202",
+    "check direction": "0fc5d2cd3028ebaaf25721807835a84a8c5e5476efba1550675628b3be6757d7",
+    "oracle inconsistent": "39098d0f3c2d17b1197080ed7f9ece6fc5f216aaeafe8cef99bfe2ccfc3659a8",
+    "implement implemented": "23da2c31224fe9c36fbfa658a3b961ed72f3bb79e59ae2ee3bbd82353a1667ea",
+    "implement infeasible": "333e2daf48240c443cb573386fdbe6126877dc351badf80d184cf75ae5e782ac",
+    "ring consistent": "5f86e8d9ace2d9d23b272c713748438ec87c460a22f95aaec75da9680cceed73",
+    "ring inconsistent": "1d5c436c9e9a8d74f73db572d66a2282149b055c5173558a3bfc4cb78294fdcc",
+    "public consistent": "ab39070168cbf360f5c128c6df12b4662b77d31fc56b856af9c7799173a3b8ec",
+    "public inconsistent": "30da9975d68669728af37d4a394067398d8610c6383561da436b120074c57af5",
+    "verify": "207013eff1454eb667b86f5bec7b5e79f78b8b2dd5b624de0dd13ef12008c760",
+    "verify --n 20 --seed 7": "07c8811d7fc959a8f17fbe8d1d73bf2c923458bf0a2b2e7224ca0ba414adda01",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys, direction_blind_spot):
+    """Every report kind keeps its bytes: each one ``cli_reports`` builds,
+    and the file ``mbce verify --n 20 --seed 7 --out FILE`` writes."""
+    digests = {
+        name: hashlib.sha256(report_string(report).encode("utf-8")).hexdigest()
+        for name, report in cli_reports(direction_blind_spot).items()
+    }
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--n", "20", "--seed", "7", "--out", str(out)]) == 0
+    digests["verify --n 20 --seed 7"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_REPORTS
 
 
 def test_vector_json_mixes_ints_and_strings():

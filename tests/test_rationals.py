@@ -82,6 +82,30 @@ def test_refused_strings(text):
         exact_fraction(text)
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(F(1, 3), F(1, 3)), (-4, F(-4)), (_Int(3), F(3)), (_Str(" 6/4"), F(3, 2))],
+    ids=repr,
+)
+def test_exact_types_and_subclasses_convert_alike(value, expected):
+    result = exact_fraction(value)
+    assert result == expected and type(result) is Fraction
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, None, [1]], ids=repr)
+def test_refused_types(value):
+    with pytest.raises(TypeError):
+        exact_fraction(value)
+
+
 @given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=6))
 def test_integer_row_scales_by_the_lcm(values):
     scale, ints = integer_row(values)
