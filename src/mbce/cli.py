@@ -267,7 +267,11 @@ def main(argv=None) -> int:
     except InternalDisagreement as err:
         print(f"internal disagreement: {err}", file=sys.stderr)
         return 4
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as err:
+        print(f"error: cannot write the output: {err}", file=sys.stderr)
+        return 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"{args.command}: {elapsed_ms:.1f} ms", file=sys.stderr)
     return code

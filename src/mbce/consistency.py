@@ -9,7 +9,9 @@ against the prior). The search tries the named families first, state
 conditions and then action-pair conditions, and falls back to a separating
 direction from the vertex-based minimization; the named families are
 necessary but not sufficient once beliefs have three or more degrees of
-freedom.
+freedom. Each support value in a residual comes from ``support_value``,
+which reads it off a full-information belief inside the polytope where one
+attains it and solves the LP otherwise.
 
 ``belief_decomposition`` decides the same question independently, through
 the vertices of the belief polytopes. It stays off the decision path and
@@ -39,9 +41,9 @@ from .polytope import (
     dot,
     enumerate_vertices,
     is_empty,
-    maximize_direction,
     negate,
     opt_belief_polytope,
+    support_value,
     unit_direction,
     utility_difference_direction,
 )
@@ -95,10 +97,9 @@ def _polytopes_for(
 
 def _max_over(poly: BeliefPolytope, c: Direction, action: int) -> Fraction:
     try:
-        value, _ = maximize_direction(poly, c)
+        return support_value(poly, c)
     except EmptyPolytope:
         raise UnsupportableAction(action) from None
-    return value
 
 
 def strassen_residual(
@@ -336,7 +337,8 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
     """Decide reachability of the marginal pair and certify the answer.
 
     Supported actions are first screened, in action order, for empty belief
-    polytopes; that tiny-LP screen settles many rejections on its own. The
+    polytopes; the screen settles many rejections on its own, and most of
+    its questions without an LP (see ``is_empty``). The
     oracle LP then decides, and a feasible solution is the witness. Only an
     infeasible pair pays for a certificate, searched in a fixed order for
     reproducibility: state conditions in state order, then ordered action

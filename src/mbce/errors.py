@@ -34,6 +34,11 @@ class EmptySpace(MbceError):
     """A game was declared with no states or no actions."""
 
 
+class RepeatedLabel(MbceError):
+    """Two states or two actions of a game share a label; reports name rows
+    by label, so each must name one row."""
+
+
 class DimensionMismatch(MbceError):
     """Two objects that must share a shape do not."""
 

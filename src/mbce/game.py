@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     EmptySpace,
     NotADistribution,
+    RepeatedLabel,
     StateMarginalMismatch,
     ZeroPriorState,
 )
@@ -139,12 +140,16 @@ def matching_game(p) -> BaseGame:
 def validate_game(game: BaseGame) -> None:
     """Raise unless every BaseGame invariant holds.
 
-    EmptySpace for missing states/actions, DimensionMismatch for a ragged or
-    misshapen utility table or prior, NotADistribution / ZeroPriorState for a
-    bad prior.
+    EmptySpace for missing states/actions, RepeatedLabel for a state or
+    action label given twice, DimensionMismatch for a ragged or misshapen
+    utility table or prior, NotADistribution / ZeroPriorState for a bad prior.
     """
     if game.n_states == 0 or game.n_actions == 0:
         raise EmptySpace("a game needs at least one state and one action")
+    for kind, labels in (("state", game.states), ("action", game.actions)):
+        if len(set(labels)) != len(labels):
+            label = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise RepeatedLabel(f"{kind} label {label!r} is repeated")
     if len(game.utility) != game.n_actions:
         raise DimensionMismatch(
             f"utility has {len(game.utility)} rows for {game.n_actions} actions"

@@ -7,6 +7,16 @@ top of the stored halfspaces), may be empty, and are routinely degenerate at
 tie beliefs. Optimization over them runs through the exact simplex; vertex
 enumeration is a deliberately independent second code path used to
 cross-check it.
+
+Every polytope lies inside the simplex, the hull of the point masses e_t
+(the full-information beliefs), and three exact facts settle many questions
+before any LP is built. A polytope that holds some e_t is nonempty; one with
+a row whose smallest coefficient exceeds its offset excludes every e_t and
+so every belief, since ``normal . x >= min(normal)`` on the simplex. And
+``max c . x`` over the polytope is at most ``max c``, with equality when it
+holds an e_t at which c attains that maximum. ``is_empty`` and
+``support_value`` answer from these facts where they can and solve the LP
+only for what remains; both answers are unique, so they are the LP's.
 """
 
 from __future__ import annotations
@@ -50,10 +60,10 @@ def unit_direction(dim: int, t: int) -> Direction:
 
 
 def utility_difference_direction(game: BaseGame, a_first: int, a_second: int) -> Direction:
-    """Per-state payoff difference of a_first over a_second."""
-    return tuple(
-        game.utility[a_first][t] - game.utility[a_second][t] for t in range(game.n_states)
-    )
+    """Per-state payoff difference of a_first over a_second, read off the
+    game's integer utility table."""
+    scale, table = game.integer_utility
+    return tuple(Fraction(x - y, scale) for x, y in zip(table[a_first], table[a_second]))
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,17 @@ class BeliefPolytope:
             rows.append(scaled_to_integers(Constraint(normal, LESS_EQUAL, offset)))
         return tuple(rows)
 
+    @cached_property
+    def point_masses(self) -> tuple[int, ...]:
+        """The states t, ascending, whose point mass e_t lies in the
+        polytope: ``normal[t] <= offset`` on every row. Kept outside the
+        fields, like ``lp_rows``."""
+        return tuple(
+            t
+            for t in range(self.dim)
+            if all(normal[t] <= offset for normal, offset in self.halfspaces)
+        )
+
 
 def opt_belief_polytope(game: BaseGame, action: int) -> BeliefPolytope:
     """Beliefs at which ``action`` is a best response: one halfspace per
@@ -98,6 +119,13 @@ def opt_belief_polytope(game: BaseGame, action: int) -> BeliefPolytope:
 
 
 def is_empty(poly: BeliefPolytope) -> bool:
+    """Whether no belief satisfies every row. A point mass inside settles
+    it as nonempty, and a row that every point mass violates as empty;
+    phase one decides the rest."""
+    if poly.point_masses:
+        return False
+    if poly.dim and any(min(normal) > offset for normal, offset in poly.halfspaces):
+        return True
     feasible, _ = lp_feasible(poly.dim, poly.lp_rows, nonneg=True)
     return not feasible
 
@@ -112,6 +140,18 @@ def maximize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, Be
     if res.status != OPTIMAL:  # the simplex is compact, so never unbounded
         raise InternalDisagreement("maximum over a compact belief polytope is unbounded")
     return res.value, res.x
+
+
+def support_value(poly: BeliefPolytope, c: Direction) -> Fraction:
+    """Exact maximum of ``c . x`` over the polytope, the value alone: ``max c``
+    when a point mass inside attains it, else ``maximize_direction``'s."""
+    if len(c) != poly.dim:
+        raise DimensionMismatch(f"direction has {len(c)} coordinates for dim {poly.dim}")
+    if poly.point_masses:
+        top = max(c)
+        if any(c[t] == top for t in poly.point_masses):
+            return top
+    return maximize_direction(poly, c)[0]
 
 
 def minimize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, Belief]:

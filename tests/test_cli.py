@@ -138,6 +138,22 @@ class TestCheck:
         assert report is None  # nothing on stdout when --out is given
         assert load_report(str(out))["verdict"] == "consistent"
 
+    def test_out_path_that_cannot_be_opened_exits_three(self, tmp_path, capsys):
+        path = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
+        for out in (tmp_path / "absent" / "report.json", tmp_path):
+            code, report, err = run(capsys, ["check", path, "--out", str(out)])
+            assert code == 3
+            assert report is None
+            assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("kind, label", [("state", "t"), ("action", "a")])
+    def test_repeated_label_exits_three(self, tmp_path, capsys, kind, label):
+        doc = dict(MATCH34, marginal=["1/2", "1/2"], **{f"{kind}s": [label, label]})
+        code, report, err = run(capsys, ["check", write(tmp_path, doc)])
+        assert code == 3
+        assert report is None
+        assert err.startswith("error: ") and f"{kind} label '{label}' is repeated" in err
+
     def test_drop_null_states_flag(self, tmp_path, capsys):
         doc = {
             "states": ["t1", "tdead", "t2"],
@@ -286,6 +302,15 @@ class TestRing:
         assert report["details"]["failing_stage"] == 0
         assert report["certificate"]["kind"] == "state-condition"
 
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_repeated_stage_action_label_exits_three(self, tmp_path, capsys, stage):
+        doc = json.loads(json.dumps(MATCH_RING))
+        doc["ring"]["stages"][stage]["actions"] = ["c", "c"]
+        code, report, err = run(capsys, ["ring", write(tmp_path, doc)])
+        assert code == 3
+        assert report is None
+        assert err.startswith("error: ") and "label 'c' is repeated" in err
+
 
 class TestPublic:
     def test_uniform_prior_mismatch_profiles_consistent(self, tmp_path, capsys):
@@ -304,6 +329,16 @@ class TestPublic:
         code, report, _ = run(capsys, ["public", write(tmp_path, doc)])
         assert code == 2
         assert report["certificate"]["kind"] == "state-condition"
+
+    def test_colliding_profile_labels_exit_three(self, tmp_path, capsys):
+        # "x,y" then "z" and "x" then "y,z" both join to the profile "x,y,z".
+        doc = json.loads(json.dumps(TWO_MATCHING_PLAYERS))
+        doc["first_order"]["players"][0]["actions"] = ["x,y", "x"]
+        doc["first_order"]["players"][1]["actions"] = ["z", "y,z"]
+        code, report, err = run(capsys, ["public", write(tmp_path, doc)])
+        assert code == 3
+        assert report is None
+        assert err.startswith("error: ") and "action label 'x,y,z' is repeated" in err
 
     def test_marginal_flag(self, tmp_path, capsys):
         doc = {"first_order": TWO_MATCHING_PLAYERS["first_order"]}

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbce import polytope
 from mbce.consistency import (
     ACTION_PAIR_CONDITION,
     STATE_CONDITION,
@@ -254,3 +255,22 @@ def test_characterization_agrees_with_oracle(utility_num, prior_num, marginal_nu
         if cert.kind != UNSUPPORTABLE_ACTION:
             assert cert.residual < 0
             assert strassen_residual(game, marginal, cert.direction) == cert.residual
+
+
+@pytest.mark.parametrize(
+    "marginal, consistent", [(["1/4", "1/2", "1/4"], True), ([0, 1, 0], False)]
+)
+def test_full_information_screen_makes_no_polytope_lp(monkeypatch, marginal, consistent):
+    """Each action of the three-state guessing game is the best response at
+    its own state's point mass, so the emptiness screen settles every
+    supported action without a phase-one LP."""
+    calls = []
+    real = polytope.lp_feasible
+    monkeypatch.setattr(polytope, "lp_feasible", lambda *a, **k: calls.append(a) or real(*a, **k))
+    game = make_game(
+        ["t1", "t2", "t3"], ["a1", "a2", "a3"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ["1/2", "1/4", "1/4"],
+    )
+    verdict = check_bce_consistent(game, make_marginal(marginal))
+    assert verdict.consistent is consistent
+    assert calls == []

@@ -589,6 +589,35 @@ class TestReportReload:
             with pytest.raises(ValidationError, match=message):
                 reload_report(tmp_path, report, mutate)
 
+    @pytest.mark.parametrize("field", ["states", "actions"])
+    def test_repeated_label_in_inputs_refused(self, tmp_path, match_three_quarters, field):
+        report, _ = cmd_check(match_three_quarters, make_marginal(["1/2", "1/2"]))
+
+        def mutate(doc):
+            doc["inputs"][field] = ["x", "x"]
+            doc["inputs_sha256"] = inputs_digest(doc["inputs"])
+
+        with pytest.raises(ValidationError, match="label 'x' is repeated"):
+            reload_report(tmp_path, report, mutate)
+
+    def test_repeated_ring_label_in_inputs_refused(self, tmp_path):
+        ring = make_ring(
+            ["t1", "t2"],
+            ["3/4", "1/4"],
+            [
+                (["a1", "a2"], [[1, 0], [0, 1]]),
+                (["b1", "b2"], [[1, 0], [0, 1]]),
+            ],
+        )
+        report, _ = cmd_ring(ring, make_profile(ring, [["1/2", "1/2"], ["1/2", "1/2"]]))
+
+        def mutate(doc):
+            doc["inputs"]["ring"]["stages"][1]["actions"] = ["b", "b"]
+            doc["inputs_sha256"] = inputs_digest(doc["inputs"])
+
+        with pytest.raises(ValidationError, match="action label 'b' is repeated"):
+            reload_report(tmp_path, report, mutate)
+
     def test_public_report_rechecked(self, tmp_path):
         fo = make_first_order(
             ["t1", "t2"],

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbce import linprog, polytope
-from mbce.errors import EmptyPolytope
+from mbce.errors import DimensionMismatch, EmptyPolytope
 from mbce.game import best_response_set, make_game, matching_game
 from mbce.linprog import EQUAL, LESS_EQUAL, Constraint
 from mbce.polytope import (
@@ -25,6 +25,7 @@ from mbce.polytope import (
     maximize_direction,
     minimize_direction,
     opt_belief_polytope,
+    support_value,
     unit_direction,
 )
 
@@ -209,8 +210,23 @@ class TestLpRows:
         assert poly == twin
         assert (hash(poly), repr(poly)) == before == (hash(twin), repr(twin))
 
-    def test_is_empty_and_maximize_direction_solve_the_cached_rows(self, monkeypatch, match_half):
+    def test_point_masses_are_no_field(self, match_half):
         poly = opt_belief_polytope(match_half, 0)
+        twin = opt_belief_polytope(match_half, 0)
+        before = (hash(poly), repr(poly))
+        masses = poly.point_masses
+        assert masses == (0,) and poly.point_masses is masses
+        assert [f.name for f in fields(BeliefPolytope)] == ["dim", "halfspaces"]
+        assert "point_masses" in vars(poly) and "point_masses" not in vars(twin)
+        assert poly == twin
+        assert (hash(poly), repr(poly)) == before == (hash(twin), repr(twin))
+
+    def test_is_empty_and_maximize_direction_solve_the_cached_rows(self, monkeypatch):
+        # a0 is a best response only on beliefs between (1/3, 2/3) and
+        # (2/3, 1/3): no point mass is inside, and no row excludes them all,
+        # so only the LP answers either question.
+        poly = opt_belief_polytope(tiny_game([[2, 2], [3, 0], [0, 3]]), 0)
+        assert poly.point_masses == ()
         seen = []
 
         def spy(solve):
@@ -222,9 +238,10 @@ class TestLpRows:
 
         monkeypatch.setattr(polytope, "lp_feasible", spy(linprog.lp_feasible))
         monkeypatch.setattr(polytope, "lp_solve", spy(linprog.lp_solve))
-        is_empty(poly)
-        maximize_direction(poly, (F(1), F(0)))
-        assert len(seen) == 2 and all(rows is poly.lp_rows for rows in seen)
+        assert not is_empty(poly)
+        assert maximize_direction(poly, (F(1), F(0))) == (F(2, 3), (F(2, 3), F(1, 3)))
+        assert support_value(poly, (F(0), F(1))) == F(2, 3)
+        assert len(seen) == 3 and all(rows is poly.lp_rows for rows in seen)
 
     @settings(max_examples=100, deadline=None)
     @given(polytopes(), st.data())
@@ -256,3 +273,66 @@ class TestLpRows:
                     patch.setattr(linprog._Tableau, "pivot", recording)
                     answers.append((solve(poly.dim, rows, *args, nonneg=True), seen))
             assert answers[0] == answers[1]
+
+
+def no_lp(*args, **kwargs):
+    raise AssertionError("a point mass settles this question")
+
+
+@st.composite
+def presolve_polytopes(draw):
+    """Rows the point masses settle and rows they do not: offsets of either
+    sign, zero normals, rows tight exactly at a point mass or at the row's
+    smallest coefficient, rows every point mass violates, and no rows."""
+    dim = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        normal = tuple(draw(st.lists(small, min_size=dim, max_size=dim)))
+        kind = draw(st.sampled_from(["free", "zero", "at-mass", "at-min", "below-min"]))
+        if kind == "zero":
+            normal = (F(0),) * dim
+        if kind == "at-mass":
+            offset = normal[draw(st.integers(0, dim - 1))]
+        elif kind == "at-min":
+            offset = min(normal)
+        elif kind == "below-min":
+            offset = min(normal) - draw(st.fractions(min_value=F(1, 6), max_value=2))
+        else:
+            offset = draw(small)
+        rows.append((normal, offset))
+    return BeliefPolytope(dim, tuple(rows))
+
+
+class TestPointMasses:
+    @settings(max_examples=300, deadline=None)
+    @given(presolve_polytopes(), st.data())
+    def test_presolve_answers_as_the_lp(self, poly, data):
+        corners = [unit_direction(poly.dim, t) for t in range(poly.dim)]
+        assert poly.point_masses == tuple(t for t, e in enumerate(corners) if poly.contains(e))
+        assert is_empty(poly) == (not linprog.lp_feasible(poly.dim, poly.lp_rows, nonneg=True)[0])
+        entries = st.one_of(st.integers(-2, 2).map(F), small)
+        c = tuple(data.draw(st.lists(entries, min_size=poly.dim, max_size=poly.dim)))
+        try:
+            value, _ = maximize_direction(poly, c)
+        except EmptyPolytope:
+            with pytest.raises(EmptyPolytope):
+                support_value(poly, c)
+        else:
+            assert support_value(poly, c) == value
+
+    def test_dominated_action_is_empty_without_an_lp(self, monkeypatch):
+        monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+        assert is_empty(opt_belief_polytope(tiny_game([[0, 0], [1, 1]]), 0))
+
+    def test_full_information_best_response_needs_no_lp(self, monkeypatch, match_half):
+        monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+        monkeypatch.setattr(polytope, "lp_solve", no_lp)
+        poly = opt_belief_polytope(match_half, 0)
+        assert not is_empty(poly)
+        assert support_value(poly, (F(1), F(-1))) == 1
+        with pytest.raises(AssertionError, match="point mass"):
+            support_value(poly, (F(-1), F(1)))
+
+    def test_support_value_checks_the_dimension(self, match_half):
+        with pytest.raises(DimensionMismatch):
+            support_value(opt_belief_polytope(match_half, 0), (F(1),))
