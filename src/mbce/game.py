@@ -70,6 +70,14 @@ class BaseGame:
         )
         return scale, table
 
+    @cached_property
+    def _valid(self) -> bool:
+        """True once ``validate_game`` has passed on this game. Kept outside
+        the fields like ``integer_utility``; a check that raises caches
+        nothing, so an invalid game raises on every call."""
+        _check_game(self)
+        return True
+
 
 @dataclass(frozen=True)
 class ActionMarginal:
@@ -143,7 +151,13 @@ def validate_game(game: BaseGame) -> None:
     EmptySpace for missing states/actions, RepeatedLabel for a state or
     action label given twice, DimensionMismatch for a ragged or misshapen
     utility table or prior, NotADistribution / ZeroPriorState for a bad prior.
+    The checks run once per game object: a game that passes is remembered
+    as valid, so parsing a game and then deciding it validates it once.
     """
+    game._valid  # runs the checks on first use; raises while they fail
+
+
+def _check_game(game: BaseGame) -> None:
     if game.n_states == 0 or game.n_actions == 0:
         raise EmptySpace("a game needs at least one state and one action")
     for kind, labels in (("state", game.states), ("action", game.actions)):

@@ -251,12 +251,40 @@ def load_document(path: str) -> dict:
     except ValueError as err:  # an integer literal past sys.get_int_max_str_digits()
         raise ParseError(path, f"unreadable number: {err}")
     except RecursionError:
-        raise ParseError(path, "arrays or objects nested too deeply")
+        raise ParseError(path, _TOO_DEEP)
     if not isinstance(doc, dict):
         raise ParseError(path, "top level must be a JSON object")
+    # A document nests no deeper than it has opening brackets.
+    if text.count("[") + text.count("{") > MAX_NESTING and _nested_too_deeply(doc):
+        raise ParseError(path, _TOO_DEEP)
     if _SURROGATE_ESCAPE.search(text) and _holds_lone_surrogate(doc):
         raise ParseError(path, "a string holds a lone surrogate, which UTF-8 cannot encode")
     return doc
+
+
+# The deepest nesting a document may have. A report nests a few levels, and
+# ``json`` reads far deeper while stack is left, which depends on the caller:
+# one fixed limit, well under the interpreter's recursion limit, gives every
+# caller the same verdict.
+MAX_NESTING = 100
+_TOO_DEEP = f"arrays or objects nested too deeply (more than {MAX_NESTING} levels)"
+
+
+def _nested_too_deeply(doc: dict) -> bool:
+    """Whether ``doc`` nests arrays or objects more than ``MAX_NESTING``
+    levels deep, the top-level object counted as one. Walks one level at a
+    time, never on the call stack."""
+    level = [doc]
+    for _ in range(MAX_NESTING):
+        level = [
+            child
+            for node in level
+            for child in (node.values() if type(node) is dict else node)
+            if type(child) is dict or type(child) is list
+        ]
+        if not level:
+            return False
+    return True
 
 
 # A \uXXXX escape of a UTF-16 surrogate. Strict UTF-8 decoding refuses

@@ -22,14 +22,20 @@ The rows are fraction-free (Edmonds 1967; Bareiss 1968), with one
 denominator per row. Each constraint row starts scaled by the lcm of its
 denominators, so it is integral and its slack or artificial entry is that
 lcm. A row stands for itself divided by its basic entry, which is kept
-positive. A pivot eliminates the entering variable from every other row
-with a nonzero in its slot, as ``row * (p/h) - (f/h) * pivot_row`` with ``p``
-the pivot row's basic entry, ``f`` the row's entry in that slot and
-``h = gcd(p, f)``; the subtraction runs over the pivot row's nonzeros only.
-The result, basic entry included, is divided by the gcd of its entries,
-which keeps the integers as small as the rational row allows. The reduced
+positive, so any positive factor it carries leaves its rational row as it
+is. A pivot first divides the pivot row by the gcd of its entries, basic
+entry included, which makes it the smallest integer form of its rational
+row. It then eliminates the entering variable from every other row with a
+nonzero in its slot, as ``row * (p/h) - (f/h) * pivot_row`` with ``p`` the
+pivot row's basic entry, ``f`` the row's entry in that slot and
+``h = gcd(p, f)``; the subtraction runs over the pivot row's nonzeros only,
+and the result is not reduced. Only primitive rows are ever multiplied into
+others, so an elimination adds at most the pivot row's bit length plus one
+to a row: a row's integers grow linearly in the eliminations it has gone
+through since it was last a pivot row, never exponentially. The reduced
 costs and the objective value form one more such row, priced out of the
-starting basis once per phase and then carried through each pivot.
+starting basis (and reduced) once per phase and then carried through each
+pivot.
 
 Bland's choices are those of a rational tableau: every represented value is
 a row over its positive basic entry, equal exactly to the rational value,
@@ -196,15 +202,17 @@ class _Tableau:
     def pivot(self, r: int, c: int) -> list[tuple[int, int]]:
         """Make variable ``c`` basic in row ``r``, in place. The leaving
         variable takes ``c``'s slot with its old basic entry, and the pivot
-        row only takes the sign that makes its new basic entry positive;
-        every other row with a nonzero in that slot has it eliminated.
-        Returns the pivot row's nonzeros before its basic entry, so a caller
-        can eliminate a row it keeps outside the tableau in the same way."""
+        row takes the sign that makes its new basic entry positive and is
+        divided by the gcd of its entries; every other row with a nonzero in
+        that slot has it eliminated. Returns the pivot row's nonzeros before
+        its basic entry, so a caller can eliminate a row it keeps outside the
+        tableau in the same way."""
         k = self.nonbasic.index(c)
         row = self.rows[r]
         row[k], row[-1] = row[-1], row[k]
         if row[-1] < 0:
-            row = self.rows[r] = [-x for x in row]
+            row = [-x for x in row]
+        row = self.rows[r] = _reduce(row)
         p = row[-1]
         support = [(j, x) for j, x in enumerate(row[:-1]) if x]
         for i, other in enumerate(self.rows):
@@ -311,18 +319,21 @@ def _eliminate(row: list[int], k: int, p: int, support: list[tuple[int, int]]) -
     made it basic in a pivot row with positive basic entry ``p`` and other
     nonzeros ``support``: with ``f`` the row's entry in slot ``k`` and
     ``h = gcd(p, f)``, the row times ``p/h`` minus ``f/h`` times the pivot
-    row, divided by its gcd. Slot ``k`` now holds the leaving variable, in
-    which the row was zero, and the pivot row is zero in the row's basic
-    variable, so the basic entry is only multiplied by ``p/h`` and stays
-    positive. The row over it is exactly the rational elimination's row."""
+    row. Slot ``k`` now holds the leaving variable, in which the row was
+    zero, and the pivot row is zero in the row's basic variable, so the
+    basic entry is only multiplied by ``p/h`` and stays positive. The row
+    over it is exactly the rational elimination's row. It is not reduced:
+    the pivot row is primitive, so the row's entries gain at most the pivot
+    row's bit length plus one bits."""
     f = row[k]
     h = gcd(p, f)
     f //= h
-    new = row[:] if p == h else [x * (p // h) for x in row]
+    q = p // h
+    new = row[:] if q == 1 else [x * q for x in row]
     new[k] = 0
     for j, y in support:
         new[j] -= f * y
-    return _reduce(new)
+    return new
 
 
 def _reduce(row: list[int]) -> list[int]:

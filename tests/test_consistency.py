@@ -27,8 +27,9 @@ from mbce.consistency import (
     state_condition_residual,
     strassen_residual,
 )
-from mbce.errors import UnsupportableAction
+from mbce.errors import NotADistribution, UnsupportableAction
 from mbce.game import (
+    BaseGame,
     check_action_marginal,
     check_obedience,
     check_state_marginal,
@@ -160,6 +161,18 @@ class TestCheckConsistent:
         assert strassen_residual(game, marginal, cert.direction) == F(-1, 30)
         feasible, _ = oracle_feasibility(game, marginal)
         assert not feasible
+
+    def test_a_game_built_directly_is_still_validated(self):
+        """A game that no parser has seen is validated on the way in."""
+        game = BaseGame(
+            states=("t1", "t2"),
+            actions=("a1", "a2"),
+            utility=((F(1), F(0)), (F(0), F(1))),
+            prior=(F(1, 2), F(1, 3)),
+        )
+        for _ in range(2):
+            with pytest.raises(NotADistribution):
+                check_bce_consistent(game, HALF_HALF)
 
 
 class TestBeyondNamedFamilies:

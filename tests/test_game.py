@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mbce import game as game_module
+from mbce.consistency import check_bce_consistent
 from mbce.errors import (
     DimensionMismatch,
     EmptySpace,
@@ -37,6 +39,7 @@ from mbce.game import (
     state_marginal_of,
     validate_game,
 )
+from mbce.io import parse_game
 
 F = Fraction
 
@@ -124,6 +127,27 @@ class TestValidateGame:
         )
         with pytest.raises(DimensionMismatch):
             validate_game(game)
+
+    def test_an_invalid_game_raises_on_every_call(self):
+        game = make_game(["t1", "t2"], ["a1", "a2"], [[1, 0], [0, 1]], ["1/2", "1/3"])
+        for _ in range(3):
+            with pytest.raises(NotADistribution):
+                validate_game(game)
+
+    def test_a_valid_game_is_checked_once(self, monkeypatch):
+        """Parsing a game and then deciding it runs the checks once; the
+        remembered verdict leaves equality and hashing as they were."""
+        calls = []
+        original = game_module._check_game
+        monkeypatch.setattr(game_module, "_check_game", lambda g: calls.append(g) or original(g))
+        doc = {"states": ["t1", "t2"], "actions": ["a1", "a2"],
+               "utility": [[1, 0], [0, 1]], "prior": ["3/4", "1/4"]}
+        game = parse_game(doc, "instance.json")
+        assert check_bce_consistent(game, make_marginal(["1/2", "1/2"])).consistent
+        validate_game(game)
+        assert calls == [game]
+        fresh = matching_game(F(3, 4))
+        assert game == fresh and hash(game) == hash(fresh)
 
 
 class TestObedience:

@@ -33,6 +33,7 @@ from mbce.game import make_game, make_marginal, matching_game
 from mbce.implementation import make_posteriors
 from mbce.io import (
     IMPLEMENTATION_INFEASIBLE,
+    MAX_NESTING,
     Report,
     canonical_json,
     inputs_digest,
@@ -331,23 +332,29 @@ class TestCanonicalWriter:
         closing = "".join("\n" + "  " * i + "]" for i in reversed(range(depth)))
         assert canonical_json(tree) == opening + "  " * depth + "[]" + closing + "\n"
 
-    def test_report_with_990_deep_inputs_is_refused(self, tmp_path):
-        """json.load reads arrays 990 deep from a shallow stack, which a
-        fresh interpreter has and a test does not; the digest, written
-        without recursion, then refuses the report."""
+    def test_report_with_990_deep_inputs_is_refused(self, tmp_path, capsys):
+        """Past the fixed nesting limit a document is refused as too deep,
+        the same way from a test's deep stack, where ``json`` itself runs
+        out of stack, as from a fresh interpreter, where it does not."""
         deep = "[" * 990 + "]" * 990
         path = write(
             tmp_path,
             '{"command": "check", "verdict": "consistent", "inputs_sha256": "0", '
             f'"inputs": {{"states": {deep}}}}}',
         )
+        message = f"nested too deeply (more than {MAX_NESTING} levels)"
+        with pytest.raises(ParseError) as refused:
+            load_report(path)
+        assert str(refused.value).endswith(message)
+        assert main(["check", path]) == 3
+        assert capsys.readouterr().err.endswith(message + "\n")
         loader = (
             "import sys\n"
-            "from mbce.errors import ValidationError\n"
+            "from mbce.errors import ParseError\n"
             "from mbce.io import load_report\n"
             "try:\n"
             "    load_report(sys.argv[1])\n"
-            "except ValidationError as err:\n"
+            "except ParseError as err:\n"
             "    print(err)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -355,7 +362,21 @@ class TestCanonicalWriter:
             [sys.executable, "-c", loader, path], capture_output=True, text=True, env=env
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.endswith("inputs digest mismatch\n")
+        assert done.stdout.endswith(message + "\n")
+
+    def test_nesting_up_to_the_limit_parses(self, tmp_path):
+        """The top-level object is the first level; many brackets side by
+        side nest no deeper."""
+        shallow = "[" + ", ".join(["[[]]"] * MAX_NESTING) + "]"
+        assert load_document(write(tmp_path, f'{{"states": {shallow}}}'))["states"][0] == [[]]
+        for depth, refused in ((MAX_NESTING, False), (MAX_NESTING + 1, True)):
+            inner = "[" * (depth - 1) + "]" * (depth - 1)
+            path = write(tmp_path, f'{{"states": {inner}}}')
+            if refused:
+                with pytest.raises(ParseError, match="nested too deeply"):
+                    load_document(path)
+            else:
+                assert "states" in load_document(path)
 
     def test_an_int_too_long_to_print_names_the_limit(self):
         limit = str(sys.get_int_max_str_digits())

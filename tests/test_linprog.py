@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mbce import linprog
+from mbce import consistency, linprog
 from mbce.consistency import oracle_feasibility
 from mbce.errors import InternalDisagreement
-from mbce.game import make_marginal, matching_game
+from mbce.game import best_response_set, make_marginal, matching_game
 from mbce.generators import XorShift64, random_game, random_marginal
 from mbce.linprog import (
     EQUAL,
@@ -669,3 +669,65 @@ def test_scaling_a_slack_only_row_changes_nothing(lp, factors, maximize):
         plain = recorded(linprog._Tableau, solve, n, cons, *args, nonneg=nonneg)
         assert recorded(linprog._Tableau, solve, n, scaled, *args, nonneg=nonneg) == plain
         assert recorded(linprog._Tableau, solve, n, integral, *args, nonneg=nonneg) == plain
+
+
+def two_action_oracle_lp(seed, n_states, n_actions):
+    """The oracle LP of a random game with a marginal on two actions, as
+    ``oracle_feasibility`` builds it. Odd seeds split the prior into two
+    posteriors with different best responses, so the marginal is consistent
+    by construction; even seeds put random weights on two random actions."""
+    rng = XorShift64(seed)
+    game = random_game(rng, n_states, n_actions, n_states, n_actions)
+    probs = [ZERO] * n_actions
+    if seed % 2:
+        while not any(probs):
+            low = [F(rng.randint(0, 3), 4) * q for q in game.prior]
+            high = [q - x for q, x in zip(game.prior, low)]
+            w = sum(low)
+            if 0 < w < 1:
+                a = min(best_response_set(game, [x / w for x in low]))
+                b = min(best_response_set(game, [x / (1 - w) for x in high]))
+                if a != b:
+                    probs[a], probs[b] = w, 1 - w
+    else:
+        a, b = rng.randint(0, n_actions - 1), rng.randint(0, n_actions - 1)
+        k = rng.randint(1, 7)
+        probs[a] += F(k, 8)
+        probs[b] += F(8 - k, 8)
+    captured = []
+
+    def capture(n_vars, constraints, nonneg=False):
+        captured.append((n_vars, constraints, nonneg))
+        return lp_feasible(n_vars, constraints, nonneg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consistency, "lp_feasible", capture)
+        oracle_feasibility(game, make_marginal(probs))
+    return captured[0]
+
+
+ORACLE_SCALE = [(seed, 5, 6) for seed in range(1, 7)] + [(seed, 6, 7) for seed in range(7, 13)]
+
+
+def test_oracle_scale_lps_pivot_as_the_dense_reference_on_primitive_rows(monkeypatch):
+    """At the size of a ``wide`` oracle LP (up to 42 variables and 55
+    rows) rows go through many eliminations without being reduced. Every
+    pivot must still match the dense reference, which reduces every row it
+    updates, and every pivot row must be primitive when it is used."""
+    lps = [two_action_oracle_lp(*shape) for shape in ORACLE_SCALE]
+    expected = [recorded(_Tableau, reference_lp_feasible, *lp) for lp in lps]
+    assert {feasible for (feasible, _), _ in expected} == {True, False}
+
+    unreduced = []
+    original = linprog._Tableau.pivot
+
+    def checked(self, r, c):
+        unreduced.append(gcd(*self.rows[r]) > 1)
+        support = original(self, r, c)
+        assert gcd(*self.rows[r]) == 1
+        assert gcd(self.rows[r][-1], *(x for _, x in support)) == 1
+        return support
+
+    monkeypatch.setattr(linprog._Tableau, "pivot", checked)
+    assert [recorded(linprog._Tableau, lp_feasible, *lp) for lp in lps] == expected
+    assert any(unreduced)
