@@ -8,13 +8,24 @@ profile distribution.  Ring networks (player 1 reacts to the state, player
 i >= 2 reacts to player i-1's action) decompose stage by stage: each link is
 a single-agent problem whose "state" is the upstream player's action and whose
 prior is the upstream marginal.
+
+Both reductions work on integers over common denominators, as the game and
+implement layers do, and build ``Fraction``s only at the answer: the
+auxiliary game adds the players' integer utility tables over one lcm, the
+ring joint chains each stage witness as integers over its column sums, and
+a joint's marginals sum its cached integer numerators
+(``RingOutcome.integer_probs``). Both list every action profile, so both
+refuse more than ``MAX_PROFILES`` before building any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm, prod
+from operator import add
 from typing import Sequence
 
 from .consistency import ConsistencyVerdict, ViolationCertificate, check_bce_consistent
@@ -23,20 +34,19 @@ from .game import (
     ActionMarginal,
     BaseGame,
     Outcome,
-    action_marginal_of,
     check_obedience,
     make_game,
     make_marginal,
-    state_marginal_of,
     validate_game,
     validate_marginal,
 )
+from .rationals import integer_table
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# The auxiliary game lists every action profile; larger products are refused
-# before any profile is built.
+# The auxiliary game and the ring joint list every action profile; larger
+# products are refused before any profile is built.
 MAX_PROFILES = 4096
 
 
@@ -105,6 +115,14 @@ class RingOutcome:
     shape: tuple[int, ...]
     n_states: int
     probs: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def integer_probs(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, numerators)`` with ``numerators[k][t] == scale *
+        probs[k][t]``, ``scale`` the lcm of the denominators. Derived once
+        per outcome and kept outside the fields, so equality and hashing
+        ignore it."""
+        return integer_table(self.probs)
 
 
 @dataclass(frozen=True)
@@ -188,29 +206,32 @@ def action_profiles(fo: FirstOrderGame) -> tuple[tuple[int, ...], ...]:
     return tuple(product(*(range(p.n_actions) for p in fo.players)))
 
 
+def _check_profile_count(widths: Sequence[int]) -> None:
+    count = prod(widths)
+    if count > MAX_PROFILES:
+        raise ProductTooLarge(f"{count} action profiles exceed the cap of {MAX_PROFILES}")
+
+
 def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
     """Collapse all players into one agent choosing a whole profile.
 
     The agent earns the sum of the individual payoffs, so a profile is optimal
     at a belief exactly when every coordinate is optimal for its owner.  State
-    space and prior carry over unchanged.
+    space and prior carry over unchanged.  The players' utility tables are
+    added as integers over the lcm of their scales, one player at a time in
+    ``action_profiles`` order, and each cell becomes one ``Fraction``.
     """
-    count = 1
-    for spec in fo.players:
-        count *= spec.n_actions
-    if count > MAX_PROFILES:
-        raise ProductTooLarge(f"{count} action profiles exceed the cap of {MAX_PROFILES}")
-    labels = []
-    utility = []
-    for profile in action_profiles(fo):
-        labels.append(",".join(fo.players[i].actions[a] for i, a in enumerate(profile)))
-        utility.append(
-            tuple(
-                sum((fo.players[i].utility[a][t] for i, a in enumerate(profile)), ZERO)
-                for t in range(fo.n_states)
-            )
-        )
-    game = BaseGame(fo.states, tuple(labels), tuple(utility), fo.prior)
+    _check_profile_count([spec.n_actions for spec in fo.players])
+    tables = [integer_table(spec.utility) for spec in fo.players]
+    scale = lcm(*(s for s, _ in tables))
+    profiles, sums = [()], [(0,) * fo.n_states]
+    for spec, (s, table) in zip(fo.players, tables):
+        rows = [tuple(u * (scale // s) for u in row) for row in table]
+        profiles = [(*head, label) for head in profiles for label in spec.actions]
+        sums = [tuple(map(add, head, row)) for head in sums for row in rows]
+    labels = tuple(",".join(profile) for profile in profiles)
+    utility = tuple(tuple(Fraction(u, scale) for u in row) for row in sums)
+    game = BaseGame(fo.states, labels, utility, fo.prior)
     validate_game(game)
     return game
 
@@ -295,44 +316,58 @@ def construct_ring_outcome(stage_witnesses: Sequence[Outcome]) -> RingOutcome:
     downstream conditional mass of a_{i+1} given a_i.  Conditionals on an
     upstream action of mass zero are taken uniform, which keeps the result a
     distribution without affecting any marginal.  Adjacent witnesses must
-    agree on the marginal they share.
+    agree on the marginal they share.  More than ``MAX_PROFILES`` profiles
+    are refused before any is built.
+
+    Each witness is read as integers over its own scale, so the conditional
+    of a_{i+1} given a_i is its integer entry over its integer column sum.
+    A partial profile carries integer numerators over one denominator, and
+    each joint cell becomes one ``Fraction``; a zero entry settles every
+    profile below it as zero.
     """
     if not stage_witnesses:
         raise DimensionMismatch("need at least one stage witness")
-    first = stage_witnesses[0]
     shape = tuple(len(w.probs) for w in stage_witnesses)
-    n_states = len(first.probs[0])
-    upstream_marginal = action_marginal_of(first)
-    conditionals = []
+    _check_profile_count(shape)
+    up_scale, table = integer_table(stage_witnesses[0].probs)
+    n_states = len(table[0])
+    # Per partial profile, in product order: its numerators over the states
+    # and their one denominator, or None when its mass is zero.
+    partial = [(row, up_scale) if any(row) else None for row in table]
+    upstream = [sum(row) for row in table]
     for witness in stage_witnesses[1:]:
-        shared = state_marginal_of(witness)
-        if shared != upstream_marginal:
+        scale, table = integer_table(witness.probs)
+        shared = [sum(column) for column in zip(*table)]
+        # shared / scale must equal upstream / up_scale, entry by entry.
+        if len(shared) != len(upstream) or any(
+            x * up_scale != y * scale for x, y in zip(shared, upstream)
+        ):
             raise StageMarginalMismatch(
                 "stage witness conditions on a marginal its predecessor does not produce"
             )
-        n_here = len(witness.probs)
-        cond = []
-        for a in range(n_here):
-            row = []
-            for s, mass in enumerate(shared):
-                if mass == ZERO:
-                    row.append(Fraction(1, n_here))
-                else:
-                    row.append(witness.probs[a][s] / mass)
-            cond.append(tuple(row))
-        conditionals.append(tuple(cond))
-        upstream_marginal = action_marginal_of(witness)
-
-    rows = []
-    for prof in product(*(range(n) for n in shape)):
-        row = []
-        for t in range(n_states):
-            mass = first.probs[prof[0]][t]
-            for i, cond in enumerate(conditionals):
-                mass *= cond[prof[i + 1]][prof[i]]
-            row.append(mass)
-        rows.append(tuple(row))
-    return RingOutcome(shape, n_states, tuple(rows))
+        n_here = len(table)
+        # factors[s]: the conditional of each action given upstream action
+        # s, as (numerator, denominator).
+        factors = [
+            [(row[s], mass) if mass else (1, n_here) for row in table]
+            for s, mass in enumerate(shared)
+        ]
+        extended = []
+        for k, entry in enumerate(partial):
+            if entry is None:
+                extended += [None] * n_here
+                continue
+            nums, den = entry
+            for num, d in factors[k % len(shared)]:
+                extended.append((tuple(x * num for x in nums), den * d) if num else None)
+        partial = extended
+        up_scale, upstream = scale, [sum(row) for row in table]
+    zero = (ZERO,) * n_states
+    rows = tuple(
+        zero if entry is None else tuple(Fraction(x, entry[1]) for x in entry[0])
+        for entry in partial
+    )
+    return RingOutcome(shape, n_states, rows)
 
 
 def ring_profiles(shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -340,31 +375,39 @@ def ring_profiles(shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(product(*(range(n) for n in shape)))
 
 
+def _collapsed(values: Sequence[int], shape: Sequence[int], i: int) -> list[int]:
+    """Per-profile ``values`` summed over players i+2..N: one total per
+    profile of players 1..i+1, in the same product order."""
+    inner = prod(shape[i + 1:])
+    return [sum(values[lo:lo + inner]) for lo in range(0, prod(shape), inner)]
+
+
 def ring_pair_marginal(outcome: RingOutcome, i: int) -> Outcome:
     """Marginal the stage-i player best-responds to.
 
     i == 0 gives the (A_1 x states) joint; i >= 1 gives (A_{i+1} x A_i) with
-    the upstream action in the state slot.
+    the upstream action in the state slot.  Cells are sums of the outcome's
+    integer numerators, one ``Fraction`` each.
     """
+    scale, nums = outcome.integer_probs
+    shape = outcome.shape
     if i == 0:
-        rows = [[ZERO] * outcome.n_states for _ in range(outcome.shape[0])]
-        for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
-            for t, mass in enumerate(row):
-                rows[prof[0]][t] += mass
+        per_state = [_collapsed(column, shape, 0) for column in zip(*nums)]
+        rows = [[totals[a] for totals in per_state] for a in range(shape[0])]
     else:
-        rows = [[ZERO] * outcome.shape[i - 1] for _ in range(outcome.shape[i])]
-        for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
-            total = sum(row, ZERO)
-            rows[prof[i]][prof[i - 1]] += total
-    return Outcome(tuple(tuple(row) for row in rows))
+        totals = _collapsed(list(map(sum, nums)), shape, i)
+        width, n = shape[i - 1], shape[i]
+        rows = [[sum(totals[s * n + a::width * n]) for s in range(width)] for a in range(n)]
+    return Outcome(tuple(tuple(Fraction(x, scale) for x in row) for row in rows))
 
 
 def ring_player_marginal(outcome: RingOutcome, i: int) -> tuple[Fraction, ...]:
-    """Distribution of player i+1's action under the joint outcome."""
-    totals = [ZERO] * outcome.shape[i]
-    for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
-        totals[prof[i]] += sum(row, ZERO)
-    return tuple(totals)
+    """Distribution of player i+1's action under the joint outcome, summed
+    over the outcome's integer numerators."""
+    scale, nums = outcome.integer_probs
+    n = outcome.shape[i]
+    totals = _collapsed(list(map(sum, nums)), outcome.shape, i)
+    return tuple(Fraction(sum(totals[a::n]), scale) for a in range(n))
 
 
 def _obedience_game(ring: RingGame, i: int) -> BaseGame:

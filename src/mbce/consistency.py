@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import EmptyPolytope, InternalDisagreement, UnsupportableAction
 from .game import ActionMarginal, BaseGame, Outcome, validate_game, validate_marginal
@@ -199,20 +200,20 @@ def oracle_feasibility(
     def var(a: int, t: int) -> int:
         return a * n_s + t
 
-    # The obedience rows are the integer utility table's differences: each
-    # is the rational row times the table's scale, and a >= 0 row takes only
-    # a slack, so the scale changes no pivot. The prior and marginal rows
-    # take artificials and stay the rational rows.
+    # The obedience rows are the integer utility table's differences, as
+    # (u(alt) - u(a)) . x <= 0: each is the rational row times the table's
+    # scale, and a row with right-hand side 0 takes only a slack, so the
+    # scale changes no pivot. The prior and marginal rows take artificials
+    # and stay the rational rows.
     _, table = game.integer_utility
     constraints: list[Constraint] = []
-    for a in range(n_a):
-        for alt in range(n_a):
+    for a, own in enumerate(table):
+        for alt, row in enumerate(table):
             if alt == a:
                 continue
             coeffs = [0] * n_vars
-            for t in range(n_s):
-                coeffs[var(a, t)] = table[a][t] - table[alt][t]
-            constraints.append(Constraint(tuple(coeffs), GREATER_EQUAL, 0))
+            coeffs[var(a, 0):var(a + 1, 0)] = map(sub, row, own)
+            constraints.append(Constraint(tuple(coeffs), LESS_EQUAL, 0))
     for t in range(n_s):
         coeffs = [0] * n_vars
         for a in range(n_a):
@@ -337,8 +338,9 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
     """Decide reachability of the marginal pair and certify the answer.
 
     Supported actions are first screened, in action order, for empty belief
-    polytopes; the screen settles many rejections on its own, and most of
-    its questions without an LP (see ``is_empty``). The
+    polytopes, each built as the screen reaches it; the screen settles many
+    rejections on its own, and most of its questions without an LP (see
+    ``is_empty``). The
     oracle LP then decides, and a feasible solution is the witness. Only an
     infeasible pair pays for a certificate, searched in a fixed order for
     reproducibility: state conditions in state order, then ordered action
@@ -348,11 +350,10 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
     """
     validate_game(game)
     validate_marginal(marginal, game.n_actions)
-    supported = _supported(marginal)
-    polys = _polytopes_for(game, supported)
-
-    for a in supported:
-        if is_empty(polys[a]):
+    polys = {}
+    for a in _supported(marginal):
+        polys[a] = poly = opt_belief_polytope(game, a)
+        if is_empty(poly):
             return ConsistencyVerdict(
                 consistent=False,
                 violation=violation_certificate(game, marginal, UNSUPPORTABLE_ACTION, a),

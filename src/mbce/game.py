@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from .errors import (
@@ -32,7 +31,14 @@ from .errors import (
     StateMarginalMismatch,
     ZeroPriorState,
 )
-from .rationals import exact_fraction, exact_sum, fraction_table, fraction_vector, integer_row
+from .rationals import (
+    exact_fraction,
+    exact_sum,
+    fraction_table,
+    fraction_vector,
+    integer_row,
+    integer_table,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,11 +70,7 @@ class BaseGame:
         """``(scale, table)`` with ``table[a][t] == scale * utility[a][t]``,
         ``scale`` the lcm of the utility denominators. Derived once per game
         and kept outside the fields, so equality and hashing ignore it."""
-        scale = lcm(*(u.denominator for row in self.utility for u in row))
-        table = tuple(
-            tuple(u.numerator * (scale // u.denominator) for u in row) for row in self.utility
-        )
-        return scale, table
+        return integer_table(self.utility)
 
     @cached_property
     def _valid(self) -> bool:

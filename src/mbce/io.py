@@ -43,6 +43,7 @@ from .applications import (
     make_first_order,
     make_profile,
     make_ring,
+    ring_pair_marginal,
     ring_player_marginal,
     ring_stage_game,
 )
@@ -819,7 +820,10 @@ def _rebuild_ring(doc: dict, path: str) -> Report:
         if stage.n_actions != widths[i + 1] or any(len(r) != widths[i] for r in stage.probs):
             raise ValidationError(path, f"stage witness {i} does not fit the ring")
     joint = _domain(path, construct_ring_outcome, stages)
-    if any(q < 0 for r in joint.probs for q in r) or state_marginal_of(joint) != ring.prior:
+    # The joint's integer numerators share its positive scale, so they carry
+    # its signs; its state marginal is that of player 1's pair marginal.
+    negative = any(x < 0 for row in joint.integer_probs[1] for x in row)
+    if negative or state_marginal_of(ring_pair_marginal(joint, 0)) != ring.prior:
         raise ValidationError(path, "joint outcome is no distribution with the ring's prior")
     if not check_ring_obedience(joint, ring):
         raise ValidationError(path, "joint outcome is not obedient for every player")

@@ -151,7 +151,7 @@ class _Tableau:
             # right-hand side's alone) the row is integral, and that positive
             # lcm becomes its basic slack or artificial entry.
             b = con.rhs
-            if all(type(c) is int for c in con.coeffs):
+            if set(map(type, con.coeffs)) <= {int}:
                 scale = b.denominator
                 coeffs = [c * scale for c in con.coeffs] if scale > 1 else list(con.coeffs)
             else:

@@ -69,7 +69,13 @@ def utility_difference_direction(game: BaseGame, a_first: int, a_second: int) ->
 @dataclass(frozen=True)
 class BeliefPolytope:
     """H-representation: ``normal . x <= offset`` rows, plus the implicit
-    simplex constraints x >= 0 and sum(x) = 1. May be empty."""
+    simplex constraints x >= 0 and sum(x) = 1. May be empty.
+
+    Entries are exact rationals: ``Fraction``s or ints. A row may be any
+    positive multiple of the halfspace it states: the set, and with it the
+    point masses, emptiness, support values and vertices, stays the same.
+    ``opt_belief_polytope`` writes its rows as integer utility differences
+    with offset 0."""
 
     dim: int
     halfspaces: tuple[tuple[Direction, Fraction], ...]
@@ -108,14 +114,18 @@ class BeliefPolytope:
 
 def opt_belief_polytope(game: BaseGame, action: int) -> BeliefPolytope:
     """Beliefs at which ``action`` is a best response: one halfspace per
-    alternative, stating that the payoff difference direction beats it."""
-    halfspaces = []
-    for alt in range(game.n_actions):
-        if alt == action:
-            continue
-        # u(action) - u(alt) >= 0 rewritten as (u(alt) - u(action)) . x <= 0
-        halfspaces.append((utility_difference_direction(game, alt, action), ZERO))
-    return BeliefPolytope(dim=game.n_states, halfspaces=tuple(halfspaces))
+    alternative, stating that the payoff difference direction beats it.
+    Each row is read off the game's integer utility table, the rational
+    difference times the table's positive scale."""
+    _, table = game.integer_utility
+    own = table[action]
+    # u(action) - u(alt) >= 0 rewritten as (u(alt) - u(action)) . x <= 0
+    halfspaces = tuple(
+        (tuple(x - y for x, y in zip(row, own)), 0)
+        for alt, row in enumerate(table)
+        if alt != action
+    )
+    return BeliefPolytope(dim=game.n_states, halfspaces=halfspaces)
 
 
 def is_empty(poly: BeliefPolytope) -> bool:
@@ -189,9 +199,10 @@ def enumerate_vertices(poly: BeliefPolytope) -> VertexSet:
     n = poly.dim
     ineqs: list[Direction] = [negate(unit_direction(n, t)) for t in range(n)]
     offsets: list[Fraction] = [ZERO] * n
+    # As Fractions: _solve_square divides, and int / int is a float.
     for normal, offset in poly.halfspaces:
-        ineqs.append(normal)
-        offsets.append(offset)
+        ineqs.append(tuple(map(Fraction, normal)))
+        offsets.append(Fraction(offset))
 
     seen: set[Belief] = set()
     ones = [ONE] * n

@@ -5,11 +5,14 @@ All probability and utility values in this package are
 precision. Inside, the hot arithmetic runs on integers with no loss of
 exactness: the simplex in ``linprog`` scales each row to integers, the game
 layer (best responses, obedience) prices integer rows against an integer
-utility table, and the implement path (Bayes plausibility, the outcome and
-choice rule of a decision rule, the Gale max-flow) works over one common
-denominator; each builds ``Fraction``s only at the answer. ``integer_row``
-is the common step, and ``exact_sum`` adds rationals with it: numerators
-over the lcm of the denominators, one ``Fraction`` for the total.
+utility table, the belief polytopes take their rows from that table, the
+implement path (Bayes plausibility, the outcome and choice rule of a
+decision rule, the Gale max-flow) works over one common denominator, and so
+do the public and ring reductions in ``applications`` (the auxiliary game,
+the ring joint and its marginals); each builds ``Fraction``s only at the
+answer. ``integer_row`` and ``integer_table`` are the common steps, and
+``exact_sum`` adds rationals with the first: numerators over the lcm of the
+denominators, one ``Fraction`` for the total.
 Floats are refused at every boundary because verdicts hinge on exact
 boundary equalities that tolerances would misclassify.
 
@@ -102,6 +105,14 @@ def integer_row(values) -> tuple[int, tuple[int, ...]]:
     positive denominator."""
     scale = lcm(*(q.denominator for q in values))
     return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
+def integer_table(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(scale, table)`` with ``table[i][j] == scale * rows[i][j]`` and
+    ``scale`` the lcm of every denominator: a rational table as integers
+    over one positive denominator."""
+    scale = lcm(*(q.denominator for row in rows for q in row))
+    return scale, tuple(tuple(q.numerator * (scale // q.denominator) for q in row) for row in rows)
 
 
 def exact_sum(values) -> Fraction:

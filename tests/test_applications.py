@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbce import applications
 from mbce.applications import (
@@ -39,15 +44,20 @@ from mbce.errors import (
     StageMarginalMismatch,
 )
 from mbce.game import (
+    BaseGame,
     Outcome,
+    action_marginal_of,
     best_response_set,
     make_game,
     make_marginal,
     make_outcome,
+    state_marginal_of,
+    validate_game,
 )
 from mbce.polytope import enumerate_vertices, opt_belief_polytope
 
 F = Fraction
+ZERO = Fraction(0)
 
 MATCH_ROWS = [[1, 0], [0, 1]]
 
@@ -361,3 +371,238 @@ class TestFactories:
             make_profile(ring, [["1/2", "1/2"]])
         with pytest.raises(NotADistribution):
             make_profile(ring, [["1/2", "1/2"], ["1/2", "1/3"]])
+
+
+# -- Fraction references: the rational-arithmetic versions the integer ones
+# replaced, kept verbatim as the spec the properties below compare against.
+
+
+def reference_auxiliary_single_agent(fo):
+    count = 1
+    for spec in fo.players:
+        count *= spec.n_actions
+    if count > MAX_PROFILES:
+        raise ProductTooLarge(f"{count} action profiles exceed the cap of {MAX_PROFILES}")
+    labels = []
+    utility = []
+    for profile in action_profiles(fo):
+        labels.append(",".join(fo.players[i].actions[a] for i, a in enumerate(profile)))
+        utility.append(
+            tuple(
+                sum((fo.players[i].utility[a][t] for i, a in enumerate(profile)), ZERO)
+                for t in range(fo.n_states)
+            )
+        )
+    game = BaseGame(fo.states, tuple(labels), tuple(utility), fo.prior)
+    validate_game(game)
+    return game
+
+
+def reference_construct_ring_outcome(stage_witnesses):
+    if not stage_witnesses:
+        raise DimensionMismatch("need at least one stage witness")
+    first = stage_witnesses[0]
+    shape = tuple(len(w.probs) for w in stage_witnesses)
+    n_states = len(first.probs[0])
+    upstream_marginal = action_marginal_of(first)
+    conditionals = []
+    for witness in stage_witnesses[1:]:
+        shared = state_marginal_of(witness)
+        if shared != upstream_marginal:
+            raise StageMarginalMismatch(
+                "stage witness conditions on a marginal its predecessor does not produce"
+            )
+        n_here = len(witness.probs)
+        cond = []
+        for a in range(n_here):
+            row = []
+            for s, mass in enumerate(shared):
+                if mass == ZERO:
+                    row.append(Fraction(1, n_here))
+                else:
+                    row.append(witness.probs[a][s] / mass)
+            cond.append(tuple(row))
+        conditionals.append(tuple(cond))
+        upstream_marginal = action_marginal_of(witness)
+
+    rows = []
+    for prof in product(*(range(n) for n in shape)):
+        row = []
+        for t in range(n_states):
+            mass = first.probs[prof[0]][t]
+            for i, cond in enumerate(conditionals):
+                mass *= cond[prof[i + 1]][prof[i]]
+            row.append(mass)
+        rows.append(tuple(row))
+    return RingOutcome(shape, n_states, tuple(rows))
+
+
+def reference_ring_pair_marginal(outcome, i):
+    if i == 0:
+        rows = [[ZERO] * outcome.n_states for _ in range(outcome.shape[0])]
+        for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
+            for t, mass in enumerate(row):
+                rows[prof[0]][t] += mass
+    else:
+        rows = [[ZERO] * outcome.shape[i - 1] for _ in range(outcome.shape[i])]
+        for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
+            total = sum(row, ZERO)
+            rows[prof[i]][prof[i - 1]] += total
+    return Outcome(tuple(tuple(row) for row in rows))
+
+
+def reference_ring_player_marginal(outcome, i):
+    totals = [ZERO] * outcome.shape[i]
+    for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
+        totals[prof[i]] += sum(row, ZERO)
+    return tuple(totals)
+
+
+# Denominators small and near 10^6: neighbours there are coprime, and the
+# even ones share a factor.
+denominators = st.one_of(st.integers(1, 6), st.integers(10**6 - 12, 10**6 + 12))
+positive = st.builds(Fraction, st.integers(1, 10**6), denominators)
+weights = st.one_of(st.just(ZERO), positive, positive)
+utilities = st.builds(Fraction, st.integers(-(10**6), 10**6), denominators)
+
+
+def distribution(draw, n):
+    """A distribution over n points with entries near 10^6 in their
+    denominators, zeros allowed."""
+    ws = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+    total = sum(ws, ZERO)
+    return [w / total for w in ws]
+
+
+@st.composite
+def stage_chains(draw):
+    """1-4 stage witnesses of 1-4 actions each that agree on every shared
+    marginal. Zero weights leave upstream actions of mass zero, whose
+    conditionals the chain takes uniform."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    flat = distribution(draw, widths[0] * widths[1])
+    witnesses = [Outcome(tuple(tuple(flat[a * widths[0]:(a + 1) * widths[0]])
+                               for a in range(widths[1])))]
+    for width in widths[2:]:
+        upstream = action_marginal_of(witnesses[-1])
+        columns = [
+            [mass * q for q in distribution(draw, width)] if mass else [ZERO] * width
+            for mass in upstream
+        ]
+        witnesses.append(Outcome(tuple(zip(*columns))))
+    return witnesses
+
+
+@st.composite
+def ring_outcomes(draw):
+    """A distribution over (profiles x states) of 1-4 players with 1-4
+    actions each, not necessarily chained from stages."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n_states = draw(st.integers(1, 3))
+    flat = distribution(draw, prod(shape) * n_states)
+    rows = tuple(tuple(flat[k * n_states:(k + 1) * n_states]) for k in range(prod(shape)))
+    return RingOutcome(shape, n_states, rows)
+
+
+@st.composite
+def first_order_games(draw):
+    """1-4 players of 1-4 actions each over 1-3 states."""
+    n_states = draw(st.integers(1, 3))
+    prior = [q or Fraction(1, 10**6) for q in distribution(draw, n_states)]
+    total = sum(prior, ZERO)
+    prior = [q / total for q in prior]
+    players = []
+    for i in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 4))
+        rows = draw(
+            st.lists(
+                st.lists(utilities, min_size=n_states, max_size=n_states),
+                min_size=width,
+                max_size=width,
+            )
+        )
+        players.append(([f"p{i}a{a}" for a in range(width)], rows))
+    return make_first_order([f"t{t}" for t in range(n_states)], prior, players)
+
+
+class TestIntegerAgainstFractionReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(stage_chains())
+    def test_construct_ring_outcome(self, witnesses):
+        joint = construct_ring_outcome(witnesses)
+        assert joint == reference_construct_ring_outcome(witnesses)
+        for i in range(len(witnesses)):
+            assert ring_pair_marginal(joint, i) == reference_ring_pair_marginal(joint, i)
+            assert ring_player_marginal(joint, i) == reference_ring_player_marginal(joint, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_chains().filter(lambda witnesses: len(witnesses) > 1), st.data())
+    def test_a_broken_chain_is_refused_by_both(self, witnesses, data):
+        """Extra mass in one cell moves a row sum and a column sum, so the
+        witness disagrees with a neighbour on the marginal they share."""
+        stage = data.draw(st.integers(0, len(witnesses) - 1))
+        rows = [list(row) for row in witnesses[stage].probs]
+        a = data.draw(st.integers(0, len(rows) - 1))
+        s = data.draw(st.integers(0, len(rows[0]) - 1))
+        rows[a][s] += data.draw(positive)
+        broken = list(witnesses)
+        broken[stage] = Outcome(tuple(map(tuple, rows)))
+        for build in (construct_ring_outcome, reference_construct_ring_outcome):
+            with pytest.raises(StageMarginalMismatch):
+                build(broken)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_outcomes())
+    def test_marginals_of_any_joint(self, joint):
+        for i in range(len(joint.shape)):
+            assert ring_pair_marginal(joint, i) == reference_ring_pair_marginal(joint, i)
+            assert ring_player_marginal(joint, i) == reference_ring_player_marginal(joint, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(first_order_games())
+    def test_auxiliary_single_agent(self, fo):
+        assert auxiliary_single_agent(fo) == reference_auxiliary_single_agent(fo)
+
+    def test_integer_view_is_no_field(self):
+        rows = ((F(1, 2), F(0)), (F(1, 3), F(1, 6)))
+        joint = RingOutcome((2,), 2, rows)
+        twin = RingOutcome((2,), 2, rows)
+        before = (hash(joint), repr(joint))
+        view = joint.integer_probs
+        assert view == (6, ((3, 0), (2, 1))) and joint.integer_probs is view
+        assert [f.name for f in fields(RingOutcome)] == ["shape", "n_states", "probs"]
+        assert "integer_probs" in vars(joint) and "integer_probs" not in vars(twin)
+        assert joint == twin
+        assert (hash(joint), repr(joint)) == before == (hash(twin), repr(twin))
+
+
+def full_information_ring(n_players, n_actions):
+    """Each player guesses the state or the upstream action, and is told it:
+    consistent, with every marginal the prior."""
+    labels = [f"t{t}" for t in range(n_actions)]
+    prior = [F(t + 1, n_actions * (n_actions + 1) // 2) for t in range(n_actions)]
+    identity = [[int(a == s) for s in range(n_actions)] for a in range(n_actions)]
+    stages = [([f"p{i}a{a}" for a in range(n_actions)], identity) for i in range(n_players)]
+    ring = make_ring(labels, prior, stages)
+    return ring, make_profile(ring, [prior] * n_players)
+
+
+class TestRingJointCap:
+    def test_joint_at_the_cap_is_built(self):
+        ring, profile = full_information_ring(6, 4)
+        verdict = check_ring(ring, profile)
+        assert verdict.consistent
+        joint = construct_ring_outcome(verdict.stage_witnesses)
+        assert joint.shape == (4,) * 6 and len(joint.probs) == MAX_PROFILES == 4096
+        assert check_ring_obedience(joint, ring)
+        for i in range(6):
+            assert ring_player_marginal(joint, i) == profile.marginals[i].probs
+
+    @pytest.mark.parametrize("widths", [(17, 241), (4, 4, 4, 4, 4, 4, 2)])
+    def test_joint_above_the_cap_is_refused_before_it_is_built(self, monkeypatch, widths):
+        # 17 x 241 = 4097 profiles, one above the cap; 4^6 x 2 = 8192.
+        witnesses = [Outcome(((ZERO,),) * widths[0])]
+        witnesses += [Outcome(((ZERO,) * m,) * n) for m, n in zip(widths, widths[1:])]
+        monkeypatch.setattr(applications, "integer_table", lambda rows: pytest.fail("built"))
+        with pytest.raises(ProductTooLarge, match=f"{prod(widths)} action profiles"):
+            construct_ring_outcome(witnesses)

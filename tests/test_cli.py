@@ -64,6 +64,19 @@ MATCH_RING = {
 }
 
 
+def full_information_ring(n_players, n_actions):
+    """Each player guesses the state or the upstream action, and is told it:
+    consistent, with every marginal the prior."""
+    prior = [f"{t + 1}/{n_actions * (n_actions + 1) // 2}" for t in range(n_actions)]
+    identity = [[int(a == s) for s in range(n_actions)] for a in range(n_actions)]
+    stages = [
+        {"actions": [f"p{i}a{a}" for a in range(n_actions)], "utility": identity}
+        for i in range(n_players)
+    ]
+    ring = {"states": [f"t{t}" for t in range(n_actions)], "prior": prior, "stages": stages}
+    return {"ring": ring, "marginals": [prior] * n_players}
+
+
 def write(tmp_path, doc, name="instance.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -310,6 +323,23 @@ class TestRing:
         assert code == 3
         assert report is None
         assert err.startswith("error: ") and "label 'c' is repeated" in err
+
+
+    def test_joint_at_the_profile_cap(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        doc = full_information_ring(6, 4)  # 4^6 = 4096 profiles
+        code, _, _ = run(capsys, ["ring", write(tmp_path, doc), "--out", str(out)])
+        assert code == 0
+        assert len(load_report(str(out))["witnesses"]["joint"]["probs"]) == 4096
+
+    def test_joint_above_the_profile_cap_exits_three(self, tmp_path, capsys):
+        doc = full_information_ring(6, 4)
+        doc["ring"]["stages"].append({"actions": ["x", "y"], "utility": [[0] * 4, [0] * 4]})
+        doc["marginals"].append(["1/2", "1/2"])
+        code, report, err = run(capsys, ["ring", write(tmp_path, doc)])
+        assert code == 3
+        assert report is None
+        assert err == "error: 8192 action profiles exceed the cap of 4096\n"
 
 
 class TestPublic:

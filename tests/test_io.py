@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbce.applications import make_first_order, make_profile, make_ring
+from mbce.applications import check_ring, make_first_order, make_profile, make_ring
 from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_ring, cmd_verify, main
 from mbce.consistency import (
     ACTION_PAIR_CONDITION,
@@ -42,6 +42,8 @@ from mbce.io import (
     load_report,
     menu_rule_json,
     report_string,
+    ring_json,
+    rows_json,
     save_report,
     vector_json,
 )
@@ -577,6 +579,31 @@ class TestReportReload:
 
         with pytest.raises(ValidationError, match="re-derive"):
             reload_report(tmp_path, report, mutate)
+
+    def test_ring_report_above_the_profile_cap_is_refused(self, tmp_path):
+        # 4^6 x 2 = 8192 profiles: every stage is consistent, but the joint
+        # is refused before it is built, so no report can carry it.
+        identity = [[int(a == s) for s in range(4)] for a in range(4)]
+        stages = [([f"p{i}a{a}" for a in range(4)], identity) for i in range(6)]
+        stages.append((["x", "y"], [[0] * 4, [0] * 4]))
+        prior = ["1/10", "2/10", "3/10", "4/10"]
+        ring = make_ring(["t1", "t2", "t3", "t4"], prior, stages)
+        profile = make_profile(ring, [prior] * 6 + [["1/2", "1/2"]])
+        verdict = check_ring(ring, profile)
+        assert verdict.consistent
+        inputs = {
+            "ring": ring_json(ring),
+            "marginals": [vector_json(m.probs) for m in profile.marginals],
+        }
+        doc = {
+            "command": "ring",
+            "inputs": inputs,
+            "inputs_sha256": inputs_digest(inputs),
+            "verdict": "consistent",
+            "witnesses": {"stage_witnesses": [rows_json(w.probs) for w in verdict.stage_witnesses]},
+        }
+        with pytest.raises(ValidationError, match="8192 action profiles exceed the cap of 4096"):
+            load_report(write(tmp_path, doc, "report.json"))
 
     def test_inconsistent_ring_report_rechecked(self, tmp_path):
         ring = make_ring(

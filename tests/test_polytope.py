@@ -27,6 +27,7 @@ from mbce.polytope import (
     opt_belief_polytope,
     support_value,
     unit_direction,
+    utility_difference_direction,
 )
 
 F = Fraction
@@ -336,3 +337,56 @@ class TestPointMasses:
     def test_support_value_checks_the_dimension(self, match_half):
         with pytest.raises(DimensionMismatch):
             support_value(opt_belief_polytope(match_half, 0), (F(1),))
+
+
+def reference_opt_belief_polytope(game, action):
+    """The rows as ``Fraction`` payoff differences, before they were read
+    off the integer utility table."""
+    halfspaces = []
+    for alt in range(game.n_actions):
+        if alt == action:
+            continue
+        # u(action) - u(alt) >= 0 rewritten as (u(alt) - u(action)) . x <= 0
+        halfspaces.append((utility_difference_direction(game, alt, action), F(0)))
+    return BeliefPolytope(dim=game.n_states, halfspaces=tuple(halfspaces))
+
+
+@st.composite
+def fraction_games(draw):
+    """1-4 states and 1-4 actions, utilities with denominators 2 and 3, so
+    the integer table's scale is above 1, drawn from few values, so ties
+    (zeros in a row, tight and degenerate rows) are common."""
+    n_states = draw(st.integers(1, 4))
+    entry = st.sampled_from([F(-1), F(0), F(1, 3), F(1, 2), F(2)])
+    rows = draw(
+        st.lists(st.lists(entry, min_size=n_states, max_size=n_states), min_size=1, max_size=4)
+    )
+    return tiny_game(rows)
+
+
+class TestIntegerRows:
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_games(), st.data())
+    def test_integer_rows_answer_as_the_fraction_rows(self, game, data):
+        """Rows read off the integer table, and any positive multiple of
+        them, give the point masses, emptiness, support values and vertices
+        of the ``Fraction`` rows."""
+        action = data.draw(st.integers(0, game.n_actions - 1))
+        poly = opt_belief_polytope(game, action)
+        reference = reference_opt_belief_polytope(game, action)
+        assert all(type(x) is int for normal, offset in poly.halfspaces for x in (*normal, offset))
+        factors = data.draw(st.lists(st.integers(1, 5), min_size=len(poly.halfspaces),
+                                     max_size=len(poly.halfspaces)))
+        scaled = BeliefPolytope(poly.dim, tuple(
+            (tuple(k * x for x in normal), k * offset)
+            for k, (normal, offset) in zip(factors, poly.halfspaces)
+        ))
+        c = tuple(data.draw(st.lists(small, min_size=game.n_states, max_size=game.n_states)))
+        answers = []
+        for p in (poly, scaled, reference):
+            try:
+                value = support_value(p, c)
+            except EmptyPolytope:
+                value = None
+            answers.append((p.point_masses, is_empty(p), value, enumerate_vertices(p)))
+        assert answers[0] == answers[1] == answers[2]
