@@ -7,9 +7,13 @@ there. One exact max-flow on the belief/action network (Gale's supply and
 demand network) decides it, and the flow is constructive: its ratios are the
 decision rule, which then unfolds into a stochastic choice rule and a full
 outcome. When the flow falls short, the core condition on menu masses names
-the canonical overfull action subset. The demand condition on posterior
-masses is the third, equivalent test; it stays off the decision path as a
-reference the tests compare against.
+the canonical overfull action subset: the first, in size-then-lexicographic
+order, whose menus carry more mass than the marginal puts on it. By Hall's
+theorem that subset is a union of menus, so the scan visits only the
+distinct unions of the menus tau produces, never all 2^|A| action subsets.
+The demand condition on posterior masses is the third, equivalent test; it
+walks every action subset and stays off the decision path as a reference
+the tests compare against.
 
 The arithmetic runs on integers over common denominators, as in the game
 layer: Bayes plausibility is an integer dot product of the scaled weights
@@ -54,8 +58,9 @@ from .rationals import exact_sum, fraction_table, fraction_vector, integer_row
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Exhaustive subset checks walk 2^|A| sets; beyond this they are refused.
-MAX_ACTIONS_FOR_SUBSET_CHECK = 12
+# Subset scans visit at most this many sets, the empty set counted: the
+# unions of menus core_check scans, and the 2^|A| subsets demand_check walks.
+MAX_SUBSETS_FOR_SUBSET_CHECK = 4096
 
 Menus = tuple[frozenset[int], ...]  # the menu of each posterior, in support order
 MenuMeasure = dict[frozenset[int], Fraction]
@@ -86,7 +91,11 @@ class DecisionRule:
 @dataclass(frozen=True)
 class SubsetCheck:
     """Outcome of a subset-sum test: ``ok``, or the first violating subset
-    in size-then-lexicographic order together with its (negative) slack."""
+    in size-then-lexicographic order together with its (negative) slack.
+
+    For ``core_check`` that subset is a union of menus, found among the
+    unions alone; it is the same subset an exhaustive scan of every action
+    subset returns."""
 
     ok: bool
     subset: frozenset[int] | None = None
@@ -152,10 +161,10 @@ def menu_measure(tau: PosteriorDistribution, game: BaseGame) -> MenuMeasure:
 
 
 def _subsets_in_order(n_actions: int, caller: str):
-    if n_actions > MAX_ACTIONS_FOR_SUBSET_CHECK:
+    if 2 ** n_actions > MAX_SUBSETS_FOR_SUBSET_CHECK:
         raise TooManyActionsForSubsetCheck(
             f"{caller} enumerates 2^{n_actions} subsets; "
-            f"refusing beyond {MAX_ACTIONS_FOR_SUBSET_CHECK} actions"
+            f"refusing beyond {MAX_SUBSETS_FOR_SUBSET_CHECK} subsets"
         )
     for size in range(1, n_actions + 1):
         for combo in combinations(range(n_actions), size):
@@ -176,10 +185,25 @@ def core_check(marginal: ActionMarginal, menus: MenuMeasure) -> SubsetCheck:
     """Menu masses must fit inside the action mass of every subset.
 
     For each nonempty subset B of actions, the total mass of menus entirely
-    inside B may not exceed the marginal mass on B.
+    inside B may not exceed the marginal mass on B. Only unions of menus
+    are scanned, in size-then-lexicographic order. Menus are best-response
+    sets, so never empty. Given an overfull B, the union B' of the menus
+    inside B holds the same menus and no more marginal mass, so B' is
+    overfull and comes no later than B: the first overfull subset is a
+    union of menus, and the scan finds the subset and slack an exhaustive
+    one would. At most 2^(distinct menus) unions exist, and never more
+    than 2^|A|.
     """
-    n_actions = len(marginal.probs)
-    for subset in _subsets_in_order(n_actions, "core_check"):
+    unions = {frozenset()}
+    for menu in menus:
+        unions |= {u | menu for u in unions}
+        if len(unions) > MAX_SUBSETS_FOR_SUBSET_CHECK:
+            raise TooManyActionsForSubsetCheck(
+                f"core_check scans at least {len(unions)} unions of menus; "
+                f"refusing beyond {MAX_SUBSETS_FOR_SUBSET_CHECK} subsets"
+            )
+    unions.discard(frozenset())
+    for subset in sorted(unions, key=lambda u: (len(u), sorted(u))):
         slack = core_slack(marginal, menus, subset)
         if slack < 0:
             return SubsetCheck(ok=False, subset=subset, slack=slack)

@@ -415,30 +415,31 @@ def parse_tau(
     return _domain(path, make_posteriors, support, weights)
 
 
-def parse_ring(node, path: str) -> RingGame:
+def _labelled_tables(node, path: str, name: str, key: str) -> tuple:
+    """``(states, prior, tables)`` of a ``name`` section whose ``key`` array
+    holds one labelled utility table (``actions``, ``utility``) per entry;
+    each error names its crumb, as in ``ring.stages[0].utility``."""
     if not isinstance(node, dict):
-        raise ParseError(path, "ring: expected an object")
-    states = _string_list(_require(node, "states", path, "ring"), path, "ring.states")
-    prior = _fraction_list(_require(node, "prior", path, "ring"), path, "ring.prior")
-    stages_node = _require(node, "stages", path, "ring")
-    if not isinstance(stages_node, list):
-        raise ParseError(path, "ring.stages: expected an array")
-    stages = []
-    for i, stage in enumerate(stages_node):
-        if not isinstance(stage, dict):
-            raise ParseError(path, f"ring.stages[{i}]: expected an object")
-        labels = _string_list(
-            _require(stage, "actions", path, f"ring.stages[{i}]"),
-            path,
-            f"ring.stages[{i}].actions",
-        )
-        rows = _fraction_rows(
-            _require(stage, "utility", path, f"ring.stages[{i}]"),
-            path,
-            f"ring.stages[{i}].utility",
-        )
-        stages.append((labels, rows))
-    return _domain(path, make_ring, states, prior, stages)
+        raise ParseError(path, f"{name}: expected an object")
+    states = _string_list(_require(node, "states", path, name), path, f"{name}.states")
+    prior = _fraction_list(_require(node, "prior", path, name), path, f"{name}.prior")
+    entries = _require(node, key, path, name)
+    if not isinstance(entries, list):
+        raise ParseError(path, f"{name}.{key}: expected an array")
+    tables = []
+    for i, entry in enumerate(entries):
+        crumb = f"{name}.{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(path, f"{crumb}: expected an object")
+        labels = _string_list(_require(entry, "actions", path, crumb), path, f"{crumb}.actions")
+        rows = _fraction_rows(_require(entry, "utility", path, crumb), path, f"{crumb}.utility")
+        tables.append((labels, rows))
+    return states, prior, tables
+
+
+def parse_ring(node, path: str) -> RingGame:
+    tables = _labelled_tables(node, path, "ring", "stages")
+    return _domain(path, make_ring, *tables)
 
 
 def parse_profile(node, path: str, ring: RingGame) -> MarginalProfile:
@@ -449,33 +450,8 @@ def parse_profile(node, path: str, ring: RingGame) -> MarginalProfile:
 
 
 def parse_first_order(node, path: str) -> FirstOrderGame:
-    if not isinstance(node, dict):
-        raise ParseError(path, "first_order: expected an object")
-    states = _string_list(
-        _require(node, "states", path, "first_order"), path, "first_order.states"
-    )
-    prior = _fraction_list(
-        _require(node, "prior", path, "first_order"), path, "first_order.prior"
-    )
-    players_node = _require(node, "players", path, "first_order")
-    if not isinstance(players_node, list):
-        raise ParseError(path, "first_order.players: expected an array")
-    players = []
-    for i, player in enumerate(players_node):
-        if not isinstance(player, dict):
-            raise ParseError(path, f"first_order.players[{i}]: expected an object")
-        labels = _string_list(
-            _require(player, "actions", path, f"first_order.players[{i}]"),
-            path,
-            f"first_order.players[{i}].actions",
-        )
-        rows = _fraction_rows(
-            _require(player, "utility", path, f"first_order.players[{i}]"),
-            path,
-            f"first_order.players[{i}].utility",
-        )
-        players.append((labels, rows))
-    return _domain(path, make_first_order, states, prior, players)
+    tables = _labelled_tables(node, path, "first_order", "players")
+    return _domain(path, make_first_order, *tables)
 
 
 def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:

@@ -308,6 +308,23 @@ class TestImplement:
         assert cert["kind"] == "implementation-infeasible"
         assert cert["subset"] == [0]
 
+    def test_thirteen_action_infeasible_exits_two(self, tmp_path, capsys):
+        """Beyond 12 actions the overfull subset is still named: the core
+        scan visits the unions of the two menus, not 2^13 action subsets."""
+        doc = {
+            "states": ["t1", "t2"],
+            "actions": [f"a{a + 1}" for a in range(13)],
+            "utility": [[1, 0], [1, 0], [0, 1]] + [[0, 0]] * 10,
+            "prior": ["1/2", "1/2"],
+            "marginal": ["1/8", "1/8", "1/2"] + [0] * 9 + ["1/4"],
+            "tau": {"support": [[1, 0], [0, 1]], "weights": ["1/2", "1/2"]},
+        }
+        out = tmp_path / "report.json"
+        code, report, _ = run(capsys, ["implement", write(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        cert = load_report(str(out))["certificate"]
+        assert (cert["subset"], cert["deficit"]) == ([0, 1], "-1/4")
+
     NULL_STATE_GAME = {
         "states": ["t1", "tdead", "t2"],
         "actions": ["a1", "a2"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +34,11 @@ from mbce.game import (
 )
 from mbce.implementation import (
     DecisionRule,
+    SubsetCheck,
     build_gale_network,
     choice_rule_from_tau,
     core_check,
+    core_slack,
     decision_rule_from_flow,
     demand_check,
     implement_marginal,
@@ -117,9 +120,20 @@ class TestSubsetChecks:
             assert demand_check(make_marginal(nu), NO_INFO_UNIFORM, match_half).ok
 
     def test_subset_guard(self):
-        wide = make_marginal([F(1, 13)] * 13)
+        """core_check scans at most 4096 unions of menus, the empty one
+        counted; demand_check walks all 2^|A| subsets, so at most 12 actions."""
+        for n_actions, accepted in ((12, True), (13, False)):
+            nu = make_marginal([F(1, n_actions)] * n_actions)
+            singletons = {menu(a): F(1, n_actions) for a in range(n_actions)}
+            if accepted:
+                assert core_check(nu, singletons).ok
+            else:
+                with pytest.raises(TooManyActionsForSubsetCheck, match="8192 unions"):
+                    core_check(nu, singletons)
+        thirteen = make_game(["t1"], [f"a{a}" for a in range(13)], [[0]] * 13, [1])
+        no_info = make_posteriors([(F(1),)], [F(1)])
         with pytest.raises(TooManyActionsForSubsetCheck):
-            core_check(wide, {})
+            demand_check(make_marginal([F(1, 13)] * 13), no_info, thirteen)
 
 
 def three_action_fixture():
@@ -566,13 +580,16 @@ def experiments(draw):
 def networks(draw):
     """Supply/demand networks shaped like the Gale network: unlike
     denominators, zero supplies and demands, and edges of capacity 1, 0 or a
-    drawn rational, or no edge; many fall short of the demands."""
+    drawn rational, or no edge; many fall short of the demands. Complete
+    networks of unit edges, drawn as often, meet every demand."""
     n_supplies, n_demands = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     supplies = draw(distributions(n_supplies))
     demands = draw(distributions(n_demands))
     capacities = st.one_of(
         st.none(), st.just(F(1)), st.just(F(0)), DENOMINATORS.map(lambda d: F(d // 3, d))
     )
+    if draw(st.booleans()):
+        capacities = st.just(F(1))
     edges = []
     for i in range(n_supplies):
         for a in range(n_demands):
@@ -643,10 +660,88 @@ class TestIntegerArithmeticMatchesFractions:
         """The network strategy draws feasible and infeasible networks."""
         verdicts = set()
 
-        @settings(max_examples=100, deadline=None, database=None)
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
         @given(networks())
         def collect(network):
             verdicts.add(max_flow_feasible(network)[0])
 
         collect()
         assert verdicts == {True, False}
+
+
+# -- the union scan against the exhaustive scan it replaced -----------------
+#
+# core_check scans only the unions of menus. The uncapped scan of every
+# nonempty action subset is the reference: the two must return the same
+# subset and the same slack.
+
+
+def reference_core_check(marginal, menus):
+    n_actions = len(marginal.probs)
+    for size in range(1, n_actions + 1):
+        for combo in combinations(range(n_actions), size):
+            subset = frozenset(combo)
+            slack = core_slack(marginal, menus, subset)
+            if slack < 0:
+                return SubsetCheck(ok=False, subset=subset, slack=slack)
+    return SubsetCheck(ok=True)
+
+
+@st.composite
+def menu_instances(draw):
+    """(marginal, menu measure) over 1-8 actions: zero marginal entries,
+    posteriors sharing a menu, nested menus, and actions no menu offers;
+    half the time a marginal the menus split into exactly."""
+    n_actions = draw(st.integers(1, 8))
+    offered = range(draw(st.integers(1, n_actions)))
+    menus = st.frozensets(st.sampled_from(offered), min_size=1)
+    pool = draw(st.lists(menus, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append(pool[0] | pool[-1])
+    posteriors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    weights = draw(distributions(len(posteriors), positive=True))
+    measure = {}
+    for m, w in zip(posteriors, weights):
+        measure[m] = measure.get(m, F(0)) + w
+    if draw(st.booleans()):
+        probs = [F(0)] * n_actions
+        for m, w in measure.items():
+            probs[draw(st.sampled_from(sorted(m)))] += w
+    else:
+        probs = draw(distributions(n_actions))
+    return make_marginal(probs), measure
+
+
+def thirteen_action_fixture():
+    """2 states, 13 actions: a1 and a2 pay in t1, a3 in t2, the rest
+    never. Full information on a uniform prior gives menus {a1, a2} and
+    {a3}, half the mass each; a13 is offered by no menu."""
+    utility = [[1, 0], [1, 0], [0, 1]] + [[0, 0]] * 10
+    game = make_game(["t1", "t2"], [f"a{a + 1}" for a in range(13)], utility, ["1/2", "1/2"])
+    return game, make_posteriors([E1, E2], [F(1, 2), F(1, 2)])
+
+
+class TestCoreCheckScansUnionsOfMenus:
+    @settings(max_examples=200, deadline=None)
+    @given(menu_instances())
+    def test_same_subset_and_slack_as_the_exhaustive_scan(self, instance):
+        marginal, measure = instance
+        assert core_check(marginal, measure) == reference_core_check(marginal, measure)
+
+    def test_thirteen_actions_decided(self):
+        """13 actions are decided: the infeasible marginal names the subset
+        and slack the scan of all 8,191 subsets finds, and the feasible twin
+        passes all of them."""
+        game, tau = thirteen_action_fixture()
+        measure = menu_measure(tau, game)
+        infeasible = make_marginal([F(1, 8), F(1, 8), F(1, 2)] + [0] * 9 + [F(1, 4)])
+        feasible = make_marginal([F(1, 4), F(1, 4), F(1, 2)] + [0] * 10)
+        core = core_check(infeasible, measure)
+        assert core == reference_core_check(infeasible, measure)
+        assert core == SubsetCheck(ok=False, subset=menu(0, 1), slack=F(-1, 4))
+        with pytest.raises(ImplementationInfeasible) as err:
+            implement_marginal(game, infeasible, tau)
+        assert (err.value.subset, err.value.deficit) == (core.subset, core.slack)
+        assert core_check(feasible, measure) == reference_core_check(feasible, measure)
+        assert core_check(feasible, measure) == SubsetCheck(ok=True)
+        assert check_action_marginal(implement_marginal(game, feasible, tau), feasible)
