@@ -209,10 +209,13 @@ def action_profiles(fo: FirstOrderGame) -> tuple[tuple[int, ...], ...]:
     return tuple(product(*(range(p.n_actions) for p in fo.players)))
 
 
-def _check_profile_count(widths: Sequence[int]) -> None:
+def profile_count(widths: Sequence[int]) -> int:
+    """The number of action profiles of players with these action counts;
+    ProductTooLarge past ``MAX_PROFILES``."""
     count = prod(widths)
     if count > MAX_PROFILES:
         raise ProductTooLarge(f"{count} action profiles exceed the cap of {MAX_PROFILES}")
+    return count
 
 
 def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
@@ -224,7 +227,7 @@ def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
     added as integers over the lcm of their scales, one player at a time in
     ``action_profiles`` order, and each cell becomes one ``Fraction``.
     """
-    _check_profile_count([spec.n_actions for spec in fo.players])
+    profile_count([spec.n_actions for spec in fo.players])
     tables = [integer_table(spec.utility) for spec in fo.players]
     scale = lcm(*(s for s, _ in tables))
     profiles, sums = [()], [(0,) * fo.n_states]
@@ -331,7 +334,7 @@ def construct_ring_outcome(stage_witnesses: Sequence[Outcome]) -> RingOutcome:
     if not stage_witnesses:
         raise DimensionMismatch("need at least one stage witness")
     shape = tuple(len(w.probs) for w in stage_witnesses)
-    _check_profile_count(shape)
+    profile_count(shape)
     up_scale, table = integer_table(stage_witnesses[0].probs)
     n_states = len(table[0])
     # Per partial profile, in product order: its numerators over the states

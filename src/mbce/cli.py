@@ -21,6 +21,7 @@ from .applications import (
     check_ring,
     check_ring_obedience,
     construct_ring_outcome,
+    profile_count,
 )
 from .consistency import check_bce_consistent
 from .errors import ImplementationInfeasible, InternalDisagreement, MbceError, ValidationError
@@ -158,17 +159,19 @@ def _require_section(doc, attr, description):
 
 
 def _run(args) -> tuple[str, int]:
-    if args.command in ("check", "oracle", "public"):
-        if args.command == "public":
-            doc = load_game(args.file)
-            first_order = _require_section(doc, "first_order", "first_order section")
-            game = auxiliary_single_agent(first_order)
-        else:
-            doc = load_game(args.file, drop_null_states=args.drop_null_states)
-            first_order = None
-            game = _require_section(doc, "game", "game section")
+    if args.command in ("check", "oracle"):
+        doc = load_game(args.file, drop_null_states=args.drop_null_states)
+        game = _require_section(doc, "game", "game section")
         marginal = _resolve_marginal(args, doc, game.n_actions)
-        report, code = cmd_check(game, marginal, args.command, first_order)
+        report, code = cmd_check(game, marginal, args.command)
+    elif args.command == "public":
+        doc = load_game(args.file)
+        first_order = _require_section(doc, "first_order", "first_order section")
+        # The auxiliary game, which cmd_public builds, has one action per
+        # profile: the marginal is checked against their count.
+        n_profiles = profile_count([player.n_actions for player in first_order.players])
+        marginal = _resolve_marginal(args, doc, n_profiles)
+        report, code = cmd_public(first_order, marginal)
     elif args.command == "implement":
         doc = load_game(args.file, drop_null_states=args.drop_null_states)
         game = _require_section(doc, "game", "game section")

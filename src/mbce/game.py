@@ -9,11 +9,14 @@ action distribution. Everything downstream composes these checks.
 
 Values are exact ``Fraction``s at every boundary. Inside, best responses and
 obedience work on integer rows, as the simplex does: each game keeps its
-utility table scaled by the lcm of its denominators, a belief or outcome row
-is scaled the same way, and a ``Fraction`` is built only for an answer that
-carries a value (an obedience slack). Validation and marginals add their
-rationals with ``exact_sum``, and a choice rule divides each outcome cell by
-the prior on numerators and denominators, one ``Fraction`` per cell.
+utility table scaled by the lcm of its denominators
+(``BaseGame.integer_utility``), a belief is scaled the same way, and each
+outcome keeps its table over one common denominator
+(``Outcome.integer_probs``). Both views are derived once per object, so the
+validation of an outcome, its two marginals, its obedience and its choice
+rule all read the same integers; a ``Fraction`` is built only for an answer
+that carries a value (a marginal entry, an obedience slack, a choice
+probability).
 """
 
 from __future__ import annotations
@@ -101,6 +104,13 @@ class Outcome:
     @property
     def n_states(self) -> int:
         return len(self.probs[0]) if self.probs else 0
+
+    @cached_property
+    def integer_probs(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, table)`` with ``table[a][t] == scale * probs[a][t]``,
+        ``scale`` the lcm of the denominators. Derived once per outcome and
+        kept outside the fields, so equality and hashing ignore it."""
+        return integer_table(self.probs)
 
 
 @dataclass(frozen=True)
@@ -200,21 +210,33 @@ def validate_outcome(outcome: Outcome, game: BaseGame) -> None:
         len(row) != game.n_states for row in outcome.probs
     ):
         raise DimensionMismatch("outcome table does not match the game's shape")
-    if any(q.numerator < 0 for row in outcome.probs for q in row):
+    scale, table = outcome.integer_probs
+    # The scale is positive, so the numerators carry the entries' signs.
+    if any(x < 0 for row in table for x in row):
         raise NotADistribution("outcome has a negative entry")
-    total = exact_sum(q for row in outcome.probs for q in row)
-    if total != ONE:
-        raise NotADistribution(f"outcome mass is {total}, not 1")
+    mass = sum(map(sum, table))
+    if mass != scale:
+        raise NotADistribution(f"outcome mass is {Fraction(mass, scale)}, not 1")
 
 
 def action_marginal_of(outcome: Outcome) -> tuple[Fraction, ...]:
     """Row sums: the distribution over actions induced by the outcome."""
-    return tuple(exact_sum(row) for row in outcome.probs)
+    scale, table = outcome.integer_probs
+    return tuple(Fraction(sum(row), scale) for row in table)
 
 
 def state_marginal_of(outcome: Outcome) -> tuple[Fraction, ...]:
     """Column sums: the distribution over states induced by the outcome."""
-    return tuple(exact_sum(row[t] for row in outcome.probs) for t in range(outcome.n_states))
+    scale, table = outcome.integer_probs
+    return tuple(Fraction(sum(column), scale) for column in zip(*table))
+
+
+def _sums_match(sums, scale: int, target) -> bool:
+    """Whether ``sums[i] / scale == target[i]`` for each i, by cross
+    multiplication: no ``Fraction`` is built."""
+    return len(sums) == len(target) and all(
+        s * q.denominator == q.numerator * scale for s, q in zip(sums, target)
+    )
 
 
 @dataclass(frozen=True)
@@ -251,22 +273,25 @@ def check_obedience(outcome: Outcome, game: BaseGame) -> ObedienceReport:
     """Check every deviation inequality exactly.
 
     Returns a report listing all ordered pairs (recommended, deviation) whose
-    slack is strictly negative. Each recommendation's row, scaled to
-    integers, is priced once per action on the game's integer utility table,
-    so a slack is the difference of two of those payoffs over the two scales.
+    slack is strictly negative. Each recommendation's row of the outcome's
+    integer view is priced once per action on the game's integer utility
+    table, so a slack is the difference of two of those payoffs over the two
+    scales; a row of zeros recommends nothing and is skipped.
     """
     if outcome.n_actions != game.n_actions or any(
         len(row) != game.n_states for row in outcome.probs
     ):
         raise DimensionMismatch("outcome table does not match the game's shape")
     utility_scale, table = game.integer_utility
+    scale, rows = outcome.integer_probs
     violations = []
-    for a, row in enumerate(outcome.probs):
-        row_scale, weights = integer_row(row)
+    for a, weights in enumerate(rows):
+        if not any(weights):
+            continue
         payoffs = [sum(map(mul, weights, utility)) for utility in table]
         for alt, payoff in enumerate(payoffs):
             if payoff > payoffs[a]:
-                slack = Fraction(payoffs[a] - payoff, row_scale * utility_scale)
+                slack = Fraction(payoffs[a] - payoff, scale * utility_scale)
                 violations.append(ObedienceViolation(a, alt, slack))
     return ObedienceReport(obedient=not violations, violations=tuple(violations))
 
@@ -274,13 +299,15 @@ def check_obedience(outcome: Outcome, game: BaseGame) -> ObedienceReport:
 def check_state_marginal(outcome: Outcome, prior: tuple[Fraction, ...]) -> bool:
     if outcome.n_states != len(prior):
         raise DimensionMismatch("outcome and prior disagree on the number of states")
-    return state_marginal_of(outcome) == tuple(prior)
+    scale, table = outcome.integer_probs
+    return _sums_match([sum(column) for column in zip(*table)], scale, prior)
 
 
 def check_action_marginal(outcome: Outcome, marginal: ActionMarginal) -> bool:
     if outcome.n_actions != len(marginal.probs):
         raise DimensionMismatch("outcome and marginal disagree on the number of actions")
-    return action_marginal_of(outcome) == marginal.probs
+    scale, table = outcome.integer_probs
+    return _sums_match(list(map(sum, table)), scale, marginal.probs)
 
 
 def expected_utility(game: BaseGame, belief, action: int) -> Fraction:
@@ -320,15 +347,17 @@ def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> S
     """State-conditional choice probabilities: divide each column by the prior.
 
     The outcome's state marginal must equal the prior exactly, otherwise the
-    rows would not be distributions. Each cell ``q / p`` is built as one
-    ``Fraction`` from the numerators and denominators of ``q`` and ``p``.
+    rows would not be distributions. Each cell ``(n / scale) / p``, with
+    ``n`` a numerator of the outcome's integer view, is built as one
+    ``Fraction`` from ``n`` and the numerator and denominator of ``p``.
     """
     if not check_state_marginal(outcome, prior):
         raise StateMarginalMismatch(
             f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
         )
-    rows = tuple(
-        tuple(Fraction(q.numerator * p.denominator, q.denominator * p.numerator) for q in column)
-        for p, column in zip(prior, zip(*outcome.probs))
-    )
-    return StochasticChoiceRule(rows=rows)
+    scale, table = outcome.integer_probs
+    rows = []
+    for p, column in zip(prior, zip(*table)):
+        over = scale * p.numerator
+        rows.append(tuple(Fraction(n * p.denominator, over) for n in column))
+    return StochasticChoiceRule(rows=tuple(rows))

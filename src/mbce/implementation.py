@@ -16,19 +16,22 @@ walks every action subset and stays off the decision path as a reference
 the tests compare against.
 
 The arithmetic runs on integers over common denominators, as in the game
-layer: Bayes plausibility is an integer dot product of the scaled weights
-with the scaled support, the outcome and the choice rule of a decision rule
-share one integer accumulation over a common denominator, and the Gale flow
-is solved on scaled capacities. A ``Fraction`` is built once for each value
-returned.
+layer. A posterior distribution keeps its weights and its support as
+integers (``integer_weights``, ``integer_support``) and a decision rule its
+rows (``integer_rows``), each derived once per object: ``make_posteriors``
+checks signs, sums and distinct support points on them, Bayes plausibility
+is an integer dot product of the two posterior views, the outcome and the
+choice rule of a decision rule share one integer accumulation over the
+three scales, and the Gale flow is solved on scaled capacities. A
+``Fraction`` is built once for each value returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from .errors import (
@@ -53,7 +56,7 @@ from .game import (
     state_marginal_of,
 )
 from .polytope import Belief
-from .rationals import exact_sum, fraction_table, fraction_vector, integer_row
+from .rationals import exact_sum, fraction_table, fraction_vector, integer_row, integer_table
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,6 +82,20 @@ class PosteriorDistribution:
     def size(self) -> int:
         return len(self.support)
 
+    # The integer views below are derived once per object and kept outside
+    # the fields, so equality and hashing ignore them.
+
+    @cached_property
+    def integer_weights(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ints)`` with ``ints[i] == scale * weights[i]``."""
+        return integer_row(self.weights)
+
+    @cached_property
+    def integer_support(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, rows)`` with ``rows[i][t] == scale * support[i][t]``:
+        every support point over one common denominator."""
+        return integer_table(self.support)
+
 
 @dataclass(frozen=True)
 class DecisionRule:
@@ -86,6 +103,13 @@ class DecisionRule:
     aligned with a PosteriorDistribution's support order."""
 
     rows: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, rows)`` with ``rows[i][a] == scale * self.rows[i][a]``,
+        derived once per rule and kept outside the fields like the views of
+        ``PosteriorDistribution``."""
+        return integer_table(self.rows)
 
 
 @dataclass(frozen=True)
@@ -103,42 +127,47 @@ class SubsetCheck:
 
 
 def make_posteriors(support, weights) -> PosteriorDistribution:
-    """Validate and build, coercing ints and "p/q" strings like make_game."""
-    support = fraction_table(support)
-    weights = fraction_vector(weights)
+    """Validate and build, coercing ints and "p/q" strings like make_game.
+
+    The checks read the integer views, whose scales are positive: a point
+    is a distribution when its numerators are nonnegative and add up to the
+    scale, and two points over one common scale are equal exactly when
+    their numerators are."""
+    tau = PosteriorDistribution(support=fraction_table(support), weights=fraction_vector(weights))
+    support, weights = tau.support, tau.weights
     if len(support) != len(weights) or not support:
         raise DimensionMismatch("support and weights must align and be nonempty")
     dim = len(support[0])
-    for belief in support:
+    scale, rows = tau.integer_support
+    for belief, row in zip(support, rows):
         if len(belief) != dim:
             raise DimensionMismatch("support beliefs have mixed dimensions")
-        if any(q.numerator < 0 for q in belief) or exact_sum(belief) != ONE:
+        if any(x < 0 for x in row) or sum(row) != scale:
             raise NotADistribution(f"support point {belief} is not a probability vector")
-    if any(w.numerator <= 0 for w in weights) or exact_sum(weights) != ONE:
+    w_scale, w_ints = tau.integer_weights
+    if any(w <= 0 for w in w_ints) or sum(w_ints) != w_scale:
         raise NotADistribution("weights must be positive and sum to 1")
-    if len(set(support)) != len(support):
+    if len(set(rows)) != len(rows):
         raise NotADistribution("support points must be pairwise distinct")
-    return PosteriorDistribution(support=support, weights=weights)
+    return tau
 
 
 def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
     """True iff the weighted posteriors average back to the prior exactly.
 
-    With the weights scaled to integers over ``w_scale`` and every support
-    point scaled to integers over one common ``mu_scale``, the mean at each
+    With the weights as integers over ``w_scale`` and the support as
+    integers over ``mu_scale`` (the two integer views), the mean at each
     state is the integer dot product of the two over ``w_scale * mu_scale``.
     """
     dim = len(tau.support[0])
     if len(prior) != dim:
         raise DimensionMismatch("prior and posteriors have different dimensions")
-    w_scale, w_ints = integer_row(tau.weights)
-    rows = [integer_row(mu) for mu in tau.support]
-    mu_scale = lcm(*(scale for scale, _ in rows))
-    columns = zip(*(tuple(q * (mu_scale // scale) for q in ints) for scale, ints in rows))
+    w_scale, w_ints = tau.integer_weights
+    mu_scale, rows = tau.integer_support
     denominator = w_scale * mu_scale
     return all(
         sum(map(mul, w_ints, column)) * p.denominator == p.numerator * denominator
-        for p, column in zip(prior, columns)
+        for p, column in zip(prior, zip(*rows))
     )
 
 
@@ -312,27 +341,23 @@ def _joint_numerators(
     """``(D, num)`` with ``num[a][t] / D`` the joint mass
     ``sum_i w_i * mu_i(t) * rule_i(a)`` of action a and state t.
 
-    ``D = scale(weights) * lcm_i(scale(mu_i) * scale(rule_i))``, so every
-    term is an integer over ``D``; zero factors are skipped.
+    ``D`` is the product of the scales of the three integer views (the
+    weights, the support and the rule), so every term is an integer over
+    ``D``; zero factors are skipped.
     """
     n_actions = len(rule.rows[0]) if rule.rows else 0
-    w_scale, w_ints = integer_row(tau.weights)
-    terms = []
-    for w, mu, row in zip(w_ints, tau.support, rule.rows):
-        mu_scale, mu_ints = integer_row(mu)
-        row_scale, row_ints = integer_row(row)
-        terms.append((w, mu_ints, row_ints, mu_scale * row_scale))
-    common = lcm(*(scale for *_, scale in terms))
+    w_scale, w_ints = tau.integer_weights
+    mu_scale, mu_rows = tau.integer_support
+    rule_scale, rule_rows = rule.integer_rows
     num = [[0] * n_states for _ in range(n_actions)]
-    for w, mu_ints, row_ints, scale in terms:
-        factor = w * (common // scale)
-        column = [(t, factor * m) for t, m in enumerate(mu_ints[:n_states]) if m]
+    for w, mu_ints, row_ints in zip(w_ints, mu_rows, rule_rows):
+        column = [(t, w * m) for t, m in enumerate(mu_ints[:n_states]) if m]
         for a, r in enumerate(row_ints):
             if r:
                 cells = num[a]
                 for t, m in column:
                     cells[t] += r * m
-    return w_scale * common, num
+    return w_scale * mu_scale * rule_scale, num
 
 
 def choice_rule_from_tau(

@@ -16,8 +16,13 @@ pinned to null (wall-clock timings go to stderr, never into the document).
 One operation writes and reads the same rationals several times (the inputs'
 digest, the report, the reload, its digest), so this is a hot path:
 canonical_json writes the text itself rather than through json.dumps, and
-rational lists parse in one pass, naming the entry at fault only when one
-fails.  Writing the report is in that loop too: write_text, the one writer
+report_string writes the inputs once, their canonical text giving both the
+digest and the report's inputs section (a CanonicalText node, indented in
+place).  Rational lists parse in one pass, naming the entry at fault only
+when one fails, and the rebuilt witnesses are checked on the integer views
+of their outcome, posteriors and decision rule; load_report looks for a
+boolean only in a text that spells true or false.  Writing the report is
+in that loop too: write_text, the one writer
 behind save_report and the CLI's --out, overwrites the file in place rather
 than truncating it first.  load_document refuses with a ParseError, never a
 traceback, a file that is not UTF-8, that json cannot read (too deep, or an
@@ -35,6 +40,7 @@ import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
+from operator import mul
 
 from .applications import (
     FirstOrderGame,
@@ -71,8 +77,9 @@ from .game import (
     ActionMarginal,
     BaseGame,
     Outcome,
-    action_marginal_of,
+    check_action_marginal,
     check_obedience,
+    check_state_marginal,
     choice_rule_from_outcome,
     state_marginal_of,
     validate_game,
@@ -91,7 +98,13 @@ from .implementation import (
     outcome_from_tau,
 )
 from .polytope import is_empty, opt_belief_polytope
-from .rationals import exact_fraction, exact_sum, fraction_to_json, vector_json
+from .rationals import (
+    exact_fraction,
+    fraction_to_json,
+    integer_row,
+    integer_table,
+    vector_json,
+)
 
 SCHEMA_VERSION = 1
 IMPLEMENTATION_INFEASIBLE = "implementation-infeasible"
@@ -157,10 +170,24 @@ def _null_text(value: None) -> str:
 _SCALAR_TEXT = {str: encode_basestring, int: int.__repr__, bool: _bool_text, type(None): _null_text}
 
 
+@dataclass(frozen=True)
+class CanonicalText:
+    """The text ``canonical_json`` wrote for a value, without its final
+    newline. As a node of a larger tree it is written as that value would
+    be, each of its lines indented to where it sits, so a subtree rendered
+    once (a report's inputs, say) is not rendered again."""
+
+    text: str
+
+
 def _text(value, indent: str):
     """The text of ``value`` at nesting ``indent``, or ``(value, indent)``
     for a container that holds containers, which the caller expands."""
     kind = type(value)
+    if kind is CanonicalText:
+        # A canonical text holds no raw newline inside a string: json
+        # escapes it, so every newline starts a line to indent.
+        return value.text.replace("\n", "\n" + indent)
     if kind is list:
         if not value:
             return "[]"
@@ -185,7 +212,8 @@ def canonical_json(obj) -> str:
     sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, written
     directly (``json`` indents only in its pure-Python encoder). Only the
     types reports hold are written, dicts with str keys, lists, str, int,
-    bool and None; any other raises TypeError. Containers wait on a stack
+    bool and None, and a ``CanonicalText`` stands for the value it was
+    written from; any other type raises TypeError. Containers wait on a stack
     instead of the call stack, so no nesting that ``json.load`` reads can
     raise RecursionError."""
     parts = []
@@ -222,11 +250,21 @@ def canonical_json(obj) -> str:
 
 
 def inputs_digest(inputs: dict) -> str:
-    return hashlib.sha256(canonical_json(inputs).encode("utf-8")).hexdigest()
+    return _digest(canonical_json(inputs))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def report_string(report: Report) -> str:
-    return canonical_json(report.to_dict())
+    """``canonical_json(report.to_dict())``, with the inputs written once:
+    their canonical text gives the digest and is the report's inputs
+    section."""
+    inputs = canonical_json(report.inputs)
+    document = report._document(_digest(inputs))
+    document["inputs"] = CanonicalText(inputs[:-1])
+    return canonical_json(document)
 
 
 def write_text(path: str, text: str) -> None:
@@ -254,6 +292,12 @@ def save_report(report: Report, path: str) -> None:
 
 
 def load_document(path: str) -> dict:
+    return _read_document(path)[0]
+
+
+def _read_document(path: str) -> tuple[dict, str]:
+    """The parsed document at ``path`` and its text."""
+
     def no_floats(text: str):
         raise ValidationError(
             path, f'float literal {text} is not allowed; write rationals as "p/q" strings'
@@ -280,7 +324,7 @@ def load_document(path: str) -> dict:
         raise ParseError(path, _TOO_DEEP)
     if _SURROGATE_ESCAPE.search(text) and _holds_lone_surrogate(doc):
         raise ParseError(path, "a string holds a lone surrogate, which UTF-8 cannot encode")
-    return doc
+    return doc, text
 
 
 # The deepest nesting a document may have. A report nests a few levels, and
@@ -649,9 +693,11 @@ def _parse_marginal(inputs: dict, path: str, n_actions: int) -> ActionMarginal:
 
 
 def _check_outcome(path: str, what: str, outcome: Outcome, game: BaseGame, marginal) -> None:
-    if state_marginal_of(outcome) != game.prior:
+    """Both marginals and obedience, on the outcome's integer view; the
+    outcome has the game's shape and the marginal one entry per action."""
+    if not check_state_marginal(outcome, game.prior):
         raise ValidationError(path, f"{what} misses the prior")
-    if action_marginal_of(outcome) != marginal.probs:
+    if not check_action_marginal(outcome, marginal):
         raise ValidationError(path, f"{what} misses the target marginal")
     if not check_obedience(outcome, game).obedient:
         raise ValidationError(path, f"{what} is not obedient")
@@ -725,10 +771,14 @@ def _rederive_overfull_subset(doc, path, game, marginal, menus) -> Implementatio
     return ImplementationInfeasible(frozenset(subset), slack)
 
 
+_NOT_A_TIE_BREAK = "menu rule row is not a tie-break over its menu"
+
+
 def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
     """One tie-break row for each menu of tau, with no negative entry and no
     mass outside its menu; weighted by the menu masses, the rows add up to
-    the target marginal (the core split the menu rule claims)."""
+    the target marginal (the core split the menu rule claims). The rows are
+    checked as integers over one common denominator, in entry order."""
     entries = _require(witnesses, "menu_rule", path, "witnesses")
     if not isinstance(entries, list):
         raise ParseError(path, "witnesses.menu_rule: expected an array")
@@ -746,15 +796,21 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
         if menu in rule:
             raise ValidationError(path, "menu rule names a menu twice")
         row = _fraction_list(entry["probs"], path, f"witnesses.menu_rule[{i}].probs")
-        if len(row) != n_actions or exact_sum(row) != 1 or any(
-            q.numerator < 0 or (q.numerator > 0 and a not in menu) for a, q in enumerate(row)
-        ):
-            raise ValidationError(path, "menu rule row is not a tie-break over its menu")
+        if len(row) != n_actions:
+            raise ValidationError(path, _NOT_A_TIE_BREAK)
         rule[menu] = row
+    scale, rows = integer_table(rule.values())
+    for menu, row in zip(rule, rows):
+        if sum(row) != scale or any(x < 0 or (x and a not in menu) for a, x in enumerate(row)):
+            raise ValidationError(path, _NOT_A_TIE_BREAK)
     if len(rule) != len(menus):
         raise ValidationError(path, "menu rule leaves out a menu tau produces")
-    for a, target in enumerate(marginal.probs):
-        if exact_sum(menus[m] * row[a] for m, row in rule.items() if row[a]) != target:
+    # Each action's mass is sum_m (w_m / w_scale) * (row_m[a] / scale).
+    w_scale, w_ints = integer_row([menus[m] for m in rule])
+    denominator = w_scale * scale
+    for target, column in zip(marginal.probs, zip(*rows)):
+        mass = sum(map(mul, w_ints, column))
+        if mass * target.denominator != target.numerator * denominator:
             raise ValidationError(path, "menu rule rows do not split the menus into the marginal")
     return rule
 
@@ -777,13 +833,15 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
     witnesses = _section(doc, "witnesses", path)
     rows = _require(witnesses, "decision_rule", path, "witnesses")
     rule = DecisionRule(_fraction_rows(rows, path, "witnesses.decision_rule"))
-    if len(rule.rows) != tau.size or any(
-        len(row) != game.n_actions or exact_sum(row) != 1 or any(q.numerator < 0 for q in row)
-        for row in rule.rows
+    scale, table = rule.integer_rows
+    if len(table) != tau.size or any(
+        len(row) != game.n_actions or sum(row) != scale or any(x < 0 for x in row)
+        for row in table
     ):
         raise ValidationError(path, "decision rule needs one distribution per posterior")
     # With tau and every rule row a distribution, the induced outcome is one
-    # too; what remains to check is its marginals and obedience.
+    # too; what remains to check is its marginals and obedience. The
+    # outcome reads the rule's integer view checked here.
     outcome = outcome_from_tau(tau, rule, game.prior)
     _check_outcome(path, "implemented outcome", outcome, game, marginal)
     menu_rule = _rederive_menu_rule(witnesses, path, marginal, menus)
@@ -879,7 +937,7 @@ def load_report(path: str) -> dict:
     """Load a report and refuse it unless it equals the report that its
     inputs and its own choices rebuild, with what the choices claim checked,
     and holds no JSON boolean."""
-    doc = load_document(path)
+    doc, text = _read_document(path)
     for key in ("command", "inputs", "verdict"):
         _require(doc, key, path)
     inputs = doc["inputs"]
@@ -904,6 +962,8 @@ def load_report(path: str) -> dict:
     if doc != expected:
         where = _first_difference(doc, expected, "report")
         raise ValidationError(path, f"{where} does not re-derive from the inputs and choices")
-    if _holds_boolean(doc):
+    # JSON writes a boolean only as the bare literal true or false, so a
+    # text without either holds none.
+    if ("true" in text or "false" in text) and _holds_boolean(doc):
         raise ValidationError(path, "report holds a JSON boolean, which no builder writes")
     return doc

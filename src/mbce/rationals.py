@@ -12,7 +12,12 @@ do the public and ring reductions in ``applications`` (the auxiliary game,
 the ring joint and its marginals); each builds ``Fraction``s only at the
 answer. ``integer_row`` and ``integer_table`` are the common steps, and
 ``exact_sum`` adds rationals with the first: numerators over the lcm of the
-denominators, one ``Fraction`` for the total.
+denominators, one ``Fraction`` for the total. The domain types that are
+read more than once keep such a conversion as a cached integer view, made
+at first use and kept outside their fields: ``BaseGame.integer_utility``,
+``Outcome.integer_probs``, ``PosteriorDistribution.integer_weights`` and
+``integer_support``, ``DecisionRule.integer_rows`` and
+``RingOutcome.integer_probs``.
 Floats are refused at every boundary because verdicts hinge on exact
 boundary equalities that tolerances would misclassify.
 

@@ -3,8 +3,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from mbce.game import make_game, make_marginal, make_outcome, matching_game
+
+# CI runs ``pytest --hypothesis-profile=derandomized``: every property draws
+# the same examples on every run and every Python, so a failure reproduces
+# and a pass is not luck of the draw. Example counts are the tests' own.
+settings.register_profile("derandomized", derandomize=True)
 
 
 @pytest.fixture

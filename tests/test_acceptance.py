@@ -1,4 +1,4 @@
-"""The acceptance gate: eight seeded, exact, desk-scale properties.
+"""The acceptance gate: nine seeded, exact, desk-scale properties.
 
 Every criterion is a single test so one -v line answers it; each also prints
 a "criterion N: PASS" summary with the counts it saw. All arithmetic is
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from mbce.applications import (
     check_ring,
     check_ring_obedience,
     construct_ring_outcome,
+    make_profile,
     player_game,
     ring_player_marginal,
 )
@@ -38,7 +40,9 @@ from mbce.game import (
 )
 from mbce.generators import (
     XorShift64,
+    consistent_marginal,
     corrupt_ring_profile,
+    inconsistent_marginal,
     random_consistent_ring,
     random_direction,
     random_first_order,
@@ -56,6 +60,7 @@ from mbce.implementation import (
     tau_from_outcome,
 )
 from mbce.flows import max_flow_feasible
+from mbce.linprog import EQUAL, GREATER_EQUAL, Constraint, lp_feasible
 from mbce.polytope import (
     dot,
     enumerate_vertices,
@@ -249,6 +254,114 @@ def test_criterion_7_public_reduction_and_vertex_decomposition():
     print(
         f"criterion 7: PASS - 100 reductions agree, {vertices_checked} "
         f"auxiliary vertices satisfy the product best-response decomposition"
+    )
+
+
+def joint_bce_feasible(prior, profiles, marginal_rows, obedience_rows):
+    """Whether some joint distribution over (state, profile) cells has the
+    prior, the given marginals and every obedience inequality: one exact LP.
+
+    ``marginal_rows`` holds ``(cell -> bool, mass)`` pairs, ``obedience_rows``
+    functions ``cell -> gain`` whose weighted sum must be nonnegative."""
+    cells = [(t, p) for t in range(len(prior)) for p in profiles]
+    rows = [
+        Constraint(tuple(int(t == s) for t, _ in cells), EQUAL, q) for s, q in enumerate(prior)
+    ]
+    rows += [
+        Constraint(tuple(int(on(cell)) for cell in cells), EQUAL, q) for on, q in marginal_rows
+    ]
+    rows += [Constraint(tuple(map(gain, cells)), GREATER_EQUAL, 0) for gain in obedience_rows]
+    return lp_feasible(len(cells), rows, nonneg=True)[0]
+
+
+def ring_joint_feasible(ring, profile):
+    """The ring BCE stated directly: player i, told a_i, prefers it to any
+    b given what it reacts to (the state for player 1, a_{i-1} after)."""
+    widths = [len(labels) for labels in ring.actions]
+    marginal_rows = [
+        (lambda cell, i=i, a=a: cell[1][i] == a, q)
+        for i, marginal in enumerate(profile.marginals)
+        for a, q in enumerate(marginal.probs)
+    ]
+    obedience_rows = []
+    for i, u in enumerate(ring.utilities):
+        for a, b in product(range(widths[i]), repeat=2):
+            if a != b:
+                def gain(cell, i=i, a=a, b=b, u=u):
+                    t, p = cell
+                    s = t if i == 0 else p[i - 1]
+                    return u[a][s] - u[b][s] if p[i] == a else 0
+
+                obedience_rows.append(gain)
+    profiles = list(product(*map(range, widths)))
+    return joint_bce_feasible(ring.prior, profiles, marginal_rows, obedience_rows)
+
+
+def public_joint_feasible(fo, marginal):
+    """The public-signal BCE stated directly: the recommended profile is
+    public, and each player prefers their own part of it to any b."""
+    profiles = action_profiles(fo)
+    marginal_rows = [
+        (lambda cell, p=p: cell[1] == p, q) for p, q in zip(profiles, marginal.probs)
+    ]
+    obedience_rows = []
+    for i, player in enumerate(fo.players):
+        for p in profiles:
+            for b in range(player.n_actions):
+                if b != p[i]:
+                    def gain(cell, i=i, p=p, b=b, u=player.utility):
+                        t, q = cell
+                        return u[p[i]][t] - u[b][t] if q == p else 0
+
+                    obedience_rows.append(gain)
+    return joint_bce_feasible(fo.prior, profiles, marginal_rows, obedience_rows)
+
+
+def test_criterion_9_joint_lps_agree_with_both_reductions():
+    """Stated as one LP over (state, profile), each multi-player question
+    gets the verdict of its single-agent reduction, on consistent,
+    corrupted and random marginals: the joint LP is feasible only if the
+    reduction accepts, and the other way round."""
+    rng = XorShift64(901)
+    verdicts = {"ring": [], "public": []}
+    for kind in ("consistent", "corrupted", "random"):
+        while sum(k == kind for k, _ in verdicts["ring"]) < 30:
+            ring, profile = random_consistent_ring(rng)
+            if kind == "corrupted":
+                bad = corrupt_ring_profile(rng, ring, profile)
+                if bad is None:
+                    continue
+                profile = bad[0]
+            elif kind == "random":
+                vectors = [random_marginal(rng, len(labels)) for labels in ring.actions]
+                profile = make_profile(ring, vectors)
+            consistent = check_ring(ring, profile).consistent
+            assert ring_joint_feasible(ring, profile) == consistent
+            verdicts["ring"].append((kind, consistent))
+        while sum(k == kind for k, _ in verdicts["public"]) < 30:
+            fo = random_first_order(rng)
+            aux = auxiliary_single_agent(fo)
+            if kind == "consistent":
+                marginal = consistent_marginal(rng, aux)
+            elif kind == "corrupted":
+                marginal = inconsistent_marginal(rng, aux)
+                if marginal is None:
+                    continue
+            else:
+                marginal = random_marginal(rng, aux.n_actions)
+            consistent = check_public_bce(fo, marginal).consistent
+            assert public_joint_feasible(fo, marginal) == consistent
+            verdicts["public"].append((kind, consistent))
+    for setting, seen in verdicts.items():
+        assert {v for k, v in seen if k == "consistent"} == {True}
+        assert {v for k, v in seen if k == "corrupted"} == {False}
+    print(
+        "criterion 9: PASS - "
+        + ", ".join(
+            f"{len(seen)} {setting} instances ({sum(v for _, v in seen)} consistent)"
+            for setting, seen in verdicts.items()
+        )
+        + ", each joint LP agrees with its reduction"
     )
 
 

@@ -34,6 +34,7 @@ from mbce.implementation import make_posteriors
 from mbce.io import (
     IMPLEMENTATION_INFEASIBLE,
     MAX_NESTING,
+    CanonicalText,
     Report,
     canonical_json,
     inputs_digest,
@@ -324,6 +325,20 @@ class TestCanonicalWriter:
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             canonical_json(value)
+
+    @given(_JSON_TREES, st.data())
+    def test_a_rendered_subtree_is_written_in_place(self, tree, data):
+        """A subtree anywhere, the root included, replaced by its own
+        canonical text without the final newline: the same bytes."""
+        expected = canonical_json(tree)
+        root = [tree]
+        holder, slot = root, 0
+        while type(holder[slot]) in (list, dict) and holder[slot] and data.draw(st.booleans()):
+            node = holder[slot]
+            keys = range(len(node)) if type(node) is list else sorted(node)
+            holder, slot = node, data.draw(st.sampled_from(keys))
+        holder[slot] = CanonicalText(canonical_json(holder[slot])[:-1])
+        assert canonical_json(root[0]) == expected
 
     def test_deep_nesting_raises_no_recursion_error(self):
         depth = 3 * sys.getrecursionlimit()
@@ -989,6 +1004,37 @@ def test_report_bytes_are_pinned(tmp_path, capsys, direction_blind_spot):
     assert main(["verify", "--n", "20", "--seed", "7", "--out", str(out)]) == 0
     digests["verify --n 20 --seed 7"] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_REPORTS
+
+
+def test_report_text_writes_the_inputs_once_and_the_same_bytes(direction_blind_spot):
+    """report_string renders the inputs once, for the digest and in place;
+    for every command the text is that of the whole document."""
+    for name, report in cli_reports(direction_blind_spot).items():
+        assert report_string(report) == canonical_json(report.to_dict()), name
+
+
+class TestBooleanLiterals:
+    """load_report walks a report for booleans only when its text holds a
+    true or false literal; a label spelled "true" is no boolean."""
+
+    def test_state_labelled_true_loads(self, tmp_path):
+        game = make_game(["true", "false"], ["a1", "a2"], [[1, 0], [0, 1]], ["3/4", "1/4"])
+        report, code = cmd_check(game, make_marginal(["1/2", "1/2"]))
+        assert code == 0
+        text = report_string(report)
+        assert '"true"' in text and '"false"' in text
+        assert load_report(write(tmp_path, text, "report.json")) == json.loads(text)
+
+    @pytest.mark.parametrize("labels", [["t1", "t2"], ["true", "false"]])
+    def test_a_literal_boolean_is_refused(self, tmp_path, labels):
+        """true for the schema version 1 equals it in the comparison; the
+        boolean itself is what is refused, with or without such labels."""
+        game = make_game(labels, ["a1", "a2"], [[1, 0], [0, 1]], ["3/4", "1/4"])
+        doc = json.loads(report_string(cmd_check(game, make_marginal(["1/2", "1/2"]))[0]))
+        doc["schema_version"] = True
+        path = write(tmp_path, json.dumps(doc), "report.json")
+        with pytest.raises(ValidationError, match="report holds a JSON boolean, which no builder"):
+            load_report(path)
 
 
 def test_vector_json_mixes_ints_and_strings():
