@@ -13,6 +13,11 @@ freedom. Each support value in a residual comes from ``support_value``,
 which reads it off a full-information belief inside the polytope where one
 attains it and solves the LP otherwise.
 
+Each supported action's polytope comes from ``opt_belief_polytope``, which
+builds it once per game and action and keeps it on the game: the screen,
+every residual of the certificate search, the separating direction and the
+vertex decomposition ask their questions of the same polytope object.
+
 ``belief_decomposition`` decides the same question independently, through
 the vertices of the belief polytopes. It stays off the decision path and
 serves as the cross-check that ``mbce verify`` and the tests run against the
@@ -90,12 +95,6 @@ def _supported(marginal: ActionMarginal) -> list[int]:
     return [a for a, q in enumerate(marginal.probs) if q > 0]
 
 
-def _polytopes_for(
-    game: BaseGame, actions: list[int]
-) -> dict[int, BeliefPolytope]:
-    return {a: opt_belief_polytope(game, a) for a in actions}
-
-
 def _max_over(poly: BeliefPolytope, c: Direction, action: int) -> Fraction:
     try:
         return support_value(poly, c)
@@ -103,12 +102,7 @@ def _max_over(poly: BeliefPolytope, c: Direction, action: int) -> Fraction:
         raise UnsupportableAction(action) from None
 
 
-def strassen_residual(
-    game: BaseGame,
-    marginal: ActionMarginal,
-    c: Direction,
-    polytopes: dict[int, BeliefPolytope] | None = None,
-) -> Fraction:
+def strassen_residual(game: BaseGame, marginal: ActionMarginal, c: Direction) -> Fraction:
     """Support-function slack along direction c.
 
     Aggregates, over supported actions, the maximum of ``c . mu`` on each
@@ -116,20 +110,14 @@ def strassen_residual(
     exactly when some belief system with the right conditional optimality
     averages back to the prior.
     """
-    supported = _supported(marginal)
-    polys = polytopes if polytopes is not None else _polytopes_for(game, supported)
     lhs = ZERO
-    for a in supported:
-        lhs += marginal.probs[a] * _max_over(polys[a], c, a)
+    for a in _supported(marginal):
+        lhs += marginal.probs[a] * _max_over(opt_belief_polytope(game, a), c, a)
     return lhs - dot(c, game.prior)
 
 
 def violation_certificate(
-    game: BaseGame,
-    marginal: ActionMarginal,
-    kind: str,
-    choice,
-    polytopes: dict[int, BeliefPolytope] | None = None,
+    game: BaseGame, marginal: ActionMarginal, kind: str, choice
 ) -> ViolationCertificate:
     """The certificate of ``kind`` at ``choice``: an action, a state, an
     ordered action pair (a, b) or a direction. A state's direction is minus
@@ -149,31 +137,22 @@ def violation_certificate(
         direction = tuple(choice)
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    residual = strassen_residual(game, marginal, direction, polytopes)
+    residual = strassen_residual(game, marginal, direction)
     return ViolationCertificate(kind, state, pair, residual=residual, direction=direction)
 
 
-def state_condition_residual(
-    game: BaseGame,
-    marginal: ActionMarginal,
-    state: int,
-    polytopes: dict[int, BeliefPolytope] | None = None,
-) -> Fraction:
+def state_condition_residual(game: BaseGame, marginal: ActionMarginal, state: int) -> Fraction:
     """Prior mass of the state minus the mass the marginal forces onto it.
 
     Each supported action must carry at least ``min mu(state)`` over its
     belief polytope; the total cannot exceed the prior. Equals
     ``strassen_residual`` at minus the state's unit direction.
     """
-    return violation_certificate(game, marginal, STATE_CONDITION, state, polytopes).residual
+    return violation_certificate(game, marginal, STATE_CONDITION, state).residual
 
 
 def action_pair_residual(
-    game: BaseGame,
-    marginal: ActionMarginal,
-    a_first: int,
-    a_second: int,
-    polytopes: dict[int, BeliefPolytope] | None = None,
+    game: BaseGame, marginal: ActionMarginal, a_first: int, a_second: int
 ) -> Fraction:
     """Aggregated best payoff-difference spread minus the prior's spread.
 
@@ -181,7 +160,7 @@ def action_pair_residual(
     a_second; equals ``strassen_residual`` at that direction.
     """
     pair = (a_first, a_second)
-    return violation_certificate(game, marginal, ACTION_PAIR_CONDITION, pair, polytopes).residual
+    return violation_certificate(game, marginal, ACTION_PAIR_CONDITION, pair).residual
 
 
 def oracle_feasibility(
@@ -232,11 +211,7 @@ def oracle_feasibility(
     return True, Outcome(probs=probs)
 
 
-def belief_decomposition(
-    game: BaseGame,
-    marginal: ActionMarginal,
-    polytopes: dict[int, BeliefPolytope] | None = None,
-) -> Outcome | None:
+def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | None:
     """Split the prior into one belief per supported action, or report None.
 
     Searches for nonnegative weights over the vertices of every supported
@@ -247,8 +222,7 @@ def belief_decomposition(
     construction. Unsupported actions get zero rows.
     """
     supported = _supported(marginal)
-    polys = polytopes if polytopes is not None else _polytopes_for(game, supported)
-    vertices = {a: enumerate_vertices(polys[a]) for a in supported}
+    vertices = {a: enumerate_vertices(opt_belief_polytope(game, a)) for a in supported}
     offsets: dict[int, int] = {}
     n_vars = 0
     for a in supported:
@@ -287,11 +261,7 @@ def belief_decomposition(
     return Outcome(probs=tuple(rows))
 
 
-def separating_direction(
-    game: BaseGame,
-    marginal: ActionMarginal,
-    polytopes: dict[int, BeliefPolytope] | None = None,
-) -> Direction | None:
+def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction | None:
     """Direction with negative ``strassen_residual``, or None if none exists.
 
     Minimizes the residual over the unit box: one epigraph variable per
@@ -301,14 +271,13 @@ def separating_direction(
     minimum over the box rules out separation at any scale.
     """
     supported = _supported(marginal)
-    polys = polytopes if polytopes is not None else _polytopes_for(game, supported)
     n_s = game.n_states
     n_vars = n_s + len(supported)  # direction coordinates, then epigraph values
     one = Fraction(1)
 
     constraints: list[Constraint] = []
     for k, a in enumerate(supported):
-        vertices = enumerate_vertices(polys[a])
+        vertices = enumerate_vertices(opt_belief_polytope(game, a))
         if not vertices:
             raise UnsupportableAction(a)
         for v in vertices:
@@ -338,10 +307,10 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
     """Decide reachability of the marginal pair and certify the answer.
 
     Supported actions are first screened, in action order, for empty belief
-    polytopes, each built as the screen reaches it; the screen settles many
-    rejections on its own, and most of its questions without an LP (see
-    ``is_empty``). The
-    oracle LP then decides, and a feasible solution is the witness. Only an
+    polytopes, each built as the screen reaches it and kept on the game for
+    the certificate search; the screen settles many rejections on its own,
+    and most of its questions without an LP (see ``is_empty``). The oracle
+    LP then decides, and a feasible solution is the witness. Only an
     infeasible pair pays for a certificate, searched in a fixed order for
     reproducibility: state conditions in state order, then ordered action
     pairs lexicographically, then a separating direction. The oracle and the
@@ -350,10 +319,8 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
     """
     validate_game(game)
     validate_marginal(marginal, game.n_actions)
-    polys = {}
     for a in _supported(marginal):
-        polys[a] = poly = opt_belief_polytope(game, a)
-        if is_empty(poly):
+        if is_empty(opt_belief_polytope(game, a)):
             return ConsistencyVerdict(
                 consistent=False,
                 violation=violation_certificate(game, marginal, UNSUPPORTABLE_ACTION, a),
@@ -367,17 +334,17 @@ def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> Consistenc
     named = [(STATE_CONDITION, t) for t in range(game.n_states)]
     named += [(ACTION_PAIR_CONDITION, (a, b)) for a in range(n_a) for b in range(n_a) if a != b]
     for kind, choice in named:
-        violation = violation_certificate(game, marginal, kind, choice, polys)
+        violation = violation_certificate(game, marginal, kind, choice)
         if violation.residual < 0:
             return ConsistencyVerdict(consistent=False, violation=violation)
 
-    direction = separating_direction(game, marginal, polys)
+    direction = separating_direction(game, marginal)
     if direction is None:
         raise InternalDisagreement(
             "the oracle rejects a marginal that no direction separates; "
             "this is a bug, not an input problem"
         )
-    violation = violation_certificate(game, marginal, STRASSEN_DIRECTION, direction, polys)
+    violation = violation_certificate(game, marginal, STRASSEN_DIRECTION, direction)
     if violation.residual >= 0:
         raise InternalDisagreement("separating direction has a nonnegative residual")
     return ConsistencyVerdict(consistent=False, violation=violation)

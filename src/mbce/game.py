@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatch,
@@ -42,6 +43,9 @@ from .rationals import (
     integer_row,
     integer_table,
 )
+
+if TYPE_CHECKING:
+    from .polytope import BeliefPolytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,6 +78,14 @@ class BaseGame:
         ``scale`` the lcm of the utility denominators. Derived once per game
         and kept outside the fields, so equality and hashing ignore it."""
         return integer_table(self.utility)
+
+    @cached_property
+    def belief_polytopes(self) -> dict[int, BeliefPolytope]:
+        """Each action's belief polytope, by action index, filled by
+        ``polytope.opt_belief_polytope`` on first use, so a polytope (with
+        its own cached point masses and LP rows) is built once per game and
+        action. Kept outside the fields like ``integer_utility``."""
+        return {}
 
     @cached_property
     def _valid(self) -> bool:
@@ -321,10 +333,16 @@ def best_response_set(game: BaseGame, belief) -> frozenset[int]:
     """Actions attaining the exact maximum expected utility at the belief.
 
     Ties are kept, never broken; the result is nonempty. The belief is scaled
-    to integers and priced on the game's integer utility table; both scales
-    are positive, so the argmax is the one ``expected_utility`` gives.
+    to integers and priced by ``integer_best_responses``; the scale is
+    positive, so the argmax is the one ``expected_utility`` gives.
     """
-    _, weights = integer_row(belief)
+    return integer_best_responses(game, integer_row(belief)[1])
+
+
+def integer_best_responses(game: BaseGame, weights) -> frozenset[int]:
+    """``best_response_set`` at a belief given as integers over any positive
+    scale: each action's payoff is the integer dot product of ``weights``
+    with its row of the game's integer utility table."""
     values = [sum(map(mul, weights, utility)) for utility in game.integer_utility[1]]
     top = max(values)
     return frozenset(a for a, v in enumerate(values) if v == top)

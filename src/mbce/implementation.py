@@ -20,10 +20,11 @@ layer. A posterior distribution keeps its weights and its support as
 integers (``integer_weights``, ``integer_support``) and a decision rule its
 rows (``integer_rows``), each derived once per object: ``make_posteriors``
 checks signs, sums and distinct support points on them, Bayes plausibility
-is an integer dot product of the two posterior views, the outcome and the
-choice rule of a decision rule share one integer accumulation over the
-three scales, and the Gale flow is solved on scaled capacities. A
-``Fraction`` is built once for each value returned.
+is an integer dot product of the two posterior views, each menu prices a
+row of the support view on the game's integer utility table, the outcome of
+a decision rule is one integer accumulation over the three scales, and the
+Gale flow is solved on scaled capacities. A ``Fraction`` is built once for
+each value returned.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from .game import (
     ActionMarginal,
     BaseGame,
     Outcome,
-    StochasticChoiceRule,
-    best_response_set,
     check_state_marginal,
+    integer_best_responses,
     state_marginal_of,
 )
 from .polytope import Belief
@@ -172,8 +172,9 @@ def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
 
 
 def posterior_menus(tau: PosteriorDistribution, game: BaseGame) -> Menus:
-    """The exact best-response set ("menu") at each support belief of tau."""
-    return tuple(best_response_set(game, mu) for mu in tau.support)
+    """The exact best-response set ("menu") at each support belief of tau,
+    priced on the rows of ``tau.integer_support``."""
+    return tuple(integer_best_responses(game, row) for row in tau.integer_support[1])
 
 
 def measure_of(tau: PosteriorDistribution, menus: Menus) -> MenuMeasure:
@@ -335,16 +336,18 @@ def menu_rule_from_core(menus: MenuMeasure, marginal: ActionMarginal) -> MenuRul
     return rule
 
 
-def _joint_numerators(
-    tau: PosteriorDistribution, rule: DecisionRule, n_states: int
-) -> tuple[int, list[list[int]]]:
-    """``(D, num)`` with ``num[a][t] / D`` the joint mass
-    ``sum_i w_i * mu_i(t) * rule_i(a)`` of action a and state t.
+def outcome_from_tau(
+    tau: PosteriorDistribution, rule: DecisionRule, prior
+) -> Outcome:
+    """Joint distribution ``prior(t) * sigma(a|t)`` induced by (tau, rule),
+    that is ``sum_i w_i * mu_i(t) * rule_i(a)`` for action a and state t.
 
-    ``D`` is the product of the scales of the three integer views (the
-    weights, the support and the rule), so every term is an integer over
-    ``D``; zero factors are skipped.
+    The numerators accumulate over ``D``, the product of the scales of the
+    three integer views (the weights, the support and the rule), so every
+    term is an integer over ``D``; zero factors are skipped, and one
+    ``Fraction`` is built per cell.
     """
+    n_states = len(prior)
     n_actions = len(rule.rows[0]) if rule.rows else 0
     w_scale, w_ints = tau.integer_weights
     mu_scale, mu_rows = tau.integer_support
@@ -357,33 +360,7 @@ def _joint_numerators(
                 cells = num[a]
                 for t, m in column:
                     cells[t] += r * m
-    return w_scale * mu_scale * rule_scale, num
-
-
-def choice_rule_from_tau(
-    tau: PosteriorDistribution, rule: DecisionRule, prior
-) -> StochasticChoiceRule:
-    """Mix the decision rule over posteriors, reweighted by how much each
-    posterior moves each state relative to the prior: each cell is the joint
-    mass of ``outcome_from_tau`` divided by ``prior(t)``, one ``Fraction``."""
-    denominator, num = _joint_numerators(tau, rule, len(prior))
-    rows = tuple(
-        tuple(
-            Fraction(cells[t] * p.denominator, denominator * p.numerator) if cells[t] else ZERO
-            for cells in num
-        )
-        for t, p in enumerate(prior)
-    )
-    return StochasticChoiceRule(rows=rows)
-
-
-def outcome_from_tau(
-    tau: PosteriorDistribution, rule: DecisionRule, prior
-) -> Outcome:
-    """Joint distribution ``prior(t) * sigma(a|t)`` induced by (tau, rule),
-    that is ``sum_i w_i * mu_i(t) * rule_i(a)``: one ``Fraction`` per cell
-    over the common denominator of ``_joint_numerators``."""
-    denominator, num = _joint_numerators(tau, rule, len(prior))
+    denominator = w_scale * mu_scale * rule_scale
     probs = tuple(tuple(Fraction(n, denominator) for n in cells) for cells in num)
     return Outcome(probs=probs)
 

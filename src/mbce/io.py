@@ -432,13 +432,11 @@ def _kept_states(rows, keep: tuple[bool, ...], path: str, what: str) -> tuple:
     return tuple(tuple(x for x, kept in zip(row, keep) if kept) for row in rows)
 
 
-def parse_game(
-    doc: dict, path: str, keep: tuple[bool, ...] | None = None, crumb: str = ""
-) -> BaseGame:
-    states = _string_list(_require(doc, "states", path, crumb), path, "states")
-    actions = _string_list(_require(doc, "actions", path, crumb), path, "actions")
-    utility = _fraction_rows(_require(doc, "utility", path, crumb), path, "utility")
-    prior = _fraction_list(_require(doc, "prior", path, crumb), path, "prior")
+def parse_game(doc: dict, path: str, keep: tuple[bool, ...] | None = None) -> BaseGame:
+    states = _string_list(_require(doc, "states", path), path, "states")
+    actions = _string_list(_require(doc, "actions", path), path, "actions")
+    utility = _fraction_rows(_require(doc, "utility", path), path, "utility")
+    prior = _fraction_list(_require(doc, "prior", path), path, "prior")
     if keep is not None:
         states, prior = _kept_states((states, prior), keep, path, "game")
         utility = _kept_states(utility, keep, path, "game")

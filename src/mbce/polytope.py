@@ -17,6 +17,12 @@ so every belief, since ``normal . x >= min(normal)`` on the simplex. And
 holds an e_t at which c attains that maximum. ``is_empty`` and
 ``support_value`` answer from these facts where they can and solve the LP
 only for what remains; both answers are unique, so they are the LP's.
+
+A polytope is fixed by its game and action, so ``opt_belief_polytope``
+builds it once per game and action and keeps it on the game
+(``BaseGame.belief_polytopes``): the emptiness screen, the certificate
+search, the vertex routes and a report's reload all ask their questions of
+that one object and of the point masses and LP rows it caches.
 """
 
 from __future__ import annotations
@@ -116,16 +122,21 @@ def opt_belief_polytope(game: BaseGame, action: int) -> BeliefPolytope:
     """Beliefs at which ``action`` is a best response: one halfspace per
     alternative, stating that the payoff difference direction beats it.
     Each row is read off the game's integer utility table, the rational
-    difference times the table's positive scale."""
-    _, table = game.integer_utility
-    own = table[action]
-    # u(action) - u(alt) >= 0 rewritten as (u(alt) - u(action)) . x <= 0
-    halfspaces = tuple(
-        (tuple(x - y for x, y in zip(row, own)), 0)
-        for alt, row in enumerate(table)
-        if alt != action
-    )
-    return BeliefPolytope(dim=game.n_states, halfspaces=halfspaces)
+    difference times the table's positive scale. Built once per game and
+    action and kept in ``game.belief_polytopes``; later calls return the
+    same object."""
+    poly = game.belief_polytopes.get(action)
+    if poly is None:
+        _, table = game.integer_utility
+        own = table[action]
+        # u(action) - u(alt) >= 0 rewritten as (u(alt) - u(action)) . x <= 0
+        halfspaces = tuple(
+            (tuple(x - y for x, y in zip(row, own)), 0)
+            for alt, row in enumerate(table)
+            if alt != action
+        )
+        poly = game.belief_polytopes[action] = BeliefPolytope(game.n_states, halfspaces)
+    return poly
 
 
 def is_empty(poly: BeliefPolytope) -> bool:
@@ -162,11 +173,6 @@ def support_value(poly: BeliefPolytope, c: Direction) -> Fraction:
         if any(c[t] == top for t in poly.point_masses):
             return top
     return maximize_direction(poly, c)[0]
-
-
-def minimize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, Belief]:
-    value, witness = maximize_direction(poly, negate(c))
-    return -value, witness
 
 
 def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -1,8 +1,10 @@
 """The acceptance gate: nine seeded, exact, desk-scale properties.
 
 Every criterion is a single test so one -v line answers it; each also prints
-a "criterion N: PASS" summary with the counts it saw. All arithmetic is
-exact rational; there are no tolerances anywhere, including at boundaries.
+a "criterion N: PASS" summary with the counts it saw. Criterion 9 is also
+stated as two Hypothesis properties over drawn generator seeds. All
+arithmetic is exact rational; there are no tolerances anywhere, including
+at boundaries.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mbce.applications import (
     action_profiles,
@@ -363,6 +367,55 @@ def test_criterion_9_joint_lps_agree_with_both_reductions():
         )
         + ", each joint LP agrees with its reduction"
     )
+
+
+# Criterion 9 over drawn instances: a generator seed, and which marginal to
+# take for the instance it draws.
+SEEDS = st.integers(1, 2**64 - 1)
+MARGINAL_KINDS = st.sampled_from(["consistent", "corrupted", "random"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, MARGINAL_KINDS)
+def test_criterion_9_ring_joint_lp_agrees_on_drawn_seeds(seed, kind):
+    """``random_consistent_ring`` at a drawn seed, with its own profile, a
+    corrupted one or random marginals: the joint LP over (state, profile)
+    is feasible exactly when ``check_ring`` accepts."""
+    rng = XorShift64(seed)
+    ring, profile = random_consistent_ring(rng)
+    if kind == "corrupted":
+        bad = corrupt_ring_profile(rng, ring, profile)
+        assume(bad is not None)
+        profile = bad[0]
+    elif kind == "random":
+        profile = make_profile(
+            ring, [random_marginal(rng, len(labels)) for labels in ring.actions]
+        )
+    consistent = check_ring(ring, profile).consistent
+    assert ring_joint_feasible(ring, profile) == consistent
+    assert kind == "random" or consistent == (kind == "consistent")
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, MARGINAL_KINDS)
+def test_criterion_9_public_joint_lp_agrees_on_drawn_seeds(seed, kind):
+    """``random_first_order`` at a drawn seed, with a profile marginal the
+    auxiliary game reaches, one it cannot reach or a random one: the joint
+    LP over (state, profile) is feasible exactly when ``check_public_bce``
+    accepts."""
+    rng = XorShift64(seed)
+    fo = random_first_order(rng)
+    aux = auxiliary_single_agent(fo)
+    if kind == "consistent":
+        marginal = consistent_marginal(rng, aux)
+    elif kind == "corrupted":
+        marginal = inconsistent_marginal(rng, aux)
+        assume(marginal is not None)
+    else:
+        marginal = random_marginal(rng, aux.n_actions)
+    consistent = check_public_bce(fo, marginal).consistent
+    assert public_joint_feasible(fo, marginal) == consistent
+    assert kind == "random" or consistent == (kind == "consistent")
 
 
 def test_criterion_8_lp_maximum_equals_vertex_maximum():

@@ -15,7 +15,7 @@ import pytest
 import mbce.consistency
 import mbce.implementation
 from mbce.cli import build_parser, cmd_implement, main
-from mbce.game import best_response_set, make_marginal, matching_game
+from mbce.game import integer_best_responses, make_marginal, matching_game
 from mbce.implementation import make_posteriors
 from mbce.io import load_report
 
@@ -369,19 +369,20 @@ class TestImplement:
     )
     def test_each_posterior_menu_is_computed_once(self, monkeypatch, marginal, verdict):
         """The Gale flow and the menu rule (or, on a shortfall, the core scan)
-        share one best-response set per posterior."""
+        share one best-response set per posterior, priced on its row of the
+        posterior distribution's integer support view."""
         game = matching_game("1/2")
         tau = make_posteriors([[1, 0], ["1/2", "1/2"], [0, 1]], ["1/4", "1/2", "1/4"])
         calls = []
 
-        def counted(game, belief):
-            calls.append(belief)
-            return best_response_set(game, belief)
+        def counted(game, weights):
+            calls.append(weights)
+            return integer_best_responses(game, weights)
 
-        monkeypatch.setattr(mbce.implementation, "best_response_set", counted)
+        monkeypatch.setattr(mbce.implementation, "integer_best_responses", counted)
         report, _ = cmd_implement(game, make_marginal(marginal), tau)
         assert report.verdict == verdict
-        assert len(calls) == tau.size
+        assert calls == list(tau.integer_support[1])
 
 
 class TestRing:

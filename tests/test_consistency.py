@@ -26,6 +26,7 @@ from mbce.consistency import (
     separating_direction,
     state_condition_residual,
     strassen_residual,
+    violation_certificate,
 )
 from mbce.errors import NotADistribution, UnsupportableAction
 from mbce.game import (
@@ -287,3 +288,67 @@ def test_full_information_screen_makes_no_polytope_lp(monkeypatch, marginal, con
     verdict = check_bce_consistent(game, make_marginal(marginal))
     assert verdict.consistent is consistent
     assert calls == []
+
+
+def _distribution(numerators):
+    return tuple(F(n, sum(numerators)) for n in numerators)
+
+
+@st.composite
+def games_and_marginals(draw):
+    """A 2-3 state, 2-3 action game with small integer utilities and a full
+    prior, two marginals on it (zero entries included) and a direction."""
+    n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n_states, max_size=n_states)
+    utility = draw(st.lists(row, min_size=n_actions, max_size=n_actions))
+    prior = draw(st.lists(st.integers(1, 4), min_size=n_states, max_size=n_states))
+    weights = st.lists(st.integers(0, 3), min_size=n_actions, max_size=n_actions).filter(any)
+    game = make_game(
+        [f"t{t}" for t in range(n_states)],
+        [f"a{a}" for a in range(n_actions)],
+        utility,
+        _distribution(prior),
+    )
+    marginals = [make_marginal(_distribution(draw(weights))) for _ in range(2)]
+    direction = tuple(map(F, draw(st.lists(st.integers(-2, 2), min_size=n_states, max_size=n_states))))
+    return game, marginals, direction
+
+
+def _answers(game, marginal, direction):
+    """Every polytope-backed answer about (game, marginal): the verdict, the
+    certificate of each kind at each choice, the separating direction and
+    the vertex decomposition, each as its value or its exception's type."""
+
+    def answer(compute, *args):
+        try:
+            return compute(game, marginal, *args)
+        except UnsupportableAction as err:
+            return type(err), err.args
+
+    n_a = game.n_actions
+    choices = [(UNSUPPORTABLE_ACTION, a) for a in range(n_a)]
+    choices += [(STATE_CONDITION, t) for t in range(game.n_states)]
+    choices += [(ACTION_PAIR_CONDITION, (a, b)) for a in range(n_a) for b in range(n_a) if a != b]
+    choices.append((STRASSEN_DIRECTION, direction))
+    return (
+        answer(check_bce_consistent),
+        [answer(violation_certificate, kind, choice) for kind, choice in choices],
+        answer(separating_direction),
+        answer(belief_decomposition),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(games_and_marginals())
+def test_answers_on_a_game_with_built_polytopes_match_a_fresh_game(instance):
+    """Polytopes that earlier calls built and kept on the game, for another
+    marginal and then for this one, change no answer: a fresh equal game,
+    which builds its own, gives the same ones."""
+    game, (earlier, marginal), direction = instance
+    _answers(game, earlier, direction)
+    first = _answers(game, marginal, direction)
+    assert game.belief_polytopes
+    fresh = BaseGame(game.states, game.actions, game.utility, game.prior)
+    assert "belief_polytopes" not in vars(fresh)
+    assert _answers(game, marginal, direction) == first == _answers(fresh, marginal, direction)
+    assert fresh.belief_polytopes.items() <= game.belief_polytopes.items()

@@ -36,7 +36,6 @@ from mbce.implementation import (
     DecisionRule,
     SubsetCheck,
     build_gale_network,
-    choice_rule_from_tau,
     core_check,
     core_slack,
     decision_rule_from_flow,
@@ -265,10 +264,11 @@ class TestOutcomes:
             FULL_INFO,
             2,
         )
-        sigma = choice_rule_from_tau(FULL_INFO, rule, match_half.prior)
-        assert sigma.rows == ((F(1), F(0)), (F(0), F(1)))
         pi = outcome_from_tau(FULL_INFO, rule, match_half.prior)
         assert pi.probs == ((F(1, 2), F(0)), (F(0), F(1, 2)))
+        sigma = choice_rule_from_outcome(pi, match_half.prior)
+        assert sigma.rows == ((F(1), F(0)), (F(0), F(1)))
+        assert sigma == reference_choice_rule_from_tau(FULL_INFO, rule, match_half.prior)
 
     def test_implement_no_info_marginal(self, match_half):
         pi = implement_marginal(match_half, make_marginal(["1/3", "2/3"]), NO_INFO_UNIFORM)
@@ -622,7 +622,8 @@ class TestIntegerArithmeticMatchesFractions:
     @given(experiments(), st.data())
     def test_outcome_and_choice_rule(self, experiment, data):
         """At the Bayes mean of tau (zero states included) and at an
-        unrelated full-support prior, the same outcome and choice rule."""
+        unrelated full-support prior, the same outcome; and, where the mean
+        has full support, the same choice rule through that outcome."""
         tau, rule = experiment
         mean = mean_of(tau)
         other = data.draw(distributions(len(mean), positive=True))
@@ -632,8 +633,9 @@ class TestIntegerArithmeticMatchesFractions:
             outcome = outcome_from_tau(tau, rule, prior)
             assert outcome == reference_outcome_from_tau(tau, rule, prior)
             assert all(type(q) is Fraction for row in outcome.probs for q in row)
-            sigma = choice_rule_from_tau(tau, rule, prior)
-            assert sigma == reference_choice_rule_from_tau(tau, rule, prior)
+        if all(mean):
+            sigma = choice_rule_from_outcome(outcome_from_tau(tau, rule, mean), mean)
+            assert sigma == reference_choice_rule_from_tau(tau, rule, mean)
 
     @settings(max_examples=100, deadline=None)
     @given(experiments(), st.data())

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mbce import linprog, polytope
 from mbce.errors import DimensionMismatch, EmptyPolytope
-from mbce.game import best_response_set, make_game, matching_game
+from mbce.game import BaseGame, best_response_set, make_game, matching_game
 from mbce.linprog import EQUAL, LESS_EQUAL, Constraint
 from mbce.polytope import (
     BeliefPolytope,
@@ -23,7 +23,6 @@ from mbce.polytope import (
     enumerate_vertices,
     is_empty,
     maximize_direction,
-    minimize_direction,
     opt_belief_polytope,
     support_value,
     unit_direction,
@@ -113,12 +112,6 @@ class TestOptimization:
         value, _ = maximize_direction(opt_belief_polytope(match_half, 0), (F(0), F(0)))
         assert value == 0
 
-    def test_minimize_is_negated_maximize(self, match_half):
-        poly = opt_belief_polytope(match_half, 0)
-        value, witness = minimize_direction(poly, unit_direction(2, 0))
-        assert value == F(1, 2)
-        assert witness == (F(1, 2), F(1, 2))
-
     def test_empty_polytope_raises(self):
         game = tiny_game([[0, 0], [1, 1]])
         with pytest.raises(EmptyPolytope):
@@ -202,7 +195,7 @@ def polytopes(draw):
 class TestLpRows:
     def test_cached_rows_are_no_field(self, match_half):
         poly = opt_belief_polytope(match_half, 0)
-        twin = opt_belief_polytope(match_half, 0)
+        twin = BeliefPolytope(poly.dim, poly.halfspaces)
         before = (hash(poly), repr(poly))
         rows = poly.lp_rows
         assert poly.lp_rows is rows
@@ -213,7 +206,7 @@ class TestLpRows:
 
     def test_point_masses_are_no_field(self, match_half):
         poly = opt_belief_polytope(match_half, 0)
-        twin = opt_belief_polytope(match_half, 0)
+        twin = BeliefPolytope(poly.dim, poly.halfspaces)
         before = (hash(poly), repr(poly))
         masses = poly.point_masses
         assert masses == (0,) and poly.point_masses is masses
@@ -221,6 +214,26 @@ class TestLpRows:
         assert "point_masses" in vars(poly) and "point_masses" not in vars(twin)
         assert poly == twin
         assert (hash(poly), repr(poly)) == before == (hash(twin), repr(twin))
+
+    def test_each_polytope_is_built_once_per_game_and_action(self, match_half):
+        poly = opt_belief_polytope(match_half, 0)
+        assert opt_belief_polytope(match_half, 0) is poly
+        assert match_half.belief_polytopes == {0: poly}
+        other = opt_belief_polytope(match_half, 1)
+        assert other is not poly and match_half.belief_polytopes == {0: poly, 1: other}
+        fresh = matching_game(F(1, 2))
+        assert opt_belief_polytope(fresh, 0) == poly
+        assert opt_belief_polytope(fresh, 0) is not poly
+
+    def test_cached_polytopes_are_no_field_of_the_game(self, match_half):
+        twin = matching_game(F(1, 2))
+        before = (hash(match_half), repr(match_half))
+        polys = [opt_belief_polytope(match_half, a) for a in range(match_half.n_actions)]
+        assert [f.name for f in fields(BaseGame)] == ["states", "actions", "utility", "prior"]
+        assert "belief_polytopes" in vars(match_half) and "belief_polytopes" not in vars(twin)
+        assert match_half.belief_polytopes == dict(enumerate(polys))
+        assert match_half == twin
+        assert (hash(match_half), repr(match_half)) == before == (hash(twin), repr(twin))
 
     def test_is_empty_and_maximize_direction_solve_the_cached_rows(self, monkeypatch):
         # a0 is a best response only on beliefs between (1/3, 2/3) and
