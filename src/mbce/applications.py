@@ -9,6 +9,13 @@ i >= 2 reacts to player i-1's action) decompose stage by stage: each link is
 a single-agent problem whose "state" is the upstream player's action and whose
 prior is the upstream marginal.
 
+So both types are tuples of the single-agent games they reduce to, built and
+validated once: a ``FirstOrderGame`` holds one ``BaseGame`` per player over
+the common states and prior, and a ``RingGame`` one ``BaseGame`` per stage.
+A later ring stage is declared with the uniform prior over its upstream
+actions; only validation and obedience read that prior, and the stage check
+replaces it with the upstream marginal.
+
 Both reductions work on integers over common denominators, as the game and
 implement layers do, and build ``Fraction``s only at the answer: the
 auxiliary game adds the players' integer utility tables over one lcm, the
@@ -43,7 +50,6 @@ from .game import (
 from .rationals import integer_table
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # The auxiliary game and the ring joint list every action profile; larger
 # products are refused before any profile is built.
@@ -51,24 +57,19 @@ MAX_PROFILES = 4096
 
 
 @dataclass(frozen=True)
-class PlayerSpec:
-    """One player's own-action payoff table, utility[action][state]."""
+class FirstOrderGame:
+    """One single-agent game per player over a common state space and prior;
+    payoffs never depend on other players' actions."""
 
-    actions: tuple[str, ...]
-    utility: tuple[tuple[Fraction, ...], ...]
+    players: tuple[BaseGame, ...]
 
     @property
-    def n_actions(self) -> int:
-        return len(self.actions)
+    def states(self) -> tuple[str, ...]:
+        return self.players[0].states
 
-
-@dataclass(frozen=True)
-class FirstOrderGame:
-    """Common state and prior; payoffs never depend on other players' actions."""
-
-    states: tuple[str, ...]
-    prior: tuple[Fraction, ...]
-    players: tuple[PlayerSpec, ...]
+    @property
+    def prior(self) -> tuple[Fraction, ...]:
+        return self.players[0].prior
 
     @property
     def n_players(self) -> int:
@@ -81,20 +82,37 @@ class FirstOrderGame:
 
 @dataclass(frozen=True)
 class RingGame:
-    """Chain of stages: stage 0 maps states to A_1, stage i maps A_i to A_{i+1}.
+    """Chain of stage games: stage 0 maps states to A_1, stage i maps A_i to
+    A_{i+1}.
 
-    utilities[0][a][t] pays player 1 for action a in state t; for i >= 1,
-    utilities[i][a][s] pays player i+1 for action a when player i played s.
+    ``stages[0]`` is player 1's game against the state; for i >= 1,
+    ``stages[i]`` is player i+1's game whose states are player i's actions.
+    A later stage carries the uniform prior over those actions, read only
+    by validation and obedience; the stage check replaces it with the
+    upstream marginal (``ring_stage_game``).
     """
 
-    states: tuple[str, ...]
-    prior: tuple[Fraction, ...]
-    actions: tuple[tuple[str, ...], ...]
-    utilities: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    stages: tuple[BaseGame, ...]
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        return self.stages[0].states
+
+    @property
+    def prior(self) -> tuple[Fraction, ...]:
+        return self.stages[0].prior
+
+    @property
+    def actions(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(stage.actions for stage in self.stages)
+
+    @property
+    def utilities(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return tuple(stage.utility for stage in self.stages)
 
     @property
     def n_players(self) -> int:
-        return len(self.actions)
+        return len(self.stages)
 
 
 @dataclass(frozen=True)
@@ -146,46 +164,41 @@ def make_first_order(states, prior, players) -> FirstOrderGame:
 
     The first player's game converts the states and the prior; every later
     player's game reuses those tuples, so the prior is converted once."""
-    specs = []
+    games = []
     for labels, rows in players:
         # Per-player slice must itself be a valid single-agent game.
         game = make_game(states, labels, rows, prior)
         validate_game(game)
-        specs.append(PlayerSpec(game.actions, game.utility))
+        games.append(game)
         states, prior = game.states, game.prior
-    if not specs:
+    if not games:
         raise DimensionMismatch("a first-order game needs at least one player")
-    return FirstOrderGame(states, prior, tuple(specs))
+    return FirstOrderGame(tuple(games))
 
 
 def make_ring(states, prior, stages) -> RingGame:
     """Build and validate; stages is a sequence of (labels, utility rows).
 
     Stage 0 rows run over the declared states; stage i >= 1 rows run over the
-    actions of stage i-1.  Utility rows are indexed by own action.
+    actions of stage i-1, under the uniform prior over them.  Utility rows
+    are indexed by own action.
     """
     if not stages:
         raise DimensionMismatch("a ring needs at least one player")
-    base = make_game(states, stages[0][0], stages[0][1], prior)
-    validate_game(base)
-    actions = [base.actions]
-    utilities = [base.utility]
-    for labels, rows in stages[1:]:
-        upstream = actions[-1]
-        uniform = [Fraction(1, len(upstream))] * len(upstream)
-        stage = make_game(upstream, labels, rows, uniform)
-        validate_game(stage)
-        actions.append(stage.actions)
-        utilities.append(stage.utility)
-    return RingGame(base.states, base.prior, tuple(actions), tuple(utilities))
+    games = []
+    for labels, rows in stages:
+        game = make_game(states, labels, rows, prior)
+        validate_game(game)
+        games.append(game)
+        states = game.actions
+        prior = [Fraction(1, len(states))] * len(states)
+    return RingGame(tuple(games))
 
 
 def make_profile(ring_or_game, vectors) -> MarginalProfile:
     """Validate one marginal per player against the action-space widths."""
-    if isinstance(ring_or_game, RingGame):
-        widths = [len(a) for a in ring_or_game.actions]
-    else:
-        widths = [p.n_actions for p in ring_or_game.players]
+    games = ring_or_game.stages if isinstance(ring_or_game, RingGame) else ring_or_game.players
+    widths = [game.n_actions for game in games]
     if len(vectors) != len(widths):
         raise DimensionMismatch(
             f"expected {len(widths)} marginals, got {len(vectors)}"
@@ -196,12 +209,6 @@ def make_profile(ring_or_game, vectors) -> MarginalProfile:
         validate_marginal(marginal, width)
         marginals.append(marginal)
     return MarginalProfile(tuple(marginals))
-
-
-def player_game(fo: FirstOrderGame, i: int) -> BaseGame:
-    """Single-agent game seen by player i in isolation."""
-    spec = fo.players[i]
-    return BaseGame(fo.states, spec.actions, spec.utility, fo.prior)
 
 
 def action_profiles(fo: FirstOrderGame) -> tuple[tuple[int, ...], ...]:
@@ -227,13 +234,13 @@ def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
     added as integers over the lcm of their scales, one player at a time in
     ``action_profiles`` order, and each cell becomes one ``Fraction``.
     """
-    profile_count([spec.n_actions for spec in fo.players])
-    tables = [integer_table(spec.utility) for spec in fo.players]
+    profile_count([player.n_actions for player in fo.players])
+    tables = [player.integer_utility for player in fo.players]
     scale = lcm(*(s for s, _ in tables))
     profiles, sums = [()], [(0,) * fo.n_states]
-    for spec, (s, table) in zip(fo.players, tables):
+    for player, (s, table) in zip(fo.players, tables):
         rows = [tuple(u * (scale // s) for u in row) for row in table]
-        profiles = [(*head, label) for head in profiles for label in spec.actions]
+        profiles = [(*head, label) for head in profiles for label in player.actions]
         sums = [tuple(map(add, head, row)) for head in sums for row in rows]
     labels = tuple(",".join(profile) for profile in profiles)
     utility = tuple(tuple(Fraction(u, scale) for u in row) for row in sums)
@@ -257,25 +264,27 @@ def check_public_bce(fo: FirstOrderGame, marginal: ActionMarginal) -> Consistenc
 def ring_stage_game(ring: RingGame, profile: MarginalProfile, i: int) -> BaseGame:
     """Single-agent game checked at stage i.
 
-    Stage 0 is player 1's game against the state.  For i >= 1 the state space
-    is the support of the upstream marginal (zero-mass upstream actions carry
-    no obedience content) and the prior is that marginal restricted to it.
+    Stage 0 is player 1's game against the state, ``ring.stages[0]`` itself.
+    For i >= 1 it restricts ``ring.stages[i]``: the state space is the
+    support of the upstream marginal (zero-mass upstream actions carry no
+    obedience content) and the prior is that marginal restricted to it.
     """
+    stage = ring.stages[i]
     if i == 0:
-        return BaseGame(ring.states, ring.actions[0], ring.utilities[0], ring.prior)
+        return stage
     upstream = profile.marginals[i - 1].probs
-    support = [s for s, q in enumerate(upstream) if q > ZERO]
-    states = tuple(ring.actions[i - 1][s] for s in support)
-    utility = tuple(
-        tuple(row[s] for s in support) for row in ring.utilities[i]
+    support = _stage_support(ring, profile, i)
+    return BaseGame(
+        tuple(stage.states[s] for s in support),
+        stage.actions,
+        tuple(tuple(row[s] for s in support) for row in stage.utility),
+        tuple(upstream[s] for s in support),
     )
-    prior = tuple(upstream[s] for s in support)
-    return BaseGame(states, ring.actions[i], utility, prior)
 
 
 def _stage_support(ring: RingGame, profile: MarginalProfile, i: int) -> list[int]:
     if i == 0:
-        return list(range(len(ring.states)))
+        return list(range(ring.stages[0].n_states))
     return [s for s, q in enumerate(profile.marginals[i - 1].probs) if q > ZERO]
 
 
@@ -308,10 +317,8 @@ def check_ring(ring: RingGame, profile: MarginalProfile) -> RingVerdict:
         verdict = check_bce_consistent(stage, profile.marginals[i])
         if not verdict.consistent:
             return RingVerdict(False, failing_stage=i, violation=verdict.violation)
-        width = len(ring.states) if i == 0 else len(ring.actions[i - 1])
-        witnesses.append(
-            _embed_witness(verdict.witness, _stage_support(ring, profile, i), width)
-        )
+        support = _stage_support(ring, profile, i)
+        witnesses.append(_embed_witness(verdict.witness, support, ring.stages[i].n_states))
     return RingVerdict(True, stage_witnesses=tuple(witnesses))
 
 
@@ -416,27 +423,18 @@ def ring_player_marginal(outcome: RingOutcome, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(totals[a::n]), scale) for a in range(n))
 
 
-def _obedience_game(ring: RingGame, i: int) -> BaseGame:
-    # Obedience never reads the prior; any full-support one will do.
-    if i == 0:
-        return BaseGame(ring.states, ring.actions[0], ring.utilities[0], ring.prior)
-    upstream = ring.actions[i - 1]
-    uniform = tuple([Fraction(1, len(upstream))] * len(upstream))
-    return BaseGame(upstream, ring.actions[i], ring.utilities[i], uniform)
-
-
 def check_ring_obedience(outcome: RingOutcome, ring: RingGame) -> bool:
     """Each player must be obedient against their own pair marginal.
 
     Player 1's incentives read the (A_1 x states) marginal; player i+1's read
-    the (A_{i+1} x A_i) marginal.  Nothing else about the joint matters.
+    the (A_{i+1} x A_i) marginal, priced on that player's stage game.
+    Nothing else about the joint matters.
     """
-    if outcome.shape != tuple(len(a) for a in ring.actions):
+    if outcome.shape != tuple(stage.n_actions for stage in ring.stages):
         raise DimensionMismatch("outcome shape does not match the ring's action spaces")
-    if outcome.n_states != len(ring.states):
+    if outcome.n_states != ring.stages[0].n_states:
         raise DimensionMismatch("outcome state count does not match the ring")
-    for i in range(ring.n_players):
-        pair = ring_pair_marginal(outcome, i)
-        if not check_obedience(pair, _obedience_game(ring, i)).obedient:
-            return False
-    return True
+    return all(
+        check_obedience(ring_pair_marginal(outcome, i), stage).obedient
+        for i, stage in enumerate(ring.stages)
+    )

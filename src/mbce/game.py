@@ -368,11 +368,14 @@ def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> S
     rows would not be distributions. Each cell ``(n / scale) / p``, with
     ``n`` a numerator of the outcome's integer view, is built as one
     ``Fraction`` from ``n`` and the numerator and denominator of ``p``.
+    A state of zero prior mass has no conditional choice: ZeroPriorState.
     """
     if not check_state_marginal(outcome, prior):
         raise StateMarginalMismatch(
             f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
         )
+    if ZERO in prior:
+        raise ZeroPriorState(f"state {list(prior).index(ZERO)} has zero prior mass")
     scale, table = outcome.integer_probs
     rows = []
     for p, column in zip(prior, zip(*table)):

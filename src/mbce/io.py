@@ -120,7 +120,6 @@ class LoadedDocument:
     were dropped; a tau read from another file drops the same coordinates."""
 
     path: str
-    raw: dict
     keep: tuple[bool, ...] | None = None
     game: BaseGame | None = None
     marginal: ActionMarginal | None = None
@@ -530,7 +529,6 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
 
     return LoadedDocument(
         path=path,
-        raw=doc,
         keep=keep,
         game=game,
         marginal=marginal,
@@ -561,26 +559,25 @@ def tau_json(tau: PosteriorDistribution) -> dict:
     return {"support": rows_json(tau.support), "weights": vector_json(tau.weights)}
 
 
-def ring_json(ring: RingGame) -> dict:
+def _labelled_tables_json(games, key: str) -> dict:
+    """The states and prior of the first game, and each game's labelled
+    utility table under ``key``: the inverse of ``_labelled_tables``."""
     return {
-        "states": list(ring.states),
-        "prior": vector_json(ring.prior),
-        "stages": [
-            {"actions": list(labels), "utility": rows_json(rows)}
-            for labels, rows in zip(ring.actions, ring.utilities)
+        "states": list(games[0].states),
+        "prior": vector_json(games[0].prior),
+        key: [
+            {"actions": list(game.actions), "utility": rows_json(game.utility)}
+            for game in games
         ],
     }
+
+
+def ring_json(ring: RingGame) -> dict:
+    return _labelled_tables_json(ring.stages, "stages")
 
 
 def first_order_json(fo: FirstOrderGame) -> dict:
-    return {
-        "states": list(fo.states),
-        "prior": vector_json(fo.prior),
-        "players": [
-            {"actions": list(p.actions), "utility": rows_json(p.utility)}
-            for p in fo.players
-        ],
-    }
+    return _labelled_tables_json(fo.players, "players")
 
 
 def certificate_json(cert: ViolationCertificate) -> dict:
@@ -867,9 +864,8 @@ def _rebuild_ring(doc: dict, path: str) -> Report:
         Outcome(_fraction_rows(node, path, f"witnesses.stage_witnesses[{i}]"))
         for i, node in enumerate(nodes)
     )
-    widths = [len(ring.states), *map(len, ring.actions)]
-    for i, stage in enumerate(stages):
-        if stage.n_actions != widths[i + 1] or any(len(r) != widths[i] for r in stage.probs):
+    for i, (stage, game) in enumerate(zip(stages, ring.stages)):
+        if stage.n_actions != game.n_actions or any(len(r) != game.n_states for r in stage.probs):
             raise ValidationError(path, f"stage witness {i} does not fit the ring")
     joint = _domain(path, construct_ring_outcome, stages)
     # The joint's integer numerators share its positive scale, so they carry

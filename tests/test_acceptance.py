@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbce.applications import (
+    MarginalProfile,
     action_profiles,
     auxiliary_single_agent,
     check_public_bce,
@@ -25,8 +26,9 @@ from mbce.applications import (
     check_ring_obedience,
     construct_ring_outcome,
     make_profile,
-    player_game,
+    ring_pair_marginal,
     ring_player_marginal,
+    ring_stage_game,
 )
 from mbce.consistency import (
     action_pair_residual,
@@ -53,6 +55,7 @@ from mbce.generators import (
     random_game,
     random_marginal,
     random_posteriors,
+    random_ring,
 )
 from mbce.implementation import (
     build_gale_network,
@@ -238,6 +241,44 @@ def test_criterion_6_ring_construction_and_corruption():
     )
 
 
+# Drawn instances: a generator seed.
+SEEDS = st.integers(1, 2**64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.booleans())
+def test_criterion_6_chained_joint_is_obedient_on_drawn_seeds(seed, silent_first):
+    """The ring joint chained from ``check_ring``'s witnesses at a drawn
+    ``random_consistent_ring`` seed: each pair marginal is its embedded
+    stage witness, so the joint is obedient and reproduces every player's
+    marginal. With ``silent_first`` player 1 plays one best response to the
+    prior, as ``consistent_marginal`` does when its draws fail, so every
+    other action of theirs has zero mass upstream of player 2."""
+    rng = XorShift64(seed)
+    if silent_first:
+        # random_consistent_ring's stage-by-stage choice, with player 1's
+        # marginal fixed.
+        ring = random_ring(rng)
+        first = ring.stages[0]
+        anchor = min(best_response_set(first, first.prior))
+        chosen = [make_marginal([int(a == anchor) for a in range(first.n_actions)])]
+        for i in range(1, ring.n_players):
+            stage = ring_stage_game(ring, MarginalProfile(tuple(chosen)), i)
+            chosen.append(consistent_marginal(rng, stage))
+        profile = MarginalProfile(tuple(chosen))
+        assert 0 in profile.marginals[0].probs
+    else:
+        ring, profile = random_consistent_ring(rng)
+    verdict = check_ring(ring, profile)
+    assert verdict.consistent
+    joint = construct_ring_outcome(verdict.stage_witnesses)
+    for i, witness in enumerate(verdict.stage_witnesses):
+        assert ring_pair_marginal(joint, i) == witness
+    assert check_ring_obedience(joint, ring)
+    for i, marginal in enumerate(profile.marginals):
+        assert ring_player_marginal(joint, i) == marginal.probs
+
+
 def test_criterion_7_public_reduction_and_vertex_decomposition():
     rng = XorShift64(701)
     vertices_checked = 0
@@ -248,12 +289,11 @@ def test_criterion_7_public_reduction_and_vertex_decomposition():
         public = check_public_bce(fo, marginal)
         direct = check_bce_consistent(aux, marginal)
         assert public.consistent == direct.consistent
-        games = [player_game(fo, i) for i in range(len(fo.players))]
         for p, profile in enumerate(action_profiles(fo)):
             poly = opt_belief_polytope(aux, p)
             for vertex in enumerate_vertices(poly):
                 for i, a_i in enumerate(profile):
-                    assert a_i in best_response_set(games[i], vertex)
+                    assert a_i in best_response_set(fo.players[i], vertex)
                 vertices_checked += 1
     print(
         f"criterion 7: PASS - 100 reductions agree, {vertices_checked} "
@@ -369,9 +409,8 @@ def test_criterion_9_joint_lps_agree_with_both_reductions():
     )
 
 
-# Criterion 9 over drawn instances: a generator seed, and which marginal to
-# take for the instance it draws.
-SEEDS = st.integers(1, 2**64 - 1)
+# Criterion 9 over drawn instances: which marginal to take for the instance
+# a drawn seed gives.
 MARGINAL_KINDS = st.sampled_from(["consistent", "corrupted", "random"])
 
 

@@ -16,7 +16,7 @@ from mbce.applications import (
     MAX_PROFILES,
     FirstOrderGame,
     MarginalProfile,
-    PlayerSpec,
+    RingGame,
     RingOutcome,
     action_profiles,
     auxiliary_single_agent,
@@ -27,7 +27,6 @@ from mbce.applications import (
     make_first_order,
     make_profile,
     make_ring,
-    player_game,
     ring_pair_marginal,
     ring_player_marginal,
     ring_profiles,
@@ -102,7 +101,7 @@ class TestAuxiliaryGame:
             ["t1", "t2"], ["2/3", "1/3"], [(["a1", "a2"], [[3, -1], [0, 2]])]
         )
         aux = auxiliary_single_agent(fo)
-        solo = player_game(fo, 0)
+        solo = fo.players[0]
         assert aux.actions == solo.actions
         assert aux.utility == solo.utility
         assert aux.prior == solo.prior
@@ -120,20 +119,20 @@ class TestAuxiliaryGame:
             assert poly.contains(uniform)
             assert poly.contains((F(1), F(0)))
 
-    def test_profile_cap(self, monkeypatch):
+    def test_profile_cap(self):
         # 13 two-action players make 2^13 = 8192 profiles, twice MAX_PROFILES:
-        # refused from the count alone, before any profile is built.
+        # refused from the count alone, before any profile is built. Building
+        # one starts from the players' integer utility tables, and no player
+        # game has derived its table yet.
         fo = make_first_order(
             ["t1", "t2"],
             ["1/2", "1/2"],
             [([f"p{i}a", f"p{i}b"], MATCH_ROWS) for i in range(13)],
         )
-        monkeypatch.setattr(
-            applications, "action_profiles", lambda fo: pytest.fail("profiles built")
-        )
         assert MAX_PROFILES == 4096
         with pytest.raises(ProductTooLarge, match="8192 action profiles"):
             auxiliary_single_agent(fo)
+        assert not any("integer_utility" in vars(player) for player in fo.players)
 
     def test_profiles_enumerate_last_player_fastest(self):
         fo = two_matching_players(["1/2", "1/2"])
@@ -142,7 +141,7 @@ class TestAuxiliaryGame:
 
 def profile_br_product(fo, aux, belief):
     """Profiles whose coordinates are all per-player best responses."""
-    per_player = [best_response_set(player_game(fo, i), belief) for i in range(fo.n_players)]
+    per_player = [best_response_set(player, belief) for player in fo.players]
     return frozenset(
         idx
         for idx, prof in enumerate(action_profiles(fo))
@@ -187,7 +186,7 @@ class TestPublicCheck:
         )
         nu = make_marginal(["1/2", "1/2"])
         public = check_public_bce(fo, nu)
-        plain = check_bce_consistent(player_game(fo, 0), nu)
+        plain = check_bce_consistent(fo.players[0], nu)
         assert public.consistent == plain.consistent == True  # noqa: E712
 
     def test_vertex_beliefs_decompose_profilewise(self):
@@ -255,6 +254,12 @@ class TestRingCheck:
         assert stage.states == ("a1",)
         assert stage.prior == (F(1),)
         assert stage.utility == ((F(1),), (F(0),))
+        assert stage.actions is ring.stages[1].actions
+
+    def test_first_stage_game_is_the_ring_stage(self):
+        ring = make_match_ring("1/2")
+        profile = make_profile(ring, [[1, 0], [1, 0]])
+        assert ring_stage_game(ring, profile, 0) is ring.stages[0]
 
     def test_witnesses_embed_over_full_upstream_space(self):
         ring = make_match_ring("1/2")
@@ -366,15 +371,17 @@ class TestFactories:
 
     def test_first_order_three_players_pinned(self):
         fo = make_first_order(["t1", "t2"], ["1/3", "2/3"], self.THREE_PLAYERS)
+        states, prior = ("t1", "t2"), (F(1, 3), F(2, 3))
         assert fo == FirstOrderGame(
-            states=("t1", "t2"),
-            prior=(F(1, 3), F(2, 3)),
             players=(
-                PlayerSpec(("x1", "x2"), ((F(1), F(0)), (F(0), F(1, 2)))),
-                PlayerSpec(("y1",), ((F(-1, 4), F(2)),)),
-                PlayerSpec(("z1", "z2", "z3"), ((F(0), F(0)), (F(1), F(1)), (F(3, 2), F(-1)))),
+                BaseGame(states, ("x1", "x2"), ((F(1), F(0)), (F(0), F(1, 2))), prior),
+                BaseGame(states, ("y1",), ((F(-1, 4), F(2)),), prior),
+                BaseGame(
+                    states, ("z1", "z2", "z3"), ((F(0), F(0)), (F(1), F(1)), (F(3, 2), F(-1))), prior
+                ),
             ),
         )
+        assert (fo.states, fo.prior) == (states, prior)
         assert type(fo.states) is tuple
         assert all(type(q) is Fraction for q in fo.prior)
 
@@ -406,6 +413,29 @@ class TestFactories:
             )
         with pytest.raises(DimensionMismatch):
             make_ring(["t1", "t2"], ["1/2", "1/2"], [])
+
+    def test_ring_stages_are_its_games(self):
+        ring = make_ring(
+            ["t1", "t2"],
+            ["1/3", "2/3"],
+            [(["a1", "a2", "a3"], [[1, 0], [0, 1], [0, 0]]), (["b1", "b2"], [[1, 0, 2], [0, 1, 0]])],
+        )
+        first, second = ring.stages
+        assert first == make_game(
+            ["t1", "t2"], ["a1", "a2", "a3"], [[1, 0], [0, 1], [0, 0]], ["1/3", "2/3"]
+        )
+        # A later stage's states are the upstream actions, under the uniform
+        # prior over them.
+        assert second == make_game(
+            ["a1", "a2", "a3"], ["b1", "b2"], [[1, 0, 2], [0, 1, 0]], ["1/3", "1/3", "1/3"]
+        )
+        assert (ring.states, ring.prior) == (first.states, first.prior)
+        assert ring.actions == (first.actions, second.actions)
+        assert ring.utilities == (first.utility, second.utility)
+
+    def test_only_fields_are_the_games(self):
+        assert [f.name for f in fields(FirstOrderGame)] == ["players"]
+        assert [f.name for f in fields(RingGame)] == ["stages"]
 
     def test_profile_validates_lengths_and_mass(self):
         ring = make_match_ring("1/2")

@@ -296,6 +296,12 @@ class TestConditionals:
         assert rule.rows[0] == (F(2, 3), F(1, 3))
         assert rule.rows[1] == (F(0), F(1))
 
+    def test_choice_rule_refuses_a_zero_prior_state(self):
+        # The second state's column and prior entry are both zero, so the
+        # marginals match but no choice conditions on that state.
+        with pytest.raises(ZeroPriorState, match=r"^state 1 has zero prior mass$"):
+            choice_rule_from_outcome(make_outcome([["1/2", 0], ["1/2", 0]]), (1, 0))
+
     def test_choice_rule_requires_matching_prior(self, skewed_outcome):
         with pytest.raises(StateMarginalMismatch):
             choice_rule_from_outcome(skewed_outcome, (F(1, 2), F(1, 2)))

@@ -17,6 +17,7 @@ from mbce.errors import (
     NotBayesPlausible,
     StateMarginalMismatch,
     TooManyActionsForSubsetCheck,
+    ZeroPriorState,
 )
 from mbce.flows import FlowNetwork, max_flow_feasible
 from mbce.game import (
@@ -622,8 +623,9 @@ class TestIntegerArithmeticMatchesFractions:
     @given(experiments(), st.data())
     def test_outcome_and_choice_rule(self, experiment, data):
         """At the Bayes mean of tau (zero states included) and at an
-        unrelated full-support prior, the same outcome; and, where the mean
-        has full support, the same choice rule through that outcome."""
+        unrelated full-support prior, the same outcome; and, through that
+        outcome, the same choice rule where the mean has full support, and
+        ZeroPriorState where it has a zero state."""
         tau, rule = experiment
         mean = mean_of(tau)
         other = data.draw(distributions(len(mean), positive=True))
@@ -633,20 +635,25 @@ class TestIntegerArithmeticMatchesFractions:
             outcome = outcome_from_tau(tau, rule, prior)
             assert outcome == reference_outcome_from_tau(tau, rule, prior)
             assert all(type(q) is Fraction for row in outcome.probs for q in row)
+        sigma = result_or_error(choice_rule_from_outcome, outcome_from_tau(tau, rule, mean), mean)
         if all(mean):
-            sigma = choice_rule_from_outcome(outcome_from_tau(tau, rule, mean), mean)
             assert sigma == reference_choice_rule_from_tau(tau, rule, mean)
+        else:
+            assert sigma is ZeroPriorState
 
     @settings(max_examples=100, deadline=None)
     @given(experiments(), st.data())
     def test_choice_rule_from_outcome(self, experiment, data):
         """Also where the prior is not the outcome's state marginal, or has a
-        zero state: the same rule, or the same exception."""
+        zero state: the same rule, or the same exception, except that where
+        the reference divides by a zero prior entry the rule refuses it."""
         tau, rule = experiment
         outcome = reference_outcome_from_tau(tau, rule, mean_of(tau))
         other = data.draw(distributions(outcome.n_states))
         for prior in (state_marginal_of(outcome), other):
             expected = result_or_error(reference_choice_rule_from_outcome, outcome, prior)
+            if expected is ZeroDivisionError:
+                expected = ZeroPriorState
             assert result_or_error(choice_rule_from_outcome, outcome, prior) == expected
 
     @settings(max_examples=200, deadline=None)

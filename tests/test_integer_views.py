@@ -26,6 +26,7 @@ from mbce.errors import (
     NotADistribution,
     StateMarginalMismatch,
     ValidationError,
+    ZeroPriorState,
 )
 from mbce.game import (
     Outcome,
@@ -283,12 +284,15 @@ class TestChecksMatchFractions:
     def test_choice_rule(self, outcome, data):
         """At the outcome's own state marginal, which may have zero or
         negative entries, and at a drawn prior: the same rule, or the same
-        exception with the same message."""
+        exception with the same message; where the reference divides by a
+        zero prior entry, ZeroPriorState naming the first zero state."""
         other = data.draw(vectors(outcome.n_states))
         for prior in (reference_state_marginal_of(outcome), other):
-            assert answer(choice_rule_from_outcome, outcome, prior) == answer(
-                reference_choice_rule_from_outcome, outcome, prior
-            )
+            expected = answer(reference_choice_rule_from_outcome, outcome, prior)
+            if expected == (ZeroDivisionError, None):
+                zero = list(prior).index(0)
+                expected = ZeroPriorState, f"state {zero} has zero prior mass"
+            assert answer(choice_rule_from_outcome, outcome, prior) == expected
 
     @given(st.data())
     def test_make_posteriors(self, data):
