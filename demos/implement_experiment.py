@@ -45,7 +45,7 @@ def main():
     nu = make_marginal(["3/8", "5/8"])
     outcome = implement_marginal(game, nu, tau)
     ok, flow = max_flow_feasible(build_gale_network(tau, nu, game))
-    rule = decision_rule_from_flow(flow, tau, game.n_actions)
+    rule = decision_rule_from_flow(flow, tau)
     print(f"\ntarget {fmt(nu.probs)} implemented")
     print("decision rule rows (one per posterior):",
           "; ".join(fmt(row) for row in rule.rows))

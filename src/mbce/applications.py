@@ -195,10 +195,9 @@ def make_ring(states, prior, stages) -> RingGame:
     return RingGame(tuple(games))
 
 
-def make_profile(ring_or_game, vectors) -> MarginalProfile:
-    """Validate one marginal per player against the action-space widths."""
-    games = ring_or_game.stages if isinstance(ring_or_game, RingGame) else ring_or_game.players
-    widths = [game.n_actions for game in games]
+def make_profile(ring: RingGame, vectors) -> MarginalProfile:
+    """Validate one marginal per ring player against its stage's width."""
+    widths = [stage.n_actions for stage in ring.stages]
     if len(vectors) != len(widths):
         raise DimensionMismatch(
             f"expected {len(widths)} marginals, got {len(vectors)}"

@@ -121,7 +121,7 @@ def _parse_marginal_flag(text: str) -> ActionMarginal:
 
 
 def _resolve_marginal(args, doc, n_actions) -> ActionMarginal:
-    if getattr(args, "marginal", None):
+    if getattr(args, "marginal", None) is not None:
         marginal = _parse_marginal_flag(args.marginal)
     elif doc.marginal is not None:
         marginal = doc.marginal
@@ -134,7 +134,7 @@ def _resolve_marginal(args, doc, n_actions) -> ActionMarginal:
 
 
 def _resolve_tau(args, doc):
-    if getattr(args, "tau", None):
+    if getattr(args, "tau", None) is not None:
         tau_doc = load_document(args.tau)
         node = tau_doc.get("tau", tau_doc)
         return parse_tau(node, args.tau, keep=doc.keep)

@@ -2,16 +2,17 @@
 
 Both networks in this package have the same shape: supply nodes on the left
 (posterior beliefs, or actions feeding menus), demand nodes on the right, and
-forward edges only. Feasibility means a flow meeting every demand; a
-synthetic source and sink turn that into a max-flow question. Augmenting
-paths are chosen shortest-first (BFS), so the number of augmentations is
-bounded combinatorially.
+forward edges only, each node named by its position. Feasibility means a flow
+meeting every demand (Gale 1957); a synthetic source and sink turn that into
+a max-flow question. Augmenting paths are chosen shortest-first (BFS), so the
+number of augmentations is bounded combinatorially.
 
-The solver runs on integers: every supply, demand and capacity is scaled by
-the lcm of their denominators. A positive scale changes no sign, no minimum
-and no equality, so the augmenting paths and the flow are the ones rational
-arithmetic finds; a ``Fraction`` is built only for each edge of the returned
-flow.
+An edge's capacity is the total supply, which no flow through it can exceed:
+the edges are unbounded in effect. The solver runs on integers: every supply
+and demand is scaled by the lcm of their denominators. A positive scale
+changes no sign, no minimum and no equality, so the augmenting paths and the
+flow are the ones rational arithmetic finds; a ``Fraction`` is built only for
+each nonzero edge flow returned.
 """
 
 from __future__ import annotations
@@ -21,103 +22,87 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-NodeKey = tuple
-FlowMap = dict[tuple[NodeKey, NodeKey], Fraction]
-
 ZERO = Fraction(0)
-
-_SOURCE = ("__source__",)
-_SINK = ("__sink__",)
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Supplies, demands, and capacitated forward edges between them.
+    """Supplies, demands, and the forward edges ``(i, j)`` joining supply i
+    to demand j, each edge listed once. Immutable; the solver returns the
+    flow separately."""
 
-    Node keys are tuples like ("posterior", 2) or ("action", 0); the
-    synthetic source/sink are internal to the solver. Immutable; the solver
-    returns the flow separately.
-    """
-
-    supplies: tuple[tuple[NodeKey, Fraction], ...]
-    demands: tuple[tuple[NodeKey, Fraction], ...]
-    edges: tuple[tuple[NodeKey, NodeKey, Fraction], ...]
+    supplies: tuple[Fraction, ...]
+    demands: tuple[Fraction, ...]
+    edges: tuple[tuple[int, int], ...]
 
 
-def max_flow_feasible(network: FlowNetwork) -> tuple[bool, FlowMap | None]:
+def max_flow_feasible(
+    network: FlowNetwork,
+) -> tuple[bool, tuple[tuple[Fraction, ...], ...] | None]:
     """Decide whether every demand can be met; return the flow if so.
 
-    The flow map covers every declared edge (zero entries included). Edge
-    insertion order drives BFS neighbor order, so identical networks always
-    produce identical flows.
+    The flow has one row per supply and one entry per demand, ``ZERO`` off
+    the edges. Edge order drives BFS neighbor order, so identical networks
+    always produce identical flows.
     """
+    n, m = len(network.supplies), len(network.demands)
+    # Two starred arguments gather into a list, and the argument tuple is
+    # copied from it. One starred generator would grow the tuple by resizing:
+    # such a tuple is not taken from CPython's tuple free list but returns to
+    # it, so the free list, and peak memory, grow call by call up to its cap.
     scale = lcm(
-        *(q.denominator for _, q in network.supplies),
-        *(q.denominator for _, q in network.demands),
-        *(q.denominator for _, _, q in network.edges),
+        *(q.denominator for q in network.supplies), *(q.denominator for q in network.demands)
     )
+    supplies = [q.numerator * (scale // q.denominator) for q in network.supplies]
+    demands = [q.numerator * (scale // q.denominator) for q in network.demands]
 
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (scale // q.denominator)
-
-    residual: dict[NodeKey, dict[NodeKey, int]] = {_SOURCE: {}, _SINK: {}}
-
-    def ensure(node: NodeKey) -> dict[NodeKey, int]:
-        if node not in residual:
-            residual[node] = {}
-        return residual[node]
-
-    def add_edge(u: NodeKey, v: NodeKey, cap: int) -> None:
-        ensure(u)[v] = ensure(u).get(v, 0) + cap
-        ensure(v).setdefault(u, 0)
-
-    for node, supply in network.supplies:
+    # Node ids: the source 0, supply i at 1 + i, demand j at 1 + n + j, and
+    # the sink last. Each node's dict keeps its neighbors in insertion order.
+    source, sink = 0, n + m + 1
+    residual: list[dict[int, int]] = [{} for _ in range(n + m + 2)]
+    for u, supply in enumerate(supplies, 1):
         if supply > 0:
-            add_edge(_SOURCE, node, scaled(supply))
-        else:
-            ensure(node)
-    total_demand = 0
-    for node, demand in network.demands:
-        total_demand += scaled(demand)
+            residual[source][u] = supply
+            residual[u][source] = 0
+    for v, demand in enumerate(demands, n + 1):
         if demand > 0:
-            add_edge(node, _SINK, scaled(demand))
-        else:
-            ensure(node)
-    for u, v, cap in network.edges:
-        if cap > 0:
-            add_edge(u, v, scaled(cap))
+            residual[v][sink] = demand
+            residual[sink][v] = 0
+    capacity = sum(supplies)
+    for i, j in network.edges:
+        residual[1 + i][1 + n + j] = capacity
+        residual[1 + n + j][1 + i] = 0
 
     pushed = 0
     while True:
         # BFS for the shortest augmenting path
-        parent: dict[NodeKey, NodeKey] = {_SOURCE: _SOURCE}
-        queue = deque([_SOURCE])
-        while queue and _SINK not in parent:
+        parent = [-1] * len(residual)
+        parent[source] = source
+        queue = deque([source])
+        while queue and parent[sink] < 0:
             u = queue.popleft()
             for v, cap in residual[u].items():
-                if cap > 0 and v not in parent:
+                if cap > 0 and parent[v] < 0:
                     parent[v] = u
                     queue.append(v)
-        if _SINK not in parent:
+        if parent[sink] < 0:
             break
-        bottleneck = None
-        v = _SINK
-        while v != _SOURCE:
-            u = parent[v]
-            cap = residual[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = _SINK
-        while v != _SOURCE:
-            u = parent[v]
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
             residual[u][v] -= bottleneck
             residual[v][u] += bottleneck
-            v = u
         pushed += bottleneck
 
-    if pushed != total_demand:
+    if pushed != sum(demands):
         return False, None
-    flow: FlowMap = {}
-    for u, v, cap in network.edges:
-        flow[(u, v)] = Fraction(residual[v].get(u, 0), scale) if cap > 0 else ZERO
-    return True, flow
+    flow = [[ZERO] * m for _ in range(n)]
+    for i, j in network.edges:
+        used = residual[1 + n + j][1 + i]
+        if used:
+            flow[i][j] = Fraction(used, scale)
+    return True, tuple(map(tuple, flow))

@@ -23,8 +23,8 @@ checks signs, sums and distinct support points on them, Bayes plausibility
 is an integer dot product of the two posterior views, each menu prices a
 row of the support view on the game's integer utility table, the outcome of
 a decision rule is one integer accumulation over the three scales, and the
-Gale flow is solved on scaled capacities. A ``Fraction`` is built once for
-each value returned.
+Gale flow is solved on scaled supplies and demands. A ``Fraction`` is built
+once for each value returned.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     StateMarginalMismatch,
     TooManyActionsForSubsetCheck,
 )
-from .flows import FlowMap, FlowNetwork, max_flow_feasible
+from .flows import FlowNetwork, max_flow_feasible
 from .game import (
     ActionMarginal,
     BaseGame,
@@ -59,7 +59,6 @@ from .polytope import Belief
 from .rationals import exact_sum, fraction_table, fraction_vector, integer_row, integer_table
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Subset scans visit at most this many sets, the empty set counted: the
 # unions of menus core_check scans, and the 2^|A| subsets demand_check walks.
@@ -265,8 +264,8 @@ def build_gale_network(
     tau: PosteriorDistribution, marginal: ActionMarginal, game: BaseGame
 ) -> FlowNetwork:
     """Posterior beliefs supply their tau weight; actions demand their
-    marginal mass; an edge exists exactly where the action is optimal at the
-    belief. Unbounded capacities are written as 1, the total mass in play."""
+    marginal mass; an edge joins posterior i to action a exactly where a is
+    optimal at the belief."""
     return gale_network(tau, marginal, posterior_menus(tau, game))
 
 
@@ -274,66 +273,45 @@ def gale_network(
     tau: PosteriorDistribution, marginal: ActionMarginal, menus: Menus
 ) -> FlowNetwork:
     """``build_gale_network`` given the menu of each posterior."""
-    supplies = tuple(
-        (("posterior", i), w) for i, w in enumerate(tau.weights)
+    return FlowNetwork(
+        supplies=tau.weights,
+        demands=marginal.probs,
+        edges=tuple((i, a) for i, menu in enumerate(menus) for a in sorted(menu)),
     )
-    demands = tuple(
-        (("action", a), q) for a, q in enumerate(marginal.probs)
-    )
-    edges = []
-    for i, menu in enumerate(menus):
-        for a in sorted(menu):
-            edges.append((("posterior", i), ("action", a), ONE))
-    return FlowNetwork(supplies=supplies, demands=demands, edges=tuple(edges))
 
 
 def decision_rule_from_flow(
-    flow: FlowMap, tau: PosteriorDistribution, n_actions: int
+    flow: tuple[tuple[Fraction, ...], ...] | None, tau: PosteriorDistribution
 ) -> DecisionRule:
     """Normalize each posterior's outgoing flow into action probabilities."""
     if flow is None:
         raise InfeasibleFlow("no flow to normalize; the demands were not met")
-    rows = []
-    for i, w in enumerate(tau.weights):
-        row = [ZERO] * n_actions
-        for a in range(n_actions):
-            f = flow.get((("posterior", i), ("action", a)))
-            if f:
-                row[a] = f / w
-        rows.append(tuple(row))
-    return DecisionRule(rows=tuple(rows))
+    return DecisionRule(
+        rows=tuple(
+            tuple(f / w if f else ZERO for f in row) for row, w in zip(flow, tau.weights)
+        )
+    )
 
 
 def menu_rule_from_core(menus: MenuMeasure, marginal: ActionMarginal) -> MenuRule:
     """Split each menu's mass across its actions so the splits add up to the
     marginal, by max-flow on the action/menu network (actions supply their
-    marginal mass, menus demand their measure, unit edges where a is in B)."""
-    supplies = tuple(
-        (("action", a), q) for a, q in enumerate(marginal.probs)
-    )
+    marginal mass, menus demand their measure, an edge wherever a is in B)."""
     menu_order = sorted(menus, key=lambda m: (len(m), sorted(m)))
-    demands = tuple((("menu", menu), menus[menu]) for menu in menu_order)
-    edges = []
-    for menu in menu_order:
-        for a in sorted(menu):
-            edges.append((("action", a), ("menu", menu), ONE))
     feasible, flow = max_flow_feasible(
-        FlowNetwork(supplies=supplies, demands=demands, edges=tuple(edges))
+        FlowNetwork(
+            supplies=marginal.probs,
+            demands=tuple(menus[menu] for menu in menu_order),
+            edges=tuple((a, k) for k, menu in enumerate(menu_order) for a in sorted(menu)),
+        )
     )
     if not feasible:
         witness = core_check(marginal, menus)
         raise CoreViolation(witness.subset, witness.slack)
-    n_actions = len(marginal.probs)
-    rule: MenuRule = {}
-    for menu in menu_order:
-        mass = menus[menu]
-        row = [ZERO] * n_actions
-        for a in sorted(menu):
-            f = flow.get((("action", a), ("menu", menu)), ZERO)
-            if f:
-                row[a] = f / mass
-        rule[menu] = tuple(row)
-    return rule
+    return {
+        menu: tuple(row[k] / menus[menu] if row[k] else ZERO for row in flow)
+        for k, menu in enumerate(menu_order)
+    }
 
 
 def outcome_from_tau(
@@ -430,7 +408,7 @@ def implementing_rule(
                 "the Gale flow fell short but no action subset is overfull"
             )
         raise ImplementationInfeasible(core.subset, core.slack)
-    return decision_rule_from_flow(flow, tau, game.n_actions)
+    return decision_rule_from_flow(flow, tau)
 
 
 def implement_marginal(

@@ -121,6 +121,15 @@ class TestCheck:
         assert code == 0
         assert report["inputs"]["marginal"] == ["1/2", "1/2"]
 
+    def test_empty_marginal_flag_is_read_not_ignored(self, tmp_path, capsys):
+        """An explicit empty --marginal is parsed and refused, whether or
+        not the file has a marginal of its own."""
+        for doc in (dict(MATCH34, marginal=["1/2", "1/2"]), MATCH34):
+            code, report, err = run(capsys, ["check", write(tmp_path, doc), "--marginal", ""])
+            assert code == 3
+            assert report is None
+            assert err.startswith("error: --marginal")
+
     def test_missing_marginal_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, MATCH34)
         code, report, err = run(capsys, ["check", path])
@@ -294,6 +303,15 @@ class TestImplement:
         code, report, _ = run(capsys, ["implement", game_path, "--tau", tau_path])
         assert code == 0
         assert report["verdict"] == "implemented"
+
+    def test_empty_tau_flag_is_read_not_ignored(self, tmp_path, capsys):
+        """An explicit empty --tau names no file: refused, not replaced by
+        the file's own tau."""
+        doc = dict(MATCH34, marginal=["3/4", "1/4"], tau=self.FULL_INFO)
+        code, report, err = run(capsys, ["implement", write(tmp_path, doc), "--tau", ""])
+        assert code == 3
+        assert report is None
+        assert err.startswith("error:")
 
     def test_infeasible_exits_two(self, tmp_path, capsys):
         half = dict(MATCH34, prior=["1/2", "1/2"])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mbce.errors import (
     CoreViolation,
     ImplementationInfeasible,
+    InfeasibleFlow,
     NotADistribution,
     NotBayesPlausible,
     StateMarginalMismatch,
@@ -47,6 +48,7 @@ from mbce.implementation import (
     menu_measure,
     menu_rule_from_core,
     outcome_from_tau,
+    posterior_menus,
     tau_from_outcome,
 )
 
@@ -161,17 +163,17 @@ class TestGaleNetwork:
         game, tau = three_action_fixture()
         assert is_bayes_plausible(tau, game.prior)
         net = build_gale_network(tau, make_marginal(["1/3", "1/3", "1/3"]), game)
-        assert len(net.edges) == 6
-        edge_pairs = {(u[1], v[1]) for u, v, _ in net.edges}
-        assert edge_pairs == {(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2)}
+        assert net.edges == ((0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2))
+        assert net.supplies == tau.weights
+        assert net.demands == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_full_info_two_disjoint_edges(self, match_half):
         net = build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
-        assert [(u[1], v[1]) for u, v, _ in net.edges] == [(0, 0), (1, 1)]
+        assert net.edges == ((0, 0), (1, 1))
 
     def test_no_info_single_supplier(self, match_half):
         net = build_gale_network(NO_INFO_UNIFORM, make_marginal(["1/2", "1/2"]), match_half)
-        assert [(u[1], v[1]) for u, v, _ in net.edges] == [(0, 0), (0, 1)]
+        assert net.edges == ((0, 0), (0, 1))
 
 
 class TestMaxFlow:
@@ -179,20 +181,30 @@ class TestMaxFlow:
         net = build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
         feasible, flow = max_flow_feasible(net)
         assert feasible
-        assert flow[(("posterior", 0), ("action", 0))] == F(1, 2)
-        assert flow[(("posterior", 1), ("action", 1))] == F(1, 2)
+        assert flow == ((F(1, 2), F(0)), (F(0), F(1, 2)))
 
     def test_full_info_skewed_infeasible(self, match_half):
         net = build_gale_network(FULL_INFO, make_marginal(["1/4", "3/4"]), match_half)
         assert max_flow_feasible(net) == (False, None)
 
     def test_positive_demand_with_no_edges(self):
-        net = FlowNetwork(
-            supplies=((("posterior", 0), F(1)),),
-            demands=((("action", 0), F(1)),),
-            edges=(),
-        )
+        net = FlowNetwork(supplies=(F(1),), demands=(F(1),), edges=())
         assert max_flow_feasible(net) == (False, None)
+
+    def test_augmenting_paths_follow_edge_order(self):
+        """BFS takes each node's edges in the order given, so the flow is the
+        one those shortest paths build, the third through a reverse edge;
+        visiting the neighbors in another order meets the same demands with
+        another flow."""
+        net = FlowNetwork(
+            supplies=(F(1, 2), F(1, 2)),
+            demands=(F(1, 4), F(1, 2), F(1, 4)),
+            edges=((0, 0), (0, 1), (0, 2), (1, 0), (1, 1)),
+        )
+        assert max_flow_feasible(net) == (
+            True,
+            ((F(0), F(1, 4), F(1, 4)), (F(1, 4), F(1, 4), F(0))),
+        )
 
     def test_market_clearing_on_feasible_flows(self):
         game, tau = three_action_fixture()
@@ -200,31 +212,29 @@ class TestMaxFlow:
         net = build_gale_network(tau, nu, game)
         feasible, flow = max_flow_feasible(net)
         assert feasible
-        for i, w in enumerate(tau.weights):
-            out = sum(f for (u, _), f in flow.items() if u == ("posterior", i))
-            assert out == w
-        for a, q in enumerate(nu.probs):
-            into = sum(f for (_, v), f in flow.items() if v == ("action", a))
-            assert into == q
+        assert tuple(sum(row) for row in flow) == tau.weights
+        assert tuple(map(sum, zip(*flow))) == nu.probs
+        for i, menu in enumerate(posterior_menus(tau, game)):
+            assert all(a in menu for a, f in enumerate(flow[i]) if f)
 
 
 class TestDecisionRules:
     def test_full_info_degenerate_rule(self, match_half):
         net = build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
         _, flow = max_flow_feasible(net)
-        rule = decision_rule_from_flow(flow, FULL_INFO, 2)
+        rule = decision_rule_from_flow(flow, FULL_INFO)
         assert rule.rows == ((F(1), F(0)), (F(0), F(1)))
 
     def test_no_info_rule_splits_by_demand(self, match_half):
         nu = make_marginal(["1/3", "2/3"])
         net = build_gale_network(NO_INFO_UNIFORM, nu, match_half)
         _, flow = max_flow_feasible(net)
-        rule = decision_rule_from_flow(flow, NO_INFO_UNIFORM, 2)
+        rule = decision_rule_from_flow(flow, NO_INFO_UNIFORM)
         assert rule.rows == ((F(1, 3), F(2, 3)),)
 
     def test_infeasible_flow_rejected(self):
-        with pytest.raises(Exception):
-            decision_rule_from_flow(None, NO_INFO_UNIFORM, 2)
+        with pytest.raises(InfeasibleFlow):
+            decision_rule_from_flow(None, NO_INFO_UNIFORM)
 
 
 class TestMenuRule:
@@ -263,7 +273,6 @@ class TestOutcomes:
                 build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
             )[1],
             FULL_INFO,
-            2,
         )
         pi = outcome_from_tau(FULL_INFO, rule, match_half.prior)
         assert pi.probs == ((F(1, 2), F(0)), (F(0), F(1, 2)))
@@ -578,30 +587,52 @@ def experiments(draw):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, total=None):
     """Supply/demand networks shaped like the Gale network: unlike
-    denominators, zero supplies and demands, and edges of capacity 1, 0 or a
-    drawn rational, or no edge; many fall short of the demands. Complete
-    networks of unit edges, drawn as often, meet every demand."""
+    denominators, zero supplies and demands, and each edge drawn or not; many
+    fall short of the demands. Complete networks, drawn as often, meet every
+    demand. Supplies and demands each sum to ``total``, or to a drawn total:
+    1, or a rational above or below it."""
     n_supplies, n_demands = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    supplies = draw(distributions(n_supplies))
-    demands = draw(distributions(n_demands))
-    capacities = st.one_of(
-        st.none(), st.just(F(1)), st.just(F(0)), DENOMINATORS.map(lambda d: F(d // 3, d))
+    if total is None:
+        total = draw(st.sampled_from([F(1), F(3, 7), F(5, 2)]))
+    supplies = tuple(total * w for w in draw(distributions(n_supplies)))
+    demands = tuple(total * q for q in draw(distributions(n_demands)))
+    complete = draw(st.booleans())
+    edges = tuple(
+        (i, a)
+        for i in range(n_supplies)
+        for a in range(n_demands)
+        if complete or draw(st.booleans())
     )
-    if draw(st.booleans()):
-        capacities = st.just(F(1))
-    edges = []
-    for i in range(n_supplies):
-        for a in range(n_demands):
-            cap = draw(capacities)
-            if cap is not None:
-                edges.append((("posterior", i), ("action", a), cap))
-    return FlowNetwork(
-        supplies=tuple((("posterior", i), w) for i, w in enumerate(supplies)),
-        demands=tuple((("action", a), q) for a, q in enumerate(demands)),
-        edges=tuple(edges),
+    return FlowNetwork(supplies=supplies, demands=demands, edges=edges)
+
+
+KeyedNetwork = namedtuple("KeyedNetwork", "supplies demands edges")
+
+
+def keyed(network, capacity=None):
+    """The network as ``reference_max_flow_feasible`` reads it: supply i
+    keyed ("posterior", i), demand j keyed ("action", j), and every edge of
+    ``capacity``, by default the total supply, as the solver has it."""
+    if capacity is None:
+        capacity = sum(network.supplies, F(0))
+    return KeyedNetwork(
+        supplies=tuple((("posterior", i), w) for i, w in enumerate(network.supplies)),
+        demands=tuple((("action", j), q) for j, q in enumerate(network.demands)),
+        edges=tuple((("posterior", i), ("action", j), capacity) for i, j in network.edges),
     )
+
+
+def keyed_result(network, result):
+    """A solver result with its flow read on the keyed edges, as the
+    reference returns it."""
+    feasible, flow = result
+    if flow is None:
+        return feasible, None
+    return feasible, {
+        (("posterior", i), ("action", j)): flow[i][j] for i, j in network.edges
+    }
 
 
 def mean_of(tau):
@@ -659,11 +690,29 @@ class TestIntegerArithmeticMatchesFractions:
     @settings(max_examples=200, deadline=None)
     @given(networks())
     def test_max_flow(self, network):
-        """The same verdict and the same flow on every declared edge."""
+        """The same verdict and the same flow on every declared edge, with
+        the total supply as each edge's capacity; ZERO off the edges."""
         feasible, flow = max_flow_feasible(network)
-        assert (feasible, flow) == reference_max_flow_feasible(network)
+        expected = reference_max_flow_feasible(keyed(network))
+        assert keyed_result(network, (feasible, flow)) == expected
         if feasible:
-            assert all(type(f) is Fraction for f in flow.values())
+            assert len(flow) == len(network.supplies)
+            assert all(len(row) == len(network.demands) for row in flow)
+            assert all(type(f) is Fraction for row in flow for f in row)
+            off_edges = {
+                (i, j) for i, row in enumerate(flow) for j, _ in enumerate(row)
+            } - set(network.edges)
+            assert all(flow[i][j] == 0 for i, j in off_edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks(total=F(1)))
+    def test_unit_capacities_are_the_total_supply(self, network):
+        """Where the supplies sum to 1, as both of the package's networks'
+        do, edges of capacity 1 give the reference the solver's verdict and
+        flow."""
+        assert sum(network.supplies) == 1
+        expected = reference_max_flow_feasible(keyed(network, capacity=F(1)))
+        assert keyed_result(network, max_flow_feasible(network)) == expected
 
     def test_max_flow_properties_reach_both_verdicts(self):
         """The network strategy draws feasible and infeasible networks."""
