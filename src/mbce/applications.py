@@ -17,12 +17,13 @@ actions; only validation and obedience read that prior, and the stage check
 replaces it with the upstream marginal.
 
 Both reductions work on integers over common denominators, as the game and
-implement layers do, and build ``Fraction``s only at the answer: the
-auxiliary game adds the players' integer utility tables over one lcm, the
-ring joint chains each stage witness as integers over its column sums, and
-a joint's marginals sum its cached integer numerators
-(``RingOutcome.integer_probs``). Both list every action profile, so both
-refuse more than ``MAX_PROFILES`` before building any.
+implement layers do, and hand their tables to the types in that form: the
+auxiliary game adds the players' integer utility tables over one lcm, a
+later stage game keeps the columns of the upstream marginal's support, the
+ring joint chains each stage witness as integers over its column sums into
+one table (``RingOutcome.integer_probs``, reduced once), and a joint's
+marginals sum its integers. Both list every action profile, so both refuse
+more than ``MAX_PROFILES`` before building any.
 """
 
 from __future__ import annotations
@@ -42,14 +43,18 @@ from .game import (
     BaseGame,
     Outcome,
     check_obedience,
-    make_game,
     make_marginal,
     validate_game,
     validate_marginal,
 )
-from .rationals import integer_table
-
-ZERO = Fraction(0)
+from .rationals import (
+    IntegerRow,
+    IntegerTable,
+    parse_row,
+    parse_table,
+    reduced_table,
+    table_fractions,
+)
 
 # The auxiliary game and the ring joint list every action profile; larger
 # products are refused before any profile is built.
@@ -127,20 +132,20 @@ class RingOutcome:
     """Joint distribution over action profiles and states.
 
     Profiles are indexed in lexicographic order with the last player varying
-    fastest, matching itertools.product over the per-player ranges.
+    fastest, matching itertools.product over the per-player ranges. Stored
+    as the reduced ``integer_probs``; ``probs`` is its ``Fraction`` view.
     """
 
     shape: tuple[int, ...]
     n_states: int
-    probs: tuple[tuple[Fraction, ...], ...]
+    integer_probs: IntegerTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_probs", reduced_table(self.integer_probs))
 
     @cached_property
-    def integer_probs(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, numerators)`` with ``numerators[k][t] == scale *
-        probs[k][t]``, ``scale`` the lcm of the denominators. Derived once
-        per outcome and kept outside the fields, so equality and hashing
-        ignore it."""
-        return integer_table(self.probs)
+    def probs(self) -> tuple[tuple[Fraction, ...], ...]:
+        return table_fractions(self.integer_probs)
 
 
 @dataclass(frozen=True)
@@ -160,38 +165,59 @@ class RingVerdict:
 
 
 def make_first_order(states, prior, players) -> FirstOrderGame:
-    """Build and validate; players is a sequence of (labels, utility rows).
+    """Build and validate; players is a sequence of (labels, utility rows),
+    read like ``make_game``."""
+    return first_order_from_tables(states, *_read_tables(prior, players))
 
-    The first player's game converts the states and the prior; every later
-    player's game reuses those tuples, so the prior is converted once."""
+
+def _read_tables(prior, players):
+    """The prior and the (labels, utility table) pairs, in integer form.
+    Every table is read before the prior, as ``make_game`` reads a game."""
+    tables = [(labels, parse_table(rows)) for labels, rows in players]
+    return parse_row(prior), tables
+
+
+def first_order_from_tables(states, prior: IntegerRow, players) -> FirstOrderGame:
+    """``make_first_order`` given the prior and each utility table in
+    integer form. The prior is reduced once; every player's game shares
+    it."""
     games = []
-    for labels, rows in players:
+    states = tuple(states)
+    for labels, table in players:
         # Per-player slice must itself be a valid single-agent game.
-        game = make_game(states, labels, rows, prior)
+        game = BaseGame(states, tuple(labels), table, prior)
         validate_game(game)
         games.append(game)
-        states, prior = game.states, game.prior
+        prior = game.integer_prior
     if not games:
         raise DimensionMismatch("a first-order game needs at least one player")
     return FirstOrderGame(tuple(games))
 
 
 def make_ring(states, prior, stages) -> RingGame:
-    """Build and validate; stages is a sequence of (labels, utility rows).
+    """Build and validate; stages is a sequence of (labels, utility rows),
+    read like ``make_game``.
 
     Stage 0 rows run over the declared states; stage i >= 1 rows run over the
     actions of stage i-1, under the uniform prior over them.  Utility rows
     are indexed by own action.
     """
-    if not stages:
-        raise DimensionMismatch("a ring needs at least one player")
+    return ring_from_tables(states, *_read_tables(prior, stages))
+
+
+def ring_from_tables(states, prior: IntegerRow, stages) -> RingGame:
+    """``make_ring`` given the prior and each utility table in integer
+    form."""
     games = []
-    for labels, rows in stages:
-        game = make_game(states, labels, rows, prior)
+    states = tuple(states)
+    for labels, table in stages:
+        game = BaseGame(states, tuple(labels), table, prior)
         validate_game(game)
         games.append(game)
         states = game.actions
-        prior = [Fraction(1, len(states))] * len(states)
+        prior = (len(states), (1,) * len(states))
+    if not games:
+        raise DimensionMismatch("a ring needs at least one player")
     return RingGame(tuple(games))
 
 
@@ -231,7 +257,7 @@ def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
     at a belief exactly when every coordinate is optimal for its owner.  State
     space and prior carry over unchanged.  The players' utility tables are
     added as integers over the lcm of their scales, one player at a time in
-    ``action_profiles`` order, and each cell becomes one ``Fraction``.
+    ``action_profiles`` order, and the game takes the sums over that lcm.
     """
     profile_count([player.n_actions for player in fo.players])
     tables = [player.integer_utility for player in fo.players]
@@ -242,8 +268,7 @@ def auxiliary_single_agent(fo: FirstOrderGame) -> BaseGame:
         profiles = [(*head, label) for head in profiles for label in player.actions]
         sums = [tuple(map(add, head, row)) for head in sums for row in rows]
     labels = tuple(",".join(profile) for profile in profiles)
-    utility = tuple(tuple(Fraction(u, scale) for u in row) for row in sums)
-    game = BaseGame(fo.states, labels, utility, fo.prior)
+    game = BaseGame(fo.states, labels, (scale, tuple(sums)), fo.players[0].integer_prior)
     validate_game(game)
     return game
 
@@ -271,31 +296,33 @@ def ring_stage_game(ring: RingGame, profile: MarginalProfile, i: int) -> BaseGam
     stage = ring.stages[i]
     if i == 0:
         return stage
-    upstream = profile.marginals[i - 1].probs
+    upstream_scale, upstream = profile.marginals[i - 1].integer_probs
     support = _stage_support(ring, profile, i)
+    scale, table = stage.integer_utility
     return BaseGame(
         tuple(stage.states[s] for s in support),
         stage.actions,
-        tuple(tuple(row[s] for s in support) for row in stage.utility),
-        tuple(upstream[s] for s in support),
+        (scale, tuple(tuple(row[s] for s in support) for row in table)),
+        (upstream_scale, tuple(upstream[s] for s in support)),
     )
 
 
 def _stage_support(ring: RingGame, profile: MarginalProfile, i: int) -> list[int]:
     if i == 0:
         return list(range(ring.stages[0].n_states))
-    return [s for s, q in enumerate(profile.marginals[i - 1].probs) if q > ZERO]
+    return [s for s, x in enumerate(profile.marginals[i - 1].integer_probs[1]) if x > 0]
 
 
 def _embed_witness(witness: Outcome, support: Sequence[int], width: int) -> Outcome:
     """Re-express a restricted-stage witness over the full upstream space."""
+    scale, table = witness.integer_probs
     rows = []
-    for row in witness.probs:
-        full = [ZERO] * width
+    for row in table:
+        full = [0] * width
         for k, s in enumerate(support):
             full[s] = row[k]
         rows.append(tuple(full))
-    return Outcome(tuple(rows))
+    return Outcome((scale, tuple(rows)))
 
 
 def check_ring(ring: RingGame, profile: MarginalProfile) -> RingVerdict:
@@ -334,21 +361,21 @@ def construct_ring_outcome(stage_witnesses: Sequence[Outcome]) -> RingOutcome:
     Each witness is read as integers over its own scale, so the conditional
     of a_{i+1} given a_i is its integer entry over its integer column sum.
     A partial profile carries integer numerators over one denominator, and
-    each joint cell becomes one ``Fraction``; a zero entry settles every
-    profile below it as zero.
+    the joint puts every profile over the lcm of those denominators; a zero
+    entry settles every profile below it as zero.
     """
     if not stage_witnesses:
         raise DimensionMismatch("need at least one stage witness")
-    shape = tuple(len(w.probs) for w in stage_witnesses)
+    shape = tuple(len(w.integer_probs[1]) for w in stage_witnesses)
     profile_count(shape)
-    up_scale, table = integer_table(stage_witnesses[0].probs)
+    up_scale, table = stage_witnesses[0].integer_probs
     n_states = len(table[0])
     # Per partial profile, in product order: its numerators over the states
     # and their one denominator, or None when its mass is zero.
     partial = [(row, up_scale) if any(row) else None for row in table]
     upstream = [sum(row) for row in table]
     for witness in stage_witnesses[1:]:
-        scale, table = integer_table(witness.probs)
+        scale, table = witness.integer_probs
         shared = [sum(column) for column in zip(*table)]
         # shared / scale must equal upstream / up_scale, entry by entry.
         if len(shared) != len(upstream) or any(
@@ -374,12 +401,13 @@ def construct_ring_outcome(stage_witnesses: Sequence[Outcome]) -> RingOutcome:
                 extended.append((tuple(x * num for x in nums), den * d) if num else None)
         partial = extended
         up_scale, upstream = scale, [sum(row) for row in table]
-    zero = (ZERO,) * n_states
+    scale = lcm(*[entry[1] for entry in partial if entry is not None])
+    zero = (0,) * n_states
     rows = tuple(
-        zero if entry is None else tuple(Fraction(x, entry[1]) for x in entry[0])
+        zero if entry is None else tuple(x * (scale // entry[1]) for x in entry[0])
         for entry in partial
     )
-    return RingOutcome(shape, n_states, rows)
+    return RingOutcome(shape, n_states, (scale, rows))
 
 
 def ring_profiles(shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -399,7 +427,7 @@ def ring_pair_marginal(outcome: RingOutcome, i: int) -> Outcome:
 
     i == 0 gives the (A_1 x states) joint; i >= 1 gives (A_{i+1} x A_i) with
     the upstream action in the state slot.  Cells are sums of the outcome's
-    integer numerators, one ``Fraction`` each.
+    integers, over its scale.
     """
     scale, nums = outcome.integer_probs
     shape = outcome.shape
@@ -410,7 +438,7 @@ def ring_pair_marginal(outcome: RingOutcome, i: int) -> Outcome:
         totals = _collapsed(list(map(sum, nums)), shape, i)
         width, n = shape[i - 1], shape[i]
         rows = [[sum(totals[s * n + a::width * n]) for s in range(width)] for a in range(n)]
-    return Outcome(tuple(tuple(Fraction(x, scale) for x in row) for row in rows))
+    return Outcome((scale, tuple(map(tuple, rows))))
 
 
 def ring_player_marginal(outcome: RingOutcome, i: int) -> tuple[Fraction, ...]:

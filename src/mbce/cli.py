@@ -104,7 +104,7 @@ def cmd_random(seed, max_states, max_actions) -> dict:
     nu = random_marginal(rng, game.n_actions)
     doc = {"schema_version": 1}
     doc.update(game_json(game))
-    doc["marginal"] = vector_json(nu.probs)
+    doc["marginal"] = vector_json(nu.integer_probs)
     doc["generator"] = {
         "seed": seed,
         "max_states": max_states,
@@ -135,6 +135,8 @@ def _resolve_marginal(args, doc, n_actions) -> ActionMarginal:
 
 def _resolve_tau(args, doc):
     if getattr(args, "tau", None) is not None:
+        if not args.tau:
+            raise ValidationError("--tau", "names no file: the value is empty")
         tau_doc = load_document(args.tau)
         node = tau_doc.get("tau", tau_doc)
         return parse_tau(node, args.tau, keep=doc.keep)

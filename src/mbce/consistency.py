@@ -53,6 +53,7 @@ from .polytope import (
     unit_direction,
     utility_difference_direction,
 )
+from .rationals import integer_table
 
 ZERO = Fraction(0)
 
@@ -92,7 +93,7 @@ class ConsistencyVerdict:
 
 
 def _supported(marginal: ActionMarginal) -> list[int]:
-    return [a for a, q in enumerate(marginal.probs) if q > 0]
+    return [a for a, x in enumerate(marginal.integer_probs[1]) if x > 0]
 
 
 def _max_over(poly: BeliefPolytope, c: Direction, action: int) -> Fraction:
@@ -208,7 +209,7 @@ def oracle_feasibility(
     if not feasible:
         return False, None
     probs = tuple(tuple(x[var(a, t)] for t in range(n_s)) for a in range(n_a))
-    return True, Outcome(probs=probs)
+    return True, Outcome(integer_table(probs))
 
 
 def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | None:
@@ -258,7 +259,7 @@ def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | 
             rows.append(tuple(row))
         else:
             rows.append((ZERO,) * game.n_states)
-    return Outcome(probs=tuple(rows))
+    return Outcome(integer_table(rows))
 
 
 def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction | None:

@@ -43,6 +43,11 @@ class DimensionMismatch(MbceError):
     """Two objects that must share a shape do not."""
 
 
+class BadScale(MbceError):
+    """An integer row or table has a scale that is not a positive int, so
+    its numerators do not carry its entries' signs."""
+
+
 class NotADistribution(MbceError):
     """A probability vector has a negative entry or does not sum to one."""
 

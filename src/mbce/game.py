@@ -7,16 +7,16 @@ outcome are whether it is obedient (no action recommendation the agent would
 rather deviate from), and whether its marginals match a given prior and
 action distribution. Everything downstream composes these checks.
 
-Values are exact ``Fraction``s at every boundary. Inside, best responses and
-obedience work on integer rows, as the simplex does: each game keeps its
-utility table scaled by the lcm of its denominators
-(``BaseGame.integer_utility``), a belief is scaled the same way, and each
-outcome keeps its table over one common denominator
-(``Outcome.integer_probs``). Both views are derived once per object, so the
-validation of an outcome, its two marginals, its obedience and its choice
-rule all read the same integers; a ``Fraction`` is built only for an answer
-that carries a value (a marginal entry, an obedience slack, a choice
-probability).
+Each type stores its rows in the reduced integer form of ``rationals``: a
+game its utility table (``BaseGame.integer_utility``) and its prior
+(``integer_prior``), a marginal, an outcome and a choice rule their rows
+(``integer_probs``, ``integer_rows``), each over one positive scale. A type
+reduces what it is given as it is built, so equality and hashing are those
+of the rationals, and the ``Fraction`` tuples (``utility``, ``prior``,
+``probs``, ``rows``) are views derived on first read. Validation, best
+responses, both marginals, obedience and the choice rule work on the
+integers; a ``Fraction`` is built only for an answer that carries a value
+(a marginal entry, an obedience slack).
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import (
+    BadScale,
     DimensionMismatch,
     EmptySpace,
     NotADistribution,
@@ -36,19 +38,22 @@ from .errors import (
     ZeroPriorState,
 )
 from .rationals import (
+    IntegerRow,
+    IntegerTable,
     exact_fraction,
-    exact_sum,
-    fraction_table,
-    fraction_vector,
     integer_row,
-    integer_table,
+    parse_row,
+    parse_table,
+    reduced_row,
+    reduced_table,
+    row_fractions,
+    table_fractions,
 )
 
 if TYPE_CHECKING:
     from .polytope import BeliefPolytope
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,20 @@ class BaseGame:
     """Finite decision problem: states, actions, utility table, prior.
 
     ``utility[a][t]`` is the payoff of action index ``a`` in state index
-    ``t``. The prior must have full support; conditioning divides by it.
+    ``t``, stored as ``integer_utility``, the reduced ``(scale, table)``
+    with ``table[a][t] == scale * utility[a][t]``; the prior is stored as
+    ``integer_prior`` the same way. The prior must have full support;
+    conditioning divides by it.
     """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
-    utility: tuple[tuple[Fraction, ...], ...]
-    prior: tuple[Fraction, ...]
+    integer_utility: IntegerTable
+    integer_prior: IntegerRow
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_utility", reduced_table(self.integer_utility))
+        object.__setattr__(self, "integer_prior", reduced_row(self.integer_prior))
 
     @property
     def n_states(self) -> int:
@@ -72,101 +84,106 @@ class BaseGame:
     def n_actions(self) -> int:
         return len(self.actions)
 
+    # The views and caches below are derived once per game and kept outside
+    # the fields, so equality and hashing ignore them.
+
     @cached_property
-    def integer_utility(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, table)`` with ``table[a][t] == scale * utility[a][t]``,
-        ``scale`` the lcm of the utility denominators. Derived once per game
-        and kept outside the fields, so equality and hashing ignore it."""
-        return integer_table(self.utility)
+    def utility(self) -> tuple[tuple[Fraction, ...], ...]:
+        return table_fractions(self.integer_utility)
+
+    @cached_property
+    def prior(self) -> tuple[Fraction, ...]:
+        return row_fractions(self.integer_prior)
 
     @cached_property
     def belief_polytopes(self) -> dict[int, BeliefPolytope]:
         """Each action's belief polytope, by action index, filled by
         ``polytope.opt_belief_polytope`` on first use, so a polytope (with
         its own cached point masses and LP rows) is built once per game and
-        action. Kept outside the fields like ``integer_utility``."""
+        action."""
         return {}
 
     @cached_property
     def _valid(self) -> bool:
-        """True once ``validate_game`` has passed on this game. Kept outside
-        the fields like ``integer_utility``; a check that raises caches
-        nothing, so an invalid game raises on every call."""
+        """True once ``validate_game`` has passed on this game; a check that
+        raises caches nothing, so an invalid game raises on every call."""
         _check_game(self)
         return True
 
 
 @dataclass(frozen=True)
 class ActionMarginal:
-    """Target distribution over actions. Zero entries are allowed."""
+    """Target distribution over actions, stored as the reduced
+    ``integer_probs``. Zero entries are allowed."""
 
-    probs: tuple[Fraction, ...]
+    integer_probs: IntegerRow
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_probs", reduced_row(self.integer_probs))
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return row_fractions(self.integer_probs)
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """Joint distribution over actions and states; ``probs[a][t]``."""
+    """Joint distribution over actions and states; ``probs[a][t]``, stored
+    as the reduced ``integer_probs``."""
 
-    probs: tuple[tuple[Fraction, ...], ...]
+    integer_probs: IntegerTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_probs", reduced_table(self.integer_probs))
 
     @property
     def n_actions(self) -> int:
-        return len(self.probs)
+        return len(self.integer_probs[1])
 
     @property
     def n_states(self) -> int:
-        return len(self.probs[0]) if self.probs else 0
+        table = self.integer_probs[1]
+        return len(table[0]) if table else 0
 
     @cached_property
-    def integer_probs(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, table)`` with ``table[a][t] == scale * probs[a][t]``,
-        ``scale`` the lcm of the denominators. Derived once per outcome and
-        kept outside the fields, so equality and hashing ignore it."""
-        return integer_table(self.probs)
-
-
-@dataclass(frozen=True)
-class BeliefSystem:
-    """Posterior over states conditional on each positively recommended action."""
-
-    beliefs: dict[int, tuple[Fraction, ...]]
+    def probs(self) -> tuple[tuple[Fraction, ...], ...]:
+        return table_fractions(self.integer_probs)
 
 
 @dataclass(frozen=True)
 class StochasticChoiceRule:
-    """Distribution over actions for each state; ``rows[t][a]``."""
+    """Distribution over actions for each state; ``rows[t][a]``, stored as
+    the reduced ``integer_rows``."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    integer_rows: IntegerTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_rows", reduced_table(self.integer_rows))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return table_fractions(self.integer_rows)
 
 
 def make_game(states, actions, utility, prior) -> BaseGame:
-    """Build a BaseGame, coercing ints and "p/q" strings to exact rationals."""
-    return BaseGame(
-        states=tuple(states),
-        actions=tuple(actions),
-        utility=fraction_table(utility),
-        prior=fraction_vector(prior),
-    )
+    """Build a BaseGame, reading ints, "p/q" strings and Fractions."""
+    return BaseGame(tuple(states), tuple(actions), parse_table(utility), parse_row(prior))
 
 
 def make_outcome(rows) -> Outcome:
-    return Outcome(probs=fraction_table(rows))
+    return Outcome(parse_table(rows))
 
 
 def make_marginal(values) -> ActionMarginal:
-    return ActionMarginal(probs=fraction_vector(values))
+    return ActionMarginal(parse_row(values))
 
 
 def matching_game(p) -> BaseGame:
     """Two-state two-action guessing game: payoff 1 iff the action index
     matches the state index, prior (p, 1-p). The standard worked fixture."""
     p = exact_fraction(p)
-    return BaseGame(
-        states=("t1", "t2"),
-        actions=("a1", "a2"),
-        utility=((ONE, ZERO), (ZERO, ONE)),
-        prior=(p, ONE - p),
-    )
+    n, d = p.numerator, p.denominator
+    return BaseGame(("t1", "t2"), ("a1", "a2"), (1, ((1, 0), (0, 1))), (d, (n, d - n)))
 
 
 def validate_game(game: BaseGame) -> None:
@@ -174,7 +191,8 @@ def validate_game(game: BaseGame) -> None:
 
     EmptySpace for missing states/actions, RepeatedLabel for a state or
     action label given twice, DimensionMismatch for a ragged or misshapen
-    utility table or prior, NotADistribution / ZeroPriorState for a bad prior.
+    utility table or prior, BadScale for a utility or prior scale that is
+    not a positive int, NotADistribution / ZeroPriorState for a bad prior.
     The checks run once per game object: a game that passes is remembered
     as valid, so parsing a game and then deciding it validates it once.
     """
@@ -188,41 +206,48 @@ def _check_game(game: BaseGame) -> None:
         if len(set(labels)) != len(labels):
             label = next(x for i, x in enumerate(labels) if x in labels[:i])
             raise RepeatedLabel(f"{kind} label {label!r} is repeated")
-    if len(game.utility) != game.n_actions:
-        raise DimensionMismatch(
-            f"utility has {len(game.utility)} rows for {game.n_actions} actions"
-        )
-    for a, row in enumerate(game.utility):
+    check_scale(game.integer_utility[0], "utility")
+    check_scale(game.integer_prior[0], "prior")
+    table = game.integer_utility[1]
+    if len(table) != game.n_actions:
+        raise DimensionMismatch(f"utility has {len(table)} rows for {game.n_actions} actions")
+    for a, row in enumerate(table):
         if len(row) != game.n_states:
             raise DimensionMismatch(
                 f"utility row {a} has {len(row)} entries for {game.n_states} states"
             )
-    if len(game.prior) != game.n_states:
-        raise DimensionMismatch(
-            f"prior has {len(game.prior)} entries for {game.n_states} states"
-        )
-    if any(q.numerator < 0 for q in game.prior) or exact_sum(game.prior) != ONE:
+    scale, prior = game.integer_prior
+    if len(prior) != game.n_states:
+        raise DimensionMismatch(f"prior has {len(prior)} entries for {game.n_states} states")
+    # The scale is positive, so the numerators carry the entries' signs.
+    if any(x < 0 for x in prior) or sum(prior) != scale:
         raise NotADistribution(f"prior {game.prior} is not a probability vector")
-    for t, q in enumerate(game.prior):
-        if q == 0:
-            raise ZeroPriorState(f"state {game.states[t]!r} has zero prior mass")
+    if 0 in prior:
+        raise ZeroPriorState(f"state {game.states[prior.index(0)]!r} has zero prior mass")
+
+
+def check_scale(scale, what: str) -> None:
+    """Refuse an integer form whose scale is not a positive int: the checks
+    read the numerators' signs as the entries' signs, and the ``Fraction``
+    views divide by the scale."""
+    if type(scale) is not int or scale <= 0:
+        raise BadScale(f"{what} has scale {scale!r}, not a positive int")
 
 
 def validate_marginal(marginal: ActionMarginal, n_actions: int) -> None:
-    if len(marginal.probs) != n_actions:
-        raise DimensionMismatch(
-            f"marginal has {len(marginal.probs)} entries for {n_actions} actions"
-        )
-    if any(q.numerator < 0 for q in marginal.probs) or exact_sum(marginal.probs) != ONE:
+    scale, ints = marginal.integer_probs
+    check_scale(scale, "marginal")
+    if len(ints) != n_actions:
+        raise DimensionMismatch(f"marginal has {len(ints)} entries for {n_actions} actions")
+    if any(x < 0 for x in ints) or sum(ints) != scale:
         raise NotADistribution(f"marginal {marginal.probs} is not a probability vector")
 
 
 def validate_outcome(outcome: Outcome, game: BaseGame) -> None:
-    if outcome.n_actions != game.n_actions or any(
-        len(row) != game.n_states for row in outcome.probs
-    ):
-        raise DimensionMismatch("outcome table does not match the game's shape")
     scale, table = outcome.integer_probs
+    check_scale(scale, "outcome")
+    if len(table) != game.n_actions or any(len(row) != game.n_states for row in table):
+        raise DimensionMismatch("outcome table does not match the game's shape")
     # The scale is positive, so the numerators carry the entries' signs.
     if any(x < 0 for row in table for x in row):
         raise NotADistribution("outcome has a negative entry")
@@ -271,31 +296,19 @@ class ObedienceReport:
     violations: tuple[ObedienceViolation, ...]
 
 
-def obedience_slack(outcome: Outcome, game: BaseGame, a: int, alt: int) -> Fraction:
-    """Expected payoff advantage of following recommendation a over playing
-    alt instead, on the event a is recommended. Nonnegative iff obedient."""
-    return sum(
-        (outcome.probs[a][t] * (game.utility[a][t] - game.utility[alt][t])
-         for t in range(game.n_states)),
-        ZERO,
-    )
-
-
 def check_obedience(outcome: Outcome, game: BaseGame) -> ObedienceReport:
     """Check every deviation inequality exactly.
 
     Returns a report listing all ordered pairs (recommended, deviation) whose
     slack is strictly negative. Each recommendation's row of the outcome's
-    integer view is priced once per action on the game's integer utility
+    integer table is priced once per action on the game's integer utility
     table, so a slack is the difference of two of those payoffs over the two
     scales; a row of zeros recommends nothing and is skipped.
     """
-    if outcome.n_actions != game.n_actions or any(
-        len(row) != game.n_states for row in outcome.probs
-    ):
-        raise DimensionMismatch("outcome table does not match the game's shape")
     utility_scale, table = game.integer_utility
     scale, rows = outcome.integer_probs
+    if len(rows) != game.n_actions or any(len(row) != game.n_states for row in rows):
+        raise DimensionMismatch("outcome table does not match the game's shape")
     violations = []
     for a, weights in enumerate(rows):
         if not any(weights):
@@ -316,10 +329,12 @@ def check_state_marginal(outcome: Outcome, prior: tuple[Fraction, ...]) -> bool:
 
 
 def check_action_marginal(outcome: Outcome, marginal: ActionMarginal) -> bool:
-    if outcome.n_actions != len(marginal.probs):
+    target_scale, target = marginal.integer_probs
+    if outcome.n_actions != len(target):
         raise DimensionMismatch("outcome and marginal disagree on the number of actions")
     scale, table = outcome.integer_probs
-    return _sums_match(list(map(sum, table)), scale, marginal.probs)
+    # sum(row) / scale == x / target_scale, by cross multiplication.
+    return all(sum(row) * target_scale == x * scale for row, x in zip(table, target))
 
 
 def expected_utility(game: BaseGame, belief, action: int) -> Fraction:
@@ -348,26 +363,14 @@ def integer_best_responses(game: BaseGame, weights) -> frozenset[int]:
     return frozenset(a for a, v in enumerate(values) if v == top)
 
 
-def belief_system_from_outcome(outcome: Outcome) -> BeliefSystem:
-    """Posteriors by Bayes' rule: normalize each positive-mass action row.
-
-    Actions with zero marginal mass are omitted; nothing conditions on them.
-    """
-    beliefs: dict[int, tuple[Fraction, ...]] = {}
-    for a, row in enumerate(outcome.probs):
-        mass = exact_sum(row)
-        if mass > 0:
-            beliefs[a] = tuple(q / mass for q in row)
-    return BeliefSystem(beliefs=beliefs)
-
-
 def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> StochasticChoiceRule:
     """State-conditional choice probabilities: divide each column by the prior.
 
     The outcome's state marginal must equal the prior exactly, otherwise the
     rows would not be distributions. Each cell ``(n / scale) / p``, with
-    ``n`` a numerator of the outcome's integer view, is built as one
-    ``Fraction`` from ``n`` and the numerator and denominator of ``p``.
+    ``n`` an integer of the outcome's table, is ``n * p.denominator *
+    (m / p.numerator)`` over ``scale * m``, where ``m`` is the lcm of the
+    prior's numerators: one table, reduced once as the rule is built.
     A state of zero prior mass has no conditional choice: ZeroPriorState.
     """
     if not check_state_marginal(outcome, prior):
@@ -377,8 +380,9 @@ def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> S
     if ZERO in prior:
         raise ZeroPriorState(f"state {list(prior).index(ZERO)} has zero prior mass")
     scale, table = outcome.integer_probs
-    rows = []
-    for p, column in zip(prior, zip(*table)):
-        over = scale * p.numerator
-        rows.append(tuple(Fraction(n * p.denominator, over) for n in column))
-    return StochasticChoiceRule(rows=tuple(rows))
+    m = lcm(*[p.numerator for p in prior])
+    rows = tuple(
+        tuple(n * factor for n in column)
+        for column, factor in zip(zip(*table), [p.denominator * (m // p.numerator) for p in prior])
+    )
+    return StochasticChoiceRule((scale * m, rows))

@@ -108,8 +108,7 @@ def random_marginal(rng: XorShift64, n_actions: int) -> ActionMarginal:
         parts = [rng.randint(0, 8) for _ in range(n_actions)]
         if any(parts):
             break
-    total = sum(parts)
-    return ActionMarginal(tuple(Fraction(p, total) for p in parts))
+    return ActionMarginal((sum(parts), tuple(parts)))
 
 
 def random_direction(rng: XorShift64, dim: int) -> tuple[Fraction, ...]:
@@ -184,9 +183,7 @@ def consistent_marginal(
         if check_bce_consistent(game, nu).consistent:
             return nu
     anchor = min(best_response_set(game, game.prior))
-    probs = [Fraction(0)] * game.n_actions
-    probs[anchor] = Fraction(1)
-    return ActionMarginal(tuple(probs))
+    return ActionMarginal((1, tuple(int(a == anchor) for a in range(game.n_actions))))
 
 
 def inconsistent_marginal(
@@ -204,9 +201,7 @@ def inconsistent_marginal(
     best_at_prior = best_response_set(game, game.prior)
     for a in range(game.n_actions):
         if a not in best_at_prior:
-            probs = [Fraction(0)] * game.n_actions
-            probs[a] = Fraction(1)
-            nu = ActionMarginal(tuple(probs))
+            nu = ActionMarginal((1, tuple(int(b == a) for b in range(game.n_actions))))
             if not check_bce_consistent(game, nu).consistent:
                 return nu
     return None

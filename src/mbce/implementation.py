@@ -16,15 +16,15 @@ walks every action subset and stays off the decision path as a reference
 the tests compare against.
 
 The arithmetic runs on integers over common denominators, as in the game
-layer. A posterior distribution keeps its weights and its support as
-integers (``integer_weights``, ``integer_support``) and a decision rule its
-rows (``integer_rows``), each derived once per object: ``make_posteriors``
-checks signs, sums and distinct support points on them, Bayes plausibility
-is an integer dot product of the two posterior views, each menu prices a
-row of the support view on the game's integer utility table, the outcome of
-a decision rule is one integer accumulation over the three scales, and the
-Gale flow is solved on scaled supplies and demands. A ``Fraction`` is built
-once for each value returned.
+layer. A posterior distribution stores its support and its weights in the
+reduced integer form (``integer_support``, ``integer_weights``) and a
+decision rule its rows (``integer_rows``): ``make_posteriors`` checks
+signs, sums and distinct support points on them, Bayes plausibility is an
+integer dot product of the two, each menu prices a row of the support on
+the game's integer utility table, the Gale flow is solved on scaled
+supplies and demands, and the decision rule and its outcome are integer
+tables over common denominators, reduced once as they are built. The
+``Fraction`` tuples (``support``, ``weights``, ``rows``) are views.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -51,12 +52,24 @@ from .game import (
     ActionMarginal,
     BaseGame,
     Outcome,
+    check_scale,
     check_state_marginal,
     integer_best_responses,
     state_marginal_of,
 )
 from .polytope import Belief
-from .rationals import exact_sum, fraction_table, fraction_vector, integer_row, integer_table
+from .rationals import (
+    IntegerRow,
+    IntegerTable,
+    common_scale,
+    exact_sum,
+    parse_row,
+    parse_table,
+    reduced_row,
+    reduced_table,
+    row_fractions,
+    table_fractions,
+)
 
 ZERO = Fraction(0)
 
@@ -72,43 +85,46 @@ MenuRule = dict[frozenset[int], tuple[Fraction, ...]]
 @dataclass(frozen=True)
 class PosteriorDistribution:
     """Finitely supported distribution over beliefs; weights are positive
-    and sum to one, support points are pairwise distinct."""
+    and sum to one, support points are pairwise distinct.
 
-    support: tuple[Belief, ...]
-    weights: tuple[Fraction, ...]
+    Stored as the reduced ``integer_support``, every support point over one
+    scale, and ``integer_weights``; ``support`` and ``weights`` are their
+    ``Fraction`` views."""
+
+    integer_support: IntegerTable
+    integer_weights: IntegerRow
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_support", reduced_table(self.integer_support))
+        object.__setattr__(self, "integer_weights", reduced_row(self.integer_weights))
 
     @property
     def size(self) -> int:
-        return len(self.support)
-
-    # The integer views below are derived once per object and kept outside
-    # the fields, so equality and hashing ignore them.
+        return len(self.integer_weights[1])
 
     @cached_property
-    def integer_weights(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, ints)`` with ``ints[i] == scale * weights[i]``."""
-        return integer_row(self.weights)
+    def support(self) -> tuple[Belief, ...]:
+        return table_fractions(self.integer_support)
 
     @cached_property
-    def integer_support(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, rows)`` with ``rows[i][t] == scale * support[i][t]``:
-        every support point over one common denominator."""
-        return integer_table(self.support)
+    def weights(self) -> tuple[Fraction, ...]:
+        return row_fractions(self.integer_weights)
 
 
 @dataclass(frozen=True)
 class DecisionRule:
     """Distribution over actions at each support belief; ``rows[i][a]``
-    aligned with a PosteriorDistribution's support order."""
+    aligned with a PosteriorDistribution's support order, stored as the
+    reduced ``integer_rows``."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    integer_rows: IntegerTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_rows", reduced_table(self.integer_rows))
 
     @cached_property
-    def integer_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, rows)`` with ``rows[i][a] == scale * self.rows[i][a]``,
-        derived once per rule and kept outside the fields like the views of
-        ``PosteriorDistribution``."""
-        return integer_table(self.rows)
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return table_fractions(self.integer_rows)
 
 
 @dataclass(frozen=True)
@@ -126,43 +142,51 @@ class SubsetCheck:
 
 
 def make_posteriors(support, weights) -> PosteriorDistribution:
-    """Validate and build, coercing ints and "p/q" strings like make_game.
+    """Build and validate, reading ints, "p/q" strings and Fractions like
+    make_game."""
+    tau = PosteriorDistribution(parse_table(support), parse_row(weights))
+    validate_posteriors(tau)
+    return tau
 
-    The checks read the integer views, whose scales are positive: a point
-    is a distribution when its numerators are nonnegative and add up to the
-    scale, and two points over one common scale are equal exactly when
-    their numerators are."""
-    tau = PosteriorDistribution(support=fraction_table(support), weights=fraction_vector(weights))
-    support, weights = tau.support, tau.weights
-    if len(support) != len(weights) or not support:
-        raise DimensionMismatch("support and weights must align and be nonempty")
-    dim = len(support[0])
+
+def validate_posteriors(tau: PosteriorDistribution) -> None:
+    """Raise unless tau's support and weights align, each support point is
+    a distribution of one dimension, the weights are positive and sum to
+    one, and the support points are pairwise distinct.
+
+    The checks read the integer forms, whose scales must be positive ints
+    (BadScale otherwise): a point is a distribution when its numerators are
+    nonnegative and add up to the scale, and two points over one common
+    scale are equal exactly when their numerators are."""
     scale, rows = tau.integer_support
-    for belief, row in zip(support, rows):
-        if len(belief) != dim:
+    w_scale, w_ints = tau.integer_weights
+    check_scale(scale, "support")
+    check_scale(w_scale, "weights")
+    if len(rows) != len(w_ints) or not rows:
+        raise DimensionMismatch("support and weights must align and be nonempty")
+    dim = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != dim:
             raise DimensionMismatch("support beliefs have mixed dimensions")
         if any(x < 0 for x in row) or sum(row) != scale:
-            raise NotADistribution(f"support point {belief} is not a probability vector")
-    w_scale, w_ints = tau.integer_weights
+            raise NotADistribution(f"support point {tau.support[i]} is not a probability vector")
     if any(w <= 0 for w in w_ints) or sum(w_ints) != w_scale:
         raise NotADistribution("weights must be positive and sum to 1")
     if len(set(rows)) != len(rows):
         raise NotADistribution("support points must be pairwise distinct")
-    return tau
 
 
 def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
     """True iff the weighted posteriors average back to the prior exactly.
 
     With the weights as integers over ``w_scale`` and the support as
-    integers over ``mu_scale`` (the two integer views), the mean at each
-    state is the integer dot product of the two over ``w_scale * mu_scale``.
+    integers over ``mu_scale``, the mean at each state is the integer dot
+    product of the two over ``w_scale * mu_scale``.
     """
-    dim = len(tau.support[0])
-    if len(prior) != dim:
-        raise DimensionMismatch("prior and posteriors have different dimensions")
     w_scale, w_ints = tau.integer_weights
     mu_scale, rows = tau.integer_support
+    if len(prior) != len(rows[0]):
+        raise DimensionMismatch("prior and posteriors have different dimensions")
     denominator = w_scale * mu_scale
     return all(
         sum(map(mul, w_ints, column)) * p.denominator == p.numerator * denominator
@@ -177,11 +201,13 @@ def posterior_menus(tau: PosteriorDistribution, game: BaseGame) -> Menus:
 
 
 def measure_of(tau: PosteriorDistribution, menus: Menus) -> MenuMeasure:
-    """Aggregate tau's weight by menu, given the menu of each posterior."""
-    measure: MenuMeasure = {}
-    for menu, w in zip(menus, tau.weights):
-        measure[menu] = measure.get(menu, ZERO) + w
-    return measure
+    """Aggregate tau's weight by menu, given the menu of each posterior: the
+    integer weights add up per menu, one ``Fraction`` each."""
+    scale, weights = tau.integer_weights
+    sums: dict[frozenset[int], int] = {}
+    for menu, w in zip(menus, weights):
+        sums[menu] = sums.get(menu, 0) + w
+    return {menu: Fraction(w, scale) for menu, w in sums.items()}
 
 
 def menu_measure(tau: PosteriorDistribution, game: BaseGame) -> MenuMeasure:
@@ -283,14 +309,22 @@ def gale_network(
 def decision_rule_from_flow(
     flow: tuple[tuple[Fraction, ...], ...] | None, tau: PosteriorDistribution
 ) -> DecisionRule:
-    """Normalize each posterior's outgoing flow into action probabilities."""
+    """Normalize each posterior's outgoing flow into action probabilities.
+
+    With tau's weights as integers ``w`` over ``w_scale``, the entry of a
+    flow ``f`` out of posterior i is ``f.numerator * w_scale`` over
+    ``f.denominator * w[i]``: every entry goes over the lcm of those
+    denominators, and the rule reduces the table once."""
     if flow is None:
         raise InfeasibleFlow("no flow to normalize; the demands were not met")
-    return DecisionRule(
-        rows=tuple(
-            tuple(f / w if f else ZERO for f in row) for row, w in zip(flow, tau.weights)
-        )
+    w_scale, weights = tau.integer_weights
+    ratios = [list(map(Fraction.as_integer_ratio, row)) for row in flow]
+    scale = lcm(*[d * w for row, w in zip(ratios, weights) for n, d in row if n])
+    rows = tuple(
+        tuple(n * w_scale * (scale // (d * w)) if n else 0 for n, d in row)
+        for row, w in zip(ratios, weights)
     )
+    return DecisionRule((scale, rows))
 
 
 def menu_rule_from_core(menus: MenuMeasure, marginal: ActionMarginal) -> MenuRule:
@@ -321,15 +355,15 @@ def outcome_from_tau(
     that is ``sum_i w_i * mu_i(t) * rule_i(a)`` for action a and state t.
 
     The numerators accumulate over ``D``, the product of the scales of the
-    three integer views (the weights, the support and the rule), so every
-    term is an integer over ``D``; zero factors are skipped, and one
-    ``Fraction`` is built per cell.
+    three integer forms (the weights, the support and the rule), so every
+    term is an integer over ``D``; zero factors are skipped, and the
+    outcome reduces the table once.
     """
     n_states = len(prior)
-    n_actions = len(rule.rows[0]) if rule.rows else 0
     w_scale, w_ints = tau.integer_weights
     mu_scale, mu_rows = tau.integer_support
     rule_scale, rule_rows = rule.integer_rows
+    n_actions = len(rule_rows[0]) if rule_rows else 0
     num = [[0] * n_states for _ in range(n_actions)]
     for w, mu_ints, row_ints in zip(w_ints, mu_rows, rule_rows):
         column = [(t, w * m) for t, m in enumerate(mu_ints[:n_states]) if m]
@@ -338,9 +372,7 @@ def outcome_from_tau(
                 cells = num[a]
                 for t, m in column:
                     cells[t] += r * m
-    denominator = w_scale * mu_scale * rule_scale
-    probs = tuple(tuple(Fraction(n, denominator) for n in cells) for cells in num)
-    return Outcome(probs=probs)
+    return Outcome((w_scale * mu_scale * rule_scale, tuple(map(tuple, num))))
 
 
 def tau_from_outcome(
@@ -352,36 +384,44 @@ def tau_from_outcome(
     with its marginal mass. Coincident beliefs are merged; the decision rule
     records how the merged mass splits across the originating actions, so
     rebuilding the outcome from (tau, rule) is an exact identity.
+
+    All of it is read off the outcome's integer table: an action's row over
+    its own sum is its belief (reduced, so equal beliefs have equal forms),
+    the sums over the table's scale are the weights, and each split over its
+    merged weight is a rule entry, every rule row over the lcm of the
+    weights.
     """
     if not check_state_marginal(outcome, tuple(prior)):
         raise StateMarginalMismatch(
             f"outcome's state marginal {state_marginal_of(outcome)} is not the prior"
         )
-    n_actions = outcome.n_actions
-    support: list[Belief] = []
-    weights: list[Fraction] = []
-    splits: list[dict[int, Fraction]] = []
-    index: dict[Belief, int] = {}
-    for a, row in enumerate(outcome.probs):
-        mass = sum(row, ZERO)
+    scale, table = outcome.integer_probs
+    n_actions = len(table)
+    support: list[IntegerRow] = []
+    weights: list[int] = []
+    splits: list[dict[int, int]] = []
+    index: dict[IntegerRow, int] = {}
+    for a, row in enumerate(table):
+        mass = sum(row)
         if mass == 0:
             continue
-        belief = tuple(q / mass for q in row)
+        belief = reduced_row((mass, row) if mass > 0 else (-mass, tuple(-x for x in row)))
         if belief in index:
             i = index[belief]
             weights[i] += mass
-            splits[i][a] = splits[i].get(a, ZERO) + mass
+            splits[i][a] = splits[i].get(a, 0) + mass
         else:
             index[belief] = len(support)
             support.append(belief)
             weights.append(mass)
             splits.append({a: mass})
+    over = lcm(*weights)
     rows = tuple(
-        tuple(splits[i].get(a, ZERO) / weights[i] for a in range(n_actions))
-        for i in range(len(support))
+        tuple(split.get(a, 0) * (over // w) for a in range(n_actions))
+        for split, w in zip(splits, weights)
     )
-    tau = PosteriorDistribution(support=tuple(support), weights=tuple(weights))
-    return tau, DecisionRule(rows=rows)
+    tau = PosteriorDistribution(common_scale(support), (scale, tuple(weights)))
+    return tau, DecisionRule((over, rows))
 
 
 def implementing_rule(
@@ -396,7 +436,7 @@ def implementing_rule(
     scan run, and by the min-cut argument it always finds an overfull action
     subset to report.
     """
-    if len(marginal.probs) != game.n_actions:
+    if len(marginal.integer_probs[1]) != game.n_actions:
         raise DimensionMismatch("marginal length does not match the game")
     if not is_bayes_plausible(tau, game.prior):
         raise NotBayesPlausible("posterior distribution does not average to the prior")

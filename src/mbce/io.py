@@ -18,10 +18,11 @@ digest, the report, the reload, its digest), so this is a hot path:
 canonical_json writes the text itself rather than through json.dumps, and
 report_string writes the inputs once, their canonical text giving both the
 digest and the report's inputs section (a CanonicalText node, indented in
-place).  Rational lists parse in one pass, naming the entry at fault only
-when one fails, and the rebuilt witnesses are checked on the integer views
-of their outcome, posteriors and decision rule; load_report looks for a
-boolean only in a text that spells true or false.  Writing the report is
+place).  Rational lists parse in one pass straight into their integer form
+(``rationals.parse_row``), naming the entry at fault only when one fails;
+the rebuilt witnesses are checked on those integers, and every table is
+printed from them (``vector_json``).  load_report looks for a boolean only
+in a text that spells true or false.  Writing the report is
 in that loop too: write_text, the one writer
 behind save_report and the CLI's --out, overwrites the file in place rather
 than truncating it first.  load_document refuses with a ParseError, never a
@@ -38,7 +39,6 @@ import os
 import re
 import stat
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring
 from operator import mul
 
@@ -50,9 +50,9 @@ from .applications import (
     auxiliary_single_agent,
     check_ring_obedience,
     construct_ring_outcome,
-    make_first_order,
+    first_order_from_tables,
     make_profile,
-    make_ring,
+    ring_from_tables,
     ring_pair_marginal,
     ring_player_marginal,
     ring_stage_game,
@@ -93,16 +93,21 @@ from .implementation import (
     PosteriorDistribution,
     core_slack,
     is_bayes_plausible,
-    make_posteriors,
     menu_measure,
     outcome_from_tau,
+    validate_posteriors,
 )
 from .polytope import is_empty, opt_belief_polytope
 from .rationals import (
-    exact_fraction,
+    IntegerRow,
+    IntegerTable,
+    common_scale,
     fraction_to_json,
+    fractions_json,
     integer_row,
-    integer_table,
+    parse_row,
+    parse_table,
+    row_fractions,
     vector_json,
 )
 
@@ -383,30 +388,35 @@ def _require(node: dict, key: str, path: str, crumb: str = "") -> object:
     return node[key]
 
 
-def _fraction_at(value, path: str, crumb: str) -> Fraction:
-    try:
-        return exact_fraction(value)
-    except (TypeError, ValueError) as err:
-        raise ParseError(path, f"{crumb}: {err}")
-
-
-def _fraction_list(node, path: str, crumb: str) -> tuple[Fraction, ...]:
+def _integer_row(node, path: str, crumb: str) -> IntegerRow:
+    """An array of rationals in its integer form (``parse_row``)."""
     if not isinstance(node, list):
         raise ParseError(path, f"{crumb}: expected an array of rationals")
     try:
-        return tuple(map(exact_fraction, node))
+        return parse_row(node)
     except (TypeError, ValueError):
         for i, v in enumerate(node):  # the first entry that fails raises, located
-            _fraction_at(v, path, f"{crumb}[{i}]")
+            try:
+                parse_row((v,))
+            except (TypeError, ValueError) as err:
+                raise ParseError(path, f"{crumb}[{i}]: {err}")
         raise
 
 
-def _fraction_rows(node, path: str, crumb: str) -> tuple[tuple[Fraction, ...], ...]:
+def _integer_table(node, path: str, crumb: str) -> IntegerTable:
+    """An array of arrays of rationals as one table over a common scale
+    (``parse_table``); only when it fails is each row read on its own, so
+    that the first row at fault is named."""
     if not isinstance(node, list):
         raise ParseError(path, f"{crumb}: expected an array of arrays")
-    return tuple(
-        _fraction_list(row, path, f"{crumb}[{i}]") for i, row in enumerate(node)
-    )
+    try:
+        if not all(isinstance(row, list) for row in node):
+            raise TypeError("a row is not an array")
+        return parse_table(node)
+    except (TypeError, ValueError):
+        for i, row in enumerate(node):  # the first row at fault raises, located
+            _integer_row(row, path, f"{crumb}[{i}]")
+        raise
 
 
 def _string_list(node, path: str, crumb: str) -> tuple[str, ...]:
@@ -434,12 +444,12 @@ def _kept_states(rows, keep: tuple[bool, ...], path: str, what: str) -> tuple:
 def parse_game(doc: dict, path: str, keep: tuple[bool, ...] | None = None) -> BaseGame:
     states = _string_list(_require(doc, "states", path), path, "states")
     actions = _string_list(_require(doc, "actions", path), path, "actions")
-    utility = _fraction_rows(_require(doc, "utility", path), path, "utility")
-    prior = _fraction_list(_require(doc, "prior", path), path, "prior")
+    scale, utility = _integer_table(_require(doc, "utility", path), path, "utility")
+    prior_scale, prior = _integer_row(_require(doc, "prior", path), path, "prior")
     if keep is not None:
         states, prior = _kept_states((states, prior), keep, path, "game")
         utility = _kept_states(utility, keep, path, "game")
-    game = BaseGame(states, actions, utility, prior)
+    game = BaseGame(states, actions, (scale, utility), (prior_scale, prior))
     _domain(path, validate_game, game)
     return game
 
@@ -449,11 +459,13 @@ def parse_tau(
 ) -> PosteriorDistribution:
     if not isinstance(node, dict):
         raise ParseError(path, "tau: expected an object with support and weights")
-    support = _fraction_rows(_require(node, "support", path, "tau"), path, "tau.support")
-    weights = _fraction_list(_require(node, "weights", path, "tau"), path, "tau.weights")
+    scale, support = _integer_table(_require(node, "support", path, "tau"), path, "tau.support")
+    weights = _integer_row(_require(node, "weights", path, "tau"), path, "tau.weights")
     if keep is not None:
         support = _kept_states(support, keep, path, "tau")
-    return _domain(path, make_posteriors, support, weights)
+    tau = PosteriorDistribution((scale, support), weights)
+    _domain(path, validate_posteriors, tau)
+    return tau
 
 
 def _labelled_tables(node, path: str, name: str, key: str) -> tuple:
@@ -463,7 +475,7 @@ def _labelled_tables(node, path: str, name: str, key: str) -> tuple:
     if not isinstance(node, dict):
         raise ParseError(path, f"{name}: expected an object")
     states = _string_list(_require(node, "states", path, name), path, f"{name}.states")
-    prior = _fraction_list(_require(node, "prior", path, name), path, f"{name}.prior")
+    prior = _integer_row(_require(node, "prior", path, name), path, f"{name}.prior")
     entries = _require(node, key, path, name)
     if not isinstance(entries, list):
         raise ParseError(path, f"{name}.{key}: expected an array")
@@ -473,26 +485,28 @@ def _labelled_tables(node, path: str, name: str, key: str) -> tuple:
         if not isinstance(entry, dict):
             raise ParseError(path, f"{crumb}: expected an object")
         labels = _string_list(_require(entry, "actions", path, crumb), path, f"{crumb}.actions")
-        rows = _fraction_rows(_require(entry, "utility", path, crumb), path, f"{crumb}.utility")
-        tables.append((labels, rows))
+        table = _integer_table(_require(entry, "utility", path, crumb), path, f"{crumb}.utility")
+        tables.append((labels, table))
     return states, prior, tables
 
 
 def parse_ring(node, path: str) -> RingGame:
     tables = _labelled_tables(node, path, "ring", "stages")
-    return _domain(path, make_ring, *tables)
+    return _domain(path, ring_from_tables, *tables)
 
 
 def parse_profile(node, path: str, ring: RingGame) -> MarginalProfile:
     if not isinstance(node, list):
         raise ParseError(path, "marginals: expected an array of arrays")
-    vectors = [_fraction_list(vec, path, f"marginals[{i}]") for i, vec in enumerate(node)]
+    vectors = [
+        ActionMarginal(_integer_row(vec, path, f"marginals[{i}]")) for i, vec in enumerate(node)
+    ]
     return _domain(path, make_profile, ring, vectors)
 
 
 def parse_first_order(node, path: str) -> FirstOrderGame:
     tables = _labelled_tables(node, path, "first_order", "players")
-    return _domain(path, make_first_order, *tables)
+    return _domain(path, first_order_from_tables, *tables)
 
 
 def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
@@ -504,7 +518,7 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
 
     keep = None
     if drop_null_states and "prior" in doc:
-        keep = tuple(q != 0 for q in _fraction_list(doc["prior"], path, "prior"))
+        keep = tuple(x != 0 for x in _integer_row(doc["prior"], path, "prior")[1])
 
     game = None
     if any(k in doc for k in ("states", "actions", "utility")) or "prior" in doc:
@@ -512,7 +526,7 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
 
     marginal = None
     if "marginal" in doc:
-        marginal = ActionMarginal(_fraction_list(doc["marginal"], path, "marginal"))
+        marginal = ActionMarginal(_integer_row(doc["marginal"], path, "marginal"))
 
     tau = parse_tau(doc["tau"], path, keep=keep) if "tau" in doc else None
 
@@ -542,21 +556,23 @@ def load_game(path: str, drop_null_states: bool = False) -> LoadedDocument:
 # -- serialization ------------------------------------------------------
 
 
-def rows_json(rows) -> list:
-    return [vector_json(row) for row in rows]
+def rows_json(table: IntegerTable) -> list:
+    """Each row of an integer table, printed by ``vector_json``."""
+    scale, rows = table
+    return [vector_json((scale, row)) for row in rows]
 
 
 def game_json(game: BaseGame) -> dict:
     return {
         "states": list(game.states),
         "actions": list(game.actions),
-        "utility": rows_json(game.utility),
-        "prior": vector_json(game.prior),
+        "utility": rows_json(game.integer_utility),
+        "prior": vector_json(game.integer_prior),
     }
 
 
 def tau_json(tau: PosteriorDistribution) -> dict:
-    return {"support": rows_json(tau.support), "weights": vector_json(tau.weights)}
+    return {"support": rows_json(tau.integer_support), "weights": vector_json(tau.integer_weights)}
 
 
 def _labelled_tables_json(games, key: str) -> dict:
@@ -564,9 +580,9 @@ def _labelled_tables_json(games, key: str) -> dict:
     utility table under ``key``: the inverse of ``_labelled_tables``."""
     return {
         "states": list(games[0].states),
-        "prior": vector_json(games[0].prior),
+        "prior": vector_json(games[0].integer_prior),
         key: [
-            {"actions": list(game.actions), "utility": rows_json(game.utility)}
+            {"actions": list(game.actions), "utility": rows_json(game.integer_utility)}
             for game in games
         ],
     }
@@ -587,13 +603,13 @@ def certificate_json(cert: ViolationCertificate) -> dict:
         "pair": list(cert.pair) if cert.pair is not None else None,
         "action": cert.action,
         "residual": fraction_to_json(cert.residual) if cert.residual is not None else None,
-        "direction": vector_json(cert.direction) if cert.direction is not None else None,
+        "direction": fractions_json(cert.direction) if cert.direction is not None else None,
     }
 
 
 def menu_rule_json(rule) -> list:
     return [
-        {"menu": sorted(m), "probs": vector_json(rule[m])}
+        {"menu": sorted(m), "probs": fractions_json(rule[m])}
         for m in sorted(rule, key=lambda m: (len(m), sorted(m)))
     ]
 
@@ -609,9 +625,9 @@ def consistency_report(command, game, marginal, verdict, first_order=None) -> Re
     else:
         inputs = {"first_order": first_order_json(first_order)}
         details = {"profiles": list(game.actions)}
-    inputs["marginal"] = vector_json(marginal.probs)
+    inputs["marginal"] = vector_json(marginal.integer_probs)
     if verdict.consistent:
-        witnesses = {"outcome": rows_json(verdict.witness.probs)}
+        witnesses = {"outcome": rows_json(verdict.witness.integer_probs)}
         return Report(command, inputs, "consistent", witnesses=witnesses, details=details)
     certificate = certificate_json(verdict.violation)
     return Report(command, inputs, "inconsistent", certificate=certificate, details=details)
@@ -623,7 +639,7 @@ def implement_report(
     """Report of ``implement``: the overfull subset of an ImplementationInfeasible,
     or the decision rule, the menu rule and the outcome the rule induces."""
     inputs = game_json(game)
-    inputs["marginal"] = vector_json(marginal.probs)
+    inputs["marginal"] = vector_json(marginal.integer_probs)
     inputs["tau"] = tau_json(tau)
     if infeasible is not None:
         subset, deficit = sorted(infeasible.subset), fraction_to_json(infeasible.deficit)
@@ -631,10 +647,10 @@ def implement_report(
         return Report("implement", inputs, "infeasible", certificate=certificate)
     witnesses = {
         "tau": inputs["tau"],
-        "decision_rule": rows_json(rule.rows),
+        "decision_rule": rows_json(rule.integer_rows),
         "menu_rule": menu_rule_json(menu_rule),
-        "choice_rule": rows_json(choice_rule_from_outcome(outcome, game.prior).rows),
-        "outcome": rows_json(outcome.probs),
+        "choice_rule": rows_json(choice_rule_from_outcome(outcome, game.prior).integer_rows),
+        "outcome": rows_json(outcome.integer_probs),
     }
     return Report("implement", inputs, "implemented", witnesses=witnesses)
 
@@ -642,17 +658,17 @@ def implement_report(
 def ring_report(ring, profile, verdict, joint=None) -> Report:
     """Report of ``ring``: the first failing stage and its certificate, or the
     stage witnesses and ``joint``, the outcome chained from them."""
-    marginals = [vector_json(m.probs) for m in profile.marginals]
+    marginals = [vector_json(m.integer_probs) for m in profile.marginals]
     inputs = {"ring": ring_json(ring), "marginals": marginals}
     details = {"failing_stage": verdict.failing_stage}
     if not verdict.consistent:
         certificate = certificate_json(verdict.violation)
         return Report("ring", inputs, "inconsistent", certificate=certificate, details=details)
     witnesses = {
-        "stage_witnesses": [rows_json(w.probs) for w in verdict.stage_witnesses],
-        "joint": {"shape": list(joint.shape), "probs": rows_json(joint.probs)},
+        "stage_witnesses": [rows_json(w.integer_probs) for w in verdict.stage_witnesses],
+        "joint": {"shape": list(joint.shape), "probs": rows_json(joint.integer_probs)},
         "player_marginals": [
-            vector_json(ring_player_marginal(joint, i)) for i in range(ring.n_players)
+            fractions_json(ring_player_marginal(joint, i)) for i in range(ring.n_players)
         ],
     }
     return Report("ring", inputs, "consistent", witnesses=witnesses, details=details)
@@ -682,7 +698,7 @@ def _section(doc: dict, key: str, path: str) -> dict:
 
 def _parse_marginal(inputs: dict, path: str, n_actions: int) -> ActionMarginal:
     node = _require(inputs, "marginal", path, "inputs")
-    marginal = ActionMarginal(_fraction_list(node, path, "marginal"))
+    marginal = ActionMarginal(_integer_row(node, path, "marginal"))
     _domain(path, validate_marginal, marginal, n_actions)
     return marginal
 
@@ -704,7 +720,7 @@ def _rederive_certificate(doc, path, game, marginal) -> ViolationCertificate:
     kind = cert.get("kind")
     if kind == UNSUPPORTABLE_ACTION:
         choice = cert.get("action")
-        if not _is_index(choice, game.n_actions) or marginal.probs[choice] == 0:
+        if not _is_index(choice, game.n_actions) or marginal.integer_probs[1][choice] == 0:
             raise ValidationError(path, "unsupportable-action certificate names a zero-mass action")
         if not is_empty(opt_belief_polytope(game, choice)):
             raise ValidationError(path, "named action is supportable after all")
@@ -721,7 +737,7 @@ def _rederive_certificate(doc, path, game, marginal) -> ViolationCertificate:
         choice = cert.get("direction")
         if not isinstance(choice, list) or len(choice) != game.n_states:
             raise ValidationError(path, "direction certificate has no direction of state length")
-        choice = _fraction_list(choice, path, "certificate.direction")
+        choice = row_fractions(_integer_row(choice, path, "certificate.direction"))
     else:
         raise ValidationError(path, f"unknown certificate kind {kind!r}")
     violation = _domain(path, violation_certificate, game, marginal, kind, choice)
@@ -741,7 +757,7 @@ def _rebuild_consistency(doc: dict, path: str) -> Report:
     marginal = _parse_marginal(inputs, path, game.n_actions)
     if verdict == "consistent":
         rows = _require(_section(doc, "witnesses", path), "outcome", path, "witnesses")
-        witness = Outcome(_fraction_rows(rows, path, "witnesses.outcome"))
+        witness = Outcome(_integer_table(rows, path, "witnesses.outcome"))
         _domain(path, validate_outcome, witness, game)
         _check_outcome(path, "witness outcome", witness, game, marginal)
         found = ConsistencyVerdict(consistent=True, witness=witness)
@@ -773,12 +789,14 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
     """One tie-break row for each menu of tau, with no negative entry and no
     mass outside its menu; weighted by the menu masses, the rows add up to
     the target marginal (the core split the menu rule claims). The rows are
-    checked as integers over one common denominator, in entry order."""
+    checked as integers over one common denominator, in entry order, and
+    returned as the ``Fraction`` rows of a ``MenuRule``."""
     entries = _require(witnesses, "menu_rule", path, "witnesses")
     if not isinstance(entries, list):
         raise ParseError(path, "witnesses.menu_rule: expected an array")
-    n_actions = len(marginal.probs)
-    rule: MenuRule = {}
+    target_scale, targets = marginal.integer_probs
+    n_actions = len(targets)
+    rule: dict[frozenset[int], IntegerRow] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "menu" not in entry or "probs" not in entry:
             raise ValidationError(path, "menu rule entries need menu and probs fields")
@@ -790,24 +808,25 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
             raise ValidationError(path, "menu rule names a menu tau never produces")
         if menu in rule:
             raise ValidationError(path, "menu rule names a menu twice")
-        row = _fraction_list(entry["probs"], path, f"witnesses.menu_rule[{i}].probs")
-        if len(row) != n_actions:
+        row = _integer_row(entry["probs"], path, f"witnesses.menu_rule[{i}].probs")
+        if len(row[1]) != n_actions:
             raise ValidationError(path, _NOT_A_TIE_BREAK)
         rule[menu] = row
-    scale, rows = integer_table(rule.values())
+    scale, rows = common_scale(list(rule.values()))
     for menu, row in zip(rule, rows):
         if sum(row) != scale or any(x < 0 or (x and a not in menu) for a, x in enumerate(row)):
             raise ValidationError(path, _NOT_A_TIE_BREAK)
     if len(rule) != len(menus):
         raise ValidationError(path, "menu rule leaves out a menu tau produces")
-    # Each action's mass is sum_m (w_m / w_scale) * (row_m[a] / scale).
+    # Each action's mass is sum_m (w_m / w_scale) * (row_m[a] / scale), and
+    # its target is target / target_scale.
     w_scale, w_ints = integer_row([menus[m] for m in rule])
     denominator = w_scale * scale
-    for target, column in zip(marginal.probs, zip(*rows)):
+    for target, column in zip(targets, zip(*rows)):
         mass = sum(map(mul, w_ints, column))
-        if mass * target.denominator != target.numerator * denominator:
+        if mass * target_scale != target * denominator:
             raise ValidationError(path, "menu rule rows do not split the menus into the marginal")
-    return rule
+    return {menu: row_fractions(row) for menu, row in rule.items()}
 
 
 def _rebuild_implement(doc: dict, path: str) -> Report:
@@ -827,7 +846,7 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
         raise ValidationError(path, f"unknown verdict {verdict!r}")
     witnesses = _section(doc, "witnesses", path)
     rows = _require(witnesses, "decision_rule", path, "witnesses")
-    rule = DecisionRule(_fraction_rows(rows, path, "witnesses.decision_rule"))
+    rule = DecisionRule(_integer_table(rows, path, "witnesses.decision_rule"))
     scale, table = rule.integer_rows
     if len(table) != tau.size or any(
         len(row) != game.n_actions or sum(row) != scale or any(x < 0 for x in row)
@@ -836,7 +855,7 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
         raise ValidationError(path, "decision rule needs one distribution per posterior")
     # With tau and every rule row a distribution, the induced outcome is one
     # too; what remains to check is its marginals and obedience. The
-    # outcome reads the rule's integer view checked here.
+    # outcome reads the rule's integers checked here.
     outcome = outcome_from_tau(tau, rule, game.prior)
     _check_outcome(path, "implemented outcome", outcome, game, marginal)
     menu_rule = _rederive_menu_rule(witnesses, path, marginal, menus)
@@ -861,11 +880,12 @@ def _rebuild_ring(doc: dict, path: str) -> Report:
     if not isinstance(nodes, list) or len(nodes) != ring.n_players:
         raise ValidationError(path, "ring report needs one stage witness per player")
     stages = tuple(
-        Outcome(_fraction_rows(node, path, f"witnesses.stage_witnesses[{i}]"))
+        Outcome(_integer_table(node, path, f"witnesses.stage_witnesses[{i}]"))
         for i, node in enumerate(nodes)
     )
     for i, (stage, game) in enumerate(zip(stages, ring.stages)):
-        if stage.n_actions != game.n_actions or any(len(r) != game.n_states for r in stage.probs):
+        table = stage.integer_probs[1]
+        if len(table) != game.n_actions or any(len(r) != game.n_states for r in table):
             raise ValidationError(path, f"stage witness {i} does not fit the ring")
     joint = _domain(path, construct_ring_outcome, stages)
     # The joint's integer numerators share its positive scale, so they carry

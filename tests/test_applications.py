@@ -46,7 +46,6 @@ from mbce.errors import (
     ZeroPriorState,
 )
 from mbce.game import (
-    BaseGame,
     Outcome,
     action_marginal_of,
     best_response_set,
@@ -57,6 +56,7 @@ from mbce.game import (
     validate_game,
 )
 from mbce.polytope import enumerate_vertices, opt_belief_polytope
+from mbce.rationals import integer_table
 
 F = Fraction
 ZERO = Fraction(0)
@@ -119,20 +119,20 @@ class TestAuxiliaryGame:
             assert poly.contains(uniform)
             assert poly.contains((F(1), F(0)))
 
-    def test_profile_cap(self):
+    def test_profile_cap(self, monkeypatch):
         # 13 two-action players make 2^13 = 8192 profiles, twice MAX_PROFILES:
         # refused from the count alone, before any profile is built. Building
-        # one starts from the players' integer utility tables, and no player
-        # game has derived its table yet.
+        # one starts by putting the players' integer utility tables over one
+        # scale, which never happens.
         fo = make_first_order(
             ["t1", "t2"],
             ["1/2", "1/2"],
             [([f"p{i}a", f"p{i}b"], MATCH_ROWS) for i in range(13)],
         )
         assert MAX_PROFILES == 4096
+        monkeypatch.setattr(applications, "lcm", lambda *ints: pytest.fail("built"))
         with pytest.raises(ProductTooLarge, match="8192 action profiles"):
             auxiliary_single_agent(fo)
-        assert not any("integer_utility" in vars(player) for player in fo.players)
 
     def test_profiles_enumerate_last_player_fastest(self):
         fo = two_matching_players(["1/2", "1/2"])
@@ -301,8 +301,8 @@ class TestRingOutcome:
         mu = (F(2, 3), F(1, 3))
         nu1 = (F(1, 4), F(3, 4))
         nu2 = (F(3, 5), F(2, 5))
-        first = Outcome(tuple(tuple(q * t for t in mu) for q in nu1))
-        second = Outcome(tuple(tuple(q * s for s in nu1) for q in nu2))
+        first = make_outcome([[q * t for t in mu] for q in nu1])
+        second = make_outcome([[q * s for s in nu1] for q in nu2])
         joint = construct_ring_outcome([first, second])
         for idx, prof in enumerate(ring_profiles(joint.shape)):
             for t in range(2):
@@ -330,7 +330,7 @@ class TestRingObedience:
         ring = make_match_ring("1/2")
         joint_rows = [[F(0)] * 2 for _ in range(4)]
         joint_rows[1][0] = F(1)  # profile (a1, b2) in state t1
-        outcome = RingOutcome((2, 2), 2, tuple(tuple(r) for r in joint_rows))
+        outcome = RingOutcome((2, 2), 2, integer_table(joint_rows))
         assert not check_ring_obedience(outcome, ring)
 
     def test_constant_utilities_always_obedient(self):
@@ -345,11 +345,11 @@ class TestRingObedience:
             (F(1, 8), F(1, 8)),
             (F(1, 8), F(1, 8)),
         ]
-        assert check_ring_obedience(RingOutcome((2, 2), 2, tuple(rows)), ring)
+        assert check_ring_obedience(RingOutcome((2, 2), 2, integer_table(rows)), ring)
 
     def test_shape_mismatch_rejected(self):
         ring = make_match_ring("1/2")
-        bad = RingOutcome((2,), 2, ((F(1, 2), F(1, 2)),))
+        bad = RingOutcome((2,), 2, (2, ((1, 1),)))
         with pytest.raises(DimensionMismatch):
             check_ring_obedience(bad, ring)
 
@@ -374,9 +374,9 @@ class TestFactories:
         states, prior = ("t1", "t2"), (F(1, 3), F(2, 3))
         assert fo == FirstOrderGame(
             players=(
-                BaseGame(states, ("x1", "x2"), ((F(1), F(0)), (F(0), F(1, 2))), prior),
-                BaseGame(states, ("y1",), ((F(-1, 4), F(2)),), prior),
-                BaseGame(
+                make_game(states, ("x1", "x2"), ((F(1), F(0)), (F(0), F(1, 2))), prior),
+                make_game(states, ("y1",), ((F(-1, 4), F(2)),), prior),
+                make_game(
                     states, ("z1", "z2", "z3"), ((F(0), F(0)), (F(1), F(1)), (F(3, 2), F(-1))), prior
                 ),
             ),
@@ -465,7 +465,7 @@ def reference_auxiliary_single_agent(fo):
                 for t in range(fo.n_states)
             )
         )
-    game = BaseGame(fo.states, tuple(labels), tuple(utility), fo.prior)
+    game = make_game(fo.states, labels, utility, fo.prior)
     validate_game(game)
     return game
 
@@ -506,7 +506,7 @@ def reference_construct_ring_outcome(stage_witnesses):
                 mass *= cond[prof[i + 1]][prof[i]]
             row.append(mass)
         rows.append(tuple(row))
-    return RingOutcome(shape, n_states, tuple(rows))
+    return RingOutcome(shape, n_states, integer_table(rows))
 
 
 def reference_ring_pair_marginal(outcome, i):
@@ -520,7 +520,7 @@ def reference_ring_pair_marginal(outcome, i):
         for prof, row in zip(ring_profiles(outcome.shape), outcome.probs):
             total = sum(row, ZERO)
             rows[prof[i]][prof[i - 1]] += total
-    return Outcome(tuple(tuple(row) for row in rows))
+    return make_outcome(rows)
 
 
 def reference_ring_player_marginal(outcome, i):
@@ -553,15 +553,14 @@ def stage_chains(draw):
     conditionals the chain takes uniform."""
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
     flat = distribution(draw, widths[0] * widths[1])
-    witnesses = [Outcome(tuple(tuple(flat[a * widths[0]:(a + 1) * widths[0]])
-                               for a in range(widths[1])))]
+    witnesses = [make_outcome([flat[a * widths[0]:(a + 1) * widths[0]] for a in range(widths[1])])]
     for width in widths[2:]:
         upstream = action_marginal_of(witnesses[-1])
         columns = [
             [mass * q for q in distribution(draw, width)] if mass else [ZERO] * width
             for mass in upstream
         ]
-        witnesses.append(Outcome(tuple(zip(*columns))))
+        witnesses.append(make_outcome(zip(*columns)))
     return witnesses
 
 
@@ -572,8 +571,8 @@ def ring_outcomes(draw):
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
     n_states = draw(st.integers(1, 3))
     flat = distribution(draw, prod(shape) * n_states)
-    rows = tuple(tuple(flat[k * n_states:(k + 1) * n_states]) for k in range(prod(shape)))
-    return RingOutcome(shape, n_states, rows)
+    rows = [flat[k * n_states:(k + 1) * n_states] for k in range(prod(shape))]
+    return RingOutcome(shape, n_states, integer_table(rows))
 
 
 @st.composite
@@ -618,7 +617,7 @@ class TestIntegerAgainstFractionReferences:
         s = data.draw(st.integers(0, len(rows[0]) - 1))
         rows[a][s] += data.draw(positive)
         broken = list(witnesses)
-        broken[stage] = Outcome(tuple(map(tuple, rows)))
+        broken[stage] = make_outcome(rows)
         for build in (construct_ring_outcome, reference_construct_ring_outcome):
             with pytest.raises(StageMarginalMismatch):
                 build(broken)
@@ -635,15 +634,17 @@ class TestIntegerAgainstFractionReferences:
     def test_auxiliary_single_agent(self, fo):
         assert auxiliary_single_agent(fo) == reference_auxiliary_single_agent(fo)
 
-    def test_integer_view_is_no_field(self):
-        rows = ((F(1, 2), F(0)), (F(1, 3), F(1, 6)))
-        joint = RingOutcome((2,), 2, rows)
-        twin = RingOutcome((2,), 2, rows)
+    def test_fraction_view_is_no_field(self):
+        """The joint is stored as its reduced integer table; the ``Fraction``
+        rows are a view that equality, hashing and repr ignore."""
+        joint = RingOutcome((2,), 2, (12, ((6, 0), (4, 2))))
+        twin = RingOutcome((2,), 2, (6, ((3, 0), (2, 1))))
+        assert joint.integer_probs == (6, ((3, 0), (2, 1)))
         before = (hash(joint), repr(joint))
-        view = joint.integer_probs
-        assert view == (6, ((3, 0), (2, 1))) and joint.integer_probs is view
-        assert [f.name for f in fields(RingOutcome)] == ["shape", "n_states", "probs"]
-        assert "integer_probs" in vars(joint) and "integer_probs" not in vars(twin)
+        view = joint.probs
+        assert view == ((F(1, 2), F(0)), (F(1, 3), F(1, 6))) and joint.probs is view
+        assert [f.name for f in fields(RingOutcome)] == ["shape", "n_states", "integer_probs"]
+        assert "probs" in vars(joint) and "probs" not in vars(twin)
         assert joint == twin
         assert (hash(joint), repr(joint)) == before == (hash(twin), repr(twin))
 
@@ -659,6 +660,23 @@ def full_information_ring(n_players, n_actions):
     return ring, make_profile(ring, [prior] * n_players)
 
 
+class UnreadRow:
+    """A row of ``n`` entries that fails the test when an entry is read;
+    an ``Outcome`` over scale 1 stores it unread."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        pytest.fail("an entry was read")
+
+    def __getitem__(self, index):
+        pytest.fail("an entry was read")
+
+
 class TestRingJointCap:
     def test_joint_at_the_cap_is_built(self):
         ring, profile = full_information_ring(6, 4)
@@ -671,10 +689,12 @@ class TestRingJointCap:
             assert ring_player_marginal(joint, i) == profile.marginals[i].probs
 
     @pytest.mark.parametrize("widths", [(17, 241), (4, 4, 4, 4, 4, 4, 2)])
-    def test_joint_above_the_cap_is_refused_before_it_is_built(self, monkeypatch, widths):
-        # 17 x 241 = 4097 profiles, one above the cap; 4^6 x 2 = 8192.
-        witnesses = [Outcome(((ZERO,),) * widths[0])]
-        witnesses += [Outcome(((ZERO,) * m,) * n) for m, n in zip(widths, widths[1:])]
-        monkeypatch.setattr(applications, "integer_table", lambda rows: pytest.fail("built"))
+    def test_joint_above_the_cap_is_refused_before_it_is_built(self, widths):
+        # 17 x 241 = 4097 profiles, one above the cap; 4^6 x 2 = 8192. The
+        # witnesses' rows fail the test when an entry is read, and building
+        # the first partial profile reads one, so the refusal must come from
+        # the row counts alone.
+        witnesses = [Outcome((1, (UnreadRow(1),) * widths[0]))]
+        witnesses += [Outcome((1, (UnreadRow(m),) * n)) for m, n in zip(widths, widths[1:])]
         with pytest.raises(ProductTooLarge, match=f"{prod(widths)} action profiles"):
             construct_ring_outcome(witnesses)

@@ -313,6 +313,14 @@ class TestImplement:
         assert report is None
         assert err.startswith("error:")
 
+    def test_empty_tau_flag_is_named(self, tmp_path, capsys):
+        """The refusal of an empty --tau names the flag, as that of an
+        empty --marginal does, not an empty path."""
+        doc = dict(MATCH34, marginal=["3/4", "1/4"], tau=self.FULL_INFO)
+        code, _, err = run(capsys, ["implement", write(tmp_path, doc), "--tau", ""])
+        assert code == 3
+        assert err.startswith("error: --tau: ") and "No such file" not in err
+
     def test_infeasible_exits_two(self, tmp_path, capsys):
         half = dict(MATCH34, prior=["1/2", "1/2"])
         doc = dict(

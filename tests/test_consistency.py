@@ -165,12 +165,7 @@ class TestCheckConsistent:
 
     def test_a_game_built_directly_is_still_validated(self):
         """A game that no parser has seen is validated on the way in."""
-        game = BaseGame(
-            states=("t1", "t2"),
-            actions=("a1", "a2"),
-            utility=((F(1), F(0)), (F(0), F(1))),
-            prior=(F(1, 2), F(1, 3)),
-        )
+        game = BaseGame(("t1", "t2"), ("a1", "a2"), (1, ((1, 0), (0, 1))), (6, (3, 2)))
         for _ in range(2):
             with pytest.raises(NotADistribution):
                 check_bce_consistent(game, HALF_HALF)
@@ -348,7 +343,7 @@ def test_answers_on_a_game_with_built_polytopes_match_a_fresh_game(instance):
     _answers(game, earlier, direction)
     first = _answers(game, marginal, direction)
     assert game.belief_polytopes
-    fresh = BaseGame(game.states, game.actions, game.utility, game.prior)
+    fresh = BaseGame(game.states, game.actions, game.integer_utility, game.integer_prior)
     assert "belief_polytopes" not in vars(fresh)
     assert _answers(game, marginal, direction) == first == _answers(fresh, marginal, direction)
     assert fresh.belief_polytopes.items() <= game.belief_polytopes.items()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mbce import game as game_module
 from mbce.consistency import check_bce_consistent
 from mbce.errors import (
+    BadScale,
     DimensionMismatch,
     EmptySpace,
     NotADistribution,
@@ -22,14 +23,14 @@ from mbce.errors import (
     ZeroPriorState,
 )
 from mbce.game import (
+    ActionMarginal,
     BaseGame,
+    Outcome,
     action_marginal_of,
-    belief_system_from_outcome,
     best_response_set,
     check_action_marginal,
     check_obedience,
     check_state_marginal,
-    obedience_slack,
     choice_rule_from_outcome,
     expected_utility,
     make_game,
@@ -38,8 +39,11 @@ from mbce.game import (
     matching_game,
     state_marginal_of,
     validate_game,
+    validate_marginal,
+    validate_outcome,
 )
 from mbce.io import parse_game
+from references import belief_system_from_outcome, obedience_slack
 
 F = Fraction
 
@@ -114,19 +118,35 @@ class TestValidateGame:
             validate_game(game)
 
     def test_empty_action_set_rejected(self):
-        game = BaseGame(states=("t1",), actions=(), utility=(), prior=(F(1),))
+        game = make_game(["t1"], [], [], [1])
         with pytest.raises(EmptySpace):
             validate_game(game)
 
     def test_ragged_utility_rejected(self):
-        game = BaseGame(
-            states=("t1", "t2"),
-            actions=("a1",),
-            utility=((F(1),),),
-            prior=(F(1, 2), F(1, 2)),
-        )
+        game = make_game(["t1", "t2"], ["a1"], [[1]], ["1/2", "1/2"])
         with pytest.raises(DimensionMismatch):
             validate_game(game)
+
+    @pytest.mark.parametrize("scale", [-1, 0])
+    def test_a_scale_that_is_not_positive_is_refused(self, scale):
+        """A game built directly from integer forms must carry positive
+        scales: over -1 the numerators' argmax is the utilities' argmin, and
+        over 0 the Fraction views divide by zero."""
+        states, actions = ("t1", "t2"), ("a1", "a2")
+        utility = BaseGame(states, actions, (scale, ((1, 0), (0, 1))), (2, (1, 1)))
+        prior = BaseGame(states, actions, (1, ((1, 0), (0, 1))), (scale, (scale, 0)))
+        for game, what in ((utility, "utility"), (prior, "prior")):
+            with pytest.raises(BadScale, match=f"^{what} has scale {scale}, not a positive int$"):
+                validate_game(game)
+
+    @pytest.mark.parametrize("scale", [-1, 0])
+    def test_a_marginal_or_outcome_scale_that_is_not_positive_is_refused(
+        self, match_half, scale
+    ):
+        with pytest.raises(BadScale, match=f"^marginal has scale {scale},"):
+            validate_marginal(ActionMarginal((scale, (scale, 0))), 2)
+        with pytest.raises(BadScale, match=f"^outcome has scale {scale},"):
+            validate_outcome(Outcome((scale, ((scale, 0), (0, 0)))), match_half)
 
     def test_an_invalid_game_raises_on_every_call(self):
         game = make_game(["t1", "t2"], ["a1", "a2"], [[1, 0], [0, 1]], ["1/2", "1/3"])
@@ -233,11 +253,16 @@ class TestBestResponse:
         top = max(values)
         assert best_response_set(game, belief) == {a for a, v in enumerate(values) if v == top}
 
-    def test_integer_table_is_no_field(self):
+    def test_integer_table_is_the_stored_field(self):
+        """The game stores its reduced integer table, so the same rationals
+        written with other denominators make an equal game with an equal
+        hash; the Fraction table is a view."""
         game = make_game(["t1", "t2"], ["a1", "a2"], [["1/2", "-1/3"], [0, "5/6"]], ["1/2", "1/2"])
-        twin = make_game(["t1", "t2"], ["a1", "a2"], [["1/2", "-1/3"], [0, "5/6"]], ["1/2", "1/2"])
-        assert game.integer_utility == (6, ((3, -2), (0, 5)))
+        twin = make_game(["t1", "t2"], ["a1", "a2"], [["3/6", "-4/12"], [0, "10/12"]], ["2/4", "3/6"])
+        assert game.integer_utility == twin.integer_utility == (6, ((3, -2), (0, 5)))
+        assert game.integer_prior == twin.integer_prior == (2, (1, 1))
         assert game == twin and hash(game) == hash(twin)
+        assert "utility" not in vars(twin) and twin.utility == ((F(1, 2), F(-1, 3)), (F(0), F(5, 6)))
 
     @given(
         shift=st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -250,13 +275,11 @@ class TestBestResponse:
         base = matching_game(F(1, 3))
         total = sum(belief_num)
         belief = tuple(F(n, total) for n in belief_num)
-        transformed = BaseGame(
-            states=base.states,
-            actions=base.actions,
-            utility=tuple(
-                tuple(scale * u + shift for u in row) for row in base.utility
-            ),
-            prior=base.prior,
+        transformed = make_game(
+            base.states,
+            base.actions,
+            [[scale * u + shift for u in row] for row in base.utility],
+            base.prior,
         )
         assert best_response_set(base, belief) == best_response_set(transformed, belief)
 

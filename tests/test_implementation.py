@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbce.errors import (
+    BadScale,
     CoreViolation,
     ImplementationInfeasible,
     InfeasibleFlow,
@@ -36,6 +37,7 @@ from mbce.game import (
 )
 from mbce.implementation import (
     DecisionRule,
+    PosteriorDistribution,
     SubsetCheck,
     build_gale_network,
     core_check,
@@ -50,7 +52,9 @@ from mbce.implementation import (
     outcome_from_tau,
     posterior_menus,
     tau_from_outcome,
+    validate_posteriors,
 )
+from mbce.rationals import integer_table
 
 F = Fraction
 
@@ -74,6 +78,14 @@ class TestPosteriorDistribution:
     def test_rejects_zero_weight(self):
         with pytest.raises(NotADistribution):
             make_posteriors([E1, E2], [F(1), F(0)])
+
+    @pytest.mark.parametrize("scale", [-1, 0])
+    def test_rejects_a_scale_that_is_not_positive(self, scale):
+        support = PosteriorDistribution((scale, ((scale, 0), (0, scale))), (2, (1, 1)))
+        weights = PosteriorDistribution((1, ((1, 0), (0, 1))), (scale, (scale, 0)))
+        for tau, what in ((support, "support"), (weights, "weights")):
+            with pytest.raises(BadScale, match=f"^{what} has scale {scale}, not a positive int$"):
+                validate_posteriors(tau)
 
     def test_bayes_plausibility(self):
         assert is_bayes_plausible(NO_INFO_UNIFORM, UNIFORM2)
@@ -428,7 +440,7 @@ class TestProperties:
             tuple(F(1) if a == picks[i] else F(0) for a in range(game.n_actions))
             for i in range(tau.size)
         )
-        pi = outcome_from_tau(tau, DecisionRule(rows_rule), game.prior)
+        pi = outcome_from_tau(tau, DecisionRule(integer_table(rows_rule)), game.prior)
         assert check_obedience(pi, game).obedient
         tau_back, rule_back = tau_from_outcome(pi, game.prior)
         assert outcome_from_tau(tau_back, rule_back, game.prior).probs == pi.probs
@@ -526,7 +538,7 @@ def reference_choice_rule_from_tau(tau, rule, prior):
                 if rule.rows[i][a]:
                     row[a] += factor * rule.rows[i][a]
         rows.append(tuple(row))
-    return StochasticChoiceRule(rows=tuple(rows))
+    return StochasticChoiceRule(integer_table(rows))
 
 
 def reference_outcome_from_tau(tau, rule, prior):
@@ -536,7 +548,7 @@ def reference_outcome_from_tau(tau, rule, prior):
         tuple(prior[t] * sigma.rows[t][a] for t in range(len(prior)))
         for a in range(n_actions)
     )
-    return Outcome(probs=probs)
+    return Outcome(integer_table(probs))
 
 
 def reference_choice_rule_from_outcome(outcome, prior):
@@ -548,7 +560,7 @@ def reference_choice_rule_from_outcome(outcome, prior):
         tuple(outcome.probs[a][t] / prior[t] for a in range(outcome.n_actions))
         for t in range(outcome.n_states)
     )
-    return StochasticChoiceRule(rows=rows)
+    return StochasticChoiceRule(integer_table(rows))
 
 
 # Small denominators, and unlike, mostly coprime ones near 10^6 (999983 and
@@ -564,11 +576,18 @@ DENOMINATORS = st.one_of(
 def distributions(draw, n, positive=False):
     """A probability vector of length ``n`` <= 12 with unlike denominators:
     n - 1 drawn entries of at most 1/n each (possibly 0 unless ``positive``)
-    and their complement, in a drawn order."""
+    and their complement, in a drawn order. An entry is a drawn number of
+    eighths of 1/n, moved within its eighth, so the drawn entries carry
+    their share of the mass: Hypothesis draws a wide range mostly near its
+    ends, and a numerator drawn from 0 to d/n would leave nearly all the
+    mass to the complement."""
+    low = 1 if positive else 0
     entries = []
     for _ in range(n - 1):
         d = draw(DENOMINATORS)
-        entries.append(F(draw(st.integers(1 if positive else 0, d // n)), d))
+        top = d // n
+        eighths = draw(st.integers(0, 7))
+        entries.append(F(eighths * top // 8 + draw(st.integers(low, max(low, top // 8))), d))
     entries.append(1 - sum(entries, F(0)))
     return tuple(draw(st.permutations(entries)))
 
@@ -583,28 +602,36 @@ def experiments(draw):
     support = list(dict.fromkeys(beliefs))
     weights = draw(distributions(len(support), positive=True))
     rows = [draw(distributions(n_actions)) for _ in support]
-    return make_posteriors(support, weights), DecisionRule(tuple(rows))
+    return make_posteriors(support, weights), DecisionRule(integer_table(rows))
 
 
 @st.composite
 def networks(draw, total=None):
     """Supply/demand networks shaped like the Gale network: unlike
-    denominators, zero supplies and demands, and each edge drawn or not; many
-    fall short of the demands. Complete networks, drawn as often, meet every
-    demand. Supplies and demands each sum to ``total``, or to a drawn total:
-    1, or a rational above or below it."""
-    n_supplies, n_demands = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    denominators and zero supplies and demands. A third of them draw each
+    edge or not, and many fall short of the demands; a third are complete
+    and meet every demand. The last third are dense: two supplies and two
+    demands at least, each edge left out one time in six. Most of those meet
+    every demand, many by a flow that depends on the order BFS visits
+    neighbours in, which a complete network never does. Supplies and
+    demands each sum to ``total``, or to a drawn total: 1, or a rational
+    above or below it."""
+    shape = draw(st.sampled_from(("sparse", "complete", "dense")))
+    smallest = 2 if shape == "dense" else 1
+    n_supplies, n_demands = draw(st.integers(smallest, 6)), draw(st.integers(smallest, 6))
     if total is None:
         total = draw(st.sampled_from([F(1), F(3, 7), F(5, 2)]))
     supplies = tuple(total * w for w in draw(distributions(n_supplies)))
     demands = tuple(total * q for q in draw(distributions(n_demands)))
-    complete = draw(st.booleans())
-    edges = tuple(
-        (i, a)
-        for i in range(n_supplies)
-        for a in range(n_demands)
-        if complete or draw(st.booleans())
-    )
+
+    def kept():
+        if shape == "sparse":
+            return draw(st.booleans())
+        # Hypothesis favours the ends of a range, so the omission sits at
+        # an interior value.
+        return shape == "complete" or draw(st.integers(0, 5)) != 3
+
+    edges = tuple((i, a) for i in range(n_supplies) for a in range(n_demands) if kept())
     return FlowNetwork(supplies=supplies, demands=demands, edges=edges)
 
 

@@ -1,13 +1,14 @@
-"""The integer views of outcomes, posteriors and decision rules.
+"""The integer forms of outcomes, posteriors and decision rules.
 
 ``Outcome.integer_probs``, ``PosteriorDistribution.integer_weights`` and
-``integer_support``, and ``DecisionRule.integer_rows`` are each derived once
-per object, and the checks and builders read them instead of converting the
-same rows again. The references below are the ``Fraction`` code the views
-replaced, with their bodies kept as they were (only names changed): each
-rewritten check must give their answer, or raise their exception with their
-message, on outcomes with negative entries, wrong totals and repeated
-support points as well as on valid ones.
+``integer_support``, and ``DecisionRule.integer_rows`` are the stored
+fields, and the checks and builders read them; the ``Fraction`` tuples
+(``probs``, ``support``, ``weights``, ``rows``) are views derived from them.
+The references below are the ``Fraction`` code the integer checks replaced,
+with their bodies kept as they were (only names and the way they build the
+types changed): each rewritten check must give their answer, or raise their
+exception with their message, on outcomes with negative entries, wrong
+totals and repeated support points as well as on valid ones.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from mbce.game import (
     choice_rule_from_outcome,
     make_game,
     make_marginal,
-    obedience_slack,
     state_marginal_of,
     validate_outcome,
 )
@@ -46,12 +46,12 @@ from mbce.implementation import DecisionRule, PosteriorDistribution, make_poster
 from mbce.io import load_report, report_string
 from mbce.rationals import (
     exact_sum,
-    fraction_table,
     fraction_vector,
     integer_row,
     integer_table,
     vector_json,
 )
+from references import obedience_slack
 
 F = Fraction
 ONE = F(1)
@@ -93,7 +93,8 @@ def outcomes(draw):
     like a ``vectors`` entry: usually 1, sometimes not, signs mixed."""
     n_actions, n_states = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cells = draw(vectors(n_actions * n_states))
-    return Outcome(tuple(cells[a * n_states : (a + 1) * n_states] for a in range(n_actions)))
+    rows = [cells[a * n_states : (a + 1) * n_states] for a in range(n_actions)]
+    return Outcome(integer_table(rows))
 
 
 def game_for(outcome, data):
@@ -149,11 +150,11 @@ def reference_choice_rule_from_outcome(outcome, prior):
         tuple(Fraction(q.numerator * p.denominator, q.denominator * p.numerator) for q in column)
         for p, column in zip(prior, zip(*outcome.probs))
     )
-    return StochasticChoiceRule(rows=rows)
+    return StochasticChoiceRule(integer_table(rows))
 
 
 def reference_make_posteriors(support, weights):
-    support = fraction_table(support)
+    support = tuple(map(fraction_vector, support))
     weights = fraction_vector(weights)
     if len(support) != len(weights) or not support:
         raise DimensionMismatch("support and weights must align and be nonempty")
@@ -167,7 +168,7 @@ def reference_make_posteriors(support, weights):
         raise NotADistribution("weights must be positive and sum to 1")
     if len(set(support)) != len(support):
         raise NotADistribution("support points must be pairwise distinct")
-    return PosteriorDistribution(support=support, weights=weights)
+    return PosteriorDistribution(integer_table(support), integer_row(weights))
 
 
 def reference_is_decision_rule(rows, n_posteriors, n_actions):
@@ -204,29 +205,32 @@ class TestViews:
     @given(outcomes())
     def test_outcome_view(self, outcome):
         assert outcome.integer_probs == integer_table(outcome.probs)
+        assert all(type(q) is Fraction for row in outcome.probs for q in row)
 
     @settings(max_examples=50)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(vectors(n), min_size=1, max_size=6)),
            st.integers(1, 6).flatmap(vectors))
     def test_posterior_views(self, support, weights):
-        tau = PosteriorDistribution(tuple(support), weights)
+        tau = PosteriorDistribution(integer_table(support), integer_row(weights))
+        assert (tau.support, tau.weights) == (tuple(support), weights)
         assert tau.integer_support == integer_table(tau.support)
         assert tau.integer_weights == integer_row(tau.weights)
 
     @settings(max_examples=50)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(vectors(n), min_size=1, max_size=6)))
     def test_decision_rule_view(self, rows):
-        rule = DecisionRule(tuple(rows))
+        rule = DecisionRule(integer_table(rows))
+        assert rule.rows == tuple(rows)
         assert rule.integer_rows == integer_table(rule.rows)
 
     def test_views_are_no_fields(self):
-        """A view is no field: equality and hashing ignore it, and a twin
-        built from the same fields has not derived it."""
+        """A ``Fraction`` view is no field: equality and hashing ignore it,
+        and a twin built from the same fields has not derived it."""
         pairs = [
-            (Outcome(((F(1, 2), F(1, 3)), (F(1, 6), F(0)))), "integer_probs"),
-            (DecisionRule(((F(1, 2), F(1, 2)), (F(1), F(0)))), "integer_rows"),
-            (make_posteriors([["1/3", "2/3"], [1, 0]], ["3/4", "1/4"]), "integer_support"),
-            (make_posteriors([["1/3", "2/3"], [1, 0]], ["3/4", "1/4"]), "integer_weights"),
+            (Outcome((6, ((3, 2), (1, 0)))), "probs"),
+            (DecisionRule((2, ((1, 1), (2, 0)))), "rows"),
+            (make_posteriors([["1/3", "2/3"], [1, 0]], ["3/4", "1/4"]), "support"),
+            (make_posteriors([["1/3", "2/3"], [1, 0]], ["3/4", "1/4"]), "weights"),
         ]
         for value, view in pairs:
             twin = type(value)(*(getattr(value, f.name) for f in fields(value)))
@@ -348,7 +352,7 @@ class TestReloadRuleChecks:
         n_rows = TIE_TAU.size + {4: 1, 6: -1}.get(data.draw(st.integers(0, 9)), 0)
         widths = [3 - (data.draw(st.integers(0, 9)) == 5) for _ in range(n_rows)]
         rows = [data.draw(vectors(n, faults)) for n in widths]
-        doc["witnesses"]["decision_rule"] = [vector_json(row) for row in rows]
+        doc["witnesses"]["decision_rule"] = [vector_json(integer_row(row)) for row in rows]
         message = reload_message(tmp_path_factory.mktemp("rule"), doc) or ""
         refused = message.endswith("decision rule needs one distribution per posterior")
         assert refused == (not reference_is_decision_rule(rows, TIE_TAU.size, 3))
@@ -369,7 +373,7 @@ class TestReloadRuleChecks:
             rows = [(ONE, F(0), F(0)), (F(0), ONE, F(0)), tie_row]
             menus = [frozenset({0}), frozenset({1}), frozenset({0, 1, 2})]
         for entry, menu, row in zip(entries, menus, rows):
-            entry["menu"], entry["probs"] = sorted(menu), vector_json(row)
+            entry["menu"], entry["probs"] = sorted(menu), vector_json(integer_row(row))
         expected = reference_menu_rule_error(rows, menus, mass, fraction_vector(TIE_MARGINAL))
         message = reload_message(tmp_path_factory.mktemp("menu"), doc)
         assert (message and message.split(": ", 1)[1]) == expected

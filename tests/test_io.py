@@ -608,14 +608,14 @@ class TestReportReload:
         assert verdict.consistent
         inputs = {
             "ring": ring_json(ring),
-            "marginals": [vector_json(m.probs) for m in profile.marginals],
+            "marginals": [vector_json(m.integer_probs) for m in profile.marginals],
         }
         doc = {
             "command": "ring",
             "inputs": inputs,
             "inputs_sha256": inputs_digest(inputs),
             "verdict": "consistent",
-            "witnesses": {"stage_witnesses": [rows_json(w.probs) for w in verdict.stage_witnesses]},
+            "witnesses": {"stage_witnesses": [rows_json(w.integer_probs) for w in verdict.stage_witnesses]},
         }
         with pytest.raises(ValidationError, match="8192 action profiles exceed the cap of 4096"):
             load_report(write(tmp_path, doc, "report.json"))
@@ -1038,4 +1038,4 @@ class TestBooleanLiterals:
 
 
 def test_vector_json_mixes_ints_and_strings():
-    assert vector_json([F(2), F(1, 2), F(-3, 4)]) == [2, "1/2", "-3/4"]
+    assert vector_json((4, (8, 2, -3))) == [2, "1/2", "-3/4"]

@@ -229,7 +229,7 @@ class TestLpRows:
         twin = matching_game(F(1, 2))
         before = (hash(match_half), repr(match_half))
         polys = [opt_belief_polytope(match_half, a) for a in range(match_half.n_actions)]
-        assert [f.name for f in fields(BaseGame)] == ["states", "actions", "utility", "prior"]
+        assert [f.name for f in fields(BaseGame)] == ["states", "actions", "integer_utility", "integer_prior"]
         assert "belief_polytopes" in vars(match_half) and "belief_polytopes" not in vars(twin)
         assert match_half.belief_polytopes == dict(enumerate(polys))
         assert match_half == twin
