@@ -37,15 +37,15 @@ def main():
     print("posteriors:", ", ".join(fmt(mu) for mu in tau.support))
     print("weights:", fmt(tau.weights))
 
-    menus = menu_measure(tau, game)
+    scale, masses = menu_measure(tau, game)
     print("menus (optimal sets and their mass):")
-    for menu in sorted(menus, key=lambda m: sorted(m)):
-        print(f"  {sorted(menu)}: {menus[menu]}")
+    for menu in sorted(masses, key=lambda m: sorted(m)):
+        print(f"  {sorted(menu)}: {Fraction(masses[menu], scale)}")
 
     nu = make_marginal(["3/8", "5/8"])
     outcome = implement_marginal(game, nu, tau)
     ok, flow = max_flow_feasible(build_gale_network(tau, nu, game))
-    rule = decision_rule_from_flow(flow, tau)
+    rule = decision_rule_from_flow(flow)
     print(f"\ntarget {fmt(nu.probs)} implemented")
     print("decision rule rows (one per posterior):",
           "; ".join(fmt(row) for row in rule.rows))

@@ -8,53 +8,43 @@ a max-flow question. Augmenting paths are chosen shortest-first (BFS), so the
 number of augmentations is bounded combinatorially.
 
 An edge's capacity is the total supply, which no flow through it can exceed:
-the edges are unbounded in effect. The solver runs on integers: every supply
-and demand is scaled by the lcm of their denominators. A positive scale
-changes no sign, no minimum and no equality, so the augmenting paths and the
-flow are the ones rational arithmetic finds; a ``Fraction`` is built only for
-each nonzero edge flow returned.
+the edges are unbounded in effect. The network and its flow are integers
+over one scale that the caller picks: the supplies and demands are rationals
+written over a common denominator, and the flow is read over the same one.
+A positive scale changes no sign, no minimum and no equality, so the
+augmenting paths and the flow are the ones rational arithmetic finds, and
+multiplying every supply and demand by k multiplies the flow by k.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
     """Supplies, demands, and the forward edges ``(i, j)`` joining supply i
-    to demand j, each edge listed once. Immutable; the solver returns the
-    flow separately."""
+    to demand j, each edge listed once. Supplies and demands are ints over
+    one scale the caller picks. Immutable; the solver returns the flow
+    separately."""
 
-    supplies: tuple[Fraction, ...]
-    demands: tuple[Fraction, ...]
+    supplies: tuple[int, ...]
+    demands: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
 
 def max_flow_feasible(
     network: FlowNetwork,
-) -> tuple[bool, tuple[tuple[Fraction, ...], ...] | None]:
+) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Decide whether every demand can be met; return the flow if so.
 
-    The flow has one row per supply and one entry per demand, ``ZERO`` off
-    the edges. Edge order drives BFS neighbor order, so identical networks
-    always produce identical flows.
+    The flow has one row per supply and one entry per demand, ints over the
+    network's scale, 0 off the edges. Edge order drives BFS neighbor order,
+    so identical networks always produce identical flows.
     """
-    n, m = len(network.supplies), len(network.demands)
-    # Two starred arguments gather into a list, and the argument tuple is
-    # copied from it. One starred generator would grow the tuple by resizing:
-    # such a tuple is not taken from CPython's tuple free list but returns to
-    # it, so the free list, and peak memory, grow call by call up to its cap.
-    scale = lcm(
-        *(q.denominator for q in network.supplies), *(q.denominator for q in network.demands)
-    )
-    supplies = [q.numerator * (scale // q.denominator) for q in network.supplies]
-    demands = [q.numerator * (scale // q.denominator) for q in network.demands]
+    supplies, demands = network.supplies, network.demands
+    n, m = len(supplies), len(demands)
 
     # Node ids: the source 0, supply i at 1 + i, demand j at 1 + n + j, and
     # the sink last. Each node's dict keeps its neighbors in insertion order.
@@ -100,9 +90,9 @@ def max_flow_feasible(
 
     if pushed != sum(demands):
         return False, None
-    flow = [[ZERO] * m for _ in range(n)]
+    flow = [[0] * m for _ in range(n)]
     for i, j in network.edges:
-        used = residual[1 + n + j][1 + i]
-        if used:
-            flow[i][j] = Fraction(used, scale)
-    return True, tuple(map(tuple, flow))
+        flow[i][j] = residual[1 + n + j][1 + i]
+    # From lists: a tuple grown from a generator by resizing skips CPython's
+    # tuple free list but returns to it, so peak memory grows call by call.
+    return True, tuple([tuple(row) for row in flow])

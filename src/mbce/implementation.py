@@ -20,11 +20,17 @@ layer. A posterior distribution stores its support and its weights in the
 reduced integer form (``integer_support``, ``integer_weights``) and a
 decision rule its rows (``integer_rows``): ``make_posteriors`` checks
 signs, sums and distinct support points on them, Bayes plausibility is an
-integer dot product of the two, each menu prices a row of the support on
-the game's integer utility table, the Gale flow is solved on scaled
-supplies and demands, and the decision rule and its outcome are integer
-tables over common denominators, reduced once as they are built. The
-``Fraction`` tuples (``support``, ``weights``, ``rows``) are views.
+integer dot product of the two, and each menu prices a row of the support on
+the game's integer utility table. The ``Fraction`` tuples (``support``,
+``weights``, ``rows``) are views.
+
+The integer form crosses every boundary of the flows too. Both networks put
+their supplies and demands over one scale (``common_scale``) and get back an
+integer flow over it; a decision rule reads each flow row over its own sum.
+A ``MenuMeasure`` is tau's weight scale and the integer mass of each menu,
+and a ``MenuRule`` holds each menu's column of the menu flow over its demand,
+an ``IntegerRow``. A ``Fraction`` is built for a subset's slack, in
+``core_slack``, and in ``demand_check``, the ``Fraction`` reference.
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ from .rationals import (
     IntegerRow,
     IntegerTable,
     common_scale,
-    exact_sum,
     parse_row,
     parse_table,
     reduced_row,
@@ -78,8 +83,9 @@ ZERO = Fraction(0)
 MAX_SUBSETS_FOR_SUBSET_CHECK = 4096
 
 Menus = tuple[frozenset[int], ...]  # the menu of each posterior, in support order
-MenuMeasure = dict[frozenset[int], Fraction]
-MenuRule = dict[frozenset[int], tuple[Fraction, ...]]
+# (tau's weight scale, the integer mass of each menu over it)
+MenuMeasure = tuple[int, dict[frozenset[int], int]]
+MenuRule = dict[frozenset[int], IntegerRow]  # each menu's tie-break row
 
 
 @dataclass(frozen=True)
@@ -202,12 +208,12 @@ def posterior_menus(tau: PosteriorDistribution, game: BaseGame) -> Menus:
 
 def measure_of(tau: PosteriorDistribution, menus: Menus) -> MenuMeasure:
     """Aggregate tau's weight by menu, given the menu of each posterior: the
-    integer weights add up per menu, one ``Fraction`` each."""
+    integer weights add up per menu, over tau's weight scale."""
     scale, weights = tau.integer_weights
     sums: dict[frozenset[int], int] = {}
     for menu, w in zip(menus, weights):
         sums[menu] = sums.get(menu, 0) + w
-    return {menu: Fraction(w, scale) for menu, w in sums.items()}
+    return scale, sums
 
 
 def menu_measure(tau: PosteriorDistribution, game: BaseGame) -> MenuMeasure:
@@ -230,10 +236,13 @@ def core_slack(
     marginal: ActionMarginal, menus: MenuMeasure, subset: frozenset[int]
 ) -> Fraction:
     """Marginal mass on the subset minus the mass of menus entirely inside
-    it; negative exactly when the subset is overfull."""
-    lhs = exact_sum(marginal.probs[a] for a in subset)
-    rhs = exact_sum(w for menu, w in menus.items() if menu <= subset)
-    return lhs - rhs
+    it; negative exactly when the subset is overfull. Both masses add up as
+    integers over their own scales; the difference is the one ``Fraction``."""
+    scale, probs = marginal.integer_probs
+    w_scale, masses = menus
+    lhs = sum([probs[a] for a in subset])
+    rhs = sum([w for menu, w in masses.items() if menu <= subset])
+    return Fraction(lhs * w_scale - rhs * scale, scale * w_scale)
 
 
 def core_check(marginal: ActionMarginal, menus: MenuMeasure) -> SubsetCheck:
@@ -249,8 +258,9 @@ def core_check(marginal: ActionMarginal, menus: MenuMeasure) -> SubsetCheck:
     one would. At most 2^(distinct menus) unions exist, and never more
     than 2^|A|.
     """
+    _, masses = menus
     unions = {frozenset()}
-    for menu in menus:
+    for menu in masses:
         unions |= {u | menu for u in unions}
         if len(unions) > MAX_SUBSETS_FOR_SUBSET_CHECK:
             raise TooManyActionsForSubsetCheck(
@@ -299,52 +309,41 @@ def gale_network(
     tau: PosteriorDistribution, marginal: ActionMarginal, menus: Menus
 ) -> FlowNetwork:
     """``build_gale_network`` given the menu of each posterior."""
+    _, (supplies, demands) = common_scale([tau.integer_weights, marginal.integer_probs])
     return FlowNetwork(
-        supplies=tau.weights,
-        demands=marginal.probs,
-        edges=tuple((i, a) for i, menu in enumerate(menus) for a in sorted(menu)),
+        supplies, demands, tuple([(i, a) for i, menu in enumerate(menus) for a in sorted(menu)])
     )
 
 
-def decision_rule_from_flow(
-    flow: tuple[tuple[Fraction, ...], ...] | None, tau: PosteriorDistribution
-) -> DecisionRule:
+def decision_rule_from_flow(flow: tuple[tuple[int, ...], ...] | None) -> DecisionRule:
     """Normalize each posterior's outgoing flow into action probabilities.
 
-    With tau's weights as integers ``w`` over ``w_scale``, the entry of a
-    flow ``f`` out of posterior i is ``f.numerator * w_scale`` over
-    ``f.denominator * w[i]``: every entry goes over the lcm of those
-    denominators, and the rule reduces the table once."""
+    A met Gale flow routes all of each posterior's supply, its tau weight,
+    so each row over its own sum is the posterior's decision rule: the rows
+    go over the lcm of their sums, and the rule reduces the table once."""
     if flow is None:
         raise InfeasibleFlow("no flow to normalize; the demands were not met")
-    w_scale, weights = tau.integer_weights
-    ratios = [list(map(Fraction.as_integer_ratio, row)) for row in flow]
-    scale = lcm(*[d * w for row, w in zip(ratios, weights) for n, d in row if n])
-    rows = tuple(
-        tuple(n * w_scale * (scale // (d * w)) if n else 0 for n, d in row)
-        for row, w in zip(ratios, weights)
-    )
-    return DecisionRule((scale, rows))
+    return DecisionRule(common_scale([(sum(row), row) for row in flow]))
 
 
 def menu_rule_from_core(menus: MenuMeasure, marginal: ActionMarginal) -> MenuRule:
     """Split each menu's mass across its actions so the splits add up to the
     marginal, by max-flow on the action/menu network (actions supply their
-    marginal mass, menus demand their measure, an edge wherever a is in B)."""
-    menu_order = sorted(menus, key=lambda m: (len(m), sorted(m)))
-    feasible, flow = max_flow_feasible(
-        FlowNetwork(
-            supplies=marginal.probs,
-            demands=tuple(menus[menu] for menu in menu_order),
-            edges=tuple((a, k) for k, menu in enumerate(menu_order) for a in sorted(menu)),
-        )
+    marginal mass, menus demand their measure, an edge wherever a is in B).
+    Each menu's row is its column of the flow over its demand."""
+    w_scale, masses = menus
+    menu_order = sorted(masses, key=lambda m: (len(m), sorted(m)))
+    _, (supplies, demands) = common_scale(
+        [marginal.integer_probs, (w_scale, tuple([masses[menu] for menu in menu_order]))]
     )
+    edges = tuple([(a, k) for k, menu in enumerate(menu_order) for a in sorted(menu)])
+    feasible, flow = max_flow_feasible(FlowNetwork(supplies, demands, edges))
     if not feasible:
         witness = core_check(marginal, menus)
         raise CoreViolation(witness.subset, witness.slack)
     return {
-        menu: tuple(row[k] / menus[menu] if row[k] else ZERO for row in flow)
-        for k, menu in enumerate(menu_order)
+        menu: (demand, tuple([row[k] for row in flow]))
+        for k, (menu, demand) in enumerate(zip(menu_order, demands))
     }
 
 
@@ -448,7 +447,7 @@ def implementing_rule(
                 "the Gale flow fell short but no action subset is overfull"
             )
         raise ImplementationInfeasible(core.subset, core.slack)
-    return decision_rule_from_flow(flow, tau)
+    return decision_rule_from_flow(flow)
 
 
 def implement_marginal(

@@ -104,7 +104,6 @@ from .rationals import (
     common_scale,
     fraction_to_json,
     fractions_json,
-    integer_row,
     parse_row,
     parse_table,
     row_fractions,
@@ -607,9 +606,9 @@ def certificate_json(cert: ViolationCertificate) -> dict:
     }
 
 
-def menu_rule_json(rule) -> list:
+def menu_rule_json(rule: MenuRule) -> list:
     return [
-        {"menu": sorted(m), "probs": fractions_json(rule[m])}
+        {"menu": sorted(m), "probs": vector_json(rule[m])}
         for m in sorted(rule, key=lambda m: (len(m), sorted(m)))
     ]
 
@@ -790,13 +789,14 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
     mass outside its menu; weighted by the menu masses, the rows add up to
     the target marginal (the core split the menu rule claims). The rows are
     checked as integers over one common denominator, in entry order, and
-    returned as the ``Fraction`` rows of a ``MenuRule``."""
+    returned as read, the rows of a ``MenuRule``."""
     entries = _require(witnesses, "menu_rule", path, "witnesses")
     if not isinstance(entries, list):
         raise ParseError(path, "witnesses.menu_rule: expected an array")
     target_scale, targets = marginal.integer_probs
+    w_scale, masses = menus
     n_actions = len(targets)
-    rule: dict[frozenset[int], IntegerRow] = {}
+    rule: MenuRule = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "menu" not in entry or "probs" not in entry:
             raise ValidationError(path, "menu rule entries need menu and probs fields")
@@ -804,7 +804,7 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
         if not isinstance(items, list) or not all(_is_index(a, n_actions) for a in items):
             raise ValidationError(path, "menu rule names a menu of no valid actions")
         menu = frozenset(items)
-        if menu not in menus:
+        if menu not in masses:
             raise ValidationError(path, "menu rule names a menu tau never produces")
         if menu in rule:
             raise ValidationError(path, "menu rule names a menu twice")
@@ -816,17 +816,17 @@ def _rederive_menu_rule(witnesses, path, marginal, menus) -> MenuRule:
     for menu, row in zip(rule, rows):
         if sum(row) != scale or any(x < 0 or (x and a not in menu) for a, x in enumerate(row)):
             raise ValidationError(path, _NOT_A_TIE_BREAK)
-    if len(rule) != len(menus):
+    if len(rule) != len(masses):
         raise ValidationError(path, "menu rule leaves out a menu tau produces")
     # Each action's mass is sum_m (w_m / w_scale) * (row_m[a] / scale), and
     # its target is target / target_scale.
-    w_scale, w_ints = integer_row([menus[m] for m in rule])
+    w_ints = [masses[m] for m in rule]
     denominator = w_scale * scale
     for target, column in zip(targets, zip(*rows)):
         mass = sum(map(mul, w_ints, column))
         if mass * target_scale != target * denominator:
             raise ValidationError(path, "menu rule rows do not split the menus into the marginal")
-    return {menu: row_fractions(row) for menu, row in rule.items()}
+    return rule
 
 
 def _rebuild_implement(doc: dict, path: str) -> Report:

@@ -118,7 +118,7 @@ def common_scale(rows) -> IntegerTable:
     """A list of integer rows as one table over the lcm of their scales."""
     scale = lcm(*[s for s, _ in rows])
     return scale, tuple(
-        ints if s == scale else tuple(x * (scale // s) for x in ints) for s, ints in rows
+        [ints if s == scale else tuple([x * (scale // s) for x in ints]) for s, ints in rows]
     )
 
 

@@ -45,3 +45,12 @@ def obedience_slack(outcome: Outcome, game: BaseGame, a: int, alt: int) -> Fract
          for t in range(game.n_states)),
         ZERO,
     )
+
+
+def core_slack(marginal, menus: dict[frozenset[int], Fraction], subset: frozenset[int]) -> Fraction:
+    """Marginal mass on the subset minus the mass of menus entirely inside
+    it, with ``menus`` the ``Fraction`` mass of each menu; the ``Fraction``
+    reference of ``implementation.core_slack``."""
+    lhs = exact_sum(marginal.probs[a] for a in subset)
+    rhs = exact_sum(w for menu, w in menus.items() if menu <= subset)
+    return lhs - rhs

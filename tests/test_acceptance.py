@@ -155,13 +155,14 @@ def test_criterion_3_reversed_pair_conditions_are_redundant(sweep):
 
 def _menu_respecting_marginal(rng, menus, n_actions):
     """Split each menu's mass across its members; implementable by design."""
+    scale, masses = menus
     probs = [F(0)] * n_actions
-    for menu in sorted(menus, key=lambda m: (len(m), sorted(m))):
+    for menu in sorted(masses, key=lambda m: (len(m), sorted(m))):
         members = sorted(menu)
         parts = [rng.randint(1, 4) for _ in members]
         total = sum(parts)
         for a, part in zip(members, parts):
-            probs[a] += menus[menu] * F(part, total)
+            probs[a] += F(masses[menu], scale) * F(part, total)
     return make_marginal(probs)
 
 

@@ -54,7 +54,8 @@ from mbce.implementation import (
     tau_from_outcome,
     validate_posteriors,
 )
-from mbce.rationals import integer_table
+from mbce.rationals import common_scale, integer_row, integer_table, row_fractions, table_fractions
+from references import core_slack as reference_core_slack
 
 F = Fraction
 
@@ -68,6 +69,30 @@ NO_INFO_UNIFORM = make_posteriors([UNIFORM2], [F(1)])
 
 def menu(*actions):
     return frozenset(actions)
+
+
+def measure_from(masses):
+    """The ``MenuMeasure`` of a dict of ``Fraction`` menu masses."""
+    scale, ints = integer_row(tuple(masses.values()))
+    return scale, dict(zip(masses, ints))
+
+
+def measure_fractions(measure):
+    """The ``Fraction`` mass of each menu of a ``MenuMeasure``."""
+    scale, masses = measure
+    return {m: F(w, scale) for m, w in masses.items()}
+
+
+def rule_fractions(rule):
+    """The ``Fraction`` row of each menu of a ``MenuRule``."""
+    return {m: row_fractions(row) for m, row in rule.items()}
+
+
+def fraction_network(supplies, demands, edges):
+    """(network, scale): ``Fraction`` supplies and demands as a
+    ``FlowNetwork`` of ints over their common scale."""
+    scale, (supply_ints, demand_ints) = common_scale([integer_row(supplies), integer_row(demands)])
+    return FlowNetwork(supply_ints, demand_ints, edges), scale
 
 
 class TestPosteriorDistribution:
@@ -96,17 +121,17 @@ class TestPosteriorDistribution:
 
 class TestMenuMeasure:
     def test_full_information_splits_singletons(self, match_half):
-        assert menu_measure(FULL_INFO, match_half) == {
+        assert measure_fractions(menu_measure(FULL_INFO, match_half)) == {
             menu(0): F(1, 2),
             menu(1): F(1, 2),
         }
 
     def test_tie_belief_gets_pair_menu(self, match_half):
-        assert menu_measure(NO_INFO_UNIFORM, match_half) == {menu(0, 1): F(1)}
+        assert measure_fractions(menu_measure(NO_INFO_UNIFORM, match_half)) == {menu(0, 1): F(1)}
 
     def test_single_action_game(self):
         game = make_game(["t1", "t2"], ["a1"], [[1, 0]], ["1/2", "1/2"])
-        assert menu_measure(NO_INFO_UNIFORM, game) == {menu(0): F(1)}
+        assert measure_fractions(menu_measure(NO_INFO_UNIFORM, game)) == {menu(0): F(1)}
 
 
 class TestSubsetChecks:
@@ -138,7 +163,7 @@ class TestSubsetChecks:
         counted; demand_check walks all 2^|A| subsets, so at most 12 actions."""
         for n_actions, accepted in ((12, True), (13, False)):
             nu = make_marginal([F(1, n_actions)] * n_actions)
-            singletons = {menu(a): F(1, n_actions) for a in range(n_actions)}
+            singletons = measure_from({menu(a): F(1, n_actions) for a in range(n_actions)})
             if accepted:
                 assert core_check(nu, singletons).ok
             else:
@@ -176,8 +201,9 @@ class TestGaleNetwork:
         assert is_bayes_plausible(tau, game.prior)
         net = build_gale_network(tau, make_marginal(["1/3", "1/3", "1/3"]), game)
         assert net.edges == ((0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2))
-        assert net.supplies == tau.weights
-        assert net.demands == (F(1, 3), F(1, 3), F(1, 3))
+        # tau's weights are quarters and the marginal thirds: one scale, 12
+        assert row_fractions((12, net.supplies)) == tau.weights
+        assert row_fractions((12, net.demands)) == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_full_info_two_disjoint_edges(self, match_half):
         net = build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
@@ -193,14 +219,14 @@ class TestMaxFlow:
         net = build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
         feasible, flow = max_flow_feasible(net)
         assert feasible
-        assert flow == ((F(1, 2), F(0)), (F(0), F(1, 2)))
+        assert table_fractions((2, flow)) == ((F(1, 2), F(0)), (F(0), F(1, 2)))
 
     def test_full_info_skewed_infeasible(self, match_half):
         net = build_gale_network(FULL_INFO, make_marginal(["1/4", "3/4"]), match_half)
         assert max_flow_feasible(net) == (False, None)
 
     def test_positive_demand_with_no_edges(self):
-        net = FlowNetwork(supplies=(F(1),), demands=(F(1),), edges=())
+        net = FlowNetwork(supplies=(1,), demands=(1,), edges=())
         assert max_flow_feasible(net) == (False, None)
 
     def test_augmenting_paths_follow_edge_order(self):
@@ -208,14 +234,16 @@ class TestMaxFlow:
         one those shortest paths build, the third through a reverse edge;
         visiting the neighbors in another order meets the same demands with
         another flow."""
-        net = FlowNetwork(
+        net, scale = fraction_network(
             supplies=(F(1, 2), F(1, 2)),
             demands=(F(1, 4), F(1, 2), F(1, 4)),
             edges=((0, 0), (0, 1), (0, 2), (1, 0), (1, 1)),
         )
-        assert max_flow_feasible(net) == (
-            True,
-            ((F(0), F(1, 4), F(1, 4)), (F(1, 4), F(1, 4), F(0))),
+        feasible, flow = max_flow_feasible(net)
+        assert feasible
+        assert table_fractions((scale, flow)) == (
+            (F(0), F(1, 4), F(1, 4)),
+            (F(1, 4), F(1, 4), F(0)),
         )
 
     def test_market_clearing_on_feasible_flows(self):
@@ -224,6 +252,8 @@ class TestMaxFlow:
         net = build_gale_network(tau, nu, game)
         feasible, flow = max_flow_feasible(net)
         assert feasible
+        scale, _ = common_scale([tau.integer_weights, nu.integer_probs])
+        flow = table_fractions((scale, flow))
         assert tuple(sum(row) for row in flow) == tau.weights
         assert tuple(map(sum, zip(*flow))) == nu.probs
         for i, menu in enumerate(posterior_menus(tau, game)):
@@ -234,29 +264,29 @@ class TestDecisionRules:
     def test_full_info_degenerate_rule(self, match_half):
         net = build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
         _, flow = max_flow_feasible(net)
-        rule = decision_rule_from_flow(flow, FULL_INFO)
+        rule = decision_rule_from_flow(flow)
         assert rule.rows == ((F(1), F(0)), (F(0), F(1)))
 
     def test_no_info_rule_splits_by_demand(self, match_half):
         nu = make_marginal(["1/3", "2/3"])
         net = build_gale_network(NO_INFO_UNIFORM, nu, match_half)
         _, flow = max_flow_feasible(net)
-        rule = decision_rule_from_flow(flow, NO_INFO_UNIFORM)
+        rule = decision_rule_from_flow(flow)
         assert rule.rows == ((F(1, 3), F(2, 3)),)
 
     def test_infeasible_flow_rejected(self):
         with pytest.raises(InfeasibleFlow):
-            decision_rule_from_flow(None, NO_INFO_UNIFORM)
+            decision_rule_from_flow(None)
 
 
 class TestMenuRule:
     def test_no_info_menu_rule(self):
-        rule = menu_rule_from_core({menu(0, 1): F(1)}, make_marginal(["1/3", "2/3"]))
-        assert rule == {menu(0, 1): (F(1, 3), F(2, 3))}
+        rule = menu_rule_from_core(measure_from({menu(0, 1): F(1)}), make_marginal(["1/3", "2/3"]))
+        assert rule_fractions(rule) == {menu(0, 1): (F(1, 3), F(2, 3))}
 
     def test_full_info_identity(self):
-        menus = {menu(0): F(1, 2), menu(1): F(1, 2)}
-        rule = menu_rule_from_core(menus, make_marginal(["1/2", "1/2"]))
+        menus = measure_from({menu(0): F(1, 2), menu(1): F(1, 2)})
+        rule = rule_fractions(menu_rule_from_core(menus, make_marginal(["1/2", "1/2"])))
         assert rule[menu(0)] == (F(1), F(0))
         assert rule[menu(1)] == (F(0), F(1))
 
@@ -264,15 +294,16 @@ class TestMenuRule:
         game, tau = three_action_fixture()
         nu = make_marginal(["1/2", "5/12", "1/12"])
         menus = menu_measure(tau, game)
-        rule = menu_rule_from_core(menus, nu)
+        rule = rule_fractions(menu_rule_from_core(menus, nu))
+        masses = measure_fractions(menus)
         for a in range(3):
             recovered = sum(
-                (menus[m] * rule[m][a] for m in rule if a in m), F(0)
+                (masses[m] * rule[m][a] for m in rule if a in m), F(0)
             )
             assert recovered == nu.probs[a]
 
     def test_core_violation_raises_with_subset(self):
-        menus = {menu(0): F(1, 2), menu(1): F(1, 2)}
+        menus = measure_from({menu(0): F(1, 2), menu(1): F(1, 2)})
         with pytest.raises(CoreViolation) as exc:
             menu_rule_from_core(menus, make_marginal(["1/4", "3/4"]))
         assert exc.value.subset == menu(0)
@@ -283,8 +314,7 @@ class TestOutcomes:
         rule = decision_rule_from_flow(
             max_flow_feasible(
                 build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
-            )[1],
-            FULL_INFO,
+            )[1]
         )
         pi = outcome_from_tau(FULL_INFO, rule, match_half.prior)
         assert pi.probs == ((F(1, 2), F(0)), (F(0), F(1, 2)))
@@ -417,10 +447,11 @@ class TestProperties:
             assert check_state_marginal(pi, game.prior)
             assert check_action_marginal(pi, nu)
             assert check_obedience(pi, game).obedient
-            rule = menu_rule_from_core(menus, nu)
+            rule = rule_fractions(menu_rule_from_core(menus, nu))
+            masses = measure_fractions(menus)
             for a in range(game.n_actions):
                 assert sum(
-                    (menus[m] * rule[m][a] for m in rule if a in m), F(0)
+                    (masses[m] * rule[m][a] for m in rule if a in m), F(0)
                 ) == nu.probs[a]
         else:
             with pytest.raises(ImplementationInfeasible):
@@ -607,8 +638,10 @@ def experiments(draw):
 
 @st.composite
 def networks(draw, total=None):
-    """Supply/demand networks shaped like the Gale network: unlike
-    denominators and zero supplies and demands. A third of them draw each
+    """(network, scale): supply/demand networks shaped like the Gale
+    network, whose supplies and demands are drawn as ``Fraction``s and
+    held as ints over their common ``scale``. Unlike denominators, and zero
+    supplies and demands. A third of them draw each
     edge or not, and many fall short of the demands; a third are complete
     and meet every demand. The last third are dense: two supplies and two
     demands at least, each edge left out one time in six. Most of those meet
@@ -632,33 +665,35 @@ def networks(draw, total=None):
         return shape == "complete" or draw(st.integers(0, 5)) != 3
 
     edges = tuple((i, a) for i in range(n_supplies) for a in range(n_demands) if kept())
-    return FlowNetwork(supplies=supplies, demands=demands, edges=edges)
+    return fraction_network(supplies, demands, edges)
 
 
 KeyedNetwork = namedtuple("KeyedNetwork", "supplies demands edges")
 
 
-def keyed(network, capacity=None):
+def keyed(network, scale, capacity=None):
     """The network as ``reference_max_flow_feasible`` reads it: supply i
-    keyed ("posterior", i), demand j keyed ("action", j), and every edge of
+    keyed ("posterior", i), demand j keyed ("action", j), each the
+    ``Fraction`` its int stands for over ``scale``, and every edge of
     ``capacity``, by default the total supply, as the solver has it."""
     if capacity is None:
-        capacity = sum(network.supplies, F(0))
+        capacity = F(sum(network.supplies), scale)
     return KeyedNetwork(
-        supplies=tuple((("posterior", i), w) for i, w in enumerate(network.supplies)),
-        demands=tuple((("action", j), q) for j, q in enumerate(network.demands)),
+        supplies=tuple((("posterior", i), F(w, scale)) for i, w in enumerate(network.supplies)),
+        demands=tuple((("action", j), F(q, scale)) for j, q in enumerate(network.demands)),
         edges=tuple((("posterior", i), ("action", j), capacity) for i, j in network.edges),
     )
 
 
-def keyed_result(network, result):
-    """A solver result with its flow read on the keyed edges, as the
-    reference returns it."""
+def keyed_result(network, scale, result):
+    """A solver result with its flow read on the keyed edges as the
+    ``Fraction``s its ints stand for over ``scale``, as the reference
+    returns it."""
     feasible, flow = result
     if flow is None:
         return feasible, None
     return feasible, {
-        (("posterior", i), ("action", j)): flow[i][j] for i, j in network.edges
+        (("posterior", i), ("action", j)): F(flow[i][j], scale) for i, j in network.edges
     }
 
 
@@ -716,16 +751,18 @@ class TestIntegerArithmeticMatchesFractions:
 
     @settings(max_examples=200, deadline=None)
     @given(networks())
-    def test_max_flow(self, network):
-        """The same verdict and the same flow on every declared edge, with
-        the total supply as each edge's capacity; ZERO off the edges."""
+    def test_max_flow(self, drawn):
+        """The same verdict and the same flow on every declared edge, read
+        over the network's scale, with the total supply as each edge's
+        capacity; 0 off the edges."""
+        network, scale = drawn
         feasible, flow = max_flow_feasible(network)
-        expected = reference_max_flow_feasible(keyed(network))
-        assert keyed_result(network, (feasible, flow)) == expected
+        expected = reference_max_flow_feasible(keyed(network, scale))
+        assert keyed_result(network, scale, (feasible, flow)) == expected
         if feasible:
             assert len(flow) == len(network.supplies)
             assert all(len(row) == len(network.demands) for row in flow)
-            assert all(type(f) is Fraction for row in flow for f in row)
+            assert all(type(f) is int for row in flow for f in row)
             off_edges = {
                 (i, j) for i, row in enumerate(flow) for j, _ in enumerate(row)
             } - set(network.edges)
@@ -733,13 +770,29 @@ class TestIntegerArithmeticMatchesFractions:
 
     @settings(max_examples=200, deadline=None)
     @given(networks(total=F(1)))
-    def test_unit_capacities_are_the_total_supply(self, network):
+    def test_unit_capacities_are_the_total_supply(self, drawn):
         """Where the supplies sum to 1, as both of the package's networks'
         do, edges of capacity 1 give the reference the solver's verdict and
         flow."""
-        assert sum(network.supplies) == 1
-        expected = reference_max_flow_feasible(keyed(network, capacity=F(1)))
-        assert keyed_result(network, max_flow_feasible(network)) == expected
+        network, scale = drawn
+        assert sum(network.supplies) == scale
+        expected = reference_max_flow_feasible(keyed(network, scale, capacity=F(1)))
+        assert keyed_result(network, scale, max_flow_feasible(network)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(networks(), st.integers(1, 10**6))
+    def test_scaling_the_network_scales_the_flow(self, drawn, k):
+        """The caller picks the scale: every supply and demand times k gives
+        the same verdict and the flow times k."""
+        network, _ = drawn
+        feasible, flow = max_flow_feasible(network)
+        scaled = FlowNetwork(
+            tuple([k * w for w in network.supplies]),
+            tuple([k * q for q in network.demands]),
+            network.edges,
+        )
+        expected = None if flow is None else tuple(tuple(k * f for f in row) for row in flow)
+        assert max_flow_feasible(scaled) == (feasible, expected)
 
     def test_max_flow_properties_reach_both_verdicts(self):
         """The network strategy draws feasible and infeasible networks."""
@@ -747,8 +800,8 @@ class TestIntegerArithmeticMatchesFractions:
 
         @settings(max_examples=100, deadline=None, database=None, derandomize=True)
         @given(networks())
-        def collect(network):
-            verdicts.add(max_flow_feasible(network)[0])
+        def collect(drawn):
+            verdicts.add(max_flow_feasible(drawn[0])[0])
 
         collect()
         assert verdicts == {True, False}
@@ -761,14 +814,20 @@ class TestIntegerArithmeticMatchesFractions:
 # subset and the same slack.
 
 
-def reference_core_check(marginal, menus):
-    n_actions = len(marginal.probs)
+def action_subsets(n_actions):
+    """Every nonempty subset of the actions, in size-then-lexicographic
+    order."""
     for size in range(1, n_actions + 1):
         for combo in combinations(range(n_actions), size):
-            subset = frozenset(combo)
-            slack = core_slack(marginal, menus, subset)
-            if slack < 0:
-                return SubsetCheck(ok=False, subset=subset, slack=slack)
+            yield frozenset(combo)
+
+
+def reference_core_check(marginal, menus):
+    masses = measure_fractions(menus)
+    for subset in action_subsets(len(marginal.probs)):
+        slack = reference_core_slack(marginal, masses, subset)
+        if slack < 0:
+            return SubsetCheck(ok=False, subset=subset, slack=slack)
     return SubsetCheck(ok=True)
 
 
@@ -794,7 +853,7 @@ def menu_instances(draw):
             probs[draw(st.sampled_from(sorted(m)))] += w
     else:
         probs = draw(distributions(n_actions))
-    return make_marginal(probs), measure
+    return make_marginal(probs), measure_from(measure)
 
 
 def thirteen_action_fixture():
@@ -812,6 +871,11 @@ class TestCoreCheckScansUnionsOfMenus:
     def test_same_subset_and_slack_as_the_exhaustive_scan(self, instance):
         marginal, measure = instance
         assert core_check(marginal, measure) == reference_core_check(marginal, measure)
+        masses = measure_fractions(measure)
+        assert all(
+            core_slack(marginal, measure, subset) == reference_core_slack(marginal, masses, subset)
+            for subset in action_subsets(len(marginal.probs))
+        )
 
     def test_thirteen_actions_decided(self):
         """13 actions are decided: the infeasible marginal names the subset
