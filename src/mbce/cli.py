@@ -12,7 +12,9 @@ stderr so they never perturb the report document.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 import time
 
@@ -147,6 +149,24 @@ def _resolve_tau(args, doc):
     )
 
 
+def _unwritable(out: str) -> OSError | None:
+    """Why ``out`` cannot take the report, checked before any work starts
+    and creating nothing: it is a directory or not writable, or it does not
+    exist and its directory is missing or not writable. The write itself
+    can still fail, as a race or a full disk makes it."""
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.exists(out):
+        code = 0 if os.access(out, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(out) or os.curdir
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    return OSError(code, os.strerror(code), out) if code else None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text(out, text)
@@ -265,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    problem = args.out and _unwritable(args.out)
+    if problem:
+        print(f"error: cannot write the output: {problem}", file=sys.stderr)
+        return 3
     try:
         text, code = _run(args)
     except MbceError as err:

@@ -53,7 +53,7 @@ from .polytope import (
     unit_direction,
     utility_difference_direction,
 )
-from .rationals import integer_table
+from .rationals import parse_row, parse_table, reduced_row
 
 ZERO = Fraction(0)
 
@@ -180,36 +180,36 @@ def oracle_feasibility(
     def var(a: int, t: int) -> int:
         return a * n_s + t
 
-    # The obedience rows are the integer utility table's differences, as
-    # (u(alt) - u(a)) . x <= 0: each is the rational row times the table's
-    # scale, and a row with right-hand side 0 takes only a slack, so the
-    # scale changes no pivot. The prior and marginal rows take artificials
-    # and stay the rational rows.
+    # The obedience rows are the integer utility table's differences over
+    # scale 1, as (u(alt) - u(a)) . x <= 0: each is the rational row times
+    # the table's scale, and a row with right-hand side 0 takes only a
+    # slack, so the scale changes no pivot. The prior and marginal rows take
+    # artificials and are the rational rows, in their reduced integer form.
     _, table = game.integer_utility
     constraints: list[Constraint] = []
     for a, own in enumerate(table):
         for alt, row in enumerate(table):
             if alt == a:
                 continue
-            coeffs = [0] * n_vars
-            coeffs[var(a, 0):var(a + 1, 0)] = map(sub, row, own)
-            constraints.append(Constraint(tuple(coeffs), LESS_EQUAL, 0))
+            cells = [0] * (n_vars + 1)
+            cells[var(a, 0):var(a + 1, 0)] = map(sub, row, own)
+            constraints.append(Constraint((1, tuple(cells)), LESS_EQUAL))
+    scale, prior = game.integer_prior
     for t in range(n_s):
-        coeffs = [0] * n_vars
+        cells = [0] * n_vars + [prior[t]]
         for a in range(n_a):
-            coeffs[var(a, t)] = 1
-        constraints.append(Constraint(tuple(coeffs), EQUAL, game.prior[t]))
+            cells[var(a, t)] = scale
+        constraints.append(Constraint(reduced_row((scale, tuple(cells))), EQUAL))
+    scale, probs = marginal.integer_probs
     for a in range(n_a):
-        coeffs = [0] * n_vars
-        for t in range(n_s):
-            coeffs[var(a, t)] = 1
-        constraints.append(Constraint(tuple(coeffs), EQUAL, marginal.probs[a]))
+        cells = [0] * n_vars + [probs[a]]
+        cells[var(a, 0):var(a + 1, 0)] = [scale] * n_s
+        constraints.append(Constraint(reduced_row((scale, tuple(cells))), EQUAL))
 
     feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
     if not feasible:
         return False, None
-    probs = tuple(tuple(x[var(a, t)] for t in range(n_s)) for a in range(n_a))
-    return True, Outcome(integer_table(probs))
+    return True, Outcome(parse_table([x[var(a, 0):var(a + 1, 0)] for a in range(n_a)]))
 
 
 def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | None:
@@ -234,16 +234,16 @@ def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | 
 
     constraints: list[Constraint] = []
     for a in supported:
-        coeffs = [ZERO] * n_vars
+        coeffs = [0] * n_vars
         for j in range(len(vertices[a])):
-            coeffs[offsets[a] + j] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), EQUAL, marginal.probs[a]))
+            coeffs[offsets[a] + j] = 1
+        constraints.append(Constraint(parse_row((*coeffs, marginal.probs[a])), EQUAL))
     for t in range(game.n_states):
         coeffs = [ZERO] * n_vars
         for a in supported:
             for j, v in enumerate(vertices[a]):
                 coeffs[offsets[a] + j] = v[t]
-        constraints.append(Constraint(tuple(coeffs), EQUAL, game.prior[t]))
+        constraints.append(Constraint(parse_row((*coeffs, game.prior[t])), EQUAL))
 
     feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
     if not feasible:
@@ -259,7 +259,7 @@ def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | 
             rows.append(tuple(row))
         else:
             rows.append((ZERO,) * game.n_states)
-    return Outcome(integer_table(rows))
+    return Outcome(parse_table(rows))
 
 
 def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction | None:
@@ -274,7 +274,6 @@ def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction 
     supported = _supported(marginal)
     n_s = game.n_states
     n_vars = n_s + len(supported)  # direction coordinates, then epigraph values
-    one = Fraction(1)
 
     constraints: list[Constraint] = []
     for k, a in enumerate(supported):
@@ -282,18 +281,16 @@ def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction 
         if not vertices:
             raise UnsupportableAction(a)
         for v in vertices:
-            coeffs = [ZERO] * n_vars
+            coeffs = [ZERO] * (n_vars + 1)
             for t in range(n_s):
                 coeffs[t] = -v[t]
-            coeffs[n_s + k] = one
-            constraints.append(Constraint(tuple(coeffs), GREATER_EQUAL, ZERO))
+            coeffs[n_s + k] = 1
+            constraints.append(Constraint(parse_row(coeffs), GREATER_EQUAL))
     for t in range(n_s):
-        box = [ZERO] * n_vars
-        box[t] = one
-        constraints.append(Constraint(tuple(box), LESS_EQUAL, one))
-        box = [ZERO] * n_vars
-        box[t] = -one
-        constraints.append(Constraint(tuple(box), LESS_EQUAL, one))
+        for sign in (1, -1):
+            box = [0] * n_vars + [1]
+            box[t] = sign
+            constraints.append(Constraint((1, tuple(box)), LESS_EQUAL))
 
     objective = [-p for p in game.prior] + [marginal.probs[a] for a in supported]
     result = lp_solve(n_vars, constraints, objective, nonneg=False)

@@ -41,7 +41,6 @@ from .rationals import (
     IntegerRow,
     IntegerTable,
     exact_fraction,
-    integer_row,
     parse_row,
     parse_table,
     reduced_row,
@@ -351,7 +350,7 @@ def best_response_set(game: BaseGame, belief) -> frozenset[int]:
     to integers and priced by ``integer_best_responses``; the scale is
     positive, so the argmax is the one ``expected_utility`` gives.
     """
-    return integer_best_responses(game, integer_row(belief)[1])
+    return integer_best_responses(game, parse_row(belief)[1])
 
 
 def integer_best_responses(game: BaseGame, weights) -> frozenset[int]:

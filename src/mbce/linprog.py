@@ -1,8 +1,8 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with exact answers: constraints, objectives,
-witnesses and optimal values are exact rationals (``Fraction``s, or ints
-where a row is integral), while the tableau itself holds only Python ints.
+Two-phase primal simplex with exact answers: constraints and objectives
+are exact rationals, witnesses and optimal values ``Fraction``s, while the
+tableau itself holds only Python ints.
 Pivoting follows Bland's rule (smallest eligible index enters; ties in the
 ratio test resolved by smallest basic variable index), which precludes
 cycling: belief polytopes are routinely degenerate at tie beliefs, so
@@ -19,9 +19,10 @@ enter, so ``lp_solve`` drops their slots before it, once phase one has
 driven every artificial out of the basis or dropped its redundant row.
 
 The rows are fraction-free (Edmonds 1967; Bareiss 1968), with one
-denominator per row. Each constraint row starts scaled by the lcm of its
-denominators, so it is integral and its slack or artificial entry is that
-lcm. A row stands for itself divided by its basic entry, which is kept
+denominator per row. A constraint arrives as an integer row
+(``rationals.IntegerRow``): its coefficients and then its right-hand side,
+as integers over one positive scale, which becomes its slack or artificial
+entry. A row stands for itself divided by its basic entry, which is kept
 positive, so any positive factor it carries leaves its rational row as it
 is. A pivot first divides the pivot row by the gcd of its entries, basic
 entry included, which makes it the smallest integer form of its rational
@@ -46,16 +47,18 @@ denominator, so comparing cross products orders the ratios exactly. The
 same bases follow pivot for pivot, and ``Fraction``s are built only for the
 returned solution and value.
 
-How a caller writes a row can still matter. A row whose basic variable is a
-slack (``<=`` with a nonnegative right-hand side, or ``>=`` with a
-nonpositive one) may be passed as any positive multiple of itself: that only
-rescales its slack, which no objective prices, so the pivots and the answer
-are unchanged. A row that takes an artificial (``==``, ``<=`` with a
-negative right-hand side, or ``>=`` with a positive one) must be passed as
-the rational row the caller means, with no extra factor: the phase-one
-objective sums the artificial variables, and each is in units of its row,
-so scaling such a row reweighs its artificial and can change the pivots.
-``scaled_to_integers`` applies this rule to one row.
+A row is its ``IntegerRow``: the rational row its integers over its scale
+stand for, whatever common factor the two carry. Which rational row a
+caller passes can still matter. A row whose basic variable is a slack
+(``<=`` with a nonnegative right-hand side, or ``>=`` with a nonpositive
+one) may be passed as any positive multiple of itself: that only rescales
+its slack, which no objective prices, so the pivots and the answer are
+unchanged. The obedience rows of the oracle LP are passed so, as integer
+utility differences over scale 1. A row that takes an artificial (``==``,
+``<=`` with a negative right-hand side, or ``>=`` with a positive one) must
+be the exact rational row the caller means: the phase-one objective sums
+the artificial variables, and each is in units of its row, so a multiple
+of such a row reweighs its artificial and can change the pivots.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InternalDisagreement
-from .rationals import exact_fraction, fraction_vector, integer_row
+from .rationals import IntegerRow, parse_row
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -77,19 +80,17 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """``coeffs . x`` ``sense`` ``rhs``. Coefficients and right-hand side are
-    exact rationals: ``Fraction``s, or plain ints, which an integral row can
-    use as they are (``make_constraint`` also parses ``"p/q"`` strings).
-    Scaling a row changes its LP only where the module docstring says."""
+    """``coeffs . x`` ``sense`` ``rhs``, held as the integer row ``row``:
+    the coefficients and then the right-hand side over one positive scale.
+    A multiple of the rational row changes its LP only where the module
+    docstring says."""
 
-    coeffs: tuple[Fraction | int, ...]
+    row: IntegerRow
     sense: str
-    rhs: Fraction | int
 
 
 @dataclass(frozen=True)
@@ -100,23 +101,11 @@ class LPResult:
 
 
 def make_constraint(coeffs, sense: str, rhs) -> Constraint:
+    """The constraint from ints, "p/q" strings and ``Fraction``s, read as
+    ``rationals.parse_row`` reads them."""
     if sense not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
         raise ValueError(f"unknown constraint sense {sense!r}")
-    return Constraint(fraction_vector(coeffs), sense, exact_fraction(rhs))
-
-
-def scaled_to_integers(con: Constraint) -> Constraint:
-    """``con`` times the lcm of its denominators, in ints, where that
-    changes no pivot: when its basic variable is a slack. A row that takes
-    an artificial is returned as it is."""
-    if con.sense == LESS_EQUAL:
-        takes_a_slack = con.rhs >= 0
-    else:
-        takes_a_slack = con.sense == GREATER_EQUAL and con.rhs <= 0
-    if not takes_a_slack:
-        return con
-    _, ints = integer_row((*con.coeffs, con.rhs))
-    return Constraint(ints[:-1], con.sense, ints[-1])
+    return Constraint(parse_row((*coeffs, rhs)), sense)
 
 
 class _Tableau:
@@ -134,9 +123,9 @@ class _Tableau:
 
     def __init__(self, n_vars: int, constraints: Sequence[Constraint], nonneg: bool):
         for con in constraints:
-            if len(con.coeffs) != n_vars:
+            if len(con.row[1]) != n_vars + 1:
                 raise ValueError(
-                    f"constraint has {len(con.coeffs)} coefficients for {n_vars} variables"
+                    f"constraint has {len(con.row[1]) - 1} coefficients for {n_vars} variables"
                 )
         self.n_vars = n_vars
         self.nonneg = nonneg
@@ -147,18 +136,11 @@ class _Tableau:
         scales: list[int] = []
         kinds: list[str] = []  # "slack" | "artificial" per row's basic variable
         for con in constraints:
-            # Scaled by the lcm of its denominators (for a row of ints, the
-            # right-hand side's alone) the row is integral, and that positive
-            # lcm becomes its basic slack or artificial entry.
-            b = con.rhs
-            if set(map(type, con.coeffs)) <= {int}:
-                scale = b.denominator
-                coeffs = [c * scale for c in con.coeffs] if scale > 1 else list(con.coeffs)
-            else:
-                scale = lcm(b.denominator, *(c.denominator for c in con.coeffs))
-                coeffs = [c.numerator * (scale // c.denominator) for c in con.coeffs]
-            b = b.numerator * (scale // b.denominator)
-            coeffs = _structural(coeffs, nonneg)
+            # The row's positive scale becomes its basic slack or artificial
+            # entry.
+            scale, ints = con.row
+            b = ints[-1]
+            coeffs = _structural(list(ints[:-1]), nonneg)
             sense = con.sense
             if b < 0:
                 coeffs = [-c for c in coeffs]
@@ -371,18 +353,17 @@ def lp_solve(
     maximize: bool = False,
     nonneg: bool = False,
 ) -> LPResult:
-    """Two-phase simplex for min (or max) of a linear objective."""
-    obj = fraction_vector(objective)
+    """Two-phase simplex for min (or max) of a linear objective, whose
+    entries ``rationals.parse_row`` reads."""
+    scale, obj = parse_row(objective)
     if len(obj) != n_vars:
         raise ValueError(f"objective has {len(obj)} coefficients for {n_vars} variables")
     tab = _Tableau(n_vars, constraints, nonneg)
     if not _phase_one(tab):
         return LPResult(INFEASIBLE, None, None)
     tab.drop_artificials()
-    sign = -ONE if maximize else ONE
-    scale, ints = integer_row(_structural([sign * q for q in obj], nonneg))
-    cost = list(ints) + [0] * (tab.n_cols - tab.n_struct)
-    status, value = tab.minimize(cost, scale)
+    cost = _structural([-c for c in obj] if maximize else list(obj), nonneg)
+    status, value = tab.minimize(cost + [0] * (tab.n_cols - tab.n_struct), scale)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
-    return LPResult(OPTIMAL, tab.solution(), sign * value)
+    return LPResult(OPTIMAL, tab.solution(), -value if maximize else value)

@@ -42,8 +42,8 @@ from .linprog import (
     Constraint,
     lp_feasible,
     lp_solve,
-    scaled_to_integers,
 )
+from .rationals import parse_row
 
 Belief = tuple[Fraction, ...]
 Direction = tuple[Fraction, ...]
@@ -98,12 +98,12 @@ class BeliefPolytope:
     @cached_property
     def lp_rows(self) -> tuple[Constraint, ...]:
         """The LP rows ``is_empty`` and ``maximize_direction`` solve over:
-        sum(x) == 1, then one row per halfspace, in ints wherever that
-        changes no pivot. Derived once per polytope and kept outside the
+        sum(x) == 1, then one row per halfspace, each the integer form of
+        the row as written. Derived once per polytope and kept outside the
         fields, so equality and hashing ignore it."""
-        rows = [Constraint((1,) * self.dim, EQUAL, 1)]
+        rows = [Constraint((1, (1,) * (self.dim + 1)), EQUAL)]
         for normal, offset in self.halfspaces:
-            rows.append(scaled_to_integers(Constraint(normal, LESS_EQUAL, offset)))
+            rows.append(Constraint(parse_row((*normal, offset)), LESS_EQUAL))
         return tuple(rows)
 
     @cached_property

@@ -14,11 +14,11 @@ tuples are views derived from it on first read.
 The path from a file to a report stays on integers: ``parse_row`` and
 ``parse_table`` read ints, "p/q" strings and ``Fraction``s straight into
 the integer form, the checks and builders compute on integers over common
-denominators (the simplex in ``linprog`` scales its rows the same way), and
-``vector_json`` prints a row from its integer form. A ``Fraction`` is built
-for a value returned to a caller (``fractions_json`` prints a row of them);
-``integer_row`` and ``integer_table`` bring such values back to the integer
-form, and ``exact_sum`` adds them over the lcm of their denominators.
+denominators, the simplex in ``linprog`` takes each constraint as an
+integer row, and ``vector_json`` prints a row from its integer form. A
+``Fraction`` is built for a value returned to a caller (``fractions_json``
+prints a row of them); ``parse_row`` and ``parse_table`` bring such values
+back to the integer form, reduced, since a ``Fraction`` is in lowest terms.
 
 Floats are refused at every boundary because verdicts hinge on exact
 boundary equalities that tolerances would misclassify. The parsers read
@@ -189,31 +189,3 @@ def fractions_json(values) -> list[int | str]:
 def fraction_to_json(q: Fraction) -> int | str:
     """Serialize a Fraction as an int when exact, else as a "p/q" string."""
     return fractions_json((q,))[0]
-
-
-def fraction_vector(values) -> tuple[Fraction, ...]:
-    return tuple(exact_fraction(v) for v in values)
-
-
-def integer_row(values) -> IntegerRow:
-    """``(scale, ints)`` with ``ints[i] == scale * values[i]`` and ``scale``
-    the lcm of the denominators: a row of ``Fraction``s in its reduced
-    integer form."""
-    scale = lcm(*(q.denominator for q in values))
-    return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
-
-
-def integer_table(rows) -> IntegerTable:
-    """``(scale, table)`` with ``table[i][j] == scale * rows[i][j]`` and
-    ``scale`` the lcm of every denominator: a table of ``Fraction``s in its
-    reduced integer form."""
-    scale = lcm(*(q.denominator for row in rows for q in row))
-    return scale, tuple(tuple(q.numerator * (scale // q.denominator) for q in row) for row in rows)
-
-
-def exact_sum(values) -> Fraction:
-    """The sum of rationals as one ``Fraction``: their numerators added over
-    the lcm of their denominators (``integer_row``), not one ``Fraction``
-    addition per term. The empty sum is 0."""
-    scale, ints = integer_row(tuple(values))
-    return Fraction(sum(ints), scale)

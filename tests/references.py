@@ -9,11 +9,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from mbce.game import BaseGame, Outcome
-from mbce.rationals import exact_sum
+from mbce.game import ActionMarginal, BaseGame, Outcome
+from mbce.linprog import EQUAL, LESS_EQUAL, lp_feasible, make_constraint
+from mbce.rationals import IntegerRow, IntegerTable, exact_fraction, parse_table
 
 ZERO = Fraction(0)
+
+
+def fraction_vector(values) -> tuple[Fraction, ...]:
+    return tuple(exact_fraction(v) for v in values)
+
+
+def integer_row(values) -> IntegerRow:
+    """``(scale, ints)`` with ``ints[i] == scale * values[i]`` and ``scale``
+    the lcm of the denominators: a row of ``Fraction``s in its reduced
+    integer form."""
+    scale = lcm(*(q.denominator for q in values))
+    return scale, tuple(q.numerator * (scale // q.denominator) for q in values)
+
+
+def integer_table(rows) -> IntegerTable:
+    """``(scale, table)`` with ``table[i][j] == scale * rows[i][j]`` and
+    ``scale`` the lcm of every denominator: a table of ``Fraction``s in its
+    reduced integer form."""
+    scale = lcm(*(q.denominator for row in rows for q in row))
+    return scale, tuple(tuple(q.numerator * (scale // q.denominator) for q in row) for row in rows)
+
+
+def exact_sum(values) -> Fraction:
+    """The sum of rationals as one ``Fraction``: their numerators added over
+    the lcm of their denominators (``integer_row``), not one ``Fraction``
+    addition per term. The empty sum is 0."""
+    scale, ints = integer_row(tuple(values))
+    return Fraction(sum(ints), scale)
 
 
 @dataclass(frozen=True)
@@ -54,3 +84,30 @@ def core_slack(marginal, menus: dict[frozenset[int], Fraction], subset: frozense
     lhs = exact_sum(marginal.probs[a] for a in subset)
     rhs = exact_sum(w for menu, w in menus.items() if menu <= subset)
     return lhs - rhs
+
+
+def oracle_feasibility(game: BaseGame, marginal: ActionMarginal) -> tuple[bool, Outcome | None]:
+    """The oracle LP of ``consistency.oracle_feasibility`` with every row
+    built by ``make_constraint`` from ``Fraction``s, in the same order: the
+    obedience rows as the rational utility differences, then the prior and
+    the marginal rows."""
+    n_a, n_s = game.n_actions, game.n_states
+    n_vars = n_a * n_s
+    utility = game.utility
+    constraints = []
+    for a in range(n_a):
+        for alt in range(n_a):
+            if alt != a:
+                coeffs = [ZERO] * n_vars
+                coeffs[a * n_s:(a + 1) * n_s] = [u - v for u, v in zip(utility[alt], utility[a])]
+                constraints.append(make_constraint(coeffs, LESS_EQUAL, 0))
+    for t in range(n_s):
+        coeffs = [int(j % n_s == t) for j in range(n_vars)]
+        constraints.append(make_constraint(coeffs, EQUAL, game.prior[t]))
+    for a in range(n_a):
+        coeffs = [int(j // n_s == a) for j in range(n_vars)]
+        constraints.append(make_constraint(coeffs, EQUAL, marginal.probs[a]))
+    feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
+    if not feasible:
+        return False, None
+    return True, Outcome(parse_table([x[a * n_s:(a + 1) * n_s] for a in range(n_a)]))

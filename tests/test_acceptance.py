@@ -67,7 +67,7 @@ from mbce.implementation import (
     tau_from_outcome,
 )
 from mbce.flows import max_flow_feasible
-from mbce.linprog import EQUAL, GREATER_EQUAL, Constraint, lp_feasible
+from mbce.linprog import EQUAL, GREATER_EQUAL, lp_feasible, make_constraint
 from mbce.polytope import (
     dot,
     enumerate_vertices,
@@ -310,12 +310,12 @@ def joint_bce_feasible(prior, profiles, marginal_rows, obedience_rows):
     functions ``cell -> gain`` whose weighted sum must be nonnegative."""
     cells = [(t, p) for t in range(len(prior)) for p in profiles]
     rows = [
-        Constraint(tuple(int(t == s) for t, _ in cells), EQUAL, q) for s, q in enumerate(prior)
+        make_constraint([int(t == s) for t, _ in cells], EQUAL, q) for s, q in enumerate(prior)
     ]
     rows += [
-        Constraint(tuple(int(on(cell)) for cell in cells), EQUAL, q) for on, q in marginal_rows
+        make_constraint([int(on(cell)) for cell in cells], EQUAL, q) for on, q in marginal_rows
     ]
-    rows += [Constraint(tuple(map(gain, cells)), GREATER_EQUAL, 0) for gain in obedience_rows]
+    rows += [make_constraint(list(map(gain, cells)), GREATER_EQUAL, 0) for gain in obedience_rows]
     return lp_feasible(len(cells), rows, nonneg=True)[0]
 
 

@@ -56,7 +56,7 @@ from mbce.game import (
     validate_game,
 )
 from mbce.polytope import enumerate_vertices, opt_belief_polytope
-from mbce.rationals import integer_table
+from mbce.rationals import parse_table
 
 F = Fraction
 ZERO = Fraction(0)
@@ -330,7 +330,7 @@ class TestRingObedience:
         ring = make_match_ring("1/2")
         joint_rows = [[F(0)] * 2 for _ in range(4)]
         joint_rows[1][0] = F(1)  # profile (a1, b2) in state t1
-        outcome = RingOutcome((2, 2), 2, integer_table(joint_rows))
+        outcome = RingOutcome((2, 2), 2, parse_table(joint_rows))
         assert not check_ring_obedience(outcome, ring)
 
     def test_constant_utilities_always_obedient(self):
@@ -345,7 +345,7 @@ class TestRingObedience:
             (F(1, 8), F(1, 8)),
             (F(1, 8), F(1, 8)),
         ]
-        assert check_ring_obedience(RingOutcome((2, 2), 2, integer_table(rows)), ring)
+        assert check_ring_obedience(RingOutcome((2, 2), 2, parse_table(rows)), ring)
 
     def test_shape_mismatch_rejected(self):
         ring = make_match_ring("1/2")
@@ -506,7 +506,7 @@ def reference_construct_ring_outcome(stage_witnesses):
                 mass *= cond[prof[i + 1]][prof[i]]
             row.append(mass)
         rows.append(tuple(row))
-    return RingOutcome(shape, n_states, integer_table(rows))
+    return RingOutcome(shape, n_states, parse_table(rows))
 
 
 def reference_ring_pair_marginal(outcome, i):
@@ -572,7 +572,7 @@ def ring_outcomes(draw):
     n_states = draw(st.integers(1, 3))
     flat = distribution(draw, prod(shape) * n_states)
     rows = [flat[k * n_states:(k + 1) * n_states] for k in range(prod(shape))]
-    return RingOutcome(shape, n_states, integer_table(rows))
+    return RingOutcome(shape, n_states, parse_table(rows))
 
 
 @st.composite

@@ -14,6 +14,7 @@ import pytest
 
 import mbce.consistency
 import mbce.implementation
+import mbce.io
 from mbce.cli import build_parser, cmd_implement, main
 from mbce.game import integer_best_responses, make_marginal, matching_game
 from mbce.implementation import make_posteriors
@@ -521,6 +522,38 @@ class TestInternalDisagreement:
 
 
 class TestVerifyAndRandom:
+    def test_unusable_out_exits_three_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """``--out`` is checked before the command computes anything: a
+        missing directory, a directory, a path under a file, and a new or
+        an existing file in a read-only directory exit 3 at once and create
+        nothing."""
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(mbce.io, "compare_routes", unreached)
+        (tmp_path / "file").write_text("")
+        readonly = tmp_path / "readonly"
+        readonly.mkdir()
+        (readonly / "report.json").write_text("")
+        # Permission bits do not bind root, so the directory and its file
+        # are read-only as os.access reports them.
+        access, denied = os.access, {readonly, readonly / "report.json"}
+
+        def reported(path, mode):
+            return Path(path) not in denied and access(path, mode)
+
+        monkeypatch.setattr(os, "access", reported)
+        outs = [tmp_path / "absent" / "report.json", tmp_path, tmp_path / "file" / "report.json"]
+        outs += [readonly / "new.json", readonly / "report.json"]
+        before = sorted(tmp_path.rglob("*"))
+        for out in outs:
+            argv = ["verify", "--n", "200", "--seed", "7", "--out", str(out)]
+            code, report, err = run(capsys, argv)
+            assert (code, report) == (3, None)
+            assert err.startswith("error: cannot write the output: ") and str(out) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_verify_runs_clean_and_deterministic(self, tmp_path, capsys):
         code, first, _ = run(capsys, ["verify", "--n", "25", "--seed", "3"])
         assert code == 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbce import polytope
+from mbce import linprog, polytope
 from mbce.consistency import (
     ACTION_PAIR_CONDITION,
     STATE_CONDITION,
@@ -31,6 +31,7 @@ from mbce.consistency import (
 from mbce.errors import NotADistribution, UnsupportableAction
 from mbce.game import (
     BaseGame,
+    best_response_set,
     check_action_marginal,
     check_obedience,
     check_state_marginal,
@@ -39,6 +40,7 @@ from mbce.game import (
     matching_game,
 )
 from mbce.polytope import opt_belief_polytope
+from references import oracle_feasibility as reference_oracle_feasibility
 
 F = Fraction
 
@@ -347,3 +349,62 @@ def test_answers_on_a_game_with_built_polytopes_match_a_fresh_game(instance):
     assert "belief_polytopes" not in vars(fresh)
     assert _answers(game, marginal, direction) == first == _answers(fresh, marginal, direction)
     assert fresh.belief_polytopes.items() <= game.belief_polytopes.items()
+
+
+def _split_of_one(draw, n, masses):
+    """``n`` rationals, drawn from ``masses`` but the last, which is the
+    rest: nonnegative, summing to 1, over unlike denominators."""
+    head = draw(st.lists(masses, min_size=n - 1, max_size=n - 1).filter(lambda xs: sum(xs) < 1))
+    return draw(st.permutations([*head, 1 - sum(head)]))
+
+
+@st.composite
+def mixed_denominator_instances(draw):
+    """A 2-4 state, 2-4 action game with rational utilities and a full
+    prior, and a marginal with zero-mass actions. Prior and marginal
+    entries have unlike denominators. Half the marginals are consistent by
+    construction: two posteriors that split the prior, each sending its
+    mass to its smallest best response."""
+    n_states, n_actions = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    row = st.lists(entry, min_size=n_states, max_size=n_states)
+    utility = draw(st.lists(row, min_size=n_actions, max_size=n_actions))
+    denominator = st.integers(2, 7)
+    positive = denominator.flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
+    prior = _split_of_one(draw, n_states, positive)
+    game = make_game(
+        [f"t{t}" for t in range(n_states)], [f"a{a}" for a in range(n_actions)], utility, prior
+    )
+    probs = [F(0)] * n_actions
+    low = [draw(st.sampled_from([F(1, 3), F(1, 2), F(3, 5)])) * q for q in prior]
+    w = sum(low)
+    if draw(st.booleans()):
+        probs[min(best_response_set(game, [x / w for x in low]))] += w
+        high = [(q - x) / (1 - w) for q, x in zip(prior, low)]
+        probs[min(best_response_set(game, high))] += 1 - w
+    else:
+        probs = _split_of_one(draw, n_actions, st.one_of(st.just(F(0)), positive))
+    return game, make_marginal(probs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_denominator_instances())
+def test_oracle_pivots_as_the_rational_rows(instance):
+    """The oracle LP, built on the game's integer rows, makes the same
+    (row, column) pivots and returns the same verdict and witness as the
+    LP whose every row ``make_constraint`` builds from ``Fraction``s. Each
+    prior and marginal row takes an artificial, so any other multiple of
+    one would reweigh it in phase one."""
+    answers = []
+    original = linprog._Tableau.pivot
+    for solve in (oracle_feasibility, reference_oracle_feasibility):
+        seen = []
+
+        def recording(self, r, c):
+            seen.append((r, c))
+            return original(self, r, c)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linprog._Tableau, "pivot", recording)
+            answers.append((solve(*instance), seen))
+    assert answers[0] == answers[1]

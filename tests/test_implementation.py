@@ -54,7 +54,7 @@ from mbce.implementation import (
     tau_from_outcome,
     validate_posteriors,
 )
-from mbce.rationals import common_scale, integer_row, integer_table, row_fractions, table_fractions
+from mbce.rationals import common_scale, parse_row, parse_table, row_fractions, table_fractions
 from references import core_slack as reference_core_slack
 
 F = Fraction
@@ -73,7 +73,7 @@ def menu(*actions):
 
 def measure_from(masses):
     """The ``MenuMeasure`` of a dict of ``Fraction`` menu masses."""
-    scale, ints = integer_row(tuple(masses.values()))
+    scale, ints = parse_row(tuple(masses.values()))
     return scale, dict(zip(masses, ints))
 
 
@@ -91,7 +91,7 @@ def rule_fractions(rule):
 def fraction_network(supplies, demands, edges):
     """(network, scale): ``Fraction`` supplies and demands as a
     ``FlowNetwork`` of ints over their common scale."""
-    scale, (supply_ints, demand_ints) = common_scale([integer_row(supplies), integer_row(demands)])
+    scale, (supply_ints, demand_ints) = common_scale([parse_row(supplies), parse_row(demands)])
     return FlowNetwork(supply_ints, demand_ints, edges), scale
 
 
@@ -471,7 +471,7 @@ class TestProperties:
             tuple(F(1) if a == picks[i] else F(0) for a in range(game.n_actions))
             for i in range(tau.size)
         )
-        pi = outcome_from_tau(tau, DecisionRule(integer_table(rows_rule)), game.prior)
+        pi = outcome_from_tau(tau, DecisionRule(parse_table(rows_rule)), game.prior)
         assert check_obedience(pi, game).obedient
         tau_back, rule_back = tau_from_outcome(pi, game.prior)
         assert outcome_from_tau(tau_back, rule_back, game.prior).probs == pi.probs
@@ -569,7 +569,7 @@ def reference_choice_rule_from_tau(tau, rule, prior):
                 if rule.rows[i][a]:
                     row[a] += factor * rule.rows[i][a]
         rows.append(tuple(row))
-    return StochasticChoiceRule(integer_table(rows))
+    return StochasticChoiceRule(parse_table(rows))
 
 
 def reference_outcome_from_tau(tau, rule, prior):
@@ -579,7 +579,7 @@ def reference_outcome_from_tau(tau, rule, prior):
         tuple(prior[t] * sigma.rows[t][a] for t in range(len(prior)))
         for a in range(n_actions)
     )
-    return Outcome(integer_table(probs))
+    return Outcome(parse_table(probs))
 
 
 def reference_choice_rule_from_outcome(outcome, prior):
@@ -591,7 +591,7 @@ def reference_choice_rule_from_outcome(outcome, prior):
         tuple(outcome.probs[a][t] / prior[t] for a in range(outcome.n_actions))
         for t in range(outcome.n_states)
     )
-    return StochasticChoiceRule(integer_table(rows))
+    return StochasticChoiceRule(parse_table(rows))
 
 
 # Small denominators, and unlike, mostly coprime ones near 10^6 (999983 and
@@ -633,7 +633,7 @@ def experiments(draw):
     support = list(dict.fromkeys(beliefs))
     weights = draw(distributions(len(support), positive=True))
     rows = [draw(distributions(n_actions)) for _ in support]
-    return make_posteriors(support, weights), DecisionRule(integer_table(rows))
+    return make_posteriors(support, weights), DecisionRule(parse_table(rows))
 
 
 @st.composite

@@ -44,14 +44,8 @@ from mbce.game import (
 )
 from mbce.implementation import DecisionRule, PosteriorDistribution, make_posteriors
 from mbce.io import load_report, report_string
-from mbce.rationals import (
-    exact_sum,
-    fraction_vector,
-    integer_row,
-    integer_table,
-    vector_json,
-)
-from references import obedience_slack
+from mbce.rationals import vector_json
+from references import exact_sum, fraction_vector, integer_row, integer_table, obedience_slack
 
 F = Fraction
 ONE = F(1)

@@ -48,7 +48,7 @@ from mbce.io import (
     save_report,
     vector_json,
 )
-from mbce.rationals import fraction_to_json, integer_row
+from mbce.rationals import fraction_to_json, parse_row
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -290,7 +290,7 @@ class TestCanonicalReports:
             frozenset({0, 1}): (F(1, 2), F(1, 2)),
             frozenset({0}): (F(1), F(0)),
         }
-        entries = menu_rule_json({m: integer_row(row) for m, row in rule.items()})
+        entries = menu_rule_json({m: parse_row(row) for m, row in rule.items()})
         assert [e["menu"] for e in entries] == [[0], [1], [0, 1]]
         assert entries[2]["probs"] == ["1/2", "1/2"]
 

@@ -27,9 +27,9 @@ from mbce.linprog import (
     lp_feasible,
     lp_solve,
     make_constraint,
-    scaled_to_integers,
 )
-from mbce.rationals import fraction_vector
+from mbce.rationals import row_fractions
+from references import fraction_vector
 
 F = Fraction
 ZERO = Fraction(0)
@@ -227,6 +227,13 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), F(0))
 
 
+def rational(con):
+    """The coefficients and the right-hand side of ``con`` as
+    ``Fraction``s."""
+    *coeffs, rhs = row_fractions(con.row)
+    return coeffs, rhs
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_lps())
 def test_carried_objective_matches_the_solution(lp):
@@ -245,13 +252,14 @@ def test_carried_objective_matches_the_solution(lp):
     assert high.x == low.x
     assert high.value == -low.value
     for con in cons:
-        lhs = dot(con.coeffs, low.x)
+        coeffs, rhs = rational(con)
+        lhs = dot(coeffs, low.x)
         if con.sense == LESS_EQUAL:
-            assert lhs <= con.rhs
+            assert lhs <= rhs
         elif con.sense == GREATER_EQUAL:
-            assert lhs >= con.rhs
+            assert lhs >= rhs
         else:
-            assert lhs == con.rhs
+            assert lhs == rhs
     if nonneg:
         assert all(v >= 0 for v in low.x)
 
@@ -280,12 +288,13 @@ def coprime_lps(draw):
 
 
 def satisfies(con, point):
-    lhs = dot(con.coeffs, point)
+    coeffs, rhs = rational(con)
+    lhs = dot(coeffs, point)
     if con.sense == LESS_EQUAL:
-        return lhs <= con.rhs
+        return lhs <= rhs
     if con.sense == GREATER_EQUAL:
-        return lhs >= con.rhs
-    return lhs == con.rhs
+        return lhs >= rhs
+    return lhs == rhs
 
 
 def dual_of(n, cons, objective, nonneg):
@@ -295,13 +304,13 @@ def dual_of(n, cons, objective, nonneg):
     m = len(cons)
     rows = []
     for j in range(n):
-        column = [con.coeffs[j] for con in cons]
+        column = [rational(con)[0][j] for con in cons]
         rows.append(make_constraint(column, LESS_EQUAL if nonneg else EQUAL, objective[j]))
     for i, con in enumerate(cons):
         if con.sense != EQUAL:
             unit = [F(int(k == i)) for k in range(m)]
             rows.append(make_constraint(unit, con.sense, 0))
-    return m, rows, [con.rhs for con in cons]
+    return m, rows, [rational(con)[1] for con in cons]
 
 
 @settings(max_examples=150, deadline=None)
@@ -351,9 +360,9 @@ class _Tableau:
 
     def __init__(self, n_vars: int, constraints: list[Constraint], nonneg: bool):
         for con in constraints:
-            if len(con.coeffs) != n_vars:
+            if len(con.row[1]) != n_vars + 1:
                 raise ValueError(
-                    f"constraint has {len(con.coeffs)} coefficients for {n_vars} variables"
+                    f"constraint has {len(con.row[1]) - 1} coefficients for {n_vars} variables"
                 )
         # A free variable x is modelled as x = x+ - x- with both parts >= 0.
         if nonneg:
@@ -369,12 +378,11 @@ class _Tableau:
         scales: list[int] = []
         kinds: list[str] = []  # "slack" | "artificial" per row's basic column
         for con in constraints:
-            # Scaled by the lcm of its denominators the row is integral, and
-            # that positive lcm becomes its basic slack or artificial entry.
-            scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
-            ints = [c.numerator * (scale // c.denominator) for c in con.coeffs]
+            # The row's positive scale becomes its basic slack or artificial
+            # entry.
+            scale, ints = con.row
             coeffs = [ints[j] * s for (j, s) in struct]
-            b = con.rhs.numerator * (scale // con.rhs.denominator)
+            b = ints[-1]
             sense = con.sense
             if b < 0:
                 coeffs = [-c for c in coeffs]
@@ -615,7 +623,7 @@ def mixed_lps(draw):
     zero_row = st.tuples(st.just([0] * n), st.sampled_from(SENSES), rhs)
     rows += draw(st.lists(st.one_of(multiple, zero_row), max_size=3))
     rows = draw(st.permutations(rows))
-    constraints = [Constraint(tuple(coeffs), sense, b) for coeffs, sense, b in rows]
+    constraints = [make_constraint(coeffs, sense, b) for coeffs, sense, b in rows]
     objective = draw(st.lists(entries, min_size=n, max_size=n))
     return n, constraints, objective, draw(st.booleans())
 
@@ -624,7 +632,7 @@ def mixed_lps(draw):
 @given(mixed_lps(), st.booleans())
 # Both artificials end phase one basic at zero; the drive-out pivots x0 into
 # the first row, the smallest of its two candidates, and drops the second.
-@example((2, [Constraint((1, -1), EQUAL, 0), Constraint((-1, 1), EQUAL, 0)], [1, 0], True), False)
+@example((2, [Constraint((1, (1, -1, 0)), EQUAL), Constraint((1, (-1, 1, 0)), EQUAL)], [1, 0], True), False)
 def test_condensed_tableau_pivots_as_the_dense_reference(lp, maximize):
     """Same (row, entering column) at every pivot, same status, same point
     and same value as the dense reference, for feasibility and for the
@@ -641,34 +649,35 @@ def test_condensed_tableau_pivots_as_the_dense_reference(lp, maximize):
 def takes_only_a_slack(con):
     """A row whose sign-normalized form is ``<=`` with a nonnegative
     right-hand side: its basic variable is a slack, never an artificial."""
+    rhs = con.row[1][-1]  # over a positive scale
     if con.sense == LESS_EQUAL:
-        return con.rhs >= 0
-    return con.sense == GREATER_EQUAL and con.rhs <= 0
+        return rhs >= 0
+    return con.sense == GREATER_EQUAL and rhs <= 0
+
+
+def times(con, k, common=False):
+    """``con`` with its rational row times ``k``, or, if ``common``, with
+    its scale and integers both times ``k``: the same rational row."""
+    scale, ints = con.row
+    return Constraint((k * scale if common else scale, tuple(k * x for x in ints)), con.sense)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mixed_lps(), st.lists(st.integers(1, 10**6), min_size=10, max_size=10), st.booleans())
 def test_scaling_a_slack_only_row_changes_nothing(lp, factors, maximize):
     """A positive multiple of a row that takes only a slack rescales that
-    slack alone: the same pivots, status, point and value. So do the rows
-    ``scaled_to_integers`` gives, which leaves every other row as it is."""
+    slack alone: the same pivots, status, point and value. A factor common
+    to a row's scale and integers leaves its rational row, and so every
+    answer, as it is, whatever variable the row takes."""
     n, cons, objective, nonneg = lp
     scaled = [
-        Constraint(tuple(k * c for c in con.coeffs), con.sense, k * con.rhs)
-        if takes_only_a_slack(con)
-        else con
-        for con, k in zip(cons, factors)
+        times(con, k) if takes_only_a_slack(con) else con for con, k in zip(cons, factors)
     ]
-    integral = [scaled_to_integers(con) for con in cons]
-    for con, row in zip(cons, integral):
-        if takes_only_a_slack(con):
-            assert all(type(q) is int for q in (*row.coeffs, row.rhs))
-        else:
-            assert row is con
+    unreduced = [times(con, k, common=True) for con, k in zip(cons, factors)]
     for solve, args in ((lp_feasible, ()), (lp_solve, (objective, maximize))):
         plain = recorded(linprog._Tableau, solve, n, cons, *args, nonneg=nonneg)
         assert recorded(linprog._Tableau, solve, n, scaled, *args, nonneg=nonneg) == plain
-        assert recorded(linprog._Tableau, solve, n, integral, *args, nonneg=nonneg) == plain
+        assert recorded(linprog._Tableau, solve, n, unreduced, *args, nonneg=nonneg) == plain
 
 
 def two_action_oracle_lp(seed, n_states, n_actions):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mbce import linprog, polytope
 from mbce.errors import DimensionMismatch, EmptyPolytope
 from mbce.game import BaseGame, best_response_set, make_game, matching_game
-from mbce.linprog import EQUAL, LESS_EQUAL, Constraint
+from mbce.linprog import EQUAL, LESS_EQUAL, make_constraint
 from mbce.polytope import (
     BeliefPolytope,
     dot,
@@ -28,6 +28,7 @@ from mbce.polytope import (
     unit_direction,
     utility_difference_direction,
 )
+from mbce.rationals import row_fractions
 
 F = Fraction
 
@@ -175,8 +176,8 @@ class TestCrossChecks:
 def rational_rows(poly):
     """The LP the polytope stood for before its rows were cached: the
     simplex row, then each halfspace as its own rational row."""
-    rows = [Constraint(tuple([F(1)] * poly.dim), EQUAL, F(1))]
-    rows += [Constraint(normal, LESS_EQUAL, offset) for normal, offset in poly.halfspaces]
+    rows = [make_constraint([F(1)] * poly.dim, EQUAL, F(1))]
+    rows += [make_constraint(normal, LESS_EQUAL, offset) for normal, offset in poly.halfspaces]
     return rows
 
 
@@ -260,18 +261,11 @@ class TestLpRows:
     @settings(max_examples=100, deadline=None)
     @given(polytopes(), st.data())
     def test_cached_rows_pivot_as_the_rational_rows(self, poly, data):
-        """Each cached row states its halfspace: a positive integer multiple
-        where the offset is nonnegative, the rational row itself where it is
-        negative. Either way the simplex makes the same pivots and returns
-        the same point and value as on the rational rows."""
+        """Each cached row states its halfspace, the rational row itself,
+        and the simplex makes the same pivots and returns the same point and
+        value as on the rational rows."""
         for row, (normal, offset) in zip(poly.lp_rows[1:], poly.halfspaces):
-            if offset < 0:
-                assert row == Constraint(normal, LESS_EQUAL, offset)
-                continue
-            assert all(type(q) is int for q in (*row.coeffs, row.rhs))
-            pairs = zip((*row.coeffs, row.rhs), (*normal, offset))
-            k = next((F(q) / x for q, x in pairs if x), 1)
-            assert k > 0 and row.coeffs == tuple(k * x for x in normal) and row.rhs == k * offset
+            assert row.sense == LESS_EQUAL and row_fractions(row.row) == (*normal, offset)
         c = tuple(data.draw(st.lists(small, min_size=poly.dim, max_size=poly.dim)))
         for solve, args in ((linprog.lp_feasible, ()), (linprog.lp_solve, (c, True))):
             answers = []

@@ -15,15 +15,8 @@ from mbce.errors import ParseError
 from mbce.game import ActionMarginal, BaseGame, Outcome, StochasticChoiceRule
 from mbce.implementation import DecisionRule, PosteriorDistribution
 from mbce.io import parse_game, rows_json
-from mbce.rationals import (
-    exact_fraction,
-    exact_sum,
-    integer_row,
-    parse_row,
-    parse_table,
-    reduced_row,
-    vector_json,
-)
+from mbce.rationals import exact_fraction, parse_row, parse_table, reduced_row, vector_json
+from references import exact_sum, integer_row, integer_table
 
 F = Fraction
 
@@ -136,6 +129,23 @@ def test_exact_sum_is_the_fraction_sum(values):
     assert type(total) is Fraction
     assert total == sum(values, F(0))
     assert exact_sum(iter(values)) == total  # a single-pass iterable works too
+
+
+entries = st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**6))
+
+
+@given(
+    st.lists(st.lists(entries, max_size=6), max_size=4),
+    st.lists(st.integers(-(10**6), 10**6), max_size=6),
+)
+def test_parse_row_and_table_give_the_reference_integer_form(table, ints):
+    """On rows of ``Fraction``s and ints, the empty row and rows of ints
+    only among them, ``parse_row`` and ``parse_table`` give the integer
+    form of the reference ``integer_row`` and ``integer_table``."""
+    for row in (*table, ints, []):
+        assert parse_row(row) == integer_row(row)
+    assert parse_table(table) == integer_table(table)
+    assert parse_table([ints, []]) == integer_table([ints, []])
 
 
 # -- integer rows from parse to print, against the Fraction route ---------
