@@ -51,7 +51,7 @@ def main():
           "; ".join(fmt(row) for row in rule.rows))
     print("joint outcome:", "; ".join(fmt(row) for row in outcome.probs))
 
-    back_tau, back_rule = tau_from_outcome(outcome, game.prior)
+    back_tau, back_rule = tau_from_outcome(outcome, game.integer_prior)
     print("reading the outcome back gives", len(back_tau.support), "posteriors")
 
     # the coin-flip posterior offers both actions, but the certain posteriors

@@ -70,7 +70,7 @@ def cmd_implement(game, marginal, tau) -> tuple[Report, int]:
     except ImplementationInfeasible as err:
         return implement_report(game, marginal, tau, infeasible=err), 2
     menu_rule = menu_rule_from_core(measure_of(tau, menus), marginal)
-    outcome = outcome_from_tau(tau, rule, game.prior)
+    outcome = outcome_from_tau(tau, rule)
     return implement_report(game, marginal, tau, rule=rule, menu_rule=menu_rule, outcome=outcome), 0
 
 
@@ -152,9 +152,11 @@ def _resolve_tau(args, doc):
 def _unwritable(out: str) -> OSError | None:
     """Why ``out`` cannot take the report, checked before any work starts
     and creating nothing: it is a directory or not writable, or it does not
-    exist and its directory is missing or not writable. The write itself
-    can still fail, as a race or a full disk makes it."""
-    if os.path.isdir(out):
+    exist and its directory is missing or not writable, or it is empty. The
+    write itself can still fail, as a race or a full disk makes it."""
+    if not out:
+        code = errno.ENOENT
+    elif os.path.isdir(out):
         code = errno.EISDIR
     elif os.path.exists(out):
         code = 0 if os.access(out, os.W_OK) else errno.EACCES
@@ -168,7 +170,7 @@ def _unwritable(out: str) -> OSError | None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         write_text(out, text)
     else:
         sys.stdout.write(text)
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
-    problem = args.out and _unwritable(args.out)
+    problem = args.out is not None and _unwritable(args.out)
     if problem:
         print(f"error: cannot write the output: {problem}", file=sys.stderr)
         return 3

@@ -76,17 +76,6 @@ class InfeasibleFlow(MbceError):
     """A decision rule was requested from a flow that does not meet all demands."""
 
 
-class CoreViolation(MbceError):
-    """The menu weights exceed the action mass available on some subset."""
-
-    def __init__(self, subset: frozenset[int], deficit):
-        self.subset = subset
-        self.deficit = deficit
-        super().__init__(
-            f"menu mass inside {sorted(subset)} exceeds the action mass on it by {-deficit}"
-        )
-
-
 class NotBayesPlausible(MbceError):
     """The posterior distribution does not average back to the prior."""
 

@@ -16,7 +16,8 @@ of the rationals, and the ``Fraction`` tuples (``utility``, ``prior``,
 ``probs``, ``rows``) are views derived on first read. Validation, best
 responses, both marginals, obedience and the choice rule work on the
 integers; a ``Fraction`` is built only for an answer that carries a value
-(a marginal entry, an obedience slack).
+(a marginal entry, an obedience slack). A prior is passed as its integer
+row, a game's ``integer_prior``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ from .rationals import (
 
 if TYPE_CHECKING:
     from .polytope import BeliefPolytope
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -267,14 +266,6 @@ def state_marginal_of(outcome: Outcome) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(column), scale) for column in zip(*table))
 
 
-def _sums_match(sums, scale: int, target) -> bool:
-    """Whether ``sums[i] / scale == target[i]`` for each i, by cross
-    multiplication: no ``Fraction`` is built."""
-    return len(sums) == len(target) and all(
-        s * q.denominator == q.numerator * scale for s, q in zip(sums, target)
-    )
-
-
 @dataclass(frozen=True)
 class ObedienceViolation:
     """A recommendation the agent strictly prefers to deviate from.
@@ -320,11 +311,13 @@ def check_obedience(outcome: Outcome, game: BaseGame) -> ObedienceReport:
     return ObedienceReport(obedient=not violations, violations=tuple(violations))
 
 
-def check_state_marginal(outcome: Outcome, prior: tuple[Fraction, ...]) -> bool:
-    if outcome.n_states != len(prior):
+def check_state_marginal(outcome: Outcome, prior: IntegerRow) -> bool:
+    prior_scale, target = prior
+    if outcome.n_states != len(target):
         raise DimensionMismatch("outcome and prior disagree on the number of states")
     scale, table = outcome.integer_probs
-    return _sums_match([sum(column) for column in zip(*table)], scale, prior)
+    # sum(column) / scale == p / prior_scale, by cross multiplication.
+    return all(sum(column) * prior_scale == p * scale for column, p in zip(zip(*table), target))
 
 
 def check_action_marginal(outcome: Outcome, marginal: ActionMarginal) -> bool:
@@ -336,19 +329,12 @@ def check_action_marginal(outcome: Outcome, marginal: ActionMarginal) -> bool:
     return all(sum(row) * target_scale == x * scale for row, x in zip(table, target))
 
 
-def expected_utility(game: BaseGame, belief, action: int) -> Fraction:
-    """Exact expected payoff of an action at a belief, in ``Fraction``s."""
-    return sum(
-        (belief[t] * game.utility[action][t] for t in range(game.n_states)), ZERO
-    )
-
-
 def best_response_set(game: BaseGame, belief) -> frozenset[int]:
     """Actions attaining the exact maximum expected utility at the belief.
 
     Ties are kept, never broken; the result is nonempty. The belief is scaled
     to integers and priced by ``integer_best_responses``; the scale is
-    positive, so the argmax is the one ``expected_utility`` gives.
+    positive, so the argmax is that of the exact expected utilities.
     """
     return integer_best_responses(game, parse_row(belief)[1])
 
@@ -362,26 +348,28 @@ def integer_best_responses(game: BaseGame, weights) -> frozenset[int]:
     return frozenset(a for a, v in enumerate(values) if v == top)
 
 
-def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> StochasticChoiceRule:
+def choice_rule_from_outcome(outcome: Outcome, prior: IntegerRow) -> StochasticChoiceRule:
     """State-conditional choice probabilities: divide each column by the prior.
 
     The outcome's state marginal must equal the prior exactly, otherwise the
-    rows would not be distributions. Each cell ``(n / scale) / p``, with
-    ``n`` an integer of the outcome's table, is ``n * p.denominator *
-    (m / p.numerator)`` over ``scale * m``, where ``m`` is the lcm of the
-    prior's numerators: one table, reduced once as the rule is built.
+    rows would not be distributions. Each cell ``(n / scale) / (p / s)``,
+    with ``n`` an integer of the outcome's table and ``(s, ints)`` the prior,
+    is ``n * s * (m / p)`` over ``scale * m``, where ``m`` is the lcm of
+    ``ints``: one table, reduced once as the rule is built.
     A state of zero prior mass has no conditional choice: ZeroPriorState.
     """
     if not check_state_marginal(outcome, prior):
         raise StateMarginalMismatch(
-            f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
+            f"state marginal {state_marginal_of(outcome)}"
+            f" differs from prior {row_fractions(prior)}"
         )
-    if ZERO in prior:
-        raise ZeroPriorState(f"state {list(prior).index(ZERO)} has zero prior mass")
+    prior_scale, target = prior
+    if 0 in target:
+        raise ZeroPriorState(f"state {target.index(0)} has zero prior mass")
     scale, table = outcome.integer_probs
-    m = lcm(*[p.numerator for p in prior])
+    m = lcm(*target)
     rows = tuple(
         tuple(n * factor for n in column)
-        for column, factor in zip(zip(*table), [p.denominator * (m // p.numerator) for p in prior])
+        for column, factor in zip(zip(*table), [prior_scale * (m // p) for p in target])
     )
     return StochasticChoiceRule((scale * m, rows))

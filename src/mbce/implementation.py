@@ -6,11 +6,12 @@ a matching question: each belief can only route its mass to actions optimal
 there. One exact max-flow on the belief/action network (Gale's supply and
 demand network) decides it, and the flow is constructive: its ratios are the
 decision rule, which then unfolds into a stochastic choice rule and a full
-outcome. When the flow falls short, the core condition on menu masses names
-the canonical overfull action subset: the first, in size-then-lexicographic
-order, whose menus carry more mass than the marginal puts on it. By Hall's
-theorem that subset is a union of menus, so the scan visits only the
-distinct unions of the menus tau produces, never all 2^|A| action subsets.
+outcome. When the Gale or the menu flow falls short, ImplementationInfeasible
+names the canonical overfull action subset of the core condition on menu
+masses: the first, in size-then-lexicographic order, whose menus carry more
+mass than the marginal puts on it. By Hall's theorem that subset is a union
+of menus, so the scan visits only the distinct unions of the menus tau
+produces, never all 2^|A| action subsets.
 The demand condition on posterior masses is the third, equivalent test; it
 walks every action subset and stays off the decision path as a reference
 the tests compare against.
@@ -19,10 +20,10 @@ The arithmetic runs on integers over common denominators, as in the game
 layer. A posterior distribution stores its support and its weights in the
 reduced integer form (``integer_support``, ``integer_weights``) and a
 decision rule its rows (``integer_rows``): ``make_posteriors`` checks
-signs, sums and distinct support points on them, Bayes plausibility is an
-integer dot product of the two, and each menu prices a row of the support on
-the game's integer utility table. The ``Fraction`` tuples (``support``,
-``weights``, ``rows``) are views.
+signs, sums and distinct support points on them, Bayes plausibility
+cross-multiplies their integer dot product with the game's ``integer_prior``,
+and each menu prices a row of the support on the game's integer utility
+table. The ``Fraction`` tuples (``support``, ``weights``, ``rows``) are views.
 
 The integer form crosses every boundary of the flows too. Both networks put
 their supplies and demands over one scale (``common_scale``) and get back an
@@ -43,7 +44,6 @@ from math import lcm
 from operator import mul
 
 from .errors import (
-    CoreViolation,
     DimensionMismatch,
     ImplementationInfeasible,
     InfeasibleFlow,
@@ -182,8 +182,9 @@ def validate_posteriors(tau: PosteriorDistribution) -> None:
         raise NotADistribution("support points must be pairwise distinct")
 
 
-def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
-    """True iff the weighted posteriors average back to the prior exactly.
+def is_bayes_plausible(tau: PosteriorDistribution, prior: IntegerRow) -> bool:
+    """True iff the weighted posteriors average back to the prior, an
+    integer row over any positive scale (a game's ``integer_prior``).
 
     With the weights as integers over ``w_scale`` and the support as
     integers over ``mu_scale``, the mean at each state is the integer dot
@@ -191,12 +192,13 @@ def is_bayes_plausible(tau: PosteriorDistribution, prior) -> bool:
     """
     w_scale, w_ints = tau.integer_weights
     mu_scale, rows = tau.integer_support
-    if len(prior) != len(rows[0]):
+    prior_scale, target = prior
+    if not rows or len(target) != len(rows[0]):
         raise DimensionMismatch("prior and posteriors have different dimensions")
     denominator = w_scale * mu_scale
     return all(
-        sum(map(mul, w_ints, column)) * p.denominator == p.numerator * denominator
-        for p, column in zip(prior, zip(*rows))
+        sum(map(mul, w_ints, column)) * prior_scale == p * denominator
+        for p, column in zip(target, zip(*rows))
     )
 
 
@@ -275,6 +277,16 @@ def core_check(marginal: ActionMarginal, menus: MenuMeasure) -> SubsetCheck:
     return SubsetCheck(ok=True)
 
 
+def _overfull_subset(marginal: ActionMarginal, menus: MenuMeasure) -> ImplementationInfeasible:
+    """The ImplementationInfeasible naming the first overfull subset, once
+    the Gale or the menu flow has fallen short; by the min-cut argument one
+    always exists."""
+    core = core_check(marginal, menus)
+    if core.ok:
+        raise InternalDisagreement("a flow fell short but no action subset is overfull")
+    return ImplementationInfeasible(core.subset, core.slack)
+
+
 def demand_check(
     marginal: ActionMarginal, tau: PosteriorDistribution, game: BaseGame
 ) -> SubsetCheck:
@@ -339,33 +351,30 @@ def menu_rule_from_core(menus: MenuMeasure, marginal: ActionMarginal) -> MenuRul
     edges = tuple([(a, k) for k, menu in enumerate(menu_order) for a in sorted(menu)])
     feasible, flow = max_flow_feasible(FlowNetwork(supplies, demands, edges))
     if not feasible:
-        witness = core_check(marginal, menus)
-        raise CoreViolation(witness.subset, witness.slack)
+        raise _overfull_subset(marginal, menus)
     return {
         menu: (demand, tuple([row[k] for row in flow]))
         for k, (menu, demand) in enumerate(zip(menu_order, demands))
     }
 
 
-def outcome_from_tau(
-    tau: PosteriorDistribution, rule: DecisionRule, prior
-) -> Outcome:
+def outcome_from_tau(tau: PosteriorDistribution, rule: DecisionRule) -> Outcome:
     """Joint distribution ``prior(t) * sigma(a|t)`` induced by (tau, rule),
     that is ``sum_i w_i * mu_i(t) * rule_i(a)`` for action a and state t.
 
     The numerators accumulate over ``D``, the product of the scales of the
     three integer forms (the weights, the support and the rule), so every
     term is an integer over ``D``; zero factors are skipped, and the
-    outcome reduces the table once.
+    outcome reduces the table once. An empty tau gives the empty outcome.
     """
-    n_states = len(prior)
     w_scale, w_ints = tau.integer_weights
     mu_scale, mu_rows = tau.integer_support
     rule_scale, rule_rows = rule.integer_rows
+    n_states = len(mu_rows[0]) if mu_rows else 0
     n_actions = len(rule_rows[0]) if rule_rows else 0
     num = [[0] * n_states for _ in range(n_actions)]
     for w, mu_ints, row_ints in zip(w_ints, mu_rows, rule_rows):
-        column = [(t, w * m) for t, m in enumerate(mu_ints[:n_states]) if m]
+        column = [(t, w * m) for t, m in enumerate(mu_ints) if m]
         for a, r in enumerate(row_ints):
             if r:
                 cells = num[a]
@@ -375,9 +384,10 @@ def outcome_from_tau(
 
 
 def tau_from_outcome(
-    outcome: Outcome, prior
+    outcome: Outcome, prior: IntegerRow
 ) -> tuple[PosteriorDistribution, DecisionRule]:
-    """Read the experiment back out of an outcome.
+    """Read the experiment back out of an outcome whose state marginal is
+    the prior, an integer row.
 
     Each positively recommended action contributes its conditional belief
     with its marginal mass. Coincident beliefs are merged; the decision rule
@@ -390,7 +400,7 @@ def tau_from_outcome(
     merged weight is a rule entry, every rule row over the lcm of the
     weights.
     """
-    if not check_state_marginal(outcome, tuple(prior)):
+    if not check_state_marginal(outcome, prior):
         raise StateMarginalMismatch(
             f"outcome's state marginal {state_marginal_of(outcome)} is not the prior"
         )
@@ -432,21 +442,15 @@ def implementing_rule(
     so that the menu rule can reuse it. The Gale max-flow decides and its
     flow ratios are the rule; the rule routes mass only to optimal actions,
     so the induced outcome is obedient. Only on a shortfall does the subset
-    scan run, and by the min-cut argument it always finds an overfull action
-    subset to report.
+    scan run.
     """
     if len(marginal.integer_probs[1]) != game.n_actions:
         raise DimensionMismatch("marginal length does not match the game")
-    if not is_bayes_plausible(tau, game.prior):
+    if not is_bayes_plausible(tau, game.integer_prior):
         raise NotBayesPlausible("posterior distribution does not average to the prior")
     feasible, flow = max_flow_feasible(gale_network(tau, marginal, menus))
     if not feasible:
-        core = core_check(marginal, measure_of(tau, menus))
-        if core.ok:
-            raise InternalDisagreement(
-                "the Gale flow fell short but no action subset is overfull"
-            )
-        raise ImplementationInfeasible(core.subset, core.slack)
+        raise _overfull_subset(marginal, measure_of(tau, menus))
     return decision_rule_from_flow(flow)
 
 
@@ -455,4 +459,4 @@ def implement_marginal(
 ) -> Outcome:
     """Steer tau into the target marginal and return the full outcome."""
     rule = implementing_rule(game, marginal, tau, posterior_menus(tau, game))
-    return outcome_from_tau(tau, rule, game.prior)
+    return outcome_from_tau(tau, rule)

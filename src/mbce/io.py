@@ -81,7 +81,6 @@ from .game import (
     check_obedience,
     check_state_marginal,
     choice_rule_from_outcome,
-    state_marginal_of,
     validate_game,
     validate_marginal,
     validate_outcome,
@@ -648,7 +647,9 @@ def implement_report(
         "tau": inputs["tau"],
         "decision_rule": rows_json(rule.integer_rows),
         "menu_rule": menu_rule_json(menu_rule),
-        "choice_rule": rows_json(choice_rule_from_outcome(outcome, game.prior).integer_rows),
+        "choice_rule": rows_json(
+            choice_rule_from_outcome(outcome, game.integer_prior).integer_rows
+        ),
         "outcome": rows_json(outcome.integer_probs),
     }
     return Report("implement", inputs, "implemented", witnesses=witnesses)
@@ -705,7 +706,7 @@ def _parse_marginal(inputs: dict, path: str, n_actions: int) -> ActionMarginal:
 def _check_outcome(path: str, what: str, outcome: Outcome, game: BaseGame, marginal) -> None:
     """Both marginals and obedience, on the outcome's integer view; the
     outcome has the game's shape and the marginal one entry per action."""
-    if not check_state_marginal(outcome, game.prior):
+    if not check_state_marginal(outcome, game.integer_prior):
         raise ValidationError(path, f"{what} misses the prior")
     if not check_action_marginal(outcome, marginal):
         raise ValidationError(path, f"{what} misses the target marginal")
@@ -835,8 +836,8 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
     marginal = _parse_marginal(inputs, path, game.n_actions)
     tau = parse_tau(_require(inputs, "tau", path, "inputs"), path)
     # The dimension check inside is what the outcome check below cannot see:
-    # best responses and the outcome read only the prior's states of a belief.
-    if not _domain(path, is_bayes_plausible, tau, game.prior):
+    # best responses read only the prior's states of a belief.
+    if not _domain(path, is_bayes_plausible, tau, game.integer_prior):
         raise ValidationError(path, "tau does not average to the prior")
     menus = menu_measure(tau, game)
     if verdict == "infeasible":
@@ -856,7 +857,7 @@ def _rebuild_implement(doc: dict, path: str) -> Report:
     # With tau and every rule row a distribution, the induced outcome is one
     # too; what remains to check is its marginals and obedience. The
     # outcome reads the rule's integers checked here.
-    outcome = outcome_from_tau(tau, rule, game.prior)
+    outcome = outcome_from_tau(tau, rule)
     _check_outcome(path, "implemented outcome", outcome, game, marginal)
     menu_rule = _rederive_menu_rule(witnesses, path, marginal, menus)
     return implement_report(game, marginal, tau, rule=rule, menu_rule=menu_rule, outcome=outcome)
@@ -891,7 +892,8 @@ def _rebuild_ring(doc: dict, path: str) -> Report:
     # The joint's integer numerators share its positive scale, so they carry
     # its signs; its state marginal is that of player 1's pair marginal.
     negative = any(x < 0 for row in joint.integer_probs[1] for x in row)
-    if negative or state_marginal_of(ring_pair_marginal(joint, 0)) != ring.prior:
+    prior = ring.stages[0].integer_prior
+    if negative or not check_state_marginal(ring_pair_marginal(joint, 0), prior):
         raise ValidationError(path, "joint outcome is no distribution with the ring's prior")
     if not check_ring_obedience(joint, ring):
         raise ValidationError(path, "joint outcome is not obedient for every player")

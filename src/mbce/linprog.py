@@ -100,14 +100,6 @@ class LPResult:
     value: Fraction | None
 
 
-def make_constraint(coeffs, sense: str, rhs) -> Constraint:
-    """The constraint from ints, "p/q" strings and ``Fraction``s, read as
-    ``rationals.parse_row`` reads them."""
-    if sense not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
-        raise ValueError(f"unknown constraint sense {sense!r}")
-    return Constraint(parse_row((*coeffs, rhs)), sense)
-
-
 class _Tableau:
     """Condensed (dictionary) tableau on integers, from an identity starting
     basis.

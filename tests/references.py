@@ -2,7 +2,10 @@
 
 Each is the ``Fraction`` code that the package once carried next to the
 integer route it now takes, kept here as the reference that route is
-compared against.
+compared against: among them the checks that took the prior as
+``Fraction``s, where the package now takes a game's ``integer_prior``.
+``make_constraint`` builds an LP row from ``Fraction``s for the tests; the
+package states each row as its integer form.
 """
 
 from __future__ import annotations
@@ -10,10 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from mbce.game import ActionMarginal, BaseGame, Outcome
-from mbce.linprog import EQUAL, LESS_EQUAL, lp_feasible, make_constraint
-from mbce.rationals import IntegerRow, IntegerTable, exact_fraction, parse_table
+from mbce.errors import DimensionMismatch, StateMarginalMismatch, ZeroPriorState
+from mbce.game import (
+    ActionMarginal,
+    BaseGame,
+    Outcome,
+    StochasticChoiceRule,
+    state_marginal_of,
+)
+from mbce.linprog import EQUAL, GREATER_EQUAL, LESS_EQUAL, Constraint, lp_feasible
+from mbce.rationals import IntegerRow, IntegerTable, exact_fraction, parse_row, parse_table
 
 ZERO = Fraction(0)
 
@@ -75,6 +86,69 @@ def obedience_slack(outcome: Outcome, game: BaseGame, a: int, alt: int) -> Fract
          for t in range(game.n_states)),
         ZERO,
     )
+
+
+def expected_utility(game: BaseGame, belief, action: int) -> Fraction:
+    """Exact expected payoff of an action at a belief, in ``Fraction``s: the
+    reference argmax of ``game.best_response_set``."""
+    return sum(
+        (belief[t] * game.utility[action][t] for t in range(game.n_states)), ZERO
+    )
+
+
+def check_state_marginal(outcome: Outcome, prior: tuple[Fraction, ...]) -> bool:
+    """``game.check_state_marginal`` with the prior as ``Fraction``s: the
+    outcome's column sums over its scale, cross-multiplied with each
+    entry's numerator and denominator."""
+    if outcome.n_states != len(prior):
+        raise DimensionMismatch("outcome and prior disagree on the number of states")
+    scale, table = outcome.integer_probs
+    return all(
+        sum(column) * q.denominator == q.numerator * scale
+        for column, q in zip(zip(*table), prior)
+    )
+
+
+def choice_rule_from_outcome(outcome: Outcome, prior: tuple[Fraction, ...]) -> StochasticChoiceRule:
+    """``game.choice_rule_from_outcome`` with the prior as ``Fraction``s: each
+    cell ``(n / scale) / p`` is ``n * p.denominator * (m / p.numerator)``
+    over ``scale * m``, with ``m`` the lcm of the prior's numerators."""
+    if not check_state_marginal(outcome, prior):
+        raise StateMarginalMismatch(
+            f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
+        )
+    if ZERO in prior:
+        raise ZeroPriorState(f"state {list(prior).index(ZERO)} has zero prior mass")
+    scale, table = outcome.integer_probs
+    m = lcm(*[p.numerator for p in prior])
+    rows = tuple(
+        tuple(n * factor for n in column)
+        for column, factor in zip(zip(*table), [p.denominator * (m // p.numerator) for p in prior])
+    )
+    return StochasticChoiceRule((scale * m, rows))
+
+
+def is_bayes_plausible(tau, prior: tuple[Fraction, ...]) -> bool:
+    """``implementation.is_bayes_plausible`` with the prior as ``Fraction``s:
+    the integer mean at each state over ``w_scale * mu_scale``,
+    cross-multiplied with each entry's numerator and denominator."""
+    w_scale, w_ints = tau.integer_weights
+    mu_scale, rows = tau.integer_support
+    if len(prior) != len(rows[0]):
+        raise DimensionMismatch("prior and posteriors have different dimensions")
+    denominator = w_scale * mu_scale
+    return all(
+        sum(map(mul, w_ints, column)) * p.denominator == p.numerator * denominator
+        for p, column in zip(prior, zip(*rows))
+    )
+
+
+def make_constraint(coeffs, sense: str, rhs) -> Constraint:
+    """The constraint from ints, "p/q" strings and ``Fraction``s, read as
+    ``rationals.parse_row`` reads them."""
+    if sense not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
+        raise ValueError(f"unknown constraint sense {sense!r}")
+    return Constraint(parse_row((*coeffs, rhs)), sense)
 
 
 def core_slack(marginal, menus: dict[frozenset[int], Fraction], subset: frozenset[int]) -> Fraction:

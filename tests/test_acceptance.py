@@ -44,19 +44,7 @@ from mbce.game import (
     make_marginal,
     matching_game,
 )
-from mbce.generators import (
-    XorShift64,
-    consistent_marginal,
-    corrupt_ring_profile,
-    inconsistent_marginal,
-    random_consistent_ring,
-    random_direction,
-    random_first_order,
-    random_game,
-    random_marginal,
-    random_posteriors,
-    random_ring,
-)
+from mbce.generators import XorShift64, random_game, random_marginal
 from mbce.implementation import (
     build_gale_network,
     core_check,
@@ -67,7 +55,7 @@ from mbce.implementation import (
     tau_from_outcome,
 )
 from mbce.flows import max_flow_feasible
-from mbce.linprog import EQUAL, GREATER_EQUAL, lp_feasible, make_constraint
+from mbce.linprog import EQUAL, GREATER_EQUAL, lp_feasible
 from mbce.polytope import (
     dot,
     enumerate_vertices,
@@ -75,6 +63,17 @@ from mbce.polytope import (
     maximize_direction,
     opt_belief_polytope,
 )
+from instances import (
+    consistent_marginal,
+    corrupt_ring_profile,
+    inconsistent_marginal,
+    random_consistent_ring,
+    random_direction,
+    random_first_order,
+    random_posteriors,
+    random_ring,
+)
+from references import make_constraint
 
 F = Fraction
 
@@ -185,7 +184,7 @@ def test_criterion_4_three_way_implementation_equivalence():
             feasible_count += 1
             outcome = implement_marginal(game, marginal, tau)
             assert check_obedience(outcome, game).obedient
-            assert check_state_marginal(outcome, game.prior)
+            assert check_state_marginal(outcome, game.integer_prior)
             assert check_action_marginal(outcome, marginal)
     assert feasible_count >= 100  # the odd draws are feasible by construction
     print(
@@ -203,8 +202,8 @@ def test_criterion_5_outcome_tau_round_trip(sweep):
     ]
     assert len(witnesses) >= 100
     for game, outcome in witnesses[:100]:
-        tau, rule = tau_from_outcome(outcome, game.prior)
-        rebuilt = outcome_from_tau(tau, rule, game.prior)
+        tau, rule = tau_from_outcome(outcome, game.integer_prior)
+        rebuilt = outcome_from_tau(tau, rule)
         assert rebuilt.probs == outcome.probs
     print("criterion 5: PASS - 100 witness outcomes rebuilt entrywise equal")
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import mbce.cli
 import mbce.consistency
 import mbce.implementation
 import mbce.io
@@ -313,6 +314,26 @@ class TestImplement:
         assert code == 3
         assert report is None
         assert err.startswith("error:")
+
+    def test_empty_out_flag_is_refused(self, tmp_path, capsys, monkeypatch):
+        """An explicit empty --out names no file: refused with exit 3 before
+        any work, not taken as a request to print the report."""
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(mbce.cli, "_run", unreached)
+        check = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
+        implement = write(
+            tmp_path, dict(MATCH34, marginal=["3/4", "1/4"], tau=self.FULL_INFO), "implement.json"
+        )
+        for argv in (["check", check], ["implement", implement], ["random", "--seed", "7"]):
+            code = main([*argv, "--out", ""])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot write the output: ")
+            assert "No such file or directory" in captured.err
 
     def test_empty_tau_flag_is_named(self, tmp_path, capsys):
         """The refusal of an empty --tau names the flag, as that of an

@@ -203,13 +203,13 @@ class TestBeyondNamedFamilies:
         # the feasible set is a single point, so the decomposition is forced
         assert outcome.probs == ((F(1, 2), F(0)), (F(1, 4), F(1, 4)))
         assert check_obedience(outcome, match_three_quarters).obedient
-        assert check_state_marginal(outcome, match_three_quarters.prior)
+        assert check_state_marginal(outcome, match_three_quarters.integer_prior)
         assert check_action_marginal(outcome, HALF_HALF)
 
     def test_decomposition_skips_unsupported_actions(self, match_three_quarters):
         outcome = belief_decomposition(match_three_quarters, make_marginal([1, 0]))
         assert outcome.probs[1] == (F(0), F(0))
-        assert check_state_marginal(outcome, match_three_quarters.prior)
+        assert check_state_marginal(outcome, match_three_quarters.integer_prior)
 
     def test_no_separating_direction_when_consistent(self, match_three_quarters):
         assert separating_direction(match_three_quarters, HALF_HALF) is None
@@ -225,7 +225,7 @@ class TestOracle:
         feasible, witness = oracle_feasibility(match_three_quarters, HALF_HALF)
         assert feasible
         assert check_obedience(witness, match_three_quarters).obedient
-        assert check_state_marginal(witness, match_three_quarters.prior)
+        assert check_state_marginal(witness, match_three_quarters.integer_prior)
         assert check_action_marginal(witness, HALF_HALF)
 
     def test_infeasible_case(self, match_three_quarters):
@@ -259,7 +259,7 @@ def test_characterization_agrees_with_oracle(utility_num, prior_num, marginal_nu
     assert (belief_decomposition(game, marginal) is not None) == feasible
     if verdict.consistent:
         assert check_obedience(witness, game).obedient
-        assert check_state_marginal(witness, game.prior)
+        assert check_state_marginal(witness, game.integer_prior)
         assert check_action_marginal(witness, marginal)
     else:
         cert = verdict.violation

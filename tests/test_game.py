@@ -32,7 +32,6 @@ from mbce.game import (
     check_obedience,
     check_state_marginal,
     choice_rule_from_outcome,
-    expected_utility,
     make_game,
     make_marginal,
     make_outcome,
@@ -43,7 +42,8 @@ from mbce.game import (
     validate_outcome,
 )
 from mbce.io import parse_game
-from references import belief_system_from_outcome, obedience_slack
+from mbce.rationals import parse_row
+from references import belief_system_from_outcome, expected_utility, obedience_slack
 
 F = Fraction
 
@@ -217,11 +217,11 @@ class TestMarginals:
     def test_product_outcome_has_both_marginals(self):
         prior = (F(3, 4), F(1, 4))
         pi = product_outcome((F(1, 3), F(2, 3)), prior)
-        assert check_state_marginal(pi, prior)
+        assert check_state_marginal(pi, parse_row(prior))
         assert check_action_marginal(pi, make_marginal(["1/3", "2/3"]))
 
     def test_diag_fails_skewed_prior(self):
-        assert not check_state_marginal(DIAG, (F(3, 4), F(1, 4)))
+        assert not check_state_marginal(DIAG, parse_row((F(3, 4), F(1, 4))))
 
     def test_diag_fails_point_mass_marginal(self):
         assert not check_action_marginal(DIAG, make_marginal([1, 0]))
@@ -229,7 +229,7 @@ class TestMarginals:
     def test_skewed_outcome_marginals(self, skewed_outcome):
         assert state_marginal_of(skewed_outcome) == (F(3, 4), F(1, 4))
         assert action_marginal_of(skewed_outcome) == (F(1, 2), F(1, 2))
-        assert check_state_marginal(skewed_outcome, (F(3, 4), F(1, 4)))
+        assert check_state_marginal(skewed_outcome, parse_row((F(3, 4), F(1, 4))))
         assert check_action_marginal(skewed_outcome, make_marginal(["1/2", "1/2"]))
 
 
@@ -305,17 +305,17 @@ class TestConditionals:
         assert system.beliefs[1] == (F(1, 2), F(1, 2))
 
     def test_identity_choice_rule(self):
-        rule = choice_rule_from_outcome(DIAG, (F(1, 2), F(1, 2)))
+        rule = choice_rule_from_outcome(DIAG, parse_row((F(1, 2), F(1, 2))))
         assert rule.rows == ((F(1), F(0)), (F(0), F(1)))
 
     def test_product_choice_rule_repeats_marginal(self):
         prior = (F(3, 4), F(1, 4))
         pi = product_outcome((F(1, 3), F(2, 3)), prior)
-        rule = choice_rule_from_outcome(pi, prior)
+        rule = choice_rule_from_outcome(pi, parse_row(prior))
         assert rule.rows == ((F(1, 3), F(2, 3)), (F(1, 3), F(2, 3)))
 
     def test_skewed_outcome_choice_rule(self, skewed_outcome):
-        rule = choice_rule_from_outcome(skewed_outcome, (F(3, 4), F(1, 4)))
+        rule = choice_rule_from_outcome(skewed_outcome, parse_row((F(3, 4), F(1, 4))))
         assert rule.rows[0] == (F(2, 3), F(1, 3))
         assert rule.rows[1] == (F(0), F(1))
 
@@ -323,11 +323,11 @@ class TestConditionals:
         # The second state's column and prior entry are both zero, so the
         # marginals match but no choice conditions on that state.
         with pytest.raises(ZeroPriorState, match=r"^state 1 has zero prior mass$"):
-            choice_rule_from_outcome(make_outcome([["1/2", 0], ["1/2", 0]]), (1, 0))
+            choice_rule_from_outcome(make_outcome([["1/2", 0], ["1/2", 0]]), parse_row((1, 0)))
 
     def test_choice_rule_requires_matching_prior(self, skewed_outcome):
         with pytest.raises(StateMarginalMismatch):
-            choice_rule_from_outcome(skewed_outcome, (F(1, 2), F(1, 2)))
+            choice_rule_from_outcome(skewed_outcome, parse_row((F(1, 2), F(1, 2))))
 
     @given(cells=st.lists(st.integers(1, 9), min_size=4, max_size=4))
     def test_outcome_reconstructs_from_either_factorization(self, cells):
@@ -346,7 +346,7 @@ class TestConditionals:
         assert rebuilt == pi.probs
 
         prior = state_marginal_of(pi)
-        rule = choice_rule_from_outcome(pi, prior)
+        rule = choice_rule_from_outcome(pi, parse_row(prior))
         rebuilt2 = tuple(
             tuple(prior[t] * rule.rows[t][a] for t in range(2)) for a in range(2)
         )

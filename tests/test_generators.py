@@ -14,18 +14,21 @@ from mbce.generators import (
     XorShift64,
     check_generator_inputs,
     compare_routes,
+    random_game,
+    random_marginal,
+    random_prior,
+)
+from mbce.implementation import is_bayes_plausible
+from mbce.rationals import parse_row
+from instances import (
     consistent_marginal,
     corrupt_ring_profile,
     inconsistent_marginal,
     random_consistent_ring,
     random_direction,
     random_first_order,
-    random_game,
-    random_marginal,
     random_posteriors,
-    random_prior,
 )
-from mbce.implementation import is_bayes_plausible
 
 F = Fraction
 
@@ -114,7 +117,7 @@ class TestInstances:
         for _ in range(40):
             prior = random_prior(rng, rng.randint(2, 4))
             tau = random_posteriors(rng, prior)
-            assert is_bayes_plausible(tau, prior)
+            assert is_bayes_plausible(tau, parse_row(prior))
             assert len(set(tau.support)) == tau.size
 
     def test_consistent_marginal_is_consistent(self):

@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 
 from mbce.errors import (
     BadScale,
-    CoreViolation,
+    DimensionMismatch,
     ImplementationInfeasible,
     InfeasibleFlow,
+    InternalDisagreement,
     NotADistribution,
     NotBayesPlausible,
     StateMarginalMismatch,
     TooManyActionsForSubsetCheck,
     ZeroPriorState,
 )
+from mbce import implementation
 from mbce.flows import FlowNetwork, max_flow_feasible
 from mbce.game import (
     Outcome,
@@ -55,6 +57,7 @@ from mbce.implementation import (
     validate_posteriors,
 )
 from mbce.rationals import common_scale, parse_row, parse_table, row_fractions, table_fractions
+from references import check_state_marginal as reference_check_state_marginal
 from references import core_slack as reference_core_slack
 
 F = Fraction
@@ -113,10 +116,16 @@ class TestPosteriorDistribution:
                 validate_posteriors(tau)
 
     def test_bayes_plausibility(self):
-        assert is_bayes_plausible(NO_INFO_UNIFORM, UNIFORM2)
-        assert is_bayes_plausible(FULL_INFO, UNIFORM2)
+        assert is_bayes_plausible(NO_INFO_UNIFORM, parse_row(UNIFORM2))
+        assert is_bayes_plausible(FULL_INFO, parse_row(UNIFORM2))
         skew = make_posteriors([E1, E2], [F(3, 4), F(1, 4)])
-        assert not is_bayes_plausible(skew, UNIFORM2)
+        assert not is_bayes_plausible(skew, parse_row(UNIFORM2))
+
+    def test_bayes_plausibility_refuses_an_empty_support(self):
+        """An empty support has no dimension to compare with the prior's."""
+        empty = PosteriorDistribution((1, ()), (1, ()))
+        with pytest.raises(DimensionMismatch):
+            is_bayes_plausible(empty, parse_row(UNIFORM2))
 
 
 class TestMenuMeasure:
@@ -198,7 +207,7 @@ def three_action_fixture():
 class TestGaleNetwork:
     def test_menu_edges_match_optimality(self):
         game, tau = three_action_fixture()
-        assert is_bayes_plausible(tau, game.prior)
+        assert is_bayes_plausible(tau, game.integer_prior)
         net = build_gale_network(tau, make_marginal(["1/3", "1/3", "1/3"]), game)
         assert net.edges == ((0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2))
         # tau's weights are quarters and the marginal thirds: one scale, 12
@@ -304,9 +313,20 @@ class TestMenuRule:
 
     def test_core_violation_raises_with_subset(self):
         menus = measure_from({menu(0): F(1, 2), menu(1): F(1, 2)})
-        with pytest.raises(CoreViolation) as exc:
+        with pytest.raises(ImplementationInfeasible) as exc:
             menu_rule_from_core(menus, make_marginal(["1/4", "3/4"]))
         assert exc.value.subset == menu(0)
+
+    def test_a_shortfall_with_no_overfull_subset_is_a_disagreement(self, match_half, monkeypatch):
+        """Both flows fall short here; a subset scan that then finds nothing
+        overfull contradicts Hall's theorem, on the menu path as on the Gale
+        path."""
+        monkeypatch.setattr(implementation, "core_check", lambda *args: SubsetCheck(ok=True))
+        marginal = make_marginal(["1/4", "3/4"])
+        with pytest.raises(InternalDisagreement, match="no action subset is overfull"):
+            menu_rule_from_core(menu_measure(FULL_INFO, match_half), marginal)
+        with pytest.raises(InternalDisagreement, match="no action subset is overfull"):
+            implement_marginal(match_half, marginal, FULL_INFO)
 
 
 class TestOutcomes:
@@ -316,9 +336,9 @@ class TestOutcomes:
                 build_gale_network(FULL_INFO, make_marginal(["1/2", "1/2"]), match_half)
             )[1]
         )
-        pi = outcome_from_tau(FULL_INFO, rule, match_half.prior)
+        pi = outcome_from_tau(FULL_INFO, rule)
         assert pi.probs == ((F(1, 2), F(0)), (F(0), F(1, 2)))
-        sigma = choice_rule_from_outcome(pi, match_half.prior)
+        sigma = choice_rule_from_outcome(pi, match_half.integer_prior)
         assert sigma.rows == ((F(1), F(0)), (F(0), F(1)))
         assert sigma == reference_choice_rule_from_tau(FULL_INFO, rule, match_half.prior)
 
@@ -326,7 +346,7 @@ class TestOutcomes:
         pi = implement_marginal(match_half, make_marginal(["1/3", "2/3"]), NO_INFO_UNIFORM)
         assert pi.probs == ((F(1, 6), F(1, 6)), (F(1, 3), F(1, 3)))
         assert check_obedience(pi, match_half).obedient
-        assert check_state_marginal(pi, match_half.prior)
+        assert check_state_marginal(pi, match_half.integer_prior)
         assert check_action_marginal(pi, make_marginal(["1/3", "2/3"]))
 
     def test_implement_infeasible_reports_overfull_subset(self, match_half):
@@ -347,32 +367,39 @@ class TestOutcomes:
 
 class TestTauFromOutcome:
     def test_full_info_outcome(self):
-        tau, rule = tau_from_outcome(make_outcome([["1/2", 0], [0, "1/2"]]), UNIFORM2)
+        tau, rule = tau_from_outcome(make_outcome([["1/2", 0], [0, "1/2"]]), parse_row(UNIFORM2))
         assert tau.support == (E1, E2)
         assert tau.weights == (F(1, 2), F(1, 2))
         assert rule.rows == ((F(1), F(0)), (F(0), F(1)))
 
     def test_product_outcome_merges_to_point_mass(self):
         pi = make_outcome([["1/6", "1/6"], ["1/3", "1/3"]])
-        tau, rule = tau_from_outcome(pi, UNIFORM2)
+        tau, rule = tau_from_outcome(pi, parse_row(UNIFORM2))
         assert tau.support == (UNIFORM2,)
         assert tau.weights == (F(1),)
         assert rule.rows == ((F(1, 3), F(2, 3)),)
 
     def test_partial_pooling_witness(self, skewed_outcome):
-        tau, rule = tau_from_outcome(skewed_outcome, (F(3, 4), F(1, 4)))
+        tau, rule = tau_from_outcome(skewed_outcome, parse_row((F(3, 4), F(1, 4))))
         assert tau.support == (E1, UNIFORM2)
         assert tau.weights == (F(1, 2), F(1, 2))
         assert rule.rows == ((F(1), F(0)), (F(0), F(1)))
 
     def test_rejects_wrong_prior(self, skewed_outcome):
         with pytest.raises(StateMarginalMismatch):
-            tau_from_outcome(skewed_outcome, UNIFORM2)
+            tau_from_outcome(skewed_outcome, parse_row(UNIFORM2))
 
     def test_round_trip_identity(self, skewed_outcome):
-        prior = (F(3, 4), F(1, 4))
-        tau, rule = tau_from_outcome(skewed_outcome, prior)
-        assert outcome_from_tau(tau, rule, prior).probs == skewed_outcome.probs
+        tau, rule = tau_from_outcome(skewed_outcome, parse_row((F(3, 4), F(1, 4))))
+        assert outcome_from_tau(tau, rule).probs == skewed_outcome.probs
+
+    def test_empty_support_gives_the_empty_outcome(self):
+        """With no posterior and no rule row there is nothing to accumulate:
+        the empty outcome, not an index into the missing support."""
+        empty = PosteriorDistribution((1, ()), (1, ()))
+        outcome = outcome_from_tau(empty, DecisionRule((1, ())))
+        assert outcome == Outcome((1, ()))
+        assert outcome.n_actions == outcome.n_states == 0
 
 
 # Property tests draw small exact games and experiments.  An experiment is a
@@ -444,7 +471,7 @@ class TestProperties:
 
         if feasible:
             pi = implement_marginal(game, nu, tau)
-            assert check_state_marginal(pi, game.prior)
+            assert check_state_marginal(pi, game.integer_prior)
             assert check_action_marginal(pi, nu)
             assert check_obedience(pi, game).obedient
             rule = rule_fractions(menu_rule_from_core(menus, nu))
@@ -471,10 +498,10 @@ class TestProperties:
             tuple(F(1) if a == picks[i] else F(0) for a in range(game.n_actions))
             for i in range(tau.size)
         )
-        pi = outcome_from_tau(tau, DecisionRule(parse_table(rows_rule)), game.prior)
+        pi = outcome_from_tau(tau, DecisionRule(parse_table(rows_rule)))
         assert check_obedience(pi, game).obedient
-        tau_back, rule_back = tau_from_outcome(pi, game.prior)
-        assert outcome_from_tau(tau_back, rule_back, game.prior).probs == pi.probs
+        tau_back, rule_back = tau_from_outcome(pi, game.integer_prior)
+        assert outcome_from_tau(tau_back, rule_back).probs == pi.probs
         assert sum(tau_back.weights) == F(1)
 
 
@@ -583,7 +610,7 @@ def reference_outcome_from_tau(tau, rule, prior):
 
 
 def reference_choice_rule_from_outcome(outcome, prior):
-    if not check_state_marginal(outcome, prior):
+    if not reference_check_state_marginal(outcome, prior):
         raise StateMarginalMismatch(
             f"state marginal {state_marginal_of(outcome)} differs from prior {tuple(prior)}"
         )
@@ -715,20 +742,21 @@ class TestIntegerArithmeticMatchesFractions:
     @settings(max_examples=100, deadline=None)
     @given(experiments(), st.data())
     def test_outcome_and_choice_rule(self, experiment, data):
-        """At the Bayes mean of tau (zero states included) and at an
-        unrelated full-support prior, the same outcome; and, through that
-        outcome, the same choice rule where the mean has full support, and
-        ZeroPriorState where it has a zero state."""
+        """The outcome, which reads no prior, is the reference's at the Bayes
+        mean of tau (zero states included) and at an unrelated full-support
+        prior; and, through that outcome, the same choice rule where the
+        mean has full support, and ZeroPriorState where it has a zero
+        state."""
         tau, rule = experiment
         mean = mean_of(tau)
         other = data.draw(distributions(len(mean), positive=True))
-        assert is_bayes_plausible(tau, mean)
-        assert is_bayes_plausible(tau, other) == (other == mean)
+        assert is_bayes_plausible(tau, parse_row(mean))
+        assert is_bayes_plausible(tau, parse_row(other)) == (other == mean)
+        outcome = outcome_from_tau(tau, rule)
         for prior in (mean, other):
-            outcome = outcome_from_tau(tau, rule, prior)
             assert outcome == reference_outcome_from_tau(tau, rule, prior)
-            assert all(type(q) is Fraction for row in outcome.probs for q in row)
-        sigma = result_or_error(choice_rule_from_outcome, outcome_from_tau(tau, rule, mean), mean)
+        assert all(type(q) is Fraction for row in outcome.probs for q in row)
+        sigma = result_or_error(choice_rule_from_outcome, outcome, parse_row(mean))
         if all(mean):
             assert sigma == reference_choice_rule_from_tau(tau, rule, mean)
         else:
@@ -747,7 +775,7 @@ class TestIntegerArithmeticMatchesFractions:
             expected = result_or_error(reference_choice_rule_from_outcome, outcome, prior)
             if expected is ZeroDivisionError:
                 expected = ZeroPriorState
-            assert result_or_error(choice_rule_from_outcome, outcome, prior) == expected
+            assert result_or_error(choice_rule_from_outcome, outcome, parse_row(prior)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(networks())

@@ -42,10 +42,18 @@ from mbce.game import (
     state_marginal_of,
     validate_outcome,
 )
-from mbce.implementation import DecisionRule, PosteriorDistribution, make_posteriors
+from mbce.implementation import (
+    DecisionRule,
+    PosteriorDistribution,
+    is_bayes_plausible,
+    make_posteriors,
+)
 from mbce.io import load_report, report_string
-from mbce.rationals import vector_json
+from mbce.rationals import parse_row, vector_json
+from references import check_state_marginal as fraction_prior_state_marginal
+from references import choice_rule_from_outcome as fraction_prior_choice_rule
 from references import exact_sum, fraction_vector, integer_row, integer_table, obedience_slack
+from references import is_bayes_plausible as fraction_prior_bayes_plausible
 
 F = Fraction
 ONE = F(1)
@@ -260,7 +268,7 @@ class TestChecksMatchFractions:
         for target in (rows, other_rows):
             assert check_action_marginal(outcome, make_marginal(target)) == (target == rows)
         for target in (columns, other_columns):
-            assert check_state_marginal(outcome, target) == (target == columns)
+            assert check_state_marginal(outcome, parse_row(target)) == (target == columns)
 
     @settings(max_examples=200)
     @given(outcomes(), st.data())
@@ -290,7 +298,7 @@ class TestChecksMatchFractions:
             if expected == (ZeroDivisionError, None):
                 zero = list(prior).index(0)
                 expected = ZeroPriorState, f"state {zero} has zero prior mass"
-            assert answer(choice_rule_from_outcome, outcome, prior) == expected
+            assert answer(choice_rule_from_outcome, outcome, parse_row(prior)) == expected
 
     @given(st.data())
     def test_make_posteriors(self, data):
@@ -311,6 +319,70 @@ class TestChecksMatchFractions:
         assert answer(make_posteriors, support, weights) == answer(
             reference_make_posteriors, support, weights
         )
+
+
+# -- the prior as an integer row --------------------------------------------
+
+
+def unreduced(prior, k):
+    """The prior's integer row with its scale and its integers times ``k``."""
+    scale, ints = parse_row(prior)
+    return scale * k, tuple(x * k for x in ints)
+
+
+def padded(table):
+    """An integer table with a zero state appended to every row."""
+    scale, rows = table
+    return scale, tuple(row + (0,) for row in rows)
+
+
+class TestPriorAsIntegerRow:
+    @settings(max_examples=100, deadline=None)
+    @given(outcomes(), st.data())
+    def test_integer_prior_matches_the_fraction_prior(self, outcome, data):
+        """``is_bayes_plausible``, ``check_state_marginal`` and
+        ``choice_rule_from_outcome`` on the prior's integer row, passed
+        unreduced (its scale and integers times k for k in 1..5), give the
+        answer, the result or the exception with its message of the
+        references that take the prior as ``Fraction``s. The priors are the
+        outcome's state marginal, a drawn vector and tau's mean; those with
+        a zero state appended to the outcome and to tau's support, so the
+        choice rule meets a zero prior entry (ZeroPriorState); and the
+        state marginal one state long and one short (DimensionMismatch)."""
+        n = outcome.n_states
+        support = data.draw(st.lists(vectors(n), min_size=1, max_size=4))
+        weights = data.draw(vectors(len(support)))
+        tau = PosteriorDistribution(integer_table(support), integer_row(weights))
+        columns = reference_state_marginal_of(outcome)
+        mean = tuple(
+            exact_sum(w * mu[t] for w, mu in zip(tau.weights, tau.support)) for t in range(n)
+        )
+        zero_tau = PosteriorDistribution(padded(tau.integer_support), tau.integer_weights)
+        zero_outcome = Outcome(padded(outcome.integer_probs))
+        cases = [
+            (tau, outcome, columns, None),
+            (tau, outcome, data.draw(vectors(n)), None),
+            (tau, outcome, mean, None),
+            (zero_tau, zero_outcome, columns + (F(0),), ZeroPriorState),
+            (zero_tau, zero_outcome, mean + (F(0),), None),
+            (tau, outcome, columns + (F(0),), DimensionMismatch),
+            (tau, outcome, columns[:-1], DimensionMismatch),
+        ]
+        for posteriors, joint, prior, raised in cases:
+            expected = (
+                answer(fraction_prior_bayes_plausible, posteriors, prior),
+                answer(fraction_prior_state_marginal, joint, prior),
+                answer(fraction_prior_choice_rule, joint, prior),
+            )
+            if raised is not None:
+                assert expected[2][0] is raised
+            for k in range(1, 6):
+                row = unreduced(prior, k)
+                assert (
+                    answer(is_bayes_plausible, posteriors, row),
+                    answer(check_state_marginal, joint, row),
+                    answer(choice_rule_from_outcome, joint, row),
+                ) == expected
 
 
 # -- the rule checks of an implement report's reload ------------------------

@@ -26,10 +26,9 @@ from mbce.linprog import (
     LPResult,
     lp_feasible,
     lp_solve,
-    make_constraint,
 )
 from mbce.rationals import row_fractions
-from references import fraction_vector
+from references import fraction_vector, make_constraint
 
 F = Fraction
 ZERO = Fraction(0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mbce import linprog, polytope
 from mbce.errors import DimensionMismatch, EmptyPolytope
 from mbce.game import BaseGame, best_response_set, make_game, matching_game
-from mbce.linprog import EQUAL, LESS_EQUAL, make_constraint
+from mbce.linprog import EQUAL, LESS_EQUAL
 from mbce.polytope import (
     BeliefPolytope,
     dot,
@@ -29,6 +29,7 @@ from mbce.polytope import (
     utility_difference_direction,
 )
 from mbce.rationals import row_fractions
+from references import make_constraint
 
 F = Fraction
 
