@@ -10,6 +10,7 @@ those with nu0(a2) <= 1/2, and the checker certifies both sides of the line.
 from fractions import Fraction
 
 from mbce import check_bce_consistent, make_game, make_marginal, matching_game
+from mbce.rationals import row_fractions
 
 
 def fmt(values):
@@ -23,7 +24,7 @@ def describe(verdict):
     cert = verdict.violation
     return (
         f"inconsistent; {cert.kind} certificate, residual {cert.residual}, "
-        f"direction {fmt(cert.direction)}"
+        f"direction {fmt(row_fractions(cert.direction))}"
     )
 
 

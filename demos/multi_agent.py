@@ -19,6 +19,7 @@ from mbce import (
     ring_player_marginal,
 )
 from mbce.applications import ring_profiles
+from mbce.rationals import row_fractions
 
 
 def fmt(values):
@@ -65,7 +66,7 @@ def main():
         print(f"  ({labels}): {fmt(row)}")
     for i in range(ring.n_players):
         print(f"player {i + 1} marginal reproduced:",
-              fmt(ring_player_marginal(joint, i)))
+              fmt(row_fractions(ring_player_marginal(joint, i))))
 
     # player 2's stage inherits player 1's marginal as its prior; skewing
     # player 1 to (3/4, 1/4) leaves 7/8 on b2 with nothing to back it

@@ -73,10 +73,6 @@ class FirstOrderGame:
         return self.players[0].states
 
     @property
-    def prior(self) -> tuple[Fraction, ...]:
-        return self.players[0].prior
-
-    @property
     def n_players(self) -> int:
         return len(self.players)
 
@@ -104,16 +100,8 @@ class RingGame:
         return self.stages[0].states
 
     @property
-    def prior(self) -> tuple[Fraction, ...]:
-        return self.stages[0].prior
-
-    @property
     def actions(self) -> tuple[tuple[str, ...], ...]:
         return tuple(stage.actions for stage in self.stages)
-
-    @property
-    def utilities(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        return tuple(stage.utility for stage in self.stages)
 
     @property
     def n_players(self) -> int:
@@ -441,13 +429,13 @@ def ring_pair_marginal(outcome: RingOutcome, i: int) -> Outcome:
     return Outcome((scale, tuple(map(tuple, rows))))
 
 
-def ring_player_marginal(outcome: RingOutcome, i: int) -> tuple[Fraction, ...]:
-    """Distribution of player i+1's action under the joint outcome, summed
-    over the outcome's integer numerators."""
+def ring_player_marginal(outcome: RingOutcome, i: int) -> IntegerRow:
+    """Distribution of player i+1's action under the joint outcome: sums of
+    its integer numerators over its scale, not necessarily reduced."""
     scale, nums = outcome.integer_probs
     n = outcome.shape[i]
     totals = _collapsed(list(map(sum, nums)), outcome.shape, i)
-    return tuple(Fraction(sum(totals[a::n]), scale) for a in range(n))
+    return scale, tuple([sum(totals[a::n]) for a in range(n)])
 
 
 def check_ring_obedience(outcome: RingOutcome, ring: RingGame) -> bool:

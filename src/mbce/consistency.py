@@ -11,7 +11,7 @@ direction from the vertex-based minimization; the named families are
 necessary but not sufficient once beliefs have three or more degrees of
 freedom. Each support value in a residual comes from ``support_value``,
 which reads it off a full-information belief inside the polytope where one
-attains it and solves the LP otherwise.
+attains it and solves the LP otherwise; a direction is an integer row.
 
 Each supported action's polytope comes from ``opt_belief_polytope``, which
 builds it once per game and action and keeps it on the game: the screen,
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
-from .errors import EmptyPolytope, InternalDisagreement, UnsupportableAction
+from .errors import DimensionMismatch, EmptyPolytope, InternalDisagreement, UnsupportableAction
 from .game import ActionMarginal, BaseGame, Outcome, validate_game, validate_marginal
 from .linprog import (
     EQUAL,
@@ -44,16 +44,13 @@ from .linprog import (
 from .polytope import (
     BeliefPolytope,
     Direction,
-    dot,
     enumerate_vertices,
     is_empty,
-    negate,
     opt_belief_polytope,
     support_value,
-    unit_direction,
     utility_difference_direction,
 )
-from .rationals import parse_row, parse_table, reduced_row
+from .rationals import parse_row, parse_table, reduced_row, row_fractions
 
 ZERO = Fraction(0)
 
@@ -67,8 +64,8 @@ STRASSEN_DIRECTION = "strassen-direction"
 class ViolationCertificate:
     """Why a marginal pair is unreachable.
 
-    For the three direction-backed kinds, ``direction`` plugged into
-    ``strassen_residual`` reproduces ``residual`` exactly; the
+    For the three direction-backed kinds, ``direction`` (an integer row)
+    plugged into ``strassen_residual`` reproduces ``residual`` exactly; the
     strassen-direction kind covers violations outside the two named families.
     An unsupportable action (positive mass, optimal nowhere) has no finite
     residual; both optional fields stay None.
@@ -104,38 +101,58 @@ def _max_over(poly: BeliefPolytope, c: Direction, action: int) -> Fraction:
 
 
 def strassen_residual(game: BaseGame, marginal: ActionMarginal, c: Direction) -> Fraction:
-    """Support-function slack along direction c.
+    """Support-function slack along direction c, an integer row.
 
     Aggregates, over supported actions, the maximum of ``c . mu`` on each
     action's belief polytope, minus ``c . prior``. Nonnegative for every c
     exactly when some belief system with the right conditional optimality
-    averages back to the prior.
+    averages back to the prior. Summed as integers into one ``Fraction``.
     """
-    lhs = ZERO
+    m_scale, probs = marginal.integer_probs
+    lhs, den = 0, 1  # the support values' weighted sum, lhs / den
     for a in _supported(marginal):
-        lhs += marginal.probs[a] * _max_over(opt_belief_polytope(game, a), c, a)
-    return lhs - dot(c, game.prior)
+        v = _max_over(opt_belief_polytope(game, a), c, a)
+        lhs, den = lhs * v.denominator + probs[a] * v.numerator * den, den * v.denominator
+    c_scale, ints = c
+    p_scale, prior = game.integer_prior
+    return Fraction(
+        lhs * c_scale * p_scale - sum(map(mul, ints, prior)) * den * m_scale,
+        den * m_scale * c_scale * p_scale,
+    )
+
+
+def _index(value, size: int, what: str) -> int:
+    """``value`` when it is an int (a bool is not) in ``range(size)``;
+    DimensionMismatch otherwise."""
+    if type(value) is not int or not 0 <= value < size:
+        raise DimensionMismatch(f"{what} {value!r} is not an index below {size}")
+    return value
 
 
 def violation_certificate(
     game: BaseGame, marginal: ActionMarginal, kind: str, choice
 ) -> ViolationCertificate:
     """The certificate of ``kind`` at ``choice``: an action, a state, an
-    ordered action pair (a, b) or a direction. A state's direction is minus
-    its unit vector and a pair's is the payoff difference of a over b; the
-    residual is ``strassen_residual`` along the direction. The certificate
-    search and the report loader both map a named condition through here.
+    ordered action pair (a, b) or a direction, an integer row. A state's
+    direction is minus its unit vector and a pair's is the payoff difference
+    of a over b; the residual is ``strassen_residual`` along the direction.
+    An action or state that is no int index of the game, or a pair that is
+    not two of them, raises DimensionMismatch. The certificate search and
+    the report loader both map a named condition through here.
     """
     if kind == UNSUPPORTABLE_ACTION:
-        return ViolationCertificate(kind=kind, action=choice)
+        return ViolationCertificate(kind=kind, action=_index(choice, game.n_actions, "action"))
     state = pair = None
     if kind == STATE_CONDITION:
-        state, direction = choice, negate(unit_direction(game.n_states, choice))
+        state = _index(choice, game.n_states, "state")
+        direction = (1, tuple([-int(t == state) for t in range(game.n_states)]))
     elif kind == ACTION_PAIR_CONDITION:
-        pair = tuple(choice)
+        pair = tuple(_index(a, game.n_actions, "action") for a in choice)
+        if len(pair) != 2:
+            raise DimensionMismatch(f"an action pair has two actions, not {len(pair)}")
         direction = utility_difference_direction(game, *pair)
     elif kind == STRASSEN_DIRECTION:
-        direction = tuple(choice)
+        direction = choice
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     residual = strassen_residual(game, marginal, direction)
@@ -209,7 +226,8 @@ def oracle_feasibility(
     feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
     if not feasible:
         return False, None
-    return True, Outcome(parse_table([x[var(a, 0):var(a + 1, 0)] for a in range(n_a)]))
+    scale, cells = x
+    return True, Outcome((scale, tuple([cells[var(a, 0):var(a + 1, 0)] for a in range(n_a)])))
 
 
 def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | None:
@@ -248,6 +266,7 @@ def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | 
     feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
     if not feasible:
         return None
+    x = row_fractions(x)
     rows = []
     for a in range(game.n_actions):
         if a in offsets:
@@ -269,7 +288,8 @@ def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction 
     supported action dominates that polytope's support function at every
     vertex, so at the optimum the objective equals the residual of the chosen
     direction. Residuals scale linearly in the direction, so a nonnegative
-    minimum over the box rules out separation at any scale.
+    minimum over the box rules out separation at any scale. The objective
+    is that of the residual times the prior's and the marginal's scales.
     """
     supported = _supported(marginal)
     n_s = game.n_states
@@ -292,13 +312,15 @@ def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction 
             box[t] = sign
             constraints.append(Constraint((1, tuple(box)), LESS_EQUAL))
 
-    objective = [-p for p in game.prior] + [marginal.probs[a] for a in supported]
+    p_scale, prior = game.integer_prior
+    m_scale, probs = marginal.integer_probs
+    objective = [-p * m_scale for p in prior] + [probs[a] * p_scale for a in supported]
     result = lp_solve(n_vars, constraints, objective, nonneg=False)
     if result.status != OPTIMAL:
         raise InternalDisagreement("box-bounded direction program is not optimal")
     if result.value >= 0:
         return None
-    return tuple(result.x[t] for t in range(n_s))
+    return result.x[0], result.x[1][:n_s]
 
 
 def check_bce_consistent(game: BaseGame, marginal: ActionMarginal) -> ConsistencyVerdict:

@@ -102,10 +102,9 @@ from .rationals import (
     IntegerTable,
     common_scale,
     fraction_to_json,
-    fractions_json,
     parse_row,
     parse_table,
-    row_fractions,
+    reduced_row,
     vector_json,
 )
 
@@ -601,7 +600,7 @@ def certificate_json(cert: ViolationCertificate) -> dict:
         "pair": list(cert.pair) if cert.pair is not None else None,
         "action": cert.action,
         "residual": fraction_to_json(cert.residual) if cert.residual is not None else None,
-        "direction": fractions_json(cert.direction) if cert.direction is not None else None,
+        "direction": vector_json(cert.direction) if cert.direction is not None else None,
     }
 
 
@@ -668,7 +667,7 @@ def ring_report(ring, profile, verdict, joint=None) -> Report:
         "stage_witnesses": [rows_json(w.integer_probs) for w in verdict.stage_witnesses],
         "joint": {"shape": list(joint.shape), "probs": rows_json(joint.integer_probs)},
         "player_marginals": [
-            fractions_json(ring_player_marginal(joint, i)) for i in range(ring.n_players)
+            vector_json(ring_player_marginal(joint, i)) for i in range(ring.n_players)
         ],
     }
     return Report("ring", inputs, "consistent", witnesses=witnesses, details=details)
@@ -737,7 +736,7 @@ def _rederive_certificate(doc, path, game, marginal) -> ViolationCertificate:
         choice = cert.get("direction")
         if not isinstance(choice, list) or len(choice) != game.n_states:
             raise ValidationError(path, "direction certificate has no direction of state length")
-        choice = row_fractions(_integer_row(choice, path, "certificate.direction"))
+        choice = _integer_row(choice, path, "certificate.direction")
     else:
         raise ValidationError(path, f"unknown certificate kind {kind!r}")
     violation = _domain(path, violation_certificate, game, marginal, kind, choice)
@@ -898,7 +897,7 @@ def _rebuild_ring(doc: dict, path: str) -> Report:
     if not check_ring_obedience(joint, ring):
         raise ValidationError(path, "joint outcome is not obedient for every player")
     for i, marginal in enumerate(profile.marginals):
-        if ring_player_marginal(joint, i) != marginal.probs:
+        if reduced_row(ring_player_marginal(joint, i)) != marginal.integer_probs:
             raise ValidationError(path, f"player {i + 1} marginal is not reproduced")
     found = RingVerdict(consistent=True, stage_witnesses=stages)
     return ring_report(ring, profile, found, joint)

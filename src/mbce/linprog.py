@@ -1,8 +1,8 @@
 """Exact linear programming over rationals.
 
 Two-phase primal simplex with exact answers: constraints and objectives
-are exact rationals, witnesses and optimal values ``Fraction``s, while the
-tableau itself holds only Python ints.
+are exact rationals, witnesses integer rows and optimal values ``Fraction``s,
+while the tableau itself holds only Python ints.
 Pivoting follows Bland's rule (smallest eligible index enters; ties in the
 ratio test resolved by smallest basic variable index), which precludes
 cycling: belief polytopes are routinely degenerate at tie beliefs, so
@@ -44,8 +44,8 @@ and it is a function of the basis alone. Signs, and so the entering
 variable, read off the integers directly; in the ratio test a row's
 right-hand side and its entry in the entering slot share the row's
 denominator, so comparing cross products orders the ratios exactly. The
-same bases follow pivot for pivot, and ``Fraction``s are built only for the
-returned solution and value.
+same bases follow pivot for pivot, and a ``Fraction`` is built only for the
+returned optimal value; the solution is an integer row.
 
 A row is its ``IntegerRow``: the rational row its integers over its scale
 stand for, whatever common factor the two carry. Which rational row a
@@ -79,8 +79,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -96,7 +94,7 @@ class Constraint:
 @dataclass(frozen=True)
 class LPResult:
     status: str
-    x: tuple[Fraction, ...] | None
+    x: IntegerRow | None
     value: Fraction | None
 
 
@@ -196,9 +194,10 @@ class _Tableau:
         self.basis[r] = c
         return support
 
-    def minimize(self, cost: list[int], scale: int) -> tuple[str, Fraction]:
+    def minimize(self, cost: list[int], scale: int) -> tuple[str, int, int]:
         """Run Bland-rule simplex iterations for min cost'x / scale, over the
-        variables in the slots.
+        variables in the slots; return the status and the objective value's
+        numerator and positive denominator.
 
         The reduced costs and the negated objective value are one more
         integer row, whose basic variable is the objective itself: its last
@@ -208,7 +207,7 @@ class _Tableau:
         while True:
             enter = min((v for v, x in zip(self.nonbasic, red) if x < 0), default=None)
             if enter is None:
-                return OPTIMAL, Fraction(-red[-2], red[-1])
+                return OPTIMAL, -red[-2], red[-1]
             k = self.nonbasic.index(enter)
             # Row r's ratio is rhs / entry; both are over the same positive
             # denominator, so comparing cross products is exact.
@@ -225,7 +224,7 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leave]):
                         leave = r
             if leave is None:
-                return UNBOUNDED, Fraction(-red[-2], red[-1])
+                return UNBOUNDED, -red[-2], red[-1]
             support = self.pivot(leave, enter)
             red = _eliminate(red, k, self.rows[leave][-1], support)
 
@@ -272,14 +271,16 @@ class _Tableau:
             self.nonbasic = [self.nonbasic[k] for k in slots]
             self.rows = [[row[k] for k in slots] + row[-2:] for row in self.rows]
 
-    def solution(self) -> tuple[Fraction, ...]:
-        struct_vals = [ZERO] * self.n_struct
-        for row, v in zip(self.rows, self.basis):
-            if v < self.n_struct:
-                struct_vals[v] = Fraction(row[-2], row[-1])
+    def solution(self) -> IntegerRow:
+        """The basic solution as an integer row over the lcm of its rows' basic entries."""
+        basic = [(v, row) for row, v in zip(self.rows, self.basis) if v < self.n_struct]
+        scale = lcm(*[row[-1] for _, row in basic])
+        values = [0] * self.n_struct
+        for v, row in basic:
+            values[v] = row[-2] * (scale // row[-1])
         if self.nonneg:
-            return tuple(struct_vals)
-        return tuple(struct_vals[2 * j] - struct_vals[2 * j + 1] for j in range(self.n_vars))
+            return scale, tuple(values)
+        return scale, tuple([values[2 * j] - values[2 * j + 1] for j in range(self.n_vars)])
 
 
 def _structural(values: list, nonneg: bool) -> list:
@@ -318,7 +319,7 @@ def _reduce(row: list[int]) -> list[int]:
 
 def _phase_one(tab: _Tableau) -> bool:
     cost = [0] * tab.art_start + [1] * (tab.n_cols - tab.art_start)
-    status, value = tab.minimize(cost, 1)
+    status, value, _ = tab.minimize(cost, 1)
     if status != OPTIMAL:  # the phase-one objective is bounded below by zero
         raise InternalDisagreement("phase-one simplex reported an unbounded objective")
     if value != 0:
@@ -329,9 +330,9 @@ def _phase_one(tab: _Tableau) -> bool:
 
 def lp_feasible(
     n_vars: int, constraints: Sequence[Constraint], nonneg: bool = False
-) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Exact feasibility of a linear system; witness satisfies every
-    constraint exactly. Variables are free unless ``nonneg`` is set."""
+) -> tuple[bool, IntegerRow | None]:
+    """Exact feasibility of a linear system; the witness, an integer row,
+    satisfies every constraint exactly. Variables are free unless ``nonneg`` is set."""
     tab = _Tableau(n_vars, constraints, nonneg)
     if not _phase_one(tab):
         return False, None
@@ -355,7 +356,7 @@ def lp_solve(
         return LPResult(INFEASIBLE, None, None)
     tab.drop_artificials()
     cost = _structural([-c for c in obj] if maximize else list(obj), nonneg)
-    status, value = tab.minimize(cost + [0] * (tab.n_cols - tab.n_struct), scale)
+    status, value, den = tab.minimize(cost + [0] * (tab.n_cols - tab.n_struct), scale)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
-    return LPResult(OPTIMAL, tab.solution(), -value if maximize else value)
+    return LPResult(OPTIMAL, tab.solution(), Fraction(-value if maximize else value, den))

@@ -16,7 +16,8 @@ so every belief, since ``normal . x >= min(normal)`` on the simplex. And
 ``max c . x`` over the polytope is at most ``max c``, with equality when it
 holds an e_t at which c attains that maximum. ``is_empty`` and
 ``support_value`` answer from these facts where they can and solve the LP
-only for what remains; both answers are unique, so they are the LP's.
+only for what remains; both answers are unique, so they are the LP's. A
+direction is an integer row, whose integers the LP maximizes; so is a maximizer.
 
 A polytope is fixed by its game and action, so ``opt_belief_polytope``
 builds it once per game and action and keeps it on the game
@@ -43,33 +44,25 @@ from .linprog import (
     lp_feasible,
     lp_solve,
 )
-from .rationals import parse_row
+from .rationals import IntegerRow, parse_row
 
 Belief = tuple[Fraction, ...]
-Direction = tuple[Fraction, ...]
+Direction = IntegerRow
 VertexSet = tuple[Belief, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def dot(c: Direction, x) -> Fraction:
+def dot(c, x) -> Fraction:
     return sum((ci * xi for ci, xi in zip(c, x)), ZERO)
-
-
-def negate(c: Direction) -> Direction:
-    return tuple(-ci for ci in c)
-
-
-def unit_direction(dim: int, t: int) -> Direction:
-    return tuple(ONE if i == t else ZERO for i in range(dim))
 
 
 def utility_difference_direction(game: BaseGame, a_first: int, a_second: int) -> Direction:
     """Per-state payoff difference of a_first over a_second, read off the
     game's integer utility table."""
     scale, table = game.integer_utility
-    return tuple(Fraction(x - y, scale) for x, y in zip(table[a_first], table[a_second]))
+    return scale, tuple([x - y for x, y in zip(table[a_first], table[a_second])])
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class BeliefPolytope:
     with offset 0."""
 
     dim: int
-    halfspaces: tuple[tuple[Direction, Fraction], ...]
+    halfspaces: tuple[tuple[tuple[Fraction | int, ...], Fraction | int], ...]
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:
@@ -151,27 +144,29 @@ def is_empty(poly: BeliefPolytope) -> bool:
     return not feasible
 
 
-def maximize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, Belief]:
+def maximize_direction(poly: BeliefPolytope, c: Direction) -> tuple[Fraction, IntegerRow]:
     """Exact maximum of ``c . x`` over the polytope, with an attaining vertex."""
-    if len(c) != poly.dim:
-        raise DimensionMismatch(f"direction has {len(c)} coordinates for dim {poly.dim}")
-    res = lp_solve(poly.dim, poly.lp_rows, c, maximize=True, nonneg=True)
+    scale, ints = c
+    if len(ints) != poly.dim:
+        raise DimensionMismatch(f"direction has {len(ints)} coordinates for dim {poly.dim}")
+    res = lp_solve(poly.dim, poly.lp_rows, ints, maximize=True, nonneg=True)
     if res.status == INFEASIBLE:
         raise EmptyPolytope("cannot optimize over an empty belief polytope")
     if res.status != OPTIMAL:  # the simplex is compact, so never unbounded
         raise InternalDisagreement("maximum over a compact belief polytope is unbounded")
-    return res.value, res.x
+    return (res.value if scale == 1 else res.value / scale), res.x
 
 
 def support_value(poly: BeliefPolytope, c: Direction) -> Fraction:
     """Exact maximum of ``c . x`` over the polytope, the value alone: ``max c``
     when a point mass inside attains it, else ``maximize_direction``'s."""
-    if len(c) != poly.dim:
-        raise DimensionMismatch(f"direction has {len(c)} coordinates for dim {poly.dim}")
+    scale, ints = c
+    if len(ints) != poly.dim:
+        raise DimensionMismatch(f"direction has {len(ints)} coordinates for dim {poly.dim}")
     if poly.point_masses:
-        top = max(c)
-        if any(c[t] == top for t in poly.point_masses):
-            return top
+        top = max(ints)
+        if any(ints[t] == top for t in poly.point_masses):
+            return Fraction(top, scale)
     return maximize_direction(poly, c)[0]
 
 
@@ -203,7 +198,7 @@ def enumerate_vertices(poly: BeliefPolytope) -> VertexSet:
     spaces, not high dimensions.
     """
     n = poly.dim
-    ineqs: list[Direction] = [negate(unit_direction(n, t)) for t in range(n)]
+    ineqs: list[Belief] = [tuple(-ONE if i == t else ZERO for i in range(n)) for t in range(n)]
     offsets: list[Fraction] = [ZERO] * n
     # As Fractions: _solve_square divides, and int / int is a float.
     for normal, offset in poly.halfspaces:

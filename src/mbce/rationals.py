@@ -15,9 +15,9 @@ The path from a file to a report stays on integers: ``parse_row`` and
 ``parse_table`` read ints, "p/q" strings and ``Fraction``s straight into
 the integer form, the checks and builders compute on integers over common
 denominators, the simplex in ``linprog`` takes each constraint as an
-integer row, and ``vector_json`` prints a row from its integer form. A
-``Fraction`` is built for a value returned to a caller (``fractions_json``
-prints a row of them); ``parse_row`` and ``parse_table`` bring such values
+integer row and returns one, and ``vector_json`` prints a row from its
+integer form. A ``Fraction`` is built only for an answer, such as a residual
+(``fraction_to_json`` prints one); ``parse_row`` and ``parse_table`` bring it
 back to the integer form, reduced, since a ``Fraction`` is in lowest terms.
 
 Floats are refused at every boundary because verdicts hinge on exact
@@ -176,16 +176,11 @@ def vector_json(row: IntegerRow) -> list[int | str]:
         raise NumberTooLong() from None
 
 
-def fractions_json(values) -> list[int | str]:
-    """``vector_json`` of a row of ``Fraction``s, the answers the solvers
-    return (a direction, a menu rule's rows), printed as they are. Any other
-    value raises TypeError rather than being converted."""
+def fraction_to_json(q: Fraction) -> int | str:
+    """Serialize a Fraction as an int when exact, else as a "p/q" string.
+    Any other value raises TypeError rather than being converted."""
+    n, d = Fraction.as_integer_ratio(q)
     try:
-        return [n if d == 1 else f"{n}/{d}" for n, d in map(Fraction.as_integer_ratio, values)]
+        return n if d == 1 else f"{n}/{d}"
     except ValueError:  # past sys.get_int_max_str_digits()
         raise NumberTooLong() from None
-
-
-def fraction_to_json(q: Fraction) -> int | str:
-    """Serialize a Fraction as an int when exact, else as a "p/q" string."""
-    return fractions_json((q,))[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,40 @@ from mbce.game import make_game, make_marginal, make_outcome, matching_game
 # the same examples on every run and every Python, so a failure reproduces
 # and a pass is not luck of the draw. Example counts are the tests' own.
 settings.register_profile("derandomized", derandomize=True)
+
+# Seconds a test may run before it fails with its name; the slowest test
+# takes about 6 s. A simplex that stops pivoting by Bland's rule can cycle
+# for ever, and this turns that hang into a failure.
+TEST_TIME_LIMIT = 120
+
+
+class TestTimeLimitExceeded(BaseException):
+    """Raised when a test overruns ``TEST_TIME_LIMIT``. A ``BaseException``
+    that is no ``Exception``, so that Hypothesis, which catches
+    ``Exception`` (and ``SystemExit`` and ``GeneratorExit``) to shrink a
+    failing example, lets it through at once."""
+
+    __test__ = False  # not a test class, despite its name
+
+
+def _overran(signum, frame):
+    raise TestTimeLimitExceeded(f"the test ran past its limit of {TEST_TIME_LIMIT} s")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TEST_TIME_LIMIT``, by SIGALRM where the
+    platform has it; the timer is disarmed and the handler restored after."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -5,7 +5,9 @@ integer route it now takes, kept here as the reference that route is
 compared against: among them the checks that took the prior as
 ``Fraction``s, where the package now takes a game's ``integer_prior``.
 ``make_constraint`` builds an LP row from ``Fraction``s for the tests; the
-package states each row as its integer form.
+package states each row as its integer form. ``strassen_residual`` and
+``support_value`` take a direction as ``Fraction``s, where the package takes
+it as an integer row, and ``unit_direction`` builds such a direction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from mbce.errors import DimensionMismatch, StateMarginalMismatch, ZeroPriorState
+from mbce.errors import (
+    DimensionMismatch,
+    EmptyPolytope,
+    StateMarginalMismatch,
+    UnsupportableAction,
+    ZeroPriorState,
+)
 from mbce.game import (
     ActionMarginal,
     BaseGame,
@@ -23,10 +31,27 @@ from mbce.game import (
     StochasticChoiceRule,
     state_marginal_of,
 )
-from mbce.linprog import EQUAL, GREATER_EQUAL, LESS_EQUAL, Constraint, lp_feasible
-from mbce.rationals import IntegerRow, IntegerTable, exact_fraction, parse_row, parse_table
+from mbce.linprog import (
+    EQUAL,
+    GREATER_EQUAL,
+    INFEASIBLE,
+    LESS_EQUAL,
+    Constraint,
+    lp_feasible,
+    lp_solve,
+)
+from mbce.polytope import BeliefPolytope, dot, opt_belief_polytope
+from mbce.rationals import (
+    IntegerRow,
+    IntegerTable,
+    exact_fraction,
+    parse_row,
+    parse_table,
+    row_fractions,
+)
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def fraction_vector(values) -> tuple[Fraction, ...]:
@@ -184,4 +209,42 @@ def oracle_feasibility(game: BaseGame, marginal: ActionMarginal) -> tuple[bool, 
     feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
     if not feasible:
         return False, None
+    x = row_fractions(x)
     return True, Outcome(parse_table([x[a * n_s:(a + 1) * n_s] for a in range(n_a)]))
+
+
+def unit_direction(dim: int, t: int) -> tuple[Fraction, ...]:
+    return tuple(ONE if i == t else ZERO for i in range(dim))
+
+
+def support_value(poly: BeliefPolytope, c: tuple[Fraction, ...]) -> Fraction:
+    """``polytope.support_value`` with the direction as ``Fraction``s:
+    ``max c`` when a point mass inside attains it, else the LP's maximum,
+    the objective passed as it is."""
+    if len(c) != poly.dim:
+        raise DimensionMismatch(f"direction has {len(c)} coordinates for dim {poly.dim}")
+    if poly.point_masses:
+        top = max(c)
+        if any(c[t] == top for t in poly.point_masses):
+            return top
+    res = lp_solve(poly.dim, poly.lp_rows, c, maximize=True, nonneg=True)
+    if res.status == INFEASIBLE:
+        raise EmptyPolytope("cannot optimize over an empty belief polytope")
+    return res.value
+
+
+def strassen_residual(
+    game: BaseGame, marginal: ActionMarginal, c: tuple[Fraction, ...]
+) -> Fraction:
+    """``consistency.strassen_residual`` with the direction as ``Fraction``s,
+    summed in ``Fraction``s: each supported action's support value times
+    its mass, minus ``c . prior``."""
+    lhs = ZERO
+    for a, mass in enumerate(marginal.probs):
+        if mass > 0:
+            try:
+                value = support_value(opt_belief_polytope(game, a), c)
+            except EmptyPolytope:
+                raise UnsupportableAction(a) from None
+            lhs += mass * value
+    return lhs - dot(c, game.prior)

@@ -63,6 +63,7 @@ from mbce.polytope import (
     maximize_direction,
     opt_belief_polytope,
 )
+from mbce.rationals import parse_row, row_fractions
 from instances import (
     consistent_marginal,
     corrupt_ring_profile,
@@ -218,7 +219,7 @@ def test_criterion_6_ring_construction_and_corruption():
         joint = construct_ring_outcome(verdict.stage_witnesses)
         assert check_ring_obedience(joint, ring)
         for i, marginal in enumerate(profile.marginals):
-            assert ring_player_marginal(joint, i) == marginal.probs
+            assert row_fractions(ring_player_marginal(joint, i)) == marginal.probs
         built += 1
 
     corrupted = 0
@@ -276,7 +277,7 @@ def test_criterion_6_chained_joint_is_obedient_on_drawn_seeds(seed, silent_first
         assert ring_pair_marginal(joint, i) == witness
     assert check_ring_obedience(joint, ring)
     for i, marginal in enumerate(profile.marginals):
-        assert ring_player_marginal(joint, i) == marginal.probs
+        assert row_fractions(ring_player_marginal(joint, i)) == marginal.probs
 
 
 def test_criterion_7_public_reduction_and_vertex_decomposition():
@@ -328,7 +329,7 @@ def ring_joint_feasible(ring, profile):
         for a, q in enumerate(marginal.probs)
     ]
     obedience_rows = []
-    for i, u in enumerate(ring.utilities):
+    for i, u in enumerate(stage.utility for stage in ring.stages):
         for a, b in product(range(widths[i]), repeat=2):
             if a != b:
                 def gain(cell, i=i, a=a, b=b, u=u):
@@ -338,7 +339,7 @@ def ring_joint_feasible(ring, profile):
 
                 obedience_rows.append(gain)
     profiles = list(product(*map(range, widths)))
-    return joint_bce_feasible(ring.prior, profiles, marginal_rows, obedience_rows)
+    return joint_bce_feasible(ring.stages[0].prior, profiles, marginal_rows, obedience_rows)
 
 
 def public_joint_feasible(fo, marginal):
@@ -358,7 +359,7 @@ def public_joint_feasible(fo, marginal):
                         return u[p[i]][t] - u[b][t] if q == p else 0
 
                     obedience_rows.append(gain)
-    return joint_bce_feasible(fo.prior, profiles, marginal_rows, obedience_rows)
+    return joint_bce_feasible(fo.players[0].prior, profiles, marginal_rows, obedience_rows)
 
 
 def test_criterion_9_joint_lps_agree_with_both_reductions():
@@ -467,8 +468,8 @@ def test_criterion_8_lp_maximum_equals_vertex_maximum():
         if is_empty(poly):
             continue
         direction = random_direction(rng, game.n_states)
-        value, argmax = maximize_direction(poly, direction)
+        value, argmax = maximize_direction(poly, parse_row(direction))
         assert value == max(dot(direction, v) for v in enumerate_vertices(poly))
-        assert poly.contains(argmax)
+        assert poly.contains(row_fractions(argmax))
         compared += 1
     print(f"criterion 8: PASS - {compared} LP maxima equal the vertex scan")

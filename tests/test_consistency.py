@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbce import linprog, polytope
@@ -28,7 +28,7 @@ from mbce.consistency import (
     strassen_residual,
     violation_certificate,
 )
-from mbce.errors import NotADistribution, UnsupportableAction
+from mbce.errors import DimensionMismatch, EmptyPolytope, NotADistribution, UnsupportableAction
 from mbce.game import (
     BaseGame,
     best_response_set,
@@ -39,8 +39,11 @@ from mbce.game import (
     make_marginal,
     matching_game,
 )
-from mbce.polytope import opt_belief_polytope
+from mbce.polytope import is_empty, opt_belief_polytope, support_value
+from mbce.rationals import parse_row, row_fractions
 from references import oracle_feasibility as reference_oracle_feasibility
+from references import strassen_residual as reference_strassen_residual
+from references import support_value as reference_support_value
 
 F = Fraction
 
@@ -91,16 +94,37 @@ class TestActionPairCondition:
         assert action_pair_residual(match_three_quarters, HALF_HALF, 1, 1) == 0
 
 
+# Choices that name no action or state of matching_game(3/4): out of range,
+# negative, or a bool, which Python would otherwise read as 0 or 1.
+BAD_CHOICES = {
+    "state 5": lambda g, m: state_condition_residual(g, m, 5),
+    "state -1": lambda g, m: state_condition_residual(g, m, -1),
+    "state True": lambda g, m: state_condition_residual(g, m, True),
+    "pair (5, 0)": lambda g, m: action_pair_residual(g, m, 5, 0),
+    "pair (-1, 0)": lambda g, m: action_pair_residual(g, m, -1, 0),
+    "pair (0, False)": lambda g, m: action_pair_residual(g, m, 0, False),
+    "pair of three": lambda g, m: violation_certificate(g, m, ACTION_PAIR_CONDITION, (0, 1, 0)),
+    "action 9": lambda g, m: violation_certificate(g, m, UNSUPPORTABLE_ACTION, 9),
+    "action True": lambda g, m: violation_certificate(g, m, UNSUPPORTABLE_ACTION, True),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CHOICES.values(), ids=BAD_CHOICES)
+def test_a_choice_outside_the_game_is_refused(match_three_quarters, call):
+    with pytest.raises(DimensionMismatch, match="not an index below|two actions"):
+        call(match_three_quarters, QUARTER_REST)
+
+
 class TestStrassenResidual:
     def test_zero_direction(self, match_three_quarters):
-        assert strassen_residual(match_three_quarters, HALF_HALF, (F(0), F(0))) == 0
+        assert strassen_residual(match_three_quarters, HALF_HALF, parse_row((F(0), F(0)))) == 0
 
     def test_all_ones_direction(self, match_three_quarters):
-        assert strassen_residual(match_three_quarters, HALF_HALF, (F(1), F(1))) == 0
+        assert strassen_residual(match_three_quarters, HALF_HALF, parse_row((F(1), F(1)))) == 0
 
     def test_negative_unit_matches_state_residual(self, match_three_quarters):
         assert strassen_residual(
-            match_three_quarters, QUARTER_REST, (F(0), F(-1))
+            match_three_quarters, QUARTER_REST, parse_row((F(0), F(-1)))
         ) == F(-1, 8)
 
 
@@ -122,7 +146,7 @@ class TestCheckConsistent:
         assert cert.kind == STATE_CONDITION
         assert cert.state == 1
         assert cert.residual == F(-1, 8)
-        assert cert.direction == (F(0), F(-1))
+        assert row_fractions(cert.direction) == (F(0), F(-1))
         assert strassen_residual(match_three_quarters, QUARTER_REST, cert.direction) == cert.residual
 
     def test_point_mass_consistent_iff_prior_in_polytope(self):
@@ -192,7 +216,7 @@ class TestBeyondNamedFamilies:
         assert not verdict.consistent
         cert = verdict.violation
         assert cert.kind == STRASSEN_DIRECTION
-        assert cert.direction == (F(1), F(1), F(-2, 21), F(-1))
+        assert row_fractions(cert.direction) == (F(1), F(1), F(-2, 21), F(-1))
         assert cert.residual == F(-548521, 17124030)
         assert strassen_residual(game, marginal, cert.direction) == cert.residual
         assert oracle_feasibility(game, marginal) == (False, None)
@@ -307,7 +331,7 @@ def games_and_marginals(draw):
         _distribution(prior),
     )
     marginals = [make_marginal(_distribution(draw(weights))) for _ in range(2)]
-    direction = tuple(map(F, draw(st.lists(st.integers(-2, 2), min_size=n_states, max_size=n_states))))
+    direction = parse_row(draw(st.lists(st.integers(-2, 2), min_size=n_states, max_size=n_states)))
     return game, marginals, direction
 
 
@@ -408,3 +432,111 @@ def test_oracle_pivots_as_the_rational_rows(instance):
             patch.setattr(linprog._Tableau, "pivot", recording)
             answers.append((solve(*instance), seen))
     assert answers[0] == answers[1]
+
+
+@st.composite
+def residual_instances(draw):
+    """A 2-4 state, 2-4 action game with rational utilities and a full
+    prior, a marginal with zero entries, a direction of rationals (the zero
+    direction, and now and then one of the wrong length, included) and a
+    factor k for writing the direction's integer row unreduced."""
+    n_states, n_actions = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    row = st.lists(entry, min_size=n_states, max_size=n_states)
+    utility = draw(st.lists(row, min_size=n_actions, max_size=n_actions))
+    prior = draw(st.lists(st.integers(1, 4), min_size=n_states, max_size=n_states))
+    game = make_game(
+        [f"t{t}" for t in range(n_states)],
+        [f"a{a}" for a in range(n_actions)],
+        utility,
+        _distribution(prior),
+    )
+    weights = st.lists(st.integers(0, 3), min_size=n_actions, max_size=n_actions).filter(any)
+    marginal = make_marginal(_distribution(draw(weights)))
+    length = n_states + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    if draw(st.integers(0, 7)) == 0:
+        direction = (F(0),) * length
+    else:
+        direction = tuple(draw(st.lists(entry, min_size=length, max_size=length)))
+    return game, marginal, direction, draw(st.integers(1, 5))
+
+
+def _outcome(compute, *args):
+    """The value of ``compute(*args)``, or the type and arguments of the
+    error it raises."""
+    try:
+        return compute(*args)
+    except (DimensionMismatch, EmptyPolytope, UnsupportableAction) as err:
+        return type(err), err.args
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(residual_instances())
+def test_integer_residuals_match_the_fraction_reference(instance):
+    """A direction's integer row, written with its scale and integers both
+    times k, gives every support value and the residual of the ``Fraction``
+    direction, and raises the same UnsupportableAction, EmptyPolytope or
+    DimensionMismatch."""
+    game, marginal, direction, k = instance
+    scale, ints = parse_row(direction)
+    row = (k * scale, tuple(k * x for x in ints))
+    for a in range(game.n_actions):
+        poly = opt_belief_polytope(game, a)
+        assert _outcome(support_value, poly, row) == _outcome(reference_support_value, poly, direction)
+    assert _outcome(strassen_residual, game, marginal, row) == _outcome(
+        reference_strassen_residual, game, marginal, direction
+    )
+
+
+@st.composite
+def low_dimensional_instances(draw):
+    """A 2- or 3-state game with rational utilities and a full prior, and a
+    marginal on actions whose belief polytope is nonempty, so that most
+    rejections are left to the state and pair conditions; now and then an
+    unsupportable action takes mass too."""
+    n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    row = st.lists(entry, min_size=n_states, max_size=n_states)
+    utility = draw(st.lists(row, min_size=n_actions, max_size=n_actions))
+    prior = draw(st.lists(st.integers(1, 5), min_size=n_states, max_size=n_states))
+    game = make_game(
+        [f"t{t}" for t in range(n_states)],
+        [f"a{a}" for a in range(n_actions)],
+        utility,
+        _distribution(prior),
+    )
+    anywhere = draw(st.integers(0, 9)) == 0
+    weights = [
+        draw(st.integers(0, 4)) if anywhere or not is_empty(opt_belief_polytope(game, a)) else 0
+        for a in range(n_actions)
+    ]
+    assume(any(weights))
+    return game, make_marginal(_distribution(weights))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low_dimensional_instances())
+def test_named_families_suffice_below_three_degrees_of_freedom(instance):
+    """Below three degrees of freedom of a belief, a rejection never needs
+    the separating-direction LP.
+
+    A residual is positively homogeneous in the direction and unchanged by
+    adding a constant to it, so it lives on the quotient by the constants,
+    of dimension S - 1. Each support function is linear on each normal cone
+    of its polytope, whose extreme rays are normals of active constraints:
+    some -e_t, some u(alt) - u(a), and the constants. At S = 3 the quotient
+    is a plane; the named directions cut it into cones between consecutive
+    rays, each less than a half-plane because the -e_t positively span the
+    plane, and the residual is linear on each. So a residual negative
+    anywhere is negative on a named direction. At S = 2 a pair direction is
+    a positive multiple of a state direction modulo the constants, and the
+    state directions are tried first."""
+    game, marginal = instance
+    verdict = check_bce_consistent(game, marginal)
+    if verdict.consistent:
+        return
+    kind = verdict.violation.kind
+    if game.n_states == 2:
+        assert kind in (UNSUPPORTABLE_ACTION, STATE_CONDITION)
+    else:
+        assert kind != STRASSEN_DIRECTION

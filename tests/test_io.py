@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mbce.applications import check_ring, make_first_order, make_profile, make_ring
-from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_ring, cmd_verify, main
+from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_random, cmd_ring, cmd_verify, main
 from mbce.consistency import (
     ACTION_PAIR_CONDITION,
     STATE_CONDITION,
@@ -1004,6 +1004,27 @@ def test_report_bytes_are_pinned(tmp_path, capsys, direction_blind_spot):
     assert main(["verify", "--n", "20", "--seed", "7", "--out", str(out)]) == 0
     digests["verify --n 20 --seed 7"] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_REPORTS
+
+
+# Exit code, sha256 and certificate direction of ``mbce check`` on the
+# instance ``mbce random --seed 691`` writes: a rejection that only the
+# separating-direction LP certifies. CI pins the same value.
+PINNED_DIRECTION_CHECK = (
+    2,
+    "7067906fc2f077a8ae2d237bce361cab38c74cfbe2bb8fee92953d475dcaebb5",
+    ["419/1259", -1, 1, 1],
+)
+
+
+def test_strassen_direction_report_is_pinned(tmp_path):
+    instance = write(tmp_path, cmd_random(691, 4, 4), "instance-691.json")
+    out = tmp_path / "check-691.json"
+    code = main(["check", str(instance), "--out", str(out)])
+    certificate = json.loads(out.read_text())["certificate"]
+    assert certificate["kind"] == "strassen-direction"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (code, digest, certificate["direction"]) == PINNED_DIRECTION_CHECK
+    load_report(out)
 
 
 def test_report_text_writes_the_inputs_once_and_the_same_bytes(direction_blind_spot):

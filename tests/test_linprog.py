@@ -42,7 +42,7 @@ def test_unit_interval_feasible():
     ]
     feasible, x = lp_feasible(1, cons)
     assert feasible
-    assert F(0) <= x[0] <= F(1)
+    assert F(0) <= row_fractions(x)[0] <= F(1)
 
 
 def test_contradictory_bounds_infeasible():
@@ -60,14 +60,14 @@ def test_witness_satisfies_equalities_exactly():
     ]
     feasible, x = lp_feasible(2, cons)
     assert feasible
-    assert x == (F(1), F(1))
+    assert row_fractions(x) == (F(1), F(1))
 
 
 def test_free_variables_can_go_negative():
     cons = [make_constraint([1], LESS_EQUAL, -3)]
     feasible, x = lp_feasible(1, cons)
     assert feasible
-    assert x[0] <= -3
+    assert row_fractions(x)[0] <= -3
 
 
 def test_nonneg_flag_blocks_negative_region():
@@ -84,7 +84,7 @@ def test_small_max_lp():
     res = lp_solve(2, cons, [3, 2], maximize=True, nonneg=True)
     assert res.status == OPTIMAL
     assert res.value == F(10)
-    assert res.x == (F(2), F(2))
+    assert row_fractions(res.x) == (F(2), F(2))
 
 
 def test_minimization_sign_convention():
@@ -92,7 +92,7 @@ def test_minimization_sign_convention():
     res = lp_solve(2, cons, [2, 5], maximize=False, nonneg=True)
     assert res.status == OPTIMAL
     assert res.value == F(2)
-    assert res.x == (F(1), F(0))
+    assert row_fractions(res.x) == (F(1), F(0))
 
 
 def test_unbounded_detected():
@@ -117,7 +117,7 @@ def test_redundant_equalities_are_dropped_not_fatal():
     ]
     feasible, x = lp_feasible(2, cons, nonneg=True)
     assert feasible
-    assert x[0] + x[1] == F(1)
+    assert sum(row_fractions(x)) == F(1)
 
 
 def beale_lp():
@@ -247,12 +247,13 @@ def test_carried_objective_matches_the_solution(lp):
     assert (low.status != INFEASIBLE) == lp_feasible(n, cons, nonneg=nonneg)[0]
     if low.status != OPTIMAL:
         return
-    assert low.value == dot(objective, low.x)
-    assert high.x == low.x
+    x = row_fractions(low.x)
+    assert low.value == dot(objective, x)
+    assert row_fractions(high.x) == x
     assert high.value == -low.value
     for con in cons:
         coeffs, rhs = rational(con)
-        lhs = dot(coeffs, low.x)
+        lhs = dot(coeffs, x)
         if con.sense == LESS_EQUAL:
             assert lhs <= rhs
         elif con.sense == GREATER_EQUAL:
@@ -260,7 +261,7 @@ def test_carried_objective_matches_the_solution(lp):
         else:
             assert lhs == rhs
     if nonneg:
-        assert all(v >= 0 for v in low.x)
+        assert all(v >= 0 for v in x)
 
 
 # Primes near 10**6: pairwise coprime denominators make every row's lcm, and
@@ -327,12 +328,13 @@ def test_strong_duality(lp):
     if primal.status == OPTIMAL:
         assert dual.status == OPTIMAL
         assert dual.value == primal.value
-        assert all(satisfies(con, primal.x) for con in cons)
-        assert all(satisfies(con, dual.x) for con in dual_cons)
-        assert dual.value == dot(dual_objective, dual.x)
-        assert primal.value == dot(objective, primal.x)
+        x, y = row_fractions(primal.x), row_fractions(dual.x)
+        assert all(satisfies(con, x) for con in cons)
+        assert all(satisfies(con, y) for con in dual_cons)
+        assert dual.value == dot(dual_objective, y)
+        assert primal.value == dot(objective, x)
         if nonneg:
-            assert all(v >= 0 for v in primal.x)
+            assert all(v >= 0 for v in x)
     elif primal.status == UNBOUNDED:
         assert dual.status == INFEASIBLE
     else:
@@ -589,6 +591,17 @@ def recorded(tableau, solve, *args, **kwargs):
     return answer, seen
 
 
+def solved(solve, *args, **kwargs):
+    """``recorded`` on the package's tableau, with the solution's integer
+    row read as ``Fraction``s, the form the dense reference returns."""
+    answer, seen = recorded(linprog._Tableau, solve, *args, **kwargs)
+    if isinstance(answer, LPResult):
+        x = None if answer.x is None else row_fractions(answer.x)
+        return LPResult(answer.status, x, answer.value), seen
+    feasible, x = answer
+    return (feasible, None if x is None else row_fractions(x)), seen
+
+
 # Small ints (so that ratios tie and bases degenerate), fractions with unlike
 # denominators, and large coprime ones.
 entries = st.one_of(
@@ -637,10 +650,10 @@ def test_condensed_tableau_pivots_as_the_dense_reference(lp, maximize):
     and same value as the dense reference, for feasibility and for the
     two-phase solve."""
     n, cons, objective, nonneg = lp
-    new = recorded(linprog._Tableau, lp_feasible, n, cons, nonneg=nonneg)
+    new = solved(lp_feasible, n, cons, nonneg=nonneg)
     old = recorded(_Tableau, reference_lp_feasible, n, cons, nonneg=nonneg)
     assert new == old
-    new = recorded(linprog._Tableau, lp_solve, n, cons, objective, maximize, nonneg)
+    new = solved(lp_solve, n, cons, objective, maximize, nonneg)
     old = recorded(_Tableau, reference_lp_solve, n, cons, objective, maximize, nonneg)
     assert new == old
 
@@ -674,9 +687,9 @@ def test_scaling_a_slack_only_row_changes_nothing(lp, factors, maximize):
     ]
     unreduced = [times(con, k, common=True) for con, k in zip(cons, factors)]
     for solve, args in ((lp_feasible, ()), (lp_solve, (objective, maximize))):
-        plain = recorded(linprog._Tableau, solve, n, cons, *args, nonneg=nonneg)
-        assert recorded(linprog._Tableau, solve, n, scaled, *args, nonneg=nonneg) == plain
-        assert recorded(linprog._Tableau, solve, n, unreduced, *args, nonneg=nonneg) == plain
+        plain = solved(solve, n, cons, *args, nonneg=nonneg)
+        assert solved(solve, n, scaled, *args, nonneg=nonneg) == plain
+        assert solved(solve, n, unreduced, *args, nonneg=nonneg) == plain
 
 
 def two_action_oracle_lp(seed, n_states, n_actions):
@@ -737,5 +750,5 @@ def test_oracle_scale_lps_pivot_as_the_dense_reference_on_primitive_rows(monkeyp
         return support
 
     monkeypatch.setattr(linprog._Tableau, "pivot", checked)
-    assert [recorded(linprog._Tableau, lp_feasible, *lp) for lp in lps] == expected
+    assert [solved(lp_feasible, *lp) for lp in lps] == expected
     assert any(unreduced)

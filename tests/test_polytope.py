@@ -25,11 +25,10 @@ from mbce.polytope import (
     maximize_direction,
     opt_belief_polytope,
     support_value,
-    unit_direction,
     utility_difference_direction,
 )
-from mbce.rationals import row_fractions
-from references import make_constraint
+from mbce.rationals import parse_row, row_fractions
+from references import make_constraint, unit_direction
 
 F = Fraction
 
@@ -105,19 +104,20 @@ class TestVertices:
 
 class TestOptimization:
     def test_direction_across_segment(self, match_half):
-        value, witness = maximize_direction(opt_belief_polytope(match_half, 0), (F(1), F(-1)))
-        assert (value, witness) == (F(1), (F(1), F(0)))
-        value, witness = maximize_direction(opt_belief_polytope(match_half, 1), (F(1), F(-1)))
-        assert (value, witness) == (F(0), (F(1, 2), F(1, 2)))
+        c = parse_row((F(1), F(-1)))
+        value, witness = maximize_direction(opt_belief_polytope(match_half, 0), c)
+        assert (value, row_fractions(witness)) == (F(1), (F(1), F(0)))
+        value, witness = maximize_direction(opt_belief_polytope(match_half, 1), c)
+        assert (value, row_fractions(witness)) == (F(0), (F(1, 2), F(1, 2)))
 
     def test_zero_direction(self, match_half):
-        value, _ = maximize_direction(opt_belief_polytope(match_half, 0), (F(0), F(0)))
+        value, _ = maximize_direction(opt_belief_polytope(match_half, 0), parse_row((F(0), F(0))))
         assert value == 0
 
     def test_empty_polytope_raises(self):
         game = tiny_game([[0, 0], [1, 1]])
         with pytest.raises(EmptyPolytope):
-            maximize_direction(opt_belief_polytope(game, 0), (F(1), F(0)))
+            maximize_direction(opt_belief_polytope(game, 0), parse_row((F(1), F(0))))
 
 
 class TestCrossChecks:
@@ -136,11 +136,11 @@ class TestCrossChecks:
         if not vertices:
             assert is_empty(poly)
             with pytest.raises(EmptyPolytope):
-                maximize_direction(poly, c)
+                maximize_direction(poly, parse_row(c))
             return
-        value, witness = maximize_direction(poly, c)
+        value, witness = maximize_direction(poly, parse_row(c))
         assert value == max(dot(c, v) for v in vertices)
-        assert witness in vertices
+        assert row_fractions(witness) in vertices
 
     @settings(max_examples=60)
     @given(
@@ -255,8 +255,9 @@ class TestLpRows:
         monkeypatch.setattr(polytope, "lp_feasible", spy(linprog.lp_feasible))
         monkeypatch.setattr(polytope, "lp_solve", spy(linprog.lp_solve))
         assert not is_empty(poly)
-        assert maximize_direction(poly, (F(1), F(0))) == (F(2, 3), (F(2, 3), F(1, 3)))
-        assert support_value(poly, (F(0), F(1))) == F(2, 3)
+        value, witness = maximize_direction(poly, parse_row((F(1), F(0))))
+        assert (value, row_fractions(witness)) == (F(2, 3), (F(2, 3), F(1, 3)))
+        assert support_value(poly, parse_row((F(0), F(1)))) == F(2, 3)
         assert len(seen) == 3 and all(rows is poly.lp_rows for rows in seen)
 
     @settings(max_examples=100, deadline=None)
@@ -320,7 +321,7 @@ class TestPointMasses:
         assert poly.point_masses == tuple(t for t, e in enumerate(corners) if poly.contains(e))
         assert is_empty(poly) == (not linprog.lp_feasible(poly.dim, poly.lp_rows, nonneg=True)[0])
         entries = st.one_of(st.integers(-2, 2).map(F), small)
-        c = tuple(data.draw(st.lists(entries, min_size=poly.dim, max_size=poly.dim)))
+        c = parse_row(data.draw(st.lists(entries, min_size=poly.dim, max_size=poly.dim)))
         try:
             value, _ = maximize_direction(poly, c)
         except EmptyPolytope:
@@ -338,13 +339,13 @@ class TestPointMasses:
         monkeypatch.setattr(polytope, "lp_solve", no_lp)
         poly = opt_belief_polytope(match_half, 0)
         assert not is_empty(poly)
-        assert support_value(poly, (F(1), F(-1))) == 1
+        assert support_value(poly, parse_row((F(1), F(-1)))) == 1
         with pytest.raises(AssertionError, match="point mass"):
-            support_value(poly, (F(-1), F(1)))
+            support_value(poly, parse_row((F(-1), F(1))))
 
     def test_support_value_checks_the_dimension(self, match_half):
         with pytest.raises(DimensionMismatch):
-            support_value(opt_belief_polytope(match_half, 0), (F(1),))
+            support_value(opt_belief_polytope(match_half, 0), parse_row((F(1),)))
 
 
 def reference_opt_belief_polytope(game, action):
@@ -355,7 +356,7 @@ def reference_opt_belief_polytope(game, action):
         if alt == action:
             continue
         # u(action) - u(alt) >= 0 rewritten as (u(alt) - u(action)) . x <= 0
-        halfspaces.append((utility_difference_direction(game, alt, action), F(0)))
+        halfspaces.append((row_fractions(utility_difference_direction(game, alt, action)), F(0)))
     return BeliefPolytope(dim=game.n_states, halfspaces=tuple(halfspaces))
 
 
@@ -393,7 +394,7 @@ class TestIntegerRows:
         answers = []
         for p in (poly, scaled, reference):
             try:
-                value = support_value(p, c)
+                value = support_value(p, parse_row(c))
             except EmptyPolytope:
                 value = None
             answers.append((p.point_masses, is_empty(p), value, enumerate_vertices(p)))
