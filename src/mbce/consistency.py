@@ -19,9 +19,9 @@ every residual of the certificate search, the separating direction and the
 vertex decomposition ask their questions of the same polytope object.
 
 ``belief_decomposition`` decides the same question independently, through
-the vertices of the belief polytopes. It stays off the decision path and
-serves as the cross-check that ``mbce verify`` and the tests run against the
-oracle.
+the vertices of the belief polytopes, integer rows like every LP row here.
+It stays off the decision path and serves as the cross-check that ``mbce
+verify`` and the tests run against the oracle.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ from .polytope import (
     support_value,
     utility_difference_direction,
 )
-from .rationals import parse_row, parse_table, reduced_row, row_fractions
-
-ZERO = Fraction(0)
+from .rationals import common_scale, reduced_row
 
 STATE_CONDITION = "state-condition"
 ACTION_PAIR_CONDITION = "action-pair-condition"
@@ -241,44 +239,34 @@ def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | 
     construction. Unsupported actions get zero rows.
     """
     supported = _supported(marginal)
-    vertices = {a: enumerate_vertices(opt_belief_polytope(game, a)) for a in supported}
-    offsets: dict[int, int] = {}
-    n_vars = 0
-    for a in supported:
-        if not vertices[a]:
-            return None
-        offsets[a] = n_vars
-        n_vars += len(vertices[a])
+    vertices = [enumerate_vertices(opt_belief_polytope(game, a)) for a in supported]
+    if not all(vertices):
+        return None
+    # One variable per vertex: its action, and its point over a common scale.
+    owners = [a for a, points in zip(supported, vertices) for _ in points]
+    v_scale, points = common_scale([v for vs in vertices for v in vs])
 
+    # Each equality row is its exact rational row (see ``linprog``).
+    m_scale, probs = marginal.integer_probs
+    p_scale, prior = game.integer_prior
     constraints: list[Constraint] = []
     for a in supported:
-        coeffs = [0] * n_vars
-        for j in range(len(vertices[a])):
-            coeffs[offsets[a] + j] = 1
-        constraints.append(Constraint(parse_row((*coeffs, marginal.probs[a])), EQUAL))
+        cells = [m_scale if owner == a else 0 for owner in owners] + [probs[a]]
+        constraints.append(Constraint((m_scale, tuple(cells)), EQUAL))
     for t in range(game.n_states):
-        coeffs = [ZERO] * n_vars
-        for a in supported:
-            for j, v in enumerate(vertices[a]):
-                coeffs[offsets[a] + j] = v[t]
-        constraints.append(Constraint(parse_row((*coeffs, game.prior[t])), EQUAL))
+        cells = [point[t] * p_scale for point in points] + [prior[t] * v_scale]
+        constraints.append(Constraint((v_scale * p_scale, tuple(cells)), EQUAL))
 
-    feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
+    feasible, x = lp_feasible(len(owners), constraints, nonneg=True)
     if not feasible:
         return None
-    x = row_fractions(x)
-    rows = []
-    for a in range(game.n_actions):
-        if a in offsets:
-            row = [ZERO] * game.n_states
-            for j, v in enumerate(vertices[a]):
-                weight = x[offsets[a] + j]
-                for t in range(game.n_states):
-                    row[t] += weight * v[t]
-            rows.append(tuple(row))
-        else:
-            rows.append((ZERO,) * game.n_states)
-    return Outcome(parse_table(rows))
+    x_scale, weights = x
+    table = [[0] * game.n_states for _ in range(game.n_actions)]
+    for a, weight, point in zip(owners, weights, points):
+        row = table[a]
+        for t, coordinate in enumerate(point):
+            row[t] += weight * coordinate
+    return Outcome((x_scale * v_scale, tuple(map(tuple, table))))
 
 
 def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction | None:
@@ -300,12 +288,11 @@ def separating_direction(game: BaseGame, marginal: ActionMarginal) -> Direction 
         vertices = enumerate_vertices(opt_belief_polytope(game, a))
         if not vertices:
             raise UnsupportableAction(a)
-        for v in vertices:
-            coeffs = [ZERO] * (n_vars + 1)
-            for t in range(n_s):
-                coeffs[t] = -v[t]
-            coeffs[n_s + k] = 1
-            constraints.append(Constraint(parse_row(coeffs), GREATER_EQUAL))
+        # -v . c + z_k >= 0 for the vertex v = x / d, a slack row over d.
+        for d, x in vertices:
+            cells = [-v for v in x] + [0] * (n_vars + 1 - n_s)
+            cells[n_s + k] = d
+            constraints.append(Constraint((d, tuple(cells)), GREATER_EQUAL))
     for t in range(n_s):
         for sign in (1, -1):
             box = [0] * n_vars + [1]

@@ -63,7 +63,6 @@ from .game import (
     integer_best_responses,
     state_marginal_of,
 )
-from .polytope import Belief
 from .rationals import (
     IntegerRow,
     IntegerTable,
@@ -109,7 +108,7 @@ class PosteriorDistribution:
         return len(self.integer_weights[1])
 
     @cached_property
-    def support(self) -> tuple[Belief, ...]:
+    def support(self) -> tuple[tuple[Fraction, ...], ...]:
         return table_fractions(self.integer_support)
 
     @cached_property

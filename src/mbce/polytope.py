@@ -17,7 +17,8 @@ so every belief, since ``normal . x >= min(normal)`` on the simplex. And
 holds an e_t at which c attains that maximum. ``is_empty`` and
 ``support_value`` answer from these facts where they can and solve the LP
 only for what remains; both answers are unique, so they are the LP's. A
-direction is an integer row, whose integers the LP maximizes; so is a maximizer.
+direction is an integer row, whose integers the LP maximizes; so is a
+maximizer, and so is each vertex, solved from the integer ``lp_rows``.
 
 A polytope is fixed by its game and action, so ``opt_belief_polytope``
 builds it once per game and action and keeps it on the game
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .errors import DimensionMismatch, EmptyPolytope, InternalDisagreement
 from .game import BaseGame
@@ -44,18 +46,10 @@ from .linprog import (
     lp_feasible,
     lp_solve,
 )
-from .rationals import IntegerRow, parse_row
+from .rationals import IntegerRow, parse_row, reduced_row, row_fractions
 
-Belief = tuple[Fraction, ...]
 Direction = IntegerRow
-VertexSet = tuple[Belief, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def dot(c, x) -> Fraction:
-    return sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+VertexSet = tuple[IntegerRow, ...]
 
 
 def utility_difference_direction(game: BaseGame, a_first: int, a_second: int) -> Direction:
@@ -79,14 +73,20 @@ class BeliefPolytope:
     dim: int
     halfspaces: tuple[tuple[tuple[Fraction | int, ...], Fraction | int], ...]
 
+    def __post_init__(self):
+        for normal, _ in self.halfspaces:
+            if len(normal) != self.dim:
+                raise DimensionMismatch(
+                    f"halfspace normal has {len(normal)} coordinates in a {self.dim}-state polytope"
+                )
+
     def contains(self, point) -> bool:
+        """Whether ``point``, read by ``parse_row``, is a belief inside."""
         if len(point) != self.dim:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates in a {self.dim}-state polytope"
             )
-        if any(q < 0 for q in point) or sum(point) != ONE:
-            return False
-        return all(dot(normal, point) <= offset for normal, offset in self.halfspaces)
+        return _inside([con.row[1] for con in self.lp_rows[1:]], *parse_row(point))
 
     @cached_property
     def lp_rows(self) -> tuple[Constraint, ...]:
@@ -170,50 +170,63 @@ def support_value(poly: BeliefPolytope, c: Direction) -> Fraction:
     return maximize_direction(poly, c)[0]
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination; None when the system is singular."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
+def _integer_solve(rows) -> IntegerRow | None:
+    """The solution of a square system of integer rows (coefficients, then
+    right-hand side) as an integer row, or None when it is singular.
+    Fraction-free Gauss-Jordan (Edmonds 1967; Bareiss 1968): each pivot ``p``
+    turns every other row into ``(p * row - f * pivot_row) // previous``,
+    ``f`` its entry in the pivot column; each entry is a minor of the
+    system, so the division is exact. The solution is the last column over
+    the final pivot, the determinant up to sign."""
+    a = list(rows)
+    n = len(a)
+    previous = 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
             return None
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        piv = a[col][col]
-        a[col] = [v / piv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [a[r][j] - f * a[col][j] for j in range(n + 1)]
-    return [a[r][n] for r in range(n)]
+        a[k], a[r] = a[r], a[k]
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // previous for x, y in zip(a[i], pivot_row)]
+        previous = p
+    sign = 1 if previous > 0 else -1
+    return sign * previous, tuple([sign * row[n] for row in a])
+
+
+def _inside(halfspaces, scale: int, ints) -> bool:
+    """Whether ``ints`` over ``scale`` is a belief with ``normal . ints <=
+    offset * scale`` on each integer row ``(*normal, offset)``; ``map``
+    stops at the end of ``ints``, before the offset."""
+    return (
+        sum(ints) == scale
+        and min(ints) >= 0
+        and all(sum(map(mul, row, ints)) <= row[-1] * scale for row in halfspaces)
+    )
 
 
 def enumerate_vertices(poly: BeliefPolytope) -> VertexSet:
-    """All vertices, by brute force over tight-constraint subsets.
+    """All vertices, by brute force over tight-constraint subsets, as
+    reduced integer rows in the order of their ``Fraction`` views.
 
     Every vertex of a polytope inside the simplex solves sum(x)=1 together
-    with dim-1 of the inequality rows made tight (nonnegativity rows count).
-    Singular subsets are skipped; solutions are kept only when they satisfy
-    the full system. Exhaustive and exact; intended for desk-scale state
-    spaces, not high dimensions.
+    with dim-1 of the inequality rows made tight (nonnegativity rows count),
+    on the integer rows of ``lp_rows``. Singular subsets are skipped;
+    solutions are kept only when they satisfy the full system. Exhaustive
+    and exact; intended for desk-scale state spaces, not high dimensions.
     """
     n = poly.dim
-    ineqs: list[Belief] = [tuple(-ONE if i == t else ZERO for i in range(n)) for t in range(n)]
-    offsets: list[Fraction] = [ZERO] * n
-    # As Fractions: _solve_square divides, and int / int is a float.
-    for normal, offset in poly.halfspaces:
-        ineqs.append(tuple(map(Fraction, normal)))
-        offsets.append(Fraction(offset))
-
-    seen: set[Belief] = set()
-    ones = [ONE] * n
-    for subset in combinations(range(len(ineqs)), n - 1):
-        matrix = [ones] + [list(ineqs[i]) for i in subset]
-        rhs = [ONE] + [offsets[i] for i in subset]
-        x = _solve_square(matrix, rhs)
-        if x is None:
+    system, *halfspaces = [con.row[1] for con in poly.lp_rows]
+    tight = [tuple([-int(i == t) for i in range(n + 1)]) for t in range(n)] + halfspaces
+    seen: set[IntegerRow] = set()
+    for subset in combinations(tight, n - 1):
+        solution = _integer_solve([system, *subset])
+        if solution is None:
             continue
-        point = tuple(x)
-        if point not in seen and poly.contains(point):
-            seen.add(point)
-    return tuple(sorted(seen))
+        vertex = reduced_row(solution)
+        if vertex not in seen and _inside(halfspaces, *vertex):
+            seen.add(vertex)
+    return tuple(sorted(seen, key=row_fractions))

@@ -7,13 +7,17 @@ compared against: among them the checks that took the prior as
 ``make_constraint`` builds an LP row from ``Fraction``s for the tests; the
 package states each row as its integer form. ``strassen_residual`` and
 ``support_value`` take a direction as ``Fraction``s, where the package takes
-it as an integer row, and ``unit_direction`` builds such a direction.
+it as an integer row, and ``unit_direction`` builds such a direction. The
+vertex scan (``enumerate_vertices``, ``contains``) and
+``belief_decomposition`` solve and test in ``Fraction``s, where the package
+solves on integer rows and returns each vertex as one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 
@@ -40,7 +44,7 @@ from mbce.linprog import (
     lp_feasible,
     lp_solve,
 )
-from mbce.polytope import BeliefPolytope, dot, opt_belief_polytope
+from mbce.polytope import BeliefPolytope, opt_belief_polytope
 from mbce.rationals import (
     IntegerRow,
     IntegerTable,
@@ -52,6 +56,10 @@ from mbce.rationals import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def dot(c, x) -> Fraction:
+    return sum((ci * xi for ci, xi in zip(c, x)), ZERO)
 
 
 def fraction_vector(values) -> tuple[Fraction, ...]:
@@ -248,3 +256,95 @@ def strassen_residual(
                 raise UnsupportableAction(a) from None
             lhs += mass * value
     return lhs - dot(c, game.prior)
+
+
+def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gaussian elimination; None when the system is singular."""
+    n = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            return None
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        piv = a[col][col]
+        a[col] = [v / piv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [a[r][j] - f * a[col][j] for j in range(n + 1)]
+    return [a[r][n] for r in range(n)]
+
+
+def contains(poly: BeliefPolytope, point) -> bool:
+    """``BeliefPolytope.contains`` in ``Fraction``s: a distribution that
+    satisfies every halfspace as written."""
+    if len(point) != poly.dim:
+        raise DimensionMismatch(f"point has {len(point)} coordinates in a {poly.dim}-state polytope")
+    if any(q < 0 for q in point) or sum(point) != ONE:
+        return False
+    return all(dot(normal, point) <= offset for normal, offset in poly.halfspaces)
+
+
+def enumerate_vertices(poly: BeliefPolytope) -> tuple[tuple[Fraction, ...], ...]:
+    """``polytope.enumerate_vertices`` in ``Fraction``s: each subset of
+    dim-1 tight rows solved by ``solve_square`` next to sum(x) = 1, and the
+    vertices returned as sorted ``Fraction`` tuples."""
+    n = poly.dim
+    ineqs = [tuple(-ONE if i == t else ZERO for i in range(n)) for t in range(n)]
+    offsets = [ZERO] * n
+    for normal, offset in poly.halfspaces:
+        ineqs.append(tuple(map(Fraction, normal)))
+        offsets.append(Fraction(offset))
+    seen = set()
+    ones = [ONE] * n
+    for subset in combinations(range(len(ineqs)), n - 1):
+        matrix = [ones] + [list(ineqs[i]) for i in subset]
+        rhs = [ONE] + [offsets[i] for i in subset]
+        x = solve_square(matrix, rhs)
+        if x is None:
+            continue
+        point = tuple(x)
+        if point not in seen and contains(poly, point):
+            seen.add(point)
+    return tuple(sorted(seen))
+
+
+def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | None:
+    """``consistency.belief_decomposition`` with the vertices as ``Fraction``
+    tuples, each LP row built by ``make_constraint`` and the outcome summed
+    in ``Fraction``s."""
+    supported = [a for a, mass in enumerate(marginal.probs) if mass > 0]
+    vertices = {a: enumerate_vertices(opt_belief_polytope(game, a)) for a in supported}
+    offsets: dict[int, int] = {}
+    n_vars = 0
+    for a in supported:
+        if not vertices[a]:
+            return None
+        offsets[a] = n_vars
+        n_vars += len(vertices[a])
+    constraints = []
+    for a in supported:
+        coeffs = [0] * n_vars
+        for j in range(len(vertices[a])):
+            coeffs[offsets[a] + j] = 1
+        constraints.append(make_constraint(coeffs, EQUAL, marginal.probs[a]))
+    for t in range(game.n_states):
+        coeffs = [ZERO] * n_vars
+        for a in supported:
+            for j, v in enumerate(vertices[a]):
+                coeffs[offsets[a] + j] = v[t]
+        constraints.append(make_constraint(coeffs, EQUAL, game.prior[t]))
+    feasible, x = lp_feasible(n_vars, constraints, nonneg=True)
+    if not feasible:
+        return None
+    x = row_fractions(x)
+    rows = []
+    for a in range(game.n_actions):
+        row = [ZERO] * game.n_states
+        if a in offsets:
+            for j, v in enumerate(vertices[a]):
+                for t in range(game.n_states):
+                    row[t] += x[offsets[a] + j] * v[t]
+        rows.append(tuple(row))
+    return Outcome(parse_table(rows))

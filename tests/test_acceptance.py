@@ -57,7 +57,6 @@ from mbce.implementation import (
 from mbce.flows import max_flow_feasible
 from mbce.linprog import EQUAL, GREATER_EQUAL, lp_feasible
 from mbce.polytope import (
-    dot,
     enumerate_vertices,
     is_empty,
     maximize_direction,
@@ -74,7 +73,7 @@ from instances import (
     random_posteriors,
     random_ring,
 )
-from references import make_constraint
+from references import dot, make_constraint
 
 F = Fraction
 
@@ -292,7 +291,7 @@ def test_criterion_7_public_reduction_and_vertex_decomposition():
         assert public.consistent == direct.consistent
         for p, profile in enumerate(action_profiles(fo)):
             poly = opt_belief_polytope(aux, p)
-            for vertex in enumerate_vertices(poly):
+            for vertex in map(row_fractions, enumerate_vertices(poly)):
                 for i, a_i in enumerate(profile):
                     assert a_i in best_response_set(fo.players[i], vertex)
                 vertices_checked += 1
@@ -469,7 +468,7 @@ def test_criterion_8_lp_maximum_equals_vertex_maximum():
             continue
         direction = random_direction(rng, game.n_states)
         value, argmax = maximize_direction(poly, parse_row(direction))
-        assert value == max(dot(direction, v) for v in enumerate_vertices(poly))
+        assert value == max(dot(direction, row_fractions(v)) for v in enumerate_vertices(poly))
         assert poly.contains(row_fractions(argmax))
         compared += 1
     print(f"criterion 8: PASS - {compared} LP maxima equal the vertex scan")

@@ -197,7 +197,7 @@ class TestPublicCheck:
         )
         aux = auxiliary_single_agent(fo)
         for idx in range(aux.n_actions):
-            for vertex in enumerate_vertices(opt_belief_polytope(aux, idx)):
+            for vertex in map(row_fractions, enumerate_vertices(opt_belief_polytope(aux, idx))):
                 assert best_response_set(aux, vertex) == profile_br_product(
                     fo, aux, vertex
                 )

@@ -1027,6 +1027,19 @@ def test_strassen_direction_report_is_pinned(tmp_path):
     load_report(out)
 
 
+# sha256 of the report ``mbce verify --n 500 --seed 7 --out FILE`` writes:
+# the seeded cross-check of the vertex decomposition against the oracle LP.
+# CI pins the same value.
+PINNED_VERIFY_500 = "71f13780e4c330ade74b8bc0361ea571b7d8056ed3d93f92066c8250f8519b86"
+
+
+def test_seeded_cross_check_report_is_pinned(tmp_path):
+    out = tmp_path / "verify-500-7.json"
+    assert main(["verify", "--n", "500", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VERIFY_500
+    load_report(out)
+
+
 def test_report_text_writes_the_inputs_once_and_the_same_bytes(direction_blind_spot):
     """report_string renders the inputs once, for the digest and in place;
     for every command the text is that of the whole document."""

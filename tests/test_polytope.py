@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbce import linprog, polytope
+import references
+from mbce import consistency, linprog, polytope
 from mbce.errors import DimensionMismatch, EmptyPolytope
-from mbce.game import BaseGame, best_response_set, make_game, matching_game
+from mbce.game import BaseGame, best_response_set, make_game, make_marginal, matching_game
 from mbce.linprog import EQUAL, LESS_EQUAL
 from mbce.polytope import (
     BeliefPolytope,
-    dot,
     enumerate_vertices,
     is_empty,
     maximize_direction,
@@ -28,9 +28,14 @@ from mbce.polytope import (
     utility_difference_direction,
 )
 from mbce.rationals import parse_row, row_fractions
-from references import make_constraint, unit_direction
+from references import dot, make_constraint, unit_direction
 
 F = Fraction
+
+
+def vertex_beliefs(poly):
+    """The vertices as ``Fraction`` tuples, in the order they come."""
+    return tuple(map(row_fractions, enumerate_vertices(poly)))
 
 
 def tiny_game(utility_rows):
@@ -73,7 +78,7 @@ class TestHalfRepresentation:
         game = tiny_game([[5, -2, 3]])
         poly = opt_belief_polytope(game, 0)
         assert poly.halfspaces == ()
-        assert sorted(enumerate_vertices(poly)) == [
+        assert sorted(vertex_beliefs(poly)) == [
             (F(0), F(0), F(1)),
             (F(0), F(1), F(0)),
             (F(1), F(0), F(0)),
@@ -84,22 +89,29 @@ class TestHalfRepresentation:
         assert not poly.contains((F(2), F(-1)))
         assert not poly.contains((F(1, 2), F(1, 4)))
 
+    @pytest.mark.parametrize("normal", [(1,), (1, 2, 3)])
+    def test_ragged_halfspace_is_refused(self, normal):
+        """A normal without one entry per state is refused as it is built,
+        not read past its end or silently cut short later."""
+        with pytest.raises(DimensionMismatch):
+            BeliefPolytope(2, ((normal, 0),))
+
 
 class TestVertices:
     def test_guessing_game_segment_endpoints(self, match_half):
         poly = opt_belief_polytope(match_half, 0)
-        assert enumerate_vertices(poly) == ((F(1, 2), F(1, 2)), (F(1), F(0)))
+        assert vertex_beliefs(poly) == ((F(1, 2), F(1, 2)), (F(1), F(0)))
 
     def test_one_state_degenerate_dimension(self):
         game = tiny_game([[1], [0]])
-        assert enumerate_vertices(opt_belief_polytope(game, 0)) == ((F(1),),)
+        assert vertex_beliefs(opt_belief_polytope(game, 0)) == ((F(1),),)
         assert enumerate_vertices(opt_belief_polytope(game, 1)) == ()
 
     def test_tie_region_collapses_to_point(self):
         # both actions identical: every belief optimal, vertices are simplex corners
         game = tiny_game([[2, 2], [2, 2]])
         poly = opt_belief_polytope(game, 0)
-        assert enumerate_vertices(poly) == ((F(0), F(1)), (F(1), F(0)))
+        assert vertex_beliefs(poly) == ((F(0), F(1)), (F(1), F(0)))
 
 
 class TestOptimization:
@@ -131,7 +143,7 @@ class TestCrossChecks:
         game = tiny_game(rows)
         action = action_seed % game.n_actions
         poly = opt_belief_polytope(game, action)
-        vertices = enumerate_vertices(poly)
+        vertices = vertex_beliefs(poly)
         c = tuple(F(v) for v in direction_num[: game.n_states])
         if not vertices:
             assert is_empty(poly)
@@ -167,7 +179,7 @@ class TestCrossChecks:
         game = tiny_game(rows)
         action = action_seed % game.n_actions
         poly = opt_belief_polytope(game, action)
-        vertices = enumerate_vertices(poly)
+        vertices = vertex_beliefs(poly)
         for t in range(game.n_states):
             corner = unit_direction(game.n_states, t)
             if poly.contains(corner):
@@ -399,3 +411,122 @@ class TestIntegerRows:
                 value = None
             answers.append((p.point_masses, is_empty(p), value, enumerate_vertices(p)))
         assert answers[0] == answers[1] == answers[2]
+
+
+class TestIntegerSolve:
+    """``_integer_solve`` on rows of coefficients and then a right-hand side."""
+
+    def test_singular_system(self):
+        assert polytope._integer_solve([(1, 2, 3), (2, 4, 5)]) is None
+
+    def test_zero_leading_pivot_takes_a_row_swap(self):
+        # y = 2, x + 2z = 3, z = 1
+        rows = [(0, 1, 0, 2), (1, 0, 2, 3), (0, 0, 1, 1)]
+        assert polytope._integer_solve(rows) == (1, (1, 2, 1))
+
+    def test_negative_determinant(self):
+        # x + y = 1, x - y = 0: the final pivot is -2, made positive
+        assert polytope._integer_solve([(1, 1, 1), (1, -1, 0)]) == (2, (1, 1))
+
+    def test_one_by_one(self):
+        assert polytope._integer_solve([(-4, 6)]) == (4, (-6,))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n
+        )
+    ))
+    def test_solves_as_fraction_elimination(self, rows):
+        expected = references.solve_square([list(map(F, row[:-1])) for row in rows],
+                                           [F(row[-1]) for row in rows])
+        solution = polytope._integer_solve([tuple(row) for row in rows])
+        if expected is None:
+            assert solution is None
+        else:
+            scale, ints = solution
+            assert scale > 0 and [F(x, scale) for x in ints] == expected
+
+
+@st.composite
+def decomposition_games(draw):
+    """A 1-5-state game with 1-4 actions, utilities from few values so that
+    ties are common, a full prior, and a marginal with zero entries: each
+    action's belief polytope, and the game and marginal."""
+    n_states, n_actions = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entry = st.sampled_from([F(-1), F(0), F(1, 3), F(1, 2), F(2)])
+    row = st.lists(entry, min_size=n_states, max_size=n_states)
+    prior = draw(st.lists(st.integers(1, 4), min_size=n_states, max_size=n_states))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n_actions, max_size=n_actions).filter(any))
+    game = make_game(
+        [f"t{t}" for t in range(n_states)],
+        [f"a{a}" for a in range(n_actions)],
+        draw(st.lists(row, min_size=n_actions, max_size=n_actions)),
+        [F(p, sum(prior)) for p in prior],
+    )
+    marginal = make_marginal([F(w, sum(weights)) for w in weights])
+    return [opt_belief_polytope(game, a) for a in range(n_actions)], (game, marginal)
+
+
+@st.composite
+def fraction_polytopes(draw):
+    """A polytope of dimension 1-5 with ``Fraction`` rows: none, free rows,
+    duplicated rows, all-zero rows, and rows that exclude every belief."""
+    dim = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["free", "duplicate", "zero", "infeasible"]))
+        normal = tuple(draw(st.lists(small, min_size=dim, max_size=dim)))
+        if kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "zero":
+            rows.append(((F(0),) * dim, draw(small)))
+        elif kind == "infeasible":
+            rows.append((normal, min(normal) - draw(st.fractions(min_value=F(1, 6), max_value=2))))
+        else:
+            rows.append((normal, draw(small)))
+    return [BeliefPolytope(dim, tuple(rows))], None
+
+
+def probe_points(draw, poly, vertices):
+    """Points to test membership at: the vertices, the point masses, their
+    mean, a drawn distribution, and a point off the simplex."""
+    n = poly.dim
+    points = [*vertices, *(unit_direction(n, t) for t in range(n))]
+    if vertices:
+        points.append(tuple(sum(column) / len(vertices) for column in zip(*vertices)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    points.append(tuple(F(w, sum(weights)) for w in weights))
+    points.append(tuple(F(w, sum(weights)) - F(int(t == 0)) for t, w in enumerate(weights)))
+    return points
+
+
+def decompose(module, game, marginal):
+    """``module.belief_decomposition(game, marginal)``, and the rational
+    rows and senses of the LP it hands to ``lp_feasible``."""
+    rows = []
+
+    def recording(n_vars, constraints, **kwargs):
+        rows.extend((row_fractions(con.row), con.sense) for con in constraints)
+        return linprog.lp_feasible(n_vars, constraints, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "lp_feasible", recording)
+        return module.belief_decomposition(game, marginal), rows
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.one_of(decomposition_games(), fraction_polytopes()), st.data())
+def test_integer_vertex_layer_answers_as_the_fraction_scan(instance, data):
+    """Vertices, membership and the vertex decomposition on integer rows
+    give the answers of the ``Fraction`` scan they replaced; the
+    decomposition's LP rows, which take artificials, are the same rational
+    rows."""
+    polys, decomposition = instance
+    for poly in polys:
+        vertices = references.enumerate_vertices(poly)
+        assert vertex_beliefs(poly) == vertices
+        for point in probe_points(data.draw, poly, vertices):
+            assert poly.contains(point) == references.contains(poly, point)
+    if decomposition is not None:
+        assert decompose(consistency, *decomposition) == decompose(references, *decomposition)
