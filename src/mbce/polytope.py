@@ -219,6 +219,8 @@ def enumerate_vertices(poly: BeliefPolytope) -> VertexSet:
     and exact; intended for desk-scale state spaces, not high dimensions.
     """
     n = poly.dim
+    if n == 0:
+        return ()  # the simplex over no states holds no belief
     system, *halfspaces = [con.row[1] for con in poly.lp_rows]
     tight = [tuple([-int(i == t) for i in range(n + 1)]) for t in range(n)] + halfspaces
     seen: set[IntegerRow] = set()

@@ -29,6 +29,9 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr.decode(errors="replace")
-    assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, str(demo)], capture_output=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, (flags, done.stderr.decode(errors="replace"))
+        assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo.stem], flags

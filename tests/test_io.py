@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mbce.applications import check_ring, make_first_order, make_profile, make_ring
-from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_random, cmd_ring, cmd_verify, main
+from mbce.cli import cmd_check, cmd_implement, cmd_public, cmd_ring, cmd_verify, main
 from mbce.consistency import (
     ACTION_PAIR_CONDITION,
     STATE_CONDITION,
@@ -49,6 +49,7 @@ from mbce.io import (
     vector_json,
 )
 from mbce.rationals import fraction_to_json, parse_row
+from pins import PINS, run_pin
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -989,55 +990,27 @@ PINNED_REPORTS = {
     "public consistent": "ab39070168cbf360f5c128c6df12b4662b77d31fc56b856af9c7799173a3b8ec",
     "public inconsistent": "30da9975d68669728af37d4a394067398d8610c6383561da436b120074c57af5",
     "verify": "207013eff1454eb667b86f5bec7b5e79f78b8b2dd5b624de0dd13ef12008c760",
-    "verify --n 20 --seed 7": "07c8811d7fc959a8f17fbe8d1d73bf2c923458bf0a2b2e7224ca0ba414adda01",
 }
 
 
-def test_report_bytes_are_pinned(tmp_path, capsys, direction_blind_spot):
-    """Every report kind keeps its bytes: each one ``cli_reports`` builds,
-    and the file ``mbce verify --n 20 --seed 7 --out FILE`` writes."""
+def test_report_bytes_are_pinned(direction_blind_spot):
+    """Every report kind ``cli_reports`` builds keeps its bytes; the reports
+    of CLI runs are pinned in ``pins.json``."""
     digests = {
         name: hashlib.sha256(report_string(report).encode("utf-8")).hexdigest()
         for name, report in cli_reports(direction_blind_spot).items()
     }
-    out = tmp_path / "verify.json"
-    assert main(["verify", "--n", "20", "--seed", "7", "--out", str(out)]) == 0
-    digests["verify --n 20 --seed 7"] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_REPORTS
 
 
-# Exit code, sha256 and certificate direction of ``mbce check`` on the
-# instance ``mbce random --seed 691`` writes: a rejection that only the
-# separating-direction LP certifies. CI pins the same value.
-PINNED_DIRECTION_CHECK = (
-    2,
-    "7067906fc2f077a8ae2d237bce361cab38c74cfbe2bb8fee92953d475dcaebb5",
-    ["419/1259", -1, 1, 1],
-)
-
-
 def test_strassen_direction_report_is_pinned(tmp_path):
-    instance = write(tmp_path, cmd_random(691, 4, 4), "instance-691.json")
-    out = tmp_path / "check-691.json"
-    code = main(["check", str(instance), "--out", str(out)])
+    """``mbce check`` on the instance ``mbce random --seed 691`` writes: a
+    rejection that only the separating-direction LP certifies. Its exit code
+    and sha256 are the ``check-seed691`` pin."""
+    out = run_pin(PINS["check-seed691"], tmp_path)
     certificate = json.loads(out.read_text())["certificate"]
     assert certificate["kind"] == "strassen-direction"
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert (code, digest, certificate["direction"]) == PINNED_DIRECTION_CHECK
-    load_report(out)
-
-
-# sha256 of the report ``mbce verify --n 500 --seed 7 --out FILE`` writes:
-# the seeded cross-check of the vertex decomposition against the oracle LP.
-# CI pins the same value.
-PINNED_VERIFY_500 = "71f13780e4c330ade74b8bc0361ea571b7d8056ed3d93f92066c8250f8519b86"
-
-
-def test_seeded_cross_check_report_is_pinned(tmp_path):
-    out = tmp_path / "verify-500-7.json"
-    assert main(["verify", "--n", "500", "--seed", "7", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VERIFY_500
-    load_report(out)
+    assert certificate["direction"] == ["419/1259", -1, 1, 1]
 
 
 def test_report_text_writes_the_inputs_once_and_the_same_bytes(direction_blind_spot):

@@ -106,6 +106,7 @@ class TestVertices:
         game = tiny_game([[1], [0]])
         assert vertex_beliefs(opt_belief_polytope(game, 0)) == ((F(1),),)
         assert enumerate_vertices(opt_belief_polytope(game, 1)) == ()
+        assert enumerate_vertices(BeliefPolytope(0, ())) == ()
 
     def test_tie_region_collapses_to_point(self):
         # both actions identical: every belief optimal, vertices are simplex corners
