@@ -37,7 +37,7 @@ from operator import add
 from typing import Sequence
 
 from .consistency import ConsistencyVerdict, ViolationCertificate, check_bce_consistent
-from .errors import DimensionMismatch, ProductTooLarge, StageMarginalMismatch
+from .errors import DimensionMismatch, NotADistribution, ProductTooLarge, StageMarginalMismatch
 from .game import (
     ActionMarginal,
     BaseGame,
@@ -340,22 +340,27 @@ def construct_ring_outcome(stage_witnesses: Sequence[Outcome]) -> RingOutcome:
     """Chain stage joints into one joint over (profiles x states).
 
     Entry (a_1..a_N, t) multiplies the stage-0 mass at (a_1, t) by each
-    downstream conditional mass of a_{i+1} given a_i.  Conditionals on an
-    upstream action of mass zero are taken uniform, which keeps the result a
-    distribution without affecting any marginal.  Adjacent witnesses must
-    agree on the marginal they share.  More than ``MAX_PROFILES`` profiles
-    are refused before any is built.
+    downstream conditional mass of a_{i+1} given a_i.  Adjacent witnesses
+    must agree on the marginal they share, and a witness with a negative
+    entry is refused with NotADistribution.  More than ``MAX_PROFILES``
+    profiles are refused before any is built.
 
     Each witness is read as integers over its own scale, so the conditional
     of a_{i+1} given a_i is its integer entry over its integer column sum.
     A partial profile carries integer numerators over one denominator, and
     the joint puts every profile over the lcm of those denominators; a zero
-    entry settles every profile below it as zero.
+    entry settles every profile below it as zero.  With no negative entry,
+    a profile whose last action has zero mass is already zero, so no
+    conditional on such an action is ever read.
     """
     if not stage_witnesses:
         raise DimensionMismatch("need at least one stage witness")
     shape = tuple(len(w.integer_probs[1]) for w in stage_witnesses)
     profile_count(shape)
+    # Each scale is positive, so the numerators carry the entries' signs.
+    for i, witness in enumerate(stage_witnesses):
+        if any(x < 0 for row in witness.integer_probs[1] for x in row):
+            raise NotADistribution(f"stage witness {i} has a negative entry")
     up_scale, table = stage_witnesses[0].integer_probs
     n_states = len(table[0])
     # Per partial profile, in product order: its numerators over the states
@@ -372,17 +377,13 @@ def construct_ring_outcome(stage_witnesses: Sequence[Outcome]) -> RingOutcome:
             raise StageMarginalMismatch(
                 "stage witness conditions on a marginal its predecessor does not produce"
             )
-        n_here = len(table)
         # factors[s]: the conditional of each action given upstream action
         # s, as (numerator, denominator).
-        factors = [
-            [(row[s], mass) if mass else (1, n_here) for row in table]
-            for s, mass in enumerate(shared)
-        ]
+        factors = [[(row[s], mass) for row in table] for s, mass in enumerate(shared)]
         extended = []
         for k, entry in enumerate(partial):
             if entry is None:
-                extended += [None] * n_here
+                extended += [None] * len(table)
                 continue
             nums, den = entry
             for num, d in factors[k % len(shared)]:

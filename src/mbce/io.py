@@ -719,18 +719,11 @@ def _rederive_certificate(doc, path, game, marginal) -> ViolationCertificate:
     kind = cert.get("kind")
     if kind == UNSUPPORTABLE_ACTION:
         choice = cert.get("action")
-        if not _is_index(choice, game.n_actions) or marginal.integer_probs[1][choice] == 0:
-            raise ValidationError(path, "unsupportable-action certificate names a zero-mass action")
-        if not is_empty(opt_belief_polytope(game, choice)):
-            raise ValidationError(path, "named action is supportable after all")
     elif kind == STATE_CONDITION:
         choice = cert.get("state")
-        if not _is_index(choice, game.n_states):
-            raise ValidationError(path, "state-condition certificate names no valid state")
     elif kind == ACTION_PAIR_CONDITION:
         choice = cert.get("pair")
-        is_pair = isinstance(choice, list) and len(choice) == 2
-        if not is_pair or not all(_is_index(a, game.n_actions) for a in choice):
+        if not isinstance(choice, list):
             raise ValidationError(path, "action-pair certificate names no valid pair")
     elif kind == STRASSEN_DIRECTION:
         choice = cert.get("direction")
@@ -739,8 +732,14 @@ def _rederive_certificate(doc, path, game, marginal) -> ViolationCertificate:
         choice = _integer_row(choice, path, "certificate.direction")
     else:
         raise ValidationError(path, f"unknown certificate kind {kind!r}")
+    # violation_certificate refuses an index or a pair that is none of the game's.
     violation = _domain(path, violation_certificate, game, marginal, kind, choice)
-    if violation.residual is not None and violation.residual >= 0:
+    if kind == UNSUPPORTABLE_ACTION:
+        if marginal.integer_probs[1][choice] == 0:
+            raise ValidationError(path, "unsupportable-action certificate names a zero-mass action")
+        if not is_empty(opt_belief_polytope(game, choice)):
+            raise ValidationError(path, "named action is supportable after all")
+    elif violation.residual >= 0:
         raise ValidationError(path, f"{kind} certificate does not re-derive a negative residual")
     return violation
 
@@ -887,12 +886,11 @@ def _rebuild_ring(doc: dict, path: str) -> Report:
         table = stage.integer_probs[1]
         if len(table) != game.n_actions or any(len(r) != game.n_states for r in table):
             raise ValidationError(path, f"stage witness {i} does not fit the ring")
+    # A stage witness with a negative entry is refused before chaining, so
+    # the joint has none; its state marginal is player 1's pair marginal's.
     joint = _domain(path, construct_ring_outcome, stages)
-    # The joint's integer numerators share its positive scale, so they carry
-    # its signs; its state marginal is that of player 1's pair marginal.
-    negative = any(x < 0 for row in joint.integer_probs[1] for x in row)
     prior = ring.stages[0].integer_prior
-    if negative or not check_state_marginal(ring_pair_marginal(joint, 0), prior):
+    if not check_state_marginal(ring_pair_marginal(joint, 0), prior):
         raise ValidationError(path, "joint outcome is no distribution with the ring's prior")
     if not check_ring_obedience(joint, ring):
         raise ValidationError(path, "joint outcome is not obedient for every player")

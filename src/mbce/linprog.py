@@ -14,9 +14,12 @@ then its right-hand side, then its entry in its own basic variable. The
 identity block of the basic slack and artificial variables is never stored.
 A pivot swaps the entering and the leaving variable in one slot. Artificial
 variables that leave the basis keep a slot through phase one, because
-Bland's rule may choose one to enter again. Phase two may not let them
-enter, so ``lp_solve`` drops their slots before it, once phase one has
-driven every artificial out of the basis or dropped its redundant row.
+Bland's rule may choose one to enter again. Phase one that reaches zero
+leaves every artificial still basic at zero, so ``lp_feasible`` reads its
+witness there. Phase two may not let an artificial enter, so before it
+``lp_solve`` pivots each basic artificial out (a pivot on a zero right-hand
+side, which moves no value), drops the row of any that cannot leave, whose
+constraint is redundant, and then drops the artificial slots.
 
 The rows are fraction-free (Edmonds 1967; Bareiss 1968), with one
 denominator per row. A constraint arrives as an integer row
@@ -243,33 +246,25 @@ class _Tableau:
         red.append(scale * m)
         return _reduce(red)
 
-    def drive_out_artificials(self) -> None:
-        """After a zero-value phase one, pivot artificial variables out of the
-        basis; rows that cannot pivot are redundant and get dropped."""
-        keep_rows = []
-        for r in range(len(self.rows)):
-            if self.basis[r] < self.art_start:
-                keep_rows.append(r)
+    def drop_artificials(self) -> None:
+        """After a zero-value phase one, pivot each artificial variable still
+        basic out of the basis on the smallest variable with a nonzero in its
+        row, or drop the row if there is none (a redundant constraint); then
+        remove the artificial slots: phase two may not let them enter."""
+        for r, v in enumerate(self.basis):
+            if v < self.art_start:
                 continue
             col = min(
-                (v for v, x in zip(self.nonbasic, self.rows[r]) if x and v < self.art_start),
+                (u for u, x in zip(self.nonbasic, self.rows[r]) if x and u < self.art_start),
                 default=None,
             )
-            if col is None:
-                continue  # all-zero row: redundant constraint
-            self.pivot(r, col)
-            keep_rows.append(r)
-        if len(keep_rows) < len(self.rows):
-            self.rows = [self.rows[r] for r in keep_rows]
-            self.basis = [self.basis[r] for r in keep_rows]
-
-    def drop_artificials(self) -> None:
-        """Remove the nonbasic artificial slots, once none is basic: phase
-        two may not let them enter."""
+            if col is not None:
+                self.pivot(r, col)
+        kept = [r for r, v in enumerate(self.basis) if v < self.art_start]
         slots = [k for k, v in enumerate(self.nonbasic) if v < self.art_start]
-        if len(slots) < len(self.nonbasic):
-            self.nonbasic = [self.nonbasic[k] for k in slots]
-            self.rows = [[row[k] for k in slots] + row[-2:] for row in self.rows]
+        self.basis = [self.basis[r] for r in kept]
+        self.nonbasic = [self.nonbasic[k] for k in slots]
+        self.rows = [[self.rows[r][k] for k in slots] + self.rows[r][-2:] for r in kept]
 
     def solution(self) -> IntegerRow:
         """The basic solution as an integer row over the lcm of its rows' basic entries."""
@@ -318,14 +313,13 @@ def _reduce(row: list[int]) -> list[int]:
 
 
 def _phase_one(tab: _Tableau) -> bool:
+    """Whether minimizing the sum of the artificial variables reaches zero,
+    that is whether the constraints are feasible."""
     cost = [0] * tab.art_start + [1] * (tab.n_cols - tab.art_start)
     status, value, _ = tab.minimize(cost, 1)
     if status != OPTIMAL:  # the phase-one objective is bounded below by zero
         raise InternalDisagreement("phase-one simplex reported an unbounded objective")
-    if value != 0:
-        return False
-    tab.drive_out_artificials()
-    return True
+    return value == 0
 
 
 def lp_feasible(

@@ -308,7 +308,7 @@ class TestRingOutcome:
             for t in range(2):
                 assert joint.probs[idx][t] == nu1[prof[0]] * nu2[prof[1]] * mu[t]
 
-    def test_zero_mass_upstream_action_gets_uniform_conditional(self):
+    def test_zero_mass_upstream_action_adds_no_mass(self):
         ring = make_match_ring("1/2")
         profile = make_profile(ring, [[1, 0], [1, 0]])
         verdict = check_ring(ring, profile)
@@ -323,6 +323,17 @@ class TestRingOutcome:
         second = make_outcome([["3/4", 0], [0, "1/4"]])
         with pytest.raises(StageMarginalMismatch):
             construct_ring_outcome([first, second])
+
+    def test_negative_witness_entry_is_refused(self):
+        # The witnesses agree on the marginal (0, 1) they share; chained,
+        # the first row's -1/4 would reach the joint through the conditional
+        # on the upstream action of mass zero.
+        first = make_outcome([["1/4", "-1/4"], ["1/2", "1/2"]])
+        second = make_outcome([[0, "1/2"], [0, "1/2"]])
+        with pytest.raises(NotADistribution, match="stage witness 0 has a negative entry"):
+            construct_ring_outcome([first, second])
+        with pytest.raises(NotADistribution, match="stage witness 1 has a negative entry"):
+            construct_ring_outcome([second, make_outcome([["3/4", 0], ["-1/4", "1/2"]])])
 
 
 class TestRingObedience:

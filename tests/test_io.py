@@ -843,6 +843,25 @@ def test_ring_joint_must_keep_the_prior(tmp_path):
         reload_report(tmp_path, report, mutate)
 
 
+@pytest.mark.parametrize(
+    "second", [[[0, "1/2"], [0, "1/2"]], [["1/2", "1/2"], ["-1/2", "1/2"]]]
+)
+def test_ring_stage_witness_with_a_negative_entry_is_refused(tmp_path, second):
+    """Stage witnesses that chain, on the shared marginal (0, 1), but carry a
+    negative entry are refused before they are chained: the zero-mass
+    upstream action has no conditional to read, and in the second case its
+    column has nonzero entries that would be divided by its zero mass."""
+    ring = make_ring(["t1", "t2"], ["3/4", "1/4"], MATCH_RING_STAGES)
+    report, code = cmd_ring(ring, make_profile(ring, [["1/2", "1/2"], ["1/2", "1/2"]]))
+    assert code == 0
+
+    def mutate(doc):
+        doc["witnesses"]["stage_witnesses"] = [[["1/4", "-1/4"], ["1/2", "1/2"]], second]
+
+    with pytest.raises(ValidationError, match="stage witness 0 has a negative entry"):
+        reload_report(tmp_path, report, mutate)
+
+
 # -- every leaf of every report kind -------------------------------------
 
 _RATIONAL = re.compile(r"^-?\d+/\d+$")

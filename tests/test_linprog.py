@@ -165,9 +165,26 @@ def seeded_oracle():
     return oracle_feasibility(game, random_marginal(rng, game.n_actions))
 
 
-# The (row, column) of every pivot, phase one, artificial drive-out and phase
-# two alike. Bland's rule fixes each choice from the basis, so these are spec:
-# a faster tableau must reproduce them exactly.
+def redundant_equalities():
+    """x0 - x1 == 0 beside its negation, over x >= 0: both artificials end
+    phase one basic at zero."""
+    return [Constraint((1, (1, -1, 0)), EQUAL), Constraint((1, (-1, 1, 0)), EQUAL)]
+
+
+def redundant_feasible():
+    return lp_feasible(2, redundant_equalities(), nonneg=True)
+
+
+def redundant_solve():
+    return lp_solve(2, redundant_equalities(), [1, 0], nonneg=True)
+
+
+# The (row, column) of every pivot: phase one, then, in ``lp_solve`` only, the
+# artificial drive-out and phase two. ``lp_feasible`` stops at phase one, so
+# on the redundant equalities it makes no pivot, where ``lp_solve`` pivots x0
+# into the first row, the smallest of its two candidates, and drops the
+# second. Bland's rule fixes each choice from the basis, so these are spec: a
+# faster tableau must reproduce them exactly.
 PIVOT_SEQUENCES = [
     (beale_lp, [(0, 0), (1, 1), (0, 2), (1, 3), (2, 0), (1, 4)]),
     (degenerate_tie_lp, [(0, 0), (2, 1)]),
@@ -180,6 +197,8 @@ PIVOT_SEQUENCES = [
             (19, 12), (16, 23), (14, 4),
         ],
     ),
+    (redundant_feasible, []),
+    (redundant_solve, [(0, 0)]),
 ]
 
 
@@ -342,10 +361,11 @@ def test_strong_duality(lp):
 
 
 # The reference: the dense integer tableau that ``linprog._Tableau`` replaced,
-# kept verbatim, with the drivers it ran under. It stores every column
-# (basic ones and the objective column ``z`` included) and takes a Bland ban
-# on the artificial columns in phase two. The condensed tableau must make the
-# same pivots and return the same answers.
+# kept verbatim, with the drivers it ran under, except that feasibility stops
+# at phase one and only the two-phase solve drives the artificials out. It
+# stores every column (basic ones and the objective column ``z`` included)
+# and takes a Bland ban on the artificial columns in phase two. The condensed
+# tableau must make the same pivots and return the same answers.
 
 
 class _Tableau:
@@ -542,10 +562,7 @@ def _phase_one(tab: _Tableau) -> bool:
     status, value = tab.minimize(cost, banned_from=tab.n_cols)
     if status != OPTIMAL:  # the phase-one objective is bounded below by zero
         raise InternalDisagreement("phase-one simplex reported an unbounded objective")
-    if value != 0:
-        return False
-    tab.drive_out_artificials()
-    return True
+    return value == 0
 
 
 def reference_lp_feasible(n_vars, constraints, nonneg=False):
@@ -562,6 +579,7 @@ def reference_lp_solve(n_vars, constraints, objective, maximize=False, nonneg=Fa
     tab = _Tableau(n_vars, constraints, nonneg)
     if not _phase_one(tab):
         return LPResult(INFEASIBLE, None, None)
+    tab.drive_out_artificials()
     sign = -ONE if maximize else ONE
     cost = [ZERO] * tab.n_cols
     at = 0
@@ -640,11 +658,12 @@ def mixed_lps(draw):
     return n, constraints, objective, draw(st.booleans())
 
 
+REDUNDANT_LP = (2, redundant_equalities(), [1, 0], True)
+
+
 @settings(max_examples=200, deadline=None)
 @given(mixed_lps(), st.booleans())
-# Both artificials end phase one basic at zero; the drive-out pivots x0 into
-# the first row, the smallest of its two candidates, and drops the second.
-@example((2, [Constraint((1, (1, -1, 0)), EQUAL), Constraint((1, (-1, 1, 0)), EQUAL)], [1, 0], True), False)
+@example(REDUNDANT_LP, False)
 def test_condensed_tableau_pivots_as_the_dense_reference(lp, maximize):
     """Same (row, entering column) at every pivot, same status, same point
     and same value as the dense reference, for feasibility and for the
@@ -656,6 +675,25 @@ def test_condensed_tableau_pivots_as_the_dense_reference(lp, maximize):
     new = solved(lp_solve, n, cons, objective, maximize, nonneg)
     old = recorded(_Tableau, reference_lp_solve, n, cons, objective, maximize, nonneg)
     assert new == old
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_lps())
+@example(REDUNDANT_LP)
+def test_feasibility_witness_is_read_where_phase_one_stops(lp):
+    """Each drive-out pivot is on a row with a zero right-hand side, so it
+    moves no basic value: the witness ``lp_feasible`` returns where phase one
+    stops equals, as ``Fraction``s, the one read on the same tableau after
+    the drive-out step."""
+    n, cons, _, nonneg = lp
+    tab = linprog._Tableau(n, cons, nonneg)
+    if not linprog._phase_one(tab):
+        assert lp_feasible(n, cons, nonneg=nonneg) == (False, None)
+        return
+    feasible, x = lp_feasible(n, cons, nonneg=nonneg)
+    assert feasible and x == tab.solution()
+    tab.drop_artificials()
+    assert row_fractions(tab.solution()) == row_fractions(x)
 
 
 def takes_only_a_slack(con):
