@@ -36,6 +36,7 @@ from .implementation import (
     posterior_menus,
 )
 from .io import (
+    SCHEMA_VERSION,
     Report,
     canonical_json,
     consistency_report,
@@ -104,7 +105,7 @@ def cmd_random(seed, max_states, max_actions) -> dict:
     rng = XorShift64(seed)
     game = random_game(rng, max_states=max_states, max_actions=max_actions)
     nu = random_marginal(rng, game.n_actions)
-    doc = {"schema_version": 1}
+    doc = {"schema_version": SCHEMA_VERSION}
     doc.update(game_json(game))
     doc["marginal"] = vector_json(nu.integer_probs)
     doc["generator"] = {
@@ -237,11 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def instance_parser(name, help_text, with_marginal=True, with_tau=False):
+    def instance_parser(name, help_text, with_tau=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="instance JSON file")
-        if with_marginal:
-            p.add_argument("--marginal", help='target marginal, e.g. "1/2,1/2"')
+        p.add_argument("--marginal", help='target marginal, e.g. "1/2,1/2"')
         if with_tau:
             p.add_argument("--tau", help="JSON file holding the posterior distribution")
         p.add_argument(

@@ -8,9 +8,12 @@ from hypothesis import settings
 
 from mbce.game import make_game, make_marginal, make_outcome, matching_game
 
-# CI runs ``pytest --hypothesis-profile=derandomized``: every property draws
-# the same examples on every run and every Python, so a failure reproduces
-# and a pass is not luck of the draw. Example counts are the tests' own.
+# CI runs ``python -O -m pytest --hypothesis-profile=derandomized``: every
+# property draws the same examples on every run and every Python, so a
+# failure reproduces and a pass is not luck of the draw. Example counts are
+# the tests' own. ``-O`` strips no check: pytest rewrites the asserts of the
+# test files into raises, and test_optimized_mode.py keeps ``assert`` out of
+# the program, the demos and the helper modules, which pytest does not rewrite.
 settings.register_profile("derandomized", derandomize=True)
 
 # Seconds a test may run before it fails with its name; the slowest test

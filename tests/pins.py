@@ -7,10 +7,9 @@ report the command writes with ``--out`` must have the row's ``exit`` code
 and ``sha256``, and it must load through ``load_report``. A pin is spec,
 not tuning: it changes only on purpose.
 
-Run as a script, under ``python -O`` as well, it checks every row, prints
-each mismatch and exits 1 if any row fails:
-
-    PYTHONPATH=src python -O tests/pins.py
+``test_pins.py`` runs every row as a test of its own, and CI runs tier-1
+under ``python -O``. This module holds no ``assert`` (``test_optimized_mode.py``
+checks that), so ``-O`` changes nothing in it.
 """
 
 from __future__ import annotations
@@ -19,12 +18,9 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
-import tempfile
 from pathlib import Path
 
 from mbce.cli import main
-from mbce.errors import MbceError
 from mbce.io import load_report
 
 PINS_FILE = Path(__file__).with_name("pins.json")
@@ -77,20 +73,3 @@ def run_pin(row: dict, workdir: Path) -> Path:
         raise PinMismatch(f"sha256 {digest}, pinned {row['sha256']}")
     load_report(str(report))
     return report
-
-
-def check_all() -> int:
-    failed = 0
-    with tempfile.TemporaryDirectory() as workdir:
-        for row in PINS.values():
-            try:
-                run_pin(row, Path(workdir))
-            except (PinMismatch, MbceError) as err:
-                failed += 1
-                print(f"{row['name']}: {err}")
-    print(f"{len(PINS) - failed} of {len(PINS)} pins hold")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(check_all())

@@ -117,7 +117,7 @@ class TestLoadDocument:
     )
     def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, content, message):
         """Each file is refused with a ParseError when loaded, and with exit
-        3 by the CLI, never with a traceback."""
+        3 and an ``error: `` line by the CLI, never with a traceback."""
         path = tmp_path / "doc.json"
         path.write_bytes(content)
         with pytest.raises(ParseError, match=message):
@@ -125,6 +125,7 @@ class TestLoadDocument:
         assert main(["check", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+        assert captured.err.startswith("error: ")
 
     def test_surrogate_pairs_and_escaped_backslashes_still_load(self, tmp_path):
         path = tmp_path / "doc.json"

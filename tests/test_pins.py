@@ -1,5 +1,6 @@
 """Every row of ``pins.json`` keeps its exit code and report bytes, and its
-report loads; ``python -O tests/pins.py`` runs the same rows."""
+report loads. CI runs these tests under ``python -O`` as well, which strips
+no check of the program: ``test_optimized_mode.py`` keeps ``assert`` out."""
 
 from __future__ import annotations
 
