@@ -7,6 +7,10 @@ that agree on paper did not, or a solver invariant broke (a bug, by
 construction).
 Reports are byte-identical for identical inputs and seeds; timings go to
 stderr so they never perturb the report document.
+
+A command line whose first word names a command is parsed once, by that
+command's parser; the full parser parses only a line that ends in help,
+usage or an error, and prints the messages it always has.
 """
 
 from __future__ import annotations
@@ -220,7 +224,10 @@ def _run(args) -> tuple[str, int]:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 3, the code for unusable input: argparse's own 2 is
-    this CLI's negative verdict."""
+    this CLI's negative verdict. ``commands`` maps each command name to its
+    parser, on the top-level parser only."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -237,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for which action distributions information design can reach.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def instance_parser(name, help_text, with_tau=False):
         p = sub.add_parser(name, help=help_text)
@@ -284,8 +292,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing a line that starts with
+    a command name once, by that command's parser. The full parser parses
+    the lines that name no command or leave words over, and so prints every
+    usage error and help text as it always has: a command's parser reached
+    through it meets the same words and prints the same messages."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_command_line(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
     problem = args.out is not None and _unwritable(args.out)
     if problem:

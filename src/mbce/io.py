@@ -25,10 +25,14 @@ printed from them (``vector_json``).  load_report looks for a boolean only
 in a text that spells true or false.  Writing the report is
 in that loop too: write_text, the one writer
 behind save_report and the CLI's --out, overwrites the file in place rather
-than truncating it first.  load_document refuses with a ParseError, never a
-traceback, a file that is not UTF-8, that json cannot read (too deep, or an
-integer literal past the int-string digit limit), or that holds a lone
-surrogate, which no UTF-8 report could carry.
+than truncating it first.  Reading is in that loop as well: _read_document
+reads a file as bytes, decodes them as strict UTF-8 and parses the text with
+one module-level json.JSONDecoder (json.loads would build a new one on each
+call, for the float hooks), refusing a leading byte-order mark as json.loads
+does.  load_document refuses with a ParseError, never a traceback, a file
+that is not UTF-8, that json cannot read (too deep, or an integer literal
+past the int-string digit limit), or that holds a lone surrogate, which no
+UTF-8 report could carry.
 """
 
 from __future__ import annotations
@@ -296,22 +300,43 @@ def load_document(path: str) -> dict:
     return _read_document(path)[0]
 
 
+class _FloatLiteral(Exception):
+    """A float literal or NaN/Infinity constant met while decoding; raised
+    by the shared decoder, which knows no path, and turned into a
+    ValidationError by ``_read_document``. Not a ValueError, which would
+    read as an unreadable number."""
+
+
+def _refuse_float(text: str):
+    raise _FloatLiteral(text)
+
+
+# One decoder for every document: json.loads builds a new one on each call
+# that passes a hook.
+_DECODER = json.JSONDecoder(parse_float=_refuse_float, parse_constant=_refuse_float)
+
+
 def _read_document(path: str) -> tuple[dict, str]:
-    """The parsed document at ``path`` and its text."""
+    """The parsed document at ``path`` and its text.
 
-    def no_floats(text: str):
-        raise ValidationError(
-            path, f'float literal {text} is not allowed; write rationals as "p/q" strings'
-        )
-
+    The file is read as bytes, decoded as strict UTF-8 (line ends are left
+    as they are, so an error's offset counts the file's own characters) and
+    parsed by the module's one decoder. A leading byte-order mark is refused
+    with json.loads's own message."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text, parse_float=no_floats, parse_constant=no_floats)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except OSError as err:
         raise ParseError(path, str(err))
     except UnicodeDecodeError as err:
         raise ParseError(path, f"not UTF-8 text: {err}")
+    except _FloatLiteral as err:
+        raise ValidationError(
+            path, f'float literal {err} is not allowed; write rationals as "p/q" strings'
+        )
     except json.JSONDecodeError as err:
         raise ParseError(path, f"invalid JSON: {err}")
     except ValueError as err:  # an integer literal past sys.get_int_max_str_digits()

@@ -598,12 +598,17 @@ class TestVerifyAndRandom:
         assert first == second
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
-        path = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        run(capsys, ["check", path, "--out", str(out_a)])
-        run(capsys, ["check", path, "--out", str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
+        """Runs on one instance, and on a copy of it with CRLF line ends,
+        write the same bytes."""
+        text = json.dumps(dict(MATCH34, marginal=["1/2", "1/2"]), indent=2)
+        path = tmp_path / "instance.json"
+        path.write_bytes(text.encode("utf-8"))
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        outs = [tmp_path / f"{name}.json" for name in "abc"]
+        for source, out in zip([path, path, crlf], outs):
+            assert run(capsys, ["check", str(source), "--out", str(out)])[0] == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 class TestUsageErrors:
@@ -632,6 +637,63 @@ class TestUsageErrors:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "in.json", "--marginal", "1/2,1/2", "--drop-null-states", "--out", "r.json"],
+            ["oracle", "in.json", "--marginal=1/2,1/2", "--out=r.json"],
+            ["implement", "in.json", "--tau", "t.json", "--marginal", "1/2,1/2", "--out", "r"],
+            ["implement", "--drop-null-states", "in.json"],
+            ["ring", "in.json", "--out", "r.json"],
+            ["public", "in.json", "--marginal", "0,1/2,1/2,0", "--out", "r.json"],
+            ["verify"],
+            ["verify", "--n", "20", "--seed", "7", "--max-states", "3", "--max-actions=3"],
+            ["random", "--seed", "5", "--max-states", "2", "--max-actions", "2", "--out", "r"],
+            ["check", "in.json", "--ou", "r.json"],
+            ["check", "--out", "r.json", "in.json"],
+            ["check", "--", "in.json"],
+            ["check", "--out", "r.json", "--", "in.json"],
+            ["check", "-h"],
+            ["verify", "--help"],
+            ["-h"],
+            [],
+            ["no-such-command", "in.json"],
+            ["check"],
+            ["random"],
+            ["check", "in.json", "--bogus"],
+            ["ring", "in.json", "--marginal", "1/2,1/2"],
+            ["check", "in.json", "extra"],
+            ["verify", "--n", "abc"],
+            ["verify", "--max", "3"],
+            ["check", "in.json", "--out"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no words",
+    )
+    def test_dispatch_parses_as_the_full_parser(self, capsys, argv):
+        """A command line gives the namespace the full parser gives, or
+        exits with its code, stdout and stderr."""
+
+        def outcome(parse):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exit_info:
+                result = exit_info.code
+            captured = capsys.readouterr()
+            return result, captured.out, captured.err
+
+        assert outcome(mbce.cli.parse_command_line) == outcome(build_parser().parse_args)
+
+    def test_a_valid_line_is_parsed_by_its_command_alone(self, tmp_path, capsys, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the full parser parsed a valid command line")
+
+        monkeypatch.setattr(build_parser(), "parse_args", unreached)
+        path = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, ["check", path, "--drop-null-states", "--out", str(out)])
+        assert code == 0
+        assert load_report(str(out))["verdict"] == "consistent"
 
 
 class TestGeneratorInputs:

@@ -83,9 +83,10 @@ class TestLoadDocument:
             load_document(path)
 
     def test_infinity_rejected(self, tmp_path):
-        path = write(tmp_path, '{"weight": Infinity}')
-        with pytest.raises(ValidationError):
-            load_document(path)
+        for constant in ("Infinity", "NaN", "-Infinity"):
+            path = write(tmp_path, f'{{"weight": {constant}}}')
+            with pytest.raises(ValidationError, match=f"float literal {constant} is not allowed"):
+                load_document(path)
 
     def test_invalid_json(self, tmp_path):
         path = write(tmp_path, "{not json")
@@ -112,8 +113,12 @@ class TestLoadDocument:
             (b'{"states": ["\\ud800", "t2"]' + GAME_TAIL, "lone surrogate"),
             (b'{"states": ["\\udc00t", "t2"]' + GAME_TAIL, "lone surrogate"),
             (b'{"states": ["\\ude00\\ud83d", "t2"]' + GAME_TAIL, "lone surrogate"),
+            (b'\xef\xbb\xbf{"states": ["t1", "t2"]' + GAME_TAIL, "invalid JSON: Unexpected UTF-8 BOM"),
         ],
-        ids=["invalid-utf8", "5000-digit-literal", "200000-deep", "high", "low", "reversed-pair"],
+        ids=[
+            "invalid-utf8", "5000-digit-literal", "200000-deep", "high", "low", "reversed-pair",
+            "byte-order-mark",
+        ],
     )
     def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, content, message):
         """Each file is refused with a ParseError when loaded, and with exit
