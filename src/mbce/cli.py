@@ -8,9 +8,14 @@ construction).
 Reports are byte-identical for identical inputs and seeds; timings go to
 stderr so they never perturb the report document.
 
-A command line whose first word names a command is parsed once, by that
-command's parser; the full parser parses only a line that ends in help,
-usage or an error, and prints the messages it always has.
+The grammar is written once, in ``COMMANDS``. A plain command line is read
+straight off that table: a command name, then only that command's options
+spelled in full, each value option followed by a value that does not start
+with ``-``, and its positional, which does not start with ``-`` either.
+argparse's parser, built from the same table, parses every other line: help
+(``-h``), an abbreviated option (``--ou``), ``--opt=value``, ``--``, a value
+or positional that starts with ``-`` (``--n -2``), and every usage error; it
+prints and exits as it always has.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import functools
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from .applications import (
     auxiliary_single_agent,
@@ -217,17 +223,110 @@ def _run(args) -> tuple[str, int]:
         report, code = cmd_verify(args.n, args.seed, args.max_states, args.max_actions)
     elif args.command == "random":
         return canonical_json(cmd_random(args.seed, args.max_states, args.max_actions)), 0
-    else:  # pragma: no cover - argparse enforces the choices
+    else:  # pragma: no cover - parse_command_line admits only COMMANDS
         raise ValueError(args.command)
     return report_string(report), code
 
 
+VALUE, INT, FLAG = "value", "int", "flag"
+
+
+class Option(NamedTuple):
+    """A long option of a command: ``kind`` is ``VALUE`` (a string), ``INT``
+    (a string read by ``int()``, as argparse's ``type=int`` reads it) or
+    ``FLAG`` (no value; present is True, as argparse's ``store_true``)."""
+
+    name: str
+    kind: str = VALUE
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    """A command's words: its positional (a name and its help, or None) and
+    its long options, by name in the order its help lists them."""
+
+    help: str
+    positional: tuple[str, str] | None
+    options: dict[str, Option]
+
+
+def _command(help_text, positional, *options) -> Command:
+    return Command(help_text, positional, {option.name: option for option in options})
+
+
+_INSTANCE = ("file", "instance JSON file")
+_MARGINAL = Option("--marginal", help='target marginal, e.g. "1/2,1/2"')
+_TAU = Option("--tau", help="JSON file holding the posterior distribution")
+_DROP_NULL_STATES = Option(
+    "--drop-null-states",
+    FLAG,
+    False,
+    help="remove zero-prior states (and matching utility columns and tau coordinates) on load",
+)
+_OUT = Option("--out", help="write the report here instead of stdout")
+_MAX_STATES = Option("--max-states", INT, 4)
+_MAX_ACTIONS = Option("--max-actions", INT, 4)
+
+# The command line's grammar, written once: ``build_parser`` builds argparse's
+# parser from it, and ``parse_command_line`` reads a plain line off it.
+COMMANDS: dict[str, Command] = {
+    "check": _command(
+        "decide consistency by the oracle LP; certify a rejection",
+        _INSTANCE,
+        _MARGINAL,
+        _DROP_NULL_STATES,
+        _OUT,
+    ),
+    "oracle": _command(
+        "the same decision and report as check, named oracle",
+        _INSTANCE,
+        _MARGINAL,
+        _DROP_NULL_STATES,
+        _OUT,
+    ),
+    "implement": _command(
+        "build an outcome from posteriors", _INSTANCE, _MARGINAL, _TAU, _DROP_NULL_STATES, _OUT
+    ),
+    "ring": _command(
+        "stage-by-stage ring-network check",
+        ("file", "instance JSON file with ring and marginals"),
+        _OUT,
+    ),
+    "public": _command(
+        "public-signal check for first-order games",
+        ("file", "instance JSON file with a first_order section"),
+        Option("--marginal", help="profile marginal, indexed like the report's profiles list"),
+        _OUT,
+    ),
+    "verify": _command(
+        "random cross-check of the belief-space route against the oracle LP",
+        None,
+        Option("--n", INT, 500),
+        Option("--seed", INT, 7),
+        _MAX_STATES,
+        _MAX_ACTIONS,
+        _OUT,
+    ),
+    "random": _command(
+        "emit a reproducible instance file",
+        None,
+        Option("--seed", INT, required=True),
+        _MAX_STATES,
+        _MAX_ACTIONS,
+        Option("--out", help="write the instance here instead of stdout"),
+    ),
+}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 3, the code for unusable input: argparse's own 2 is
-    this CLI's negative verdict. ``commands`` maps each command name to its
-    parser, on the top-level parser only."""
-
-    commands: dict[str, argparse.ArgumentParser]
+    this CLI's negative verdict."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -236,75 +335,95 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared by every caller,
-    which must not modify it: building it costs some thirty times as much
-    as parsing one command line."""
+    """argparse's parser for ``COMMANDS``, built once per process and shared
+    by every caller, which must not modify it: building it costs some thirty
+    times as much as parsing one command line."""
     parser = _ArgumentParser(
         prog="mbce",
         description="Exact checks for which action distributions information design can reach.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-
-    def instance_parser(name, help_text, with_tau=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="instance JSON file")
-        p.add_argument("--marginal", help='target marginal, e.g. "1/2,1/2"')
-        if with_tau:
-            p.add_argument("--tau", help="JSON file holding the posterior distribution")
-        p.add_argument(
-            "--drop-null-states",
-            action="store_true",
-            help="remove zero-prior states (and matching utility columns and tau coordinates)"
-            " on load",
-        )
-        p.add_argument("--out", help="write the report here instead of stdout")
-        return p
-
-    instance_parser("check", "decide consistency by the oracle LP; certify a rejection")
-    instance_parser("oracle", "the same decision and report as check, named oracle")
-    instance_parser("implement", "build an outcome from posteriors", with_tau=True)
-
-    ring_p = sub.add_parser("ring", help="stage-by-stage ring-network check")
-    ring_p.add_argument("file", help="instance JSON file with ring and marginals")
-    ring_p.add_argument("--out", help="write the report here instead of stdout")
-
-    public_p = sub.add_parser("public", help="public-signal check for first-order games")
-    public_p.add_argument("file", help="instance JSON file with a first_order section")
-    public_p.add_argument("--marginal", help="profile marginal, indexed like the report's profiles list")
-    public_p.add_argument("--out", help="write the report here instead of stdout")
-
-    verify_p = sub.add_parser(
-        "verify", help="random cross-check of the belief-space route against the oracle LP"
-    )
-    verify_p.add_argument("--n", type=int, default=500)
-    verify_p.add_argument("--seed", type=int, default=7)
-    verify_p.add_argument("--max-states", type=int, default=4)
-    verify_p.add_argument("--max-actions", type=int, default=4)
-    verify_p.add_argument("--out", help="write the report here instead of stdout")
-
-    random_p = sub.add_parser("random", help="emit a reproducible instance file")
-    random_p.add_argument("--seed", type=int, required=True)
-    random_p.add_argument("--max-states", type=int, default=4)
-    random_p.add_argument("--max-actions", type=int, default=4)
-    random_p.add_argument("--out", help="write the instance here instead of stdout")
-
+    for name, command in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=command.help)
+        if command.positional is not None:
+            positional, help_text = command.positional
+            command_parser.add_argument(positional, help=help_text)
+        for option in command.options.values():
+            if option.kind == FLAG:
+                command_parser.add_argument(option.name, action="store_true", help=option.help)
+                continue
+            command_parser.add_argument(
+                option.name,
+                type=int if option.kind == INT else None,
+                default=option.default,
+                required=option.required,
+                help=option.help,
+            )
     return parser
 
 
+def _read_plain_line(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a plain command line, read off ``COMMANDS``, or None
+    if the line is not plain. A plain line names a command, then holds only
+    that command's options spelled in full, each value option followed by a
+    value that does not start with ``-``, and its positional, which does not
+    start with ``-`` either; it gives every positional and required option,
+    and each int value reads as an int. A repeated option keeps its last
+    value, as in argparse."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0]}
+    for option in command.options.values():
+        values[option.dest] = option.default
+    positional = command.positional[0] if command.positional is not None else None
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if positional is None or positional in values:
+                return None
+            values[positional] = word
+            continue
+        option = command.options.get(word)
+        if option is None:
+            return None
+        if option.kind == FLAG:
+            values[option.dest] = True
+            continue
+        value = next(words, "-")  # a missing value is not plain either
+        if value.startswith("-"):
+            return None
+        if option.kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[option.dest] = value
+    if positional is not None and positional not in values:
+        return None
+    for option in command.options.values():
+        if option.required and values[option.dest] is None:
+            return None
+    return argparse.Namespace(**values)
+
+
 def parse_command_line(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsing a line that starts with
-    a command name once, by that command's parser. The full parser parses
-    the lines that name no command or leave words over, and so prints every
-    usage error and help text as it always has: a command's parser reached
-    through it meets the same words and prints the same messages."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    """``build_parser().parse_args(argv)``. A plain line (see
+    ``_read_plain_line``) is read off ``COMMANDS`` without argparse; argparse
+    parses every other line, and so prints every help text and usage error
+    and exits as it always has."""
+    args = _read_plain_line(argv)
+    return args if args is not None else build_parser().parse_args(argv)
+
+
+def _note(line: str) -> None:
+    """Print one of ``main``'s own lines to stderr. A stderr that cannot take
+    it, such as a pipe whose reader has gone, loses the line and leaves the
+    exit code the command earned."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def main(argv=None) -> int:
@@ -312,23 +431,23 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     problem = args.out is not None and _unwritable(args.out)
     if problem:
-        print(f"error: cannot write the output: {problem}", file=sys.stderr)
+        _note(f"error: cannot write the output: {problem}")
         return 3
     try:
         text, code = _run(args)
     except MbceError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _note(f"error: {err}")
         return 3
     except InternalDisagreement as err:
-        print(f"internal disagreement: {err}", file=sys.stderr)
+        _note(f"internal disagreement: {err}")
         return 4
     try:
         _emit(text, args.out)
     except OSError as err:
-        print(f"error: cannot write the output: {err}", file=sys.stderr)
+        _note(f"error: cannot write the output: {err}")
         return 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(f"{args.command}: {elapsed_ms:.1f} ms", file=sys.stderr)
+    _note(f"{args.command}: {elapsed_ms:.1f} ms")
     return code
 
 

@@ -11,16 +11,23 @@ it as an integer row, and ``unit_direction`` builds such a direction. The
 vertex scan (``enumerate_vertices``, ``contains``) and
 ``belief_decomposition`` solve and test in ``Fraction``s, where the package
 solves on integer rows and returns each vertex as one.
+
+``build_parser`` is the command line's grammar as the package once wrote it
+out, option by option, before it built its parser from one table and read
+plain lines off that table; the CLI's parsing is compared against it.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
 
+from mbce.cli import _ArgumentParser
 from mbce.errors import (
     DimensionMismatch,
     EmptyPolytope,
@@ -348,3 +355,59 @@ def belief_decomposition(game: BaseGame, marginal: ActionMarginal) -> Outcome | 
                     row[t] += x[offsets[a] + j] * v[t]
         rows.append(tuple(row))
     return Outcome(parse_table(rows))
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as it was written out, built once per process and
+    shared by every caller, which must not modify it."""
+    parser = _ArgumentParser(
+        prog="mbce",
+        description="Exact checks for which action distributions information design can reach.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def instance_parser(name, help_text, with_tau=False):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="instance JSON file")
+        p.add_argument("--marginal", help='target marginal, e.g. "1/2,1/2"')
+        if with_tau:
+            p.add_argument("--tau", help="JSON file holding the posterior distribution")
+        p.add_argument(
+            "--drop-null-states",
+            action="store_true",
+            help="remove zero-prior states (and matching utility columns and tau coordinates)"
+            " on load",
+        )
+        p.add_argument("--out", help="write the report here instead of stdout")
+        return p
+
+    instance_parser("check", "decide consistency by the oracle LP; certify a rejection")
+    instance_parser("oracle", "the same decision and report as check, named oracle")
+    instance_parser("implement", "build an outcome from posteriors", with_tau=True)
+
+    ring_p = sub.add_parser("ring", help="stage-by-stage ring-network check")
+    ring_p.add_argument("file", help="instance JSON file with ring and marginals")
+    ring_p.add_argument("--out", help="write the report here instead of stdout")
+
+    public_p = sub.add_parser("public", help="public-signal check for first-order games")
+    public_p.add_argument("file", help="instance JSON file with a first_order section")
+    public_p.add_argument("--marginal", help="profile marginal, indexed like the report's profiles list")
+    public_p.add_argument("--out", help="write the report here instead of stdout")
+
+    verify_p = sub.add_parser(
+        "verify", help="random cross-check of the belief-space route against the oracle LP"
+    )
+    verify_p.add_argument("--n", type=int, default=500)
+    verify_p.add_argument("--seed", type=int, default=7)
+    verify_p.add_argument("--max-states", type=int, default=4)
+    verify_p.add_argument("--max-actions", type=int, default=4)
+    verify_p.add_argument("--out", help="write the report here instead of stdout")
+
+    random_p = sub.add_parser("random", help="emit a reproducible instance file")
+    random_p.add_argument("--seed", type=int, required=True)
+    random_p.add_argument("--max-states", type=int, default=4)
+    random_p.add_argument("--max-actions", type=int, default=4)
+    random_p.add_argument("--out", help="write the instance here instead of stdout")
+
+    return parser

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import stat
@@ -11,6 +14,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbce.cli
 import mbce.consistency
@@ -20,6 +25,7 @@ from mbce.cli import build_parser, cmd_implement, main
 from mbce.game import integer_best_responses, make_marginal, matching_game
 from mbce.implementation import make_posteriors
 from mbce.io import load_report
+import references
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -89,6 +95,87 @@ def write(tmp_path, doc, name="instance.json"):
 
 def dev_null_is_a_device():
     return os.path.exists("/dev/null") and stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+COMMAND_NAMES = ["check", "oracle", "implement", "ring", "public", "verify", "random"]
+OPTION_WORDS = [
+    "--marginal",
+    "--tau",
+    "--drop-null-states",
+    "--out",
+    "--n",
+    "--seed",
+    "--max-states",
+    "--max-actions",
+]
+# Unique and ambiguous prefixes of the options, and argparse's other
+# spellings: ``--opt=value``, ``--``, help, unknown options and a lone dash.
+ODD_WORDS = [
+    "--ou",
+    "--o",
+    "--m",
+    "--max",
+    "--max-s",
+    "--mar",
+    "--d",
+    "--t",
+    "--se",
+    "--",
+    "-h",
+    "--help",
+    "--out=r.json",
+    "--n=3",
+    "--marginal=1/2,1/2",
+    "--seed=-1",
+    "--bogus",
+    "-",
+]
+# Values and positionals: empty, holding a space, starting with ``-``, and
+# reading as negative ints, which argparse takes as values.
+INT_VALUES = ["3", " 5", "0", "-2"]
+PLAIN_VALUES = ["in.json", "", "a b", "1/2,1/2", "3"]
+VALUES = PLAIN_VALUES + ["-2", "-x", "-a b"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command name, an unknown one or none, then, in any order, its own
+    options with values of their kind, its positional and, on half the
+    lines, other pairs and single words; any of them repeated, missing or
+    extra."""
+    name = draw(st.sampled_from(COMMAND_NAMES + ["no-such-command", None]))
+    command = mbce.cli.COMMANDS.get(name)
+    chunks = []
+    if command is not None:
+        for option in draw(st.lists(st.sampled_from(list(command.options.values())), max_size=4)):
+            if option.kind == mbce.cli.FLAG:
+                chunks.append((option.name,))
+            else:
+                values = INT_VALUES if option.kind == mbce.cli.INT else VALUES
+                chunks.append((option.name, draw(st.sampled_from(values))))
+        if command.positional is not None:
+            # Mostly one positional; sometimes none, or an extra one.
+            for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 0, 2]))):
+                chunks.append((draw(st.sampled_from(PLAIN_VALUES)),))
+    if draw(st.booleans()):
+        other = st.one_of(
+            st.tuples(st.sampled_from(OPTION_WORDS), st.sampled_from(VALUES)),
+            st.tuples(st.sampled_from(OPTION_WORDS + ODD_WORDS + VALUES)),
+        )
+        chunks += draw(st.lists(other, min_size=1, max_size=3))
+    words = [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+    return words if name is None else [name, *words]
+
+
+def drawn_outcome(parse, argv):
+    """``parse(argv)``'s namespace or exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exit_info:
+            result = exit_info.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def run(capsys, argv):
@@ -542,6 +629,34 @@ class TestInternalDisagreement:
         assert json.loads(plain.stdout)["details"]["disagreements"] == []
 
 
+class TestClosedStderr:
+    @pytest.mark.parametrize(
+        "marginal, code", [(["1/2", "1/2"], 0), (["1/4", "3/4"], 2), (None, 3)]
+    )
+    def test_a_closed_stderr_keeps_the_exit_code(self, tmp_path, marginal, code):
+        """``main``'s own stderr line (the timing, or the error) goes to a
+        pipe whose reader has closed: the line is lost, the exit code and
+        the report are not."""
+        if marginal is None:
+            path = str(tmp_path / "absent.json")
+        else:
+            path = write(tmp_path, dict(MATCH34, marginal=marginal))
+        out = tmp_path / "report.json"
+        argv = [sys.executable, "-m", "mbce.cli", "check", path, "--out", str(out)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(argv, stderr=write_end, env=dict(os.environ, PYTHONPATH=SRC))
+        finally:
+            os.close(write_end)
+        assert done.returncode == code
+        if code == 3:
+            assert not out.exists()
+        else:
+            verdict = "consistent" if code == 0 else "inconsistent"
+            assert load_report(str(out))["verdict"] == verdict
+
+
 class TestVerifyAndRandom:
     def test_unusable_out_exits_three_before_any_work(self, tmp_path, capsys, monkeypatch):
         """``--out`` is checked before the command computes anything: a
@@ -671,7 +786,7 @@ class TestUsageErrors:
         ids=lambda argv: " ".join(argv) or "no words",
     )
     def test_dispatch_parses_as_the_full_parser(self, capsys, argv):
-        """A command line gives the namespace the full parser gives, or
+        """A command line gives the namespace the reference parser gives, or
         exits with its code, stdout and stderr."""
 
         def outcome(parse):
@@ -682,17 +797,43 @@ class TestUsageErrors:
             captured = capsys.readouterr()
             return result, captured.out, captured.err
 
-        assert outcome(mbce.cli.parse_command_line) == outcome(build_parser().parse_args)
+        assert outcome(mbce.cli.parse_command_line) == outcome(references.build_parser().parse_args)
 
-    def test_a_valid_line_is_parsed_by_its_command_alone(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [["-h"]] + [[name, "-h"] for name in COMMAND_NAMES])
+    def test_help_prints_the_reference_bytes(self, capsysbinary, argv):
+        """Every help screen is byte for byte the reference parser's, with
+        the same exit code, on the running Python."""
+
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(list(argv))
+            captured = capsysbinary.readouterr()
+            return exit_info.value.code, captured.out, captured.err
+
+        shown = outcome(mbce.cli.parse_command_line)
+        assert shown == outcome(references.build_parser().parse_args)
+        assert shown[0] == 0 and shown[1].startswith(b"usage: mbce")
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_drawn_lines_parse_as_the_reference(self, argv):
+        """On any drawn line, the namespace the reference parser gives, or
+        its exit code, stdout and stderr."""
+        assert drawn_outcome(mbce.cli.parse_command_line, argv) == drawn_outcome(
+            references.build_parser().parse_args, argv
+        )
+
+    def test_a_plain_line_runs_no_argparse(self, tmp_path, capsys, monkeypatch):
         def unreached(*args, **kwargs):
-            raise AssertionError("the full parser parsed a valid command line")
+            raise AssertionError("argparse parsed a plain command line")
 
-        monkeypatch.setattr(build_parser(), "parse_args", unreached)
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", unreached)
         path = write(tmp_path, dict(MATCH34, marginal=["1/2", "1/2"]))
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, ["check", path, "--drop-null-states", "--out", str(out)])
         assert code == 0
+        assert build_parser.cache_info().misses == 0
         assert load_report(str(out))["verdict"] == "consistent"
 
 
